@@ -58,6 +58,13 @@ def _thread_cap():
     return cap
 
 
+def _check_search_options(tol, bound):
+    if tol <= 0:
+        raise click.UsageError("--tol must be positive")
+    if bound < 0:
+        raise click.UsageError("--bound must be non-negative, got %d" % bound)
+
+
 def _load_document(path):
     try:
         with open(path) as handle:
@@ -129,8 +136,7 @@ def main():
 def analyze(path, tol, bound, as_json):
     """Full pipeline on a configuration document: certification,
     holonomy eigen-data, resonances, cohomology dimensions."""
-    if tol <= 0:
-        raise click.UsageError("--tol must be positive")
+    _check_search_options(tol, bound)
     m, vectors = _parse_config(_load_document(path))
     report = {"input": path, "tol": tol, "bound": bound,
               "threads": _thread_cap()}
@@ -171,8 +177,7 @@ def resonances(path, tol, bound, as_json):
     """Resonance detection.  The document either holds a configuration
     (fields m, vectors) or raw eigen-data (field eigen_data: six
     [re, im] pairs in the order a1, a2, a3, b1, b2, b3)."""
-    if tol <= 0:
-        raise click.UsageError("--tol must be positive")
+    _check_search_options(tol, bound)
     doc = _load_document(path)
     report = {"input": path, "tol": tol, "bound": bound,
               "threads": _thread_cap()}

@@ -10,20 +10,26 @@ associated point set in R^{2m}:
 * which single vectors cannot be removed without losing the first
   condition (the "indispensable" indices).
 
-All hull tests are decided exactly in rational arithmetic: every finite
-float is a rational number, so barycentric systems are solved with
-`fractions.Fraction` and the verdict carries no tolerance.  A float
-fallback (linear-programming feasibility with tolerance `TAU_HULL`) is
-available for callers that explicitly opt out of the exact path.
+All three are read off one enumeration of the *minimal captures*: the
+affinely independent subsets of at most 2m+1 vectors whose barycentric
+coordinates of the origin are all positive.  By Caratheodory, the origin
+lies in the hull of a set of vectors iff some subset of it is a minimal
+capture, so
+
+* Siegel holds iff a minimal capture exists,
+* weak hyperbolicity holds iff no minimal capture has 2m or fewer vectors,
+* index j is indispensable iff j lies in every minimal capture.
+
+The enumeration is exact and carries no tolerance: every finite float is
+a dyadic rational, so the points are scaled by one common power of two to
+integers, and each subset's barycentric system is solved by fraction-free
+integer elimination (Bareiss 1968).
 """
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-
-TAU_HULL = 1e-9
 
 
 class NotLVMError(Exception):
@@ -76,92 +82,92 @@ def real_points(config):
     return out
 
 
-def _solve_exact(matrix, rhs):
-    """Gaussian elimination over Fraction.
+def _integer_columns(points, target):
+    """Return ``points - target`` as exact integer vectors.
 
-    Returns the unique solution of ``matrix @ t = rhs`` if the matrix has
-    full column rank and the system is consistent, otherwise None.  The
-    caller enumerates subsets, so uniqueness (affine independence) is all
-    we need: by Caratheodory some affinely independent subset witnesses
-    hull membership whenever any convex combination does.
+    Every finite float is p / 2^e, so multiplying all coordinates by the
+    largest denominator that occurs makes them integers without rounding,
+    and the subtraction is then exact as well.  Barycentric coordinates do
+    not change under this common positive scaling.
     """
-    rows = len(matrix)
-    cols = len(matrix[0])
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(rows)]
-    pivot_row = 0
-    pivot_cols = []
-    for col in range(cols):
-        pr = None
-        for r in range(pivot_row, rows):
-            if aug[r][col] != 0:
-                pr = r
+    ratios = [[x.as_integer_ratio() for x in p] for p in points]
+    shift = [x.as_integer_ratio() for x in target]
+    scale = max((den for row in ratios + [shift] for _, den in row),
+                default=1)
+    shift = [num * (scale // den) for num, den in shift]
+    return [[num * (scale // den) - t for (num, den), t in zip(row, shift)]
+            for row in ratios]
+
+
+def _captures_origin(columns, dim):
+    """True iff the integer vectors are affinely independent and the origin
+    is a convex combination of them with every weight positive.
+
+    The barycentric system is the row of ones with right-hand side 1 and
+    one row per coordinate with right-hand side 0.  It is solved by
+    fraction-free Gauss-Jordan elimination (Bareiss): every entry stays an
+    integer minor of the system, each division is exact, and at the end
+    the pivot rows read ``D * t_i = r_i`` with one common determinant D.
+    """
+    k = len(columns)
+    rows = [[1] * (k + 1)]
+    rows += [[c[d] for c in columns] + [0] for d in range(dim)]
+    pivots = []
+    prev = 1
+    for col in range(k):
+        for r, row in enumerate(rows):
+            if row[col]:
                 break
-        if pr is None:
-            continue
-        aug[pivot_row], aug[pr] = aug[pr], aug[pivot_row]
-        pv = aug[pivot_row][col]
-        aug[pivot_row] = [x / pv for x in aug[pivot_row]]
-        for r in range(rows):
-            if r != pivot_row and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[pivot_row])]
-        pivot_cols.append(col)
-        pivot_row += 1
-        if pivot_row == rows:
-            break
-    if len(pivot_cols) < cols:
-        return None  # rank-deficient subset: skip, a smaller subset covers it
-    # consistency: remaining rows must be zero
-    for r in range(pivot_row, rows):
-        if aug[r][cols] != 0:
-            return None
-    sol = [Fraction(0)] * cols
-    for i, col in enumerate(pivot_cols):
-        sol[col] = aug[i][cols]
-    return sol
+        else:
+            return False  # affinely dependent: a smaller subset covers it
+        prow = rows.pop(r)
+        pivot = prow[col]
+        for row in pivots + rows:
+            f = row[col]
+            for j in range(col + 1, k + 1):
+                row[j] = (pivot * row[j] - f * prow[j]) // prev
+        pivots.append(prow)
+        prev = pivot
+    if any(row[k] for row in rows):
+        return False  # inconsistent: the origin is off the affine hull
+    return all(row[k] * prev > 0 for row in pivots)
 
 
-def _in_hull_exact(points, target):
-    pts = [[Fraction(x) for x in p] for p in points]
-    tgt = [Fraction(x) for x in target]
-    dim = len(tgt)
-    n = len(pts)
-    max_size = min(n, dim + 1)
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(range(n), size):
-            matrix = [[pts[i][d] for i in subset] for d in range(dim)]
-            matrix.append([Fraction(1)] * size)
-            rhs = tgt + [Fraction(1)]
-            sol = _solve_exact(matrix, rhs)
-            if sol is not None and all(t >= 0 for t in sol):
-                return True
-    return False
+def _minimal_captures(points, target):
+    """Yield, smallest first, every minimal capture of ``target``: an
+    affinely independent subset (tuple of indices) of at most dim+1 points
+    that has ``target`` strictly inside, with all barycentric coordinates
+    positive.  By Caratheodory, ``target`` lies in the convex hull of a set
+    of points iff some subset of them is a minimal capture."""
+    columns = _integer_columns(points, target)
+    dim = len(target)
+    for size in range(1, min(len(columns), dim + 1) + 1):
+        for subset in itertools.combinations(range(len(columns)), size):
+            if _captures_origin([columns[i] for i in subset], dim):
+                yield subset
 
 
-def _in_hull_float(points, target, tau):
-    from scipy.optimize import linprog
-
-    pts = np.asarray(points, dtype=float)
-    tgt = np.asarray(target, dtype=float)
-    n, dim = pts.shape
-    a_eq = np.vstack([pts.T, np.ones(n)])
-    b_eq = np.concatenate([tgt, [1.0]])
-    res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq, bounds=[(0, None)] * n,
-                  method="highs")
-    if not res.success:
-        return False
-    weights = res.x
-    residual = np.max(np.abs(a_eq @ weights - b_eq))
-    return residual <= tau and np.min(weights) >= -tau
+def _config_captures(config):
+    return _minimal_captures(real_points(config).tolist(),
+                             [0.0] * (2 * config.m))
 
 
-def in_convex_hull(points, target, tau=TAU_HULL, exact=True):
+def _certify(config):
+    """(Siegel, weakly hyperbolic, indispensable) from one enumeration."""
+    captures = [set(s) for s in _config_captures(config)]
+    hyperbolic = all(len(s) > 2 * config.m for s in captures)
+    if not captures:
+        return False, hyperbolic, frozenset()
+    common = set.intersection(*captures)
+    # 1-based, matching the Lambda numbering
+    return True, hyperbolic, frozenset(j + 1 for j in common)
+
+
+def in_convex_hull(points, target):
     """Decide whether target is a convex combination of the given points.
 
-    With ``exact=True`` (default) the decision is made in rational
-    arithmetic over the binary values of the inputs and is tolerance-free.
-    With ``exact=False`` a linear feasibility problem is solved instead and
-    accepted up to absolute tolerance ``tau``.
+    The decision is made in integer arithmetic over the binary values of
+    the inputs and is tolerance-free.
     """
     points = [tuple(float(x) for x in p) for p in points]
     target = tuple(float(x) for x in target)
@@ -171,60 +177,42 @@ def in_convex_hull(points, target, tau=TAU_HULL, exact=True):
     for p in points:
         if len(p) != dim:
             raise ValueError("dimension mismatch between points and target")
-    if exact:
-        return _in_hull_exact(points, target)
-    return _in_hull_float(points, target, tau)
+    return next(_minimal_captures(points, target), None) is not None
 
 
 def check_siegel(config):
     """True iff the origin lies in the hull of all configuration vectors."""
-    pts = real_points(config)
-    return in_convex_hull(pts, np.zeros(2 * config.m))
+    return next(_config_captures(config), None) is not None
 
 
 def check_weak_hyperbolicity(config):
     """True iff no subset of exactly 2m vectors captures the origin."""
-    pts = real_points(config)
-    origin = np.zeros(2 * config.m)
-    for subset in itertools.combinations(range(config.n), 2 * config.m):
-        if in_convex_hull(pts[list(subset)], origin):
-            return False
-    return True
+    return _certify(config)[1]
 
 
 def indispensable_points(config):
     """Indices whose removal breaks the Siegel condition."""
-    if not check_siegel(config):
+    siegel, _, indispensable = _certify(config)
+    if not siegel:
         raise ValueError("indispensable_points requires a Siegel configuration")
-    pts = real_points(config)
-    origin = np.zeros(2 * config.m)
-    out = set()
-    for j in range(config.n):
-        rest = np.delete(pts, j, axis=0)
-        if not in_convex_hull(rest, origin):
-            out.add(j + 1)  # 1-based, matching the Lambda numbering
-    return out
+    return set(indispensable)
 
 
 def classify_type(config):
     """Return the triple (m, n, k) or raise NotLVMError."""
-    if not check_siegel(config):
+    siegel, hyperbolic, indispensable = _certify(config)
+    if not siegel:
         raise NotLVMError("Siegel")
-    if not check_weak_hyperbolicity(config):
+    if not hyperbolic:
         raise NotLVMError("weak hyperbolicity")
-    k = len(indispensable_points(config))
-    return (config.m, config.n, k)
+    return (config.m, config.n, len(indispensable))
 
 
 def config_report(config):
-    siegel = check_siegel(config)
-    hyperbolic = check_weak_hyperbolicity(config)
-    indispensable = frozenset()
+    siegel, hyperbolic, indispensable = _certify(config)
     triple = None
-    if siegel:
-        indispensable = frozenset(indispensable_points(config))
-        if hyperbolic:
-            triple = (config.m, config.n, len(indispensable))
+    if siegel and hyperbolic:
+        triple = (config.m, config.n, len(indispensable))
     return ConfigReport(siegel, hyperbolic, indispensable, triple)
 
 

@@ -12,8 +12,6 @@ from typing import Optional
 
 import numpy as np
 
-from .config_geometry import Configuration  # noqa: F401  (re-export convenience)
-
 TWO_PI_I = 2j * np.pi
 
 

@@ -62,6 +62,12 @@ class TestAnalyze:
         result = runner.invoke(main, ["analyze", path, "--tol", "-1"])
         assert result.exit_code == 2
 
+    def test_negative_bound(self, runner, tmp_path):
+        path = write(tmp_path, "e1.json", E1_DOC)
+        result = runner.invoke(main, ["analyze", path, "--bound", "-5"])
+        assert result.exit_code == 2
+        assert "--bound must be non-negative, got -5" in result.output
+
     def test_deterministic_output(self, runner, tmp_path):
         path = write(tmp_path, "e1.json", E1_DOC)
         a = runner.invoke(main, ["analyze", path, "--json"]).output
@@ -91,6 +97,14 @@ class TestResonances:
         path = write(tmp_path, "eig.json", {"eigen_data": [[1, 0]]})
         result = runner.invoke(main, ["resonances", path])
         assert result.exit_code == 1
+
+    def test_negative_bound(self, runner, tmp_path):
+        doc = {"eigen_data": [[2, 0], [0.6, 0], [0.72, 0],
+                              [1, 1], [0, 0.5], [-0.25, -0.25]]}
+        path = write(tmp_path, "eig.json", doc)
+        result = runner.invoke(main, ["resonances", path, "--bound", "-5"])
+        assert result.exit_code == 2
+        assert "--bound must be non-negative, got -5" in result.output
 
 
 class TestVerify:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lvmkit.config_geometry import (
+    ConfigReport,
     Configuration,
     NotLVMError,
     check_siegel,
@@ -17,6 +18,7 @@ from lvmkit.config_geometry import (
     normalize_affine,
     real_points,
 )
+from hull_oracle import _in_hull_exact, oracle_report
 
 # The reference configuration used throughout: four axis vectors plus two
 # nearly-parallel vectors in the (-1-i, -1-i) direction.
@@ -51,6 +53,11 @@ def brute_force_in_hull(points, target, max_denominator=64):
     return False
 
 
+# dyadic coordinates whose exponents differ by up to 2^120
+_WIDE = st.builds(lambda num, e: num * 2.0 ** e,
+                  st.integers(-3, 3), st.integers(-60, 60))
+
+
 class TestHullMembership:
     def test_triangle_interior(self):
         pts = [(0, 0), (1, 0), (0, 1)]
@@ -80,13 +87,6 @@ class TestHullMembership:
         assert in_convex_hull(pts, np.zeros(4))
         assert not in_convex_hull(pts, (0.3, 0.3, 0.3, 0.3))
 
-    def test_float_fallback_agrees(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            pts = rng.normal(size=(7, 3))
-            tgt = rng.normal(scale=0.3, size=3)
-            assert in_convex_hull(pts, tgt) == in_convex_hull(pts, tgt, exact=False)
-
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.integers(-5, 5), st.integers(-5, 5)),
                     min_size=1, max_size=6),
@@ -102,6 +102,14 @@ class TestHullMembership:
         # adding points never removes membership
         if in_convex_hull(pts, (0, 0)):
             assert in_convex_hull(pts + [(extra_index, 1)], (0, 0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(_WIDE, _WIDE, _WIDE), min_size=1, max_size=6),
+           st.tuples(_WIDE, _WIDE, _WIDE))
+    def test_matches_oracle_on_wide_dyadics(self, pts, tgt):
+        # coordinates of very different binary exponents exercise the
+        # common scaling and the subtraction of the target
+        assert in_convex_hull(pts, tgt) == _in_hull_exact(pts, tgt)
 
 
 class TestReferenceConfiguration:
@@ -151,6 +159,112 @@ class TestReferenceConfiguration:
         with pytest.raises(NotLVMError) as err:
             classify_type(shifted)
         assert err.value.failed_condition == "Siegel"
+
+
+def _config(points):
+    """Configuration from points of R^4 = (re z1, im z1, re z2, im z2)."""
+    return Configuration(2, tuple(
+        (complex(p[0], p[1]), complex(p[2], p[3])) for p in points))
+
+
+def _plant(points, kind, idx, w):
+    """Plant a degenerate structure on the distinct indices ``idx`` with
+    positive integer weights ``w``."""
+    p = [list(x) for x in points]
+    i, j, k, l, h = idx[:5]
+
+    def negated_sum(*terms):
+        return [-sum(wt * p[t][d] for wt, t in zip(w, terms))
+                for d in range(4)]
+
+    if kind == "edge":  # origin inside the segment (i, j)
+        p[j] = negated_sum(i)
+    elif kind == "antipodal":
+        p[j] = [-x for x in p[i]]
+    elif kind == "triangle":  # origin inside the triangle (i, j, k)
+        p[k] = negated_sum(i, j)
+    elif kind == "facet":  # origin inside the tetrahedron (i, j, k, l)
+        p[l] = negated_sum(i, j, k)
+    elif kind == "simplex":  # origin inside the 4-simplex (i, j, k, l, h)
+        p[h] = negated_sum(i, j, k, l)
+    elif kind == "repeat":
+        p[j] = list(p[i])
+    elif kind == "collinear":  # p[j] is the midpoint of p[i] and p[k]
+        p[k] = [2 * y - x for x, y in zip(p[i], p[j])]
+    elif kind == "origin":
+        p[i] = [0.0] * 4
+    elif kind == "halfspace":  # closed half-space, origin on its boundary
+        p = [[abs(x[0])] + x[1:] for x in p]
+    return p
+
+
+PLANTS = ("edge", "antipodal", "triangle", "facet", "simplex", "repeat",
+          "collinear", "origin", "halfspace")
+
+
+@st.composite
+def planted_configurations(draw):
+    """Small-integer or dyadic configurations in R^4 with n = 5..7 and up
+    to two planted degeneracies.  Planting only adds and scales small
+    dyadics, so every coordinate stays exact."""
+    n = draw(st.integers(5, 7))
+    top = draw(st.sampled_from((0, 3)))  # 0: small integers
+    coord = st.builds(lambda num, e: num / 2.0 ** e,
+                      st.integers(-4, 4), st.integers(0, top))
+    points = draw(st.lists(st.tuples(coord, coord, coord, coord),
+                           min_size=n, max_size=n))
+    for kind in draw(st.lists(st.sampled_from(PLANTS), max_size=2)):
+        idx = draw(st.permutations(range(n)))
+        w = draw(st.tuples(*[st.integers(1, 3)] * 4))
+        points = _plant(points, kind, idx, w)
+    return _config(points)
+
+
+def _e1_points(n=6):
+    """E1 in R^4, continued for n > 6 along its negative ray."""
+    ones = (1.0, 1.0, 1.0, 1.0)
+    return ([list(row) for row in np.eye(4)]
+            + [[-(1 + 0.1 * t) * x for x in ones] for t in range(n - 4)])
+
+
+class TestOracleAgreement:
+    """The one-pass report against the three-pass Fraction oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(planted_configurations())
+    def test_report_matches_oracle(self, config):
+        assert config_report(config) == oracle_report(config)
+
+    @pytest.mark.parametrize("kind", PLANTS)
+    @pytest.mark.parametrize("idx", [(0, 4, 5, 1, 2), (4, 5, 0, 2, 3)])
+    def test_planted_e1_matches_oracle(self, kind, idx):
+        config = _config(_plant(_e1_points(), kind, idx, (1, 2, 3, 1)))
+        assert config_report(config) == oracle_report(config)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_e1_continued(self, n):
+        config = _config(_e1_points(n))
+        report = config_report(config)
+        assert report.type_triple == (2, n, 4)
+        assert report.indispensable == frozenset({1, 2, 3, 4})
+        assert report == oracle_report(config)
+
+    @pytest.mark.parametrize("tiny, expected", [
+        (2.0 ** -1000, (True, True, {1, 2, 3, 4}, (2, 6, 4))),
+        (0.0, (True, False, {1, 2, 3}, None)),
+        (-2.0 ** -1000, (True, True, {1, 2, 3, 5}, (2, 6, 4))),
+    ], ids=["positive", "zero", "negative"])
+    def test_extreme_exponents(self, tiny, expected):
+        # The fourth coordinate of the last point, 2^2000 times smaller
+        # than its others, alone decides which subsets capture the origin.
+        big = 2.0 ** 1000
+        points = _e1_points(5) + [[-big, -big, -big, -tiny]]
+        config = _config(points)
+        siegel, hyperbolic, indispensable, triple = expected
+        report = config_report(config)
+        assert report == ConfigReport(siegel, hyperbolic,
+                                      frozenset(indispensable), triple)
+        assert report == oracle_report(config)
 
 
 class TestNormalizeAffine:
