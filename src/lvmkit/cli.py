@@ -14,13 +14,10 @@ Four commands:
 Exit codes: 0 on success, 1 on a mathematical failure (a condition or a
 residual out of tolerance), 2 on usage or parse errors.  All randomized
 checks are seeded (default 0) and reports embed seed, tolerances and
-bounds, so identical invocations produce byte-identical output.  The
-environment variable LVMKIT_THREADS caps worker parallelism; the current
-implementation runs the suite items serially, which respects any cap.
+bounds, so identical invocations produce byte-identical output.
 """
 
 import json
-import os
 import sys
 
 import click
@@ -45,17 +42,6 @@ VERIFY_TOL = 1e-10
 _REGIMES = (ResonanceClass("NonResonant"),
             ResonanceClass("Single", p=1, q=2),
             ResonanceClass("Double", p=1))
-
-
-def _thread_cap():
-    raw = os.environ.get("LVMKIT_THREADS", "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise click.UsageError("LVMKIT_THREADS must be an integer")
-    if cap < 1:
-        raise click.UsageError("LVMKIT_THREADS must be >= 1")
-    return cap
 
 
 def _check_search_options(tol, bound):
@@ -138,8 +124,7 @@ def analyze(path, tol, bound, as_json):
     holonomy eigen-data, resonances, cohomology dimensions."""
     _check_search_options(tol, bound)
     m, vectors = _parse_config(_load_document(path))
-    report = {"input": path, "tol": tol, "bound": bound,
-              "threads": _thread_cap()}
+    report = {"input": path, "tol": tol, "bound": bound}
     try:
         config = Configuration(m, vectors)
         summary = config_report(config)
@@ -179,8 +164,7 @@ def resonances(path, tol, bound, as_json):
     [re, im] pairs in the order a1, a2, a3, b1, b2, b3)."""
     _check_search_options(tol, bound)
     doc = _load_document(path)
-    report = {"input": path, "tol": tol, "bound": bound,
-              "threads": _thread_cap()}
+    report = {"input": path, "tol": tol, "bound": bound}
     try:
         if "eigen_data" in doc:
             pair = pair_from_flat(doc["eigen_data"])
@@ -412,8 +396,7 @@ def verify(suite, seed, samples, tol, p, q, as_json, inject_fault):
         else:
             results.append(_suite_action(seed, fault))
     report = {"suite": suite, "seed": seed, "samples": samples, "tol": tol,
-              "threads": _thread_cap(), "results": results,
-              "passed": all(r["passed"] for r in results)}
+              "results": results, "passed": all(r["passed"] for r in results)}
     _emit(report, as_json)
     if not report["passed"]:
         sys.exit(1)
@@ -457,8 +440,7 @@ def deform(path, seed, samples, tol, as_json):
     except ValueError as exc:
         _emit({"input": path, "failure": str(exc)}, as_json)
         sys.exit(1)
-    report = {"input": path, "seed": seed, "samples": samples, "tol": tol,
-              "threads": _thread_cap()}
+    report = {"input": path, "seed": seed, "samples": samples, "tol": tol}
     try:
         spec = StructureSpec(gens, base_config=config)
         result = check_structure(spec, samples=samples, tol=tol, seed=seed)

@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+import lvmkit.action
+import lvmkit.resonant_group
 from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
 from lvmkit.resonance import ResonanceClass
-from lvmkit.resonant_group import GroupElement, PointV, apply, identity
+from lvmkit.resonant_group import (GroupElement, PointV, apply, compose,
+                                   identity)
 from lvmkit.action import (
+    FP_TOL,
     ActionCertificate,
+    _grid,
+    _images,
+    _point_factors,
+    _powers,
+    _word_composer,
     fixed_point_certificate,
     orbit,
     properness_probe,
 )
+from action_oracle import oracle_certificate, oracle_probe
 
 NR = ResonanceClass("NonResonant")
 S12 = ResonanceClass("Single", p=1, q=2)
@@ -27,6 +38,14 @@ E1 = Configuration(2, (
 
 BASE = holonomy_pair(E1)
 DIAG_PAIR = (GroupElement(NR, BASE.alpha), GroupElement(NR, BASE.beta))
+# rational angles on the unit circle: f^3 fixes (1, 1, 0)
+UNIT_PAIR = (
+    GroupElement(NR, tuple(np.exp(2j * np.pi * np.array([1 / 3, 1 / 3, 1 / 7])))),
+    GroupElement(NR, tuple(np.exp(2j * np.pi * np.array([1 / 5, 1 / 7, 1 / 9])))))
+SINGLE_PAIR = (GroupElement(S12, (2, 0.6, 0.5, 0.3 - 0.1j)),
+               GroupElement(S12, (1 + 1j, 0.5j, -0.3 + 0.2j, 0.25)))
+DOUBLE_PAIR = (GroupElement(D1, (1.5j, np.array([[1.2, 0.3j], [-0.4, 0.8]]))),
+               GroupElement(D1, (0.7 - 0.2j, np.diag([0.9j, 1.1]))))
 
 
 def brute_force_window_check(pair, window, tol=1e-10):
@@ -105,6 +124,12 @@ class TestFixedPointCertificate:
         assert cert10.fixed_point_free
         assert cert5.fixed_point_free
 
+    def test_vacuous_window_rejected(self):
+        assert not fixed_point_certificate(UNIT_PAIR, window=6).fixed_point_free
+        for window in (0, -3):
+            with pytest.raises(ValueError, match="need window >= 1"):
+                fixed_point_certificate(UNIT_PAIR, window=window)
+
     def test_certificate_invariant(self):
         with pytest.raises(ValueError):
             ActionCertificate(5, True, witness=((1, 0), PointV((1, 1, 0))))
@@ -130,6 +155,18 @@ class TestOrbit:
         out = orbit((f, g), [(0, 1)] * 4, x)
         for k, pt in enumerate(out):
             assert np.allclose(pt.array(), beta ** k, rtol=1e-12)
+
+    @pytest.mark.parametrize("pair", [DIAG_PAIR, SINGLE_PAIR, DOUBLE_PAIR])
+    def test_long_word_matches_stepwise(self, pair):
+        f, g = pair
+        word = [(3, -1), (-2, 4), (0, 2), (5, 0), (-5, -5), (1, 1), (0, 0),
+                (-1, 3), (2, -4), (4, 2)]
+        x = PointV((0.7 + 0.2j, 1.1 - 0.4j, -0.3 + 0.9j))
+        expected = [x]
+        for r, s in word:
+            h = compose(_powers(f, abs(r))[r], _powers(g, abs(s))[s])
+            expected.append(apply(h, expected[-1]))
+        assert orbit(pair, iter(word), x) == expected
 
 
 class TestPropernessProbe:
@@ -162,3 +199,145 @@ class TestPropernessProbe:
             properness_probe(DIAG_PAIR, compact_radius=0.5)
         with pytest.raises(ValueError):
             properness_probe(DIAG_PAIR, horizon=0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"samples": 0}, {"samples": -2},
+        {"compact_radius": float("nan")}, {"compact_radius": float("inf")}])
+    def test_vacuous_or_undefined_probe_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="need a finite compact_radius"):
+            properness_probe(DIAG_PAIR, **kwargs)
+
+    def test_no_per_point_work(self, monkeypatch):
+        calls = {"apply": 0, "point": 0}
+        post_init = PointV.__post_init__
+
+        def counting_apply(f, x):
+            calls["apply"] += 1
+            return apply(f, x)
+
+        def counting_post_init(point):
+            calls["point"] += 1
+            post_init(point)
+
+        monkeypatch.setattr(lvmkit.resonant_group, "apply", counting_apply)
+        monkeypatch.setattr(lvmkit.action, "apply", counting_apply)
+        monkeypatch.setattr(PointV, "__post_init__", counting_post_init)
+        report = properness_probe(DIAG_PAIR, horizon=20, samples=20)
+        assert report.no_violation_found
+        # the 20 sample points are the only points built; word-by-word
+        # evaluation applies 1320 words to each of them
+        assert calls == {"apply": 0, "point": 20}
+
+
+@st.composite
+def action_pairs(draw):
+    """Pairs in every regime, log-moduli up to a drawn scale: 0 puts every
+    multiplier on the unit circle, 50 and 100 make words of a horizon-8 window
+    overflow to inf and underflow to 0.  Root-of-unity pairs have a fixed
+    point in a small window, and every word of theirs returns."""
+    kind = draw(st.sampled_from(["NonResonant", "Single", "Double", "root"]))
+    if kind == "root":
+        order = draw(st.integers(2, 6))
+        return tuple(GroupElement(NR, tuple(
+            np.exp(2j * np.pi * draw(st.integers(0, order - 1)) / order)
+            for _ in range(3))) for _ in range(2))
+    scale = draw(st.sampled_from([0.0, 0.05, 0.7, 4.0, 50.0, 100.0]))
+
+    def z():
+        return np.exp(scale * draw(st.floats(-1, 1))
+                      + 2j * np.pi * draw(st.floats(0, 1)))
+
+    def c():
+        return draw(st.floats(-2, 2)) * z()
+
+    if kind == "NonResonant":
+        return tuple(GroupElement(NR, (z(), z(), z())) for _ in range(2))
+    if kind == "Single":
+        cls = ResonanceClass("Single", p=draw(st.integers(1, 2)),
+                             q=draw(st.integers(2, 3)))
+        return tuple(GroupElement(cls, (z(), z(), z(), c()))
+                     for _ in range(2))
+    cls = ResonanceClass("Double", p=draw(st.integers(1, 2)))
+    mats = [np.array([[z(), c()], [c(), z()]]) for _ in range(2)]
+    assume(all(np.linalg.det(m) != 0 for m in mats))
+    return tuple(GroupElement(cls, (z(), m)) for m in mats)
+
+
+def _outcome(search, *args):
+    """The report of a search, or the exception it raised."""
+    try:
+        return repr(search(*args))
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+class TestAgainstOracle:
+    """The array searches report exactly what word-by-word evaluation
+    reports, witness words and points included, and raise what it raises."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(action_pairs(), st.integers(1, 8), st.integers(1, 5),
+           st.integers(0, 2 ** 32 - 1),
+           st.one_of(st.floats(1.01, 1e6),
+                     st.floats(6, 300).map(lambda e: 10.0 ** e)))
+    def test_probe(self, pair, horizon, samples, seed, radius):
+        args = (pair, radius, horizon, samples, seed)
+        assert _outcome(properness_probe, *args) == \
+            _outcome(oracle_probe, *args)
+
+    @settings(max_examples=150, deadline=None)
+    @given(action_pairs(), st.integers(1, 8),
+           st.sampled_from([0.0, FP_TOL, 1e-3, 0.5]))
+    def test_certificate(self, pair, window, tol):
+        args = (pair, window, tol)
+        assert _outcome(fixed_point_certificate, *args) == \
+            _outcome(oracle_certificate, *args)
+
+    @pytest.mark.parametrize("pair", [DIAG_PAIR, SINGLE_PAIR, DOUBLE_PAIR])
+    def test_rounding_matches_scalar(self, pair):
+        # words and images agree with compose and apply to the last bit
+        f, g = pair
+        fp, gp = _powers(f, 4), _powers(g, 4)
+        r, s = _grid(4)
+        h, ok = _word_composer(f, g, fp, gp, 4)(r, s)
+        x = np.array([[0.7 + 0.2j, 1.1 - 0.4j, -0.3 + 0.9j],
+                      [-2.5j, 0.1 + 0.3j, 4.0],
+                      [0.3 - 0.3j, 0.0, 1.7 + 2.2j]])
+        factors, refused = _point_factors(f.regime, x)
+        y = _images(f.regime, h, x, factors)
+        assert ok.all() and refused == len(x)
+        for k in range(r.size):
+            word = compose(fp[int(r[k])], gp[int(s[k])])
+            assert word.params().tobytes() == h[k].tobytes()
+            for n in range(len(x)):
+                image = apply(word, PointV(tuple(x[n])))
+                assert image.array().tobytes() == y[k, n].tobytes()
+
+    def test_word_compose_refuses(self):
+        # every power is a float, but f g underflows to 0 in xi1
+        f = GroupElement(NR, (1e-170, 2, 3))
+        g = GroupElement(NR, (1e-170, 5, 7))
+        for search, oracle, args in (
+                (fixed_point_certificate, oracle_certificate, (1, FP_TOL)),
+                (properness_probe, oracle_probe, (100.0, 1, 3, 0))):
+            outcome = _outcome(search, (f, g), *args)
+            assert outcome.startswith("ValueError")
+            assert outcome == _outcome(oracle, (f, g), *args)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_point_apply_refuses(self, seed):
+        # xi1^-2 underflows for the smallest samples of K at this radius,
+        # and tau refuses it; word-by-word evaluation raises only when a
+        # word meets such a sample before its first return (seed 3)
+        d2 = ResonanceClass("Double", p=2)
+        pair = (GroupElement(d2, (1.5, np.array([[2, 0.3], [0.1, 1]]))),
+                GroupElement(d2, (0.5, np.eye(2) * 0.7)))
+        args = (pair, 1e300, 3, 6, seed)
+        assert _outcome(properness_probe, *args) == _outcome(oracle_probe, *args)
+        assert _outcome(oracle_probe, *args).startswith(
+            "ZeroDivisionError" if seed == 3 else "PropernessReport")
+
+    def test_every_word_of_a_unit_pair_returns(self):
+        report = properness_probe(UNIT_PAIR, horizon=6, samples=3, seed=5)
+        assert len(report.violations) == 13 ** 2 - 5 ** 2
+        assert report == oracle_probe(UNIT_PAIR, 100.0, 6, 3, 5)
