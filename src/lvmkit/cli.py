@@ -43,10 +43,16 @@ _REGIMES = (ResonanceClass("NonResonant"),
             ResonanceClass("Single", p=1, q=2),
             ResonanceClass("Double", p=1))
 
+# the reference configuration E1 of type (2, 6, 4)
+_E1 = Configuration(2, ((1, 0), (1j, 0), (0, 1), (0, 1j),
+                        (-1 - 1j, -1 - 1j), (-1.1 - 1.1j, -1.1 - 1.1j)))
+
 
 def _check_search_options(tol, bound):
     if tol <= 0:
         raise click.UsageError("--tol must be positive")
+    if tol >= 1:
+        raise click.UsageError("--tol must be below 1, got %g" % tol)
     if bound < 0:
         raise click.UsageError("--bound must be non-negative, got %d" % bound)
 
@@ -108,6 +114,18 @@ def _emit(report, as_json):
         click.echo(line)
 
 
+def _resonance_report(report, pair, tol, bound):
+    """Fill in eigen-data, resonances, regime and cohomology; return the
+    regime."""
+    report["eigen_data"] = list(pair.flat())
+    found = find_resonances(pair, tol=tol, bound=bound)
+    report["resonances"] = [{"j": r.j, "p": list(r.p)} for r in found]
+    regime = classify_regime(found)
+    report["regime"] = {"tag": regime.tag, "p": regime.p, "q": regime.q}
+    report["cohomology"] = list(cohomology_dims(regime))
+    return regime
+
+
 @click.group()
 def main():
     """Toolkit for admissible configurations of type (2, 6, 4), their
@@ -137,13 +155,7 @@ def analyze(path, tol, bound, as_json):
                 (summary.type_triple,) if summary.type_triple else "undefined")
             _emit(report, as_json)
             sys.exit(1)
-        pair = holonomy_pair(config)
-        report["eigen_data"] = list(pair.flat())
-        found = find_resonances(pair, tol=tol, bound=bound)
-        report["resonances"] = [{"j": r.j, "p": list(r.p)} for r in found]
-        regime = classify_regime(found)
-        report["regime"] = {"tag": regime.tag, "p": regime.p, "q": regime.q}
-        report["cohomology"] = list(cohomology_dims(regime))
+        regime = _resonance_report(report, holonomy_pair(config), tol, bound)
         report["group_dim"] = group_dim(regime)
     except (NotLVMError, ValueError,
             UnclassifiableResonancePattern) as exc:
@@ -171,12 +183,7 @@ def resonances(path, tol, bound, as_json):
         else:
             config = Configuration(*_parse_config(doc))
             pair = holonomy_pair(config)
-        report["eigen_data"] = list(pair.flat())
-        found = find_resonances(pair, tol=tol, bound=bound)
-        report["resonances"] = [{"j": r.j, "p": list(r.p)} for r in found]
-        regime = classify_regime(found)
-        report["regime"] = {"tag": regime.tag, "p": regime.p, "q": regime.q}
-        report["cohomology"] = list(cohomology_dims(regime))
+        _resonance_report(report, pair, tol, bound)
     except (ValueError, NotLVMError, UnclassifiableResonancePattern) as exc:
         report["failure"] = str(exc) or exc.__class__.__name__
         _emit(report, as_json)
@@ -231,20 +238,10 @@ def _suite_group_laws(seed, samples, tol, fault):
             "max_residual": worst, "passed": worst <= tol}
 
 
-def _random_t_point(rng):
-    def c(scale=1.0):
-        return complex(rng.normal(), rng.normal()) * scale
-    a = (1.5 + c(0.2), 2.0 + c(0.2), 0.5 + c(0.1))
-    b = (0.8 + c(0.2), 1.3 + c(0.2), 0.4 + c(0.1))
-    eps = c(0.3)
-    amat = np.diag(a).astype(complex)
-    amat[2, 1] = eps
-    bmat = np.diag(b).astype(complex)
-    bmat[2, 1] = eps * (b[2] - b[1]) / (a[2] - a[1])
-    return FamilyPoint("T", amat, bmat, lam=c(0.5))
-
-
-def _random_tpq_point(rng, p, q):
+def _random_chart_point(rng, p=0, q=1):
+    """A random T point, or a T_pq point when q >= 2, whose second shear
+    entry solves the shear-compatibility clause (T is the case p = 0,
+    q = 1)."""
     def c(scale=1.0):
         return complex(rng.normal(), rng.normal()) * scale
     a = (1.5 + c(0.2), 2.0 + c(0.2), 0.5 + c(0.1))
@@ -255,6 +252,8 @@ def _random_tpq_point(rng, p, q):
     bmat = np.diag(b).astype(complex)
     bmat[2, 1] = (eps * (b[2] - b[0] ** p * b[1] ** q)
                   / (a[2] - a[0] ** p * a[1] ** q))
+    if q == 1:
+        return FamilyPoint("T", amat, bmat, lam=c(0.5))
     return FamilyPoint("T_pq", amat, bmat, lam=c(0.5), p=p, q=q)
 
 
@@ -271,7 +270,7 @@ def _suite_gluing(seed, samples, tol, p, q, fault):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        point = _random_t_point(rng)
+        point = _random_chart_point(rng)
         x = _random_point(rng)
         out = glue_psi_p(point, x, p)
         if fault:
@@ -287,7 +286,7 @@ def _suite_gluing(seed, samples, tol, p, q, fault):
         back = invert_psi_p(out[0], out[1], p)
         worst = max(worst, _pair_diff(back, (point, x)) / scale)
 
-        point = _random_tpq_point(rng, p, q)
+        point = _random_chart_point(rng, p, q)
         x = _random_point(rng)
         out = glue_phi_pq(point, x, p, q)
         scale = 1 + np.max(np.abs(out[1].array()))
@@ -302,10 +301,7 @@ def _suite_gluing(seed, samples, tol, p, q, fault):
 
 
 def _suite_developing(seed, samples, fault):
-    from .config_geometry import Configuration as _Config
-    base = _Config(2, ((1, 0), (1j, 0), (0, 1), (0, 1j),
-                       (-1 - 1j, -1 - 1j), (-1.1 - 1.1j, -1.1 - 1.1j)))
-    pair = holonomy_pair(base)
+    pair = holonomy_pair(_E1)
     nr = ResonanceClass("NonResonant")
     s12 = ResonanceClass("Single", p=1, q=2)
     d1 = ResonanceClass("Double", p=1)
@@ -319,7 +315,7 @@ def _suite_developing(seed, samples, fault):
     specs = (
         StructureSpec((GroupElement(nr, pair.alpha),
                        GroupElement(nr, pair.beta),
-                       GroupElement(nr, third)), base_config=base),
+                       GroupElement(nr, third)), base_config=_E1),
         StructureSpec((single(2, 0.6, 0.5),
                        single(1 + 1j, 0.5j, -0.3 + 0.2j),
                        single(1.01, 1.02, 0.97))),
@@ -340,10 +336,7 @@ def _suite_developing(seed, samples, fault):
 
 
 def _suite_action(seed, fault):
-    from .config_geometry import Configuration as _Config
-    base = _Config(2, ((1, 0), (1j, 0), (0, 1), (0, 1j),
-                       (-1 - 1j, -1 - 1j), (-1.1 - 1.1j, -1.1 - 1.1j)))
-    pair = holonomy_pair(base)
+    pair = holonomy_pair(_E1)
     nr = ResonanceClass("NonResonant")
     gen_pair = (GroupElement(nr, pair.alpha), GroupElement(nr, pair.beta))
     if fault:

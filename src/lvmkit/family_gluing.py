@@ -25,9 +25,11 @@ from typing import Optional
 import numpy as np
 
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
-from .resonance import DEFAULT_BOUND, ResonanceClass
-from .resonant_group import (GroupElement, IllConditioned, PointV, apply,
-                             compose, identity, inverse)
+from .resonance import (DEFAULT_BOUND, ResonanceClass, _log_screen,
+                        _power_residual)
+from .resonant_group import (GroupElement, IllConditioned, PointV, _l_matrix,
+                             _null_vector, apply, compose, identity, inverse,
+                             p_eigenvalues)
 from .rep_variety import variety_residual
 
 DENOM_TOL = 1e-12
@@ -138,29 +140,6 @@ def family_point_from_dict(doc):
                        p=doc.get("p"), q=doc.get("q"))
 
 
-def p_eigenvalues(alpha, mat, p):
-    """The two roots of det(X diag(1, alpha^p) - M), multiplicity kept.
-
-    Ordered lexicographically on (re, im), larger first, so repeated
-    calls are reproducible.
-    """
-    alpha = complex(alpha)
-    if alpha == 0:
-        raise ValueError("alpha must be nonzero")
-    mat = np.asarray(mat, dtype=complex)
-    ap = alpha ** p
-    roots = np.roots([ap, -(mat[0, 0] * ap + mat[1, 1]), np.linalg.det(mat)])
-    r = sorted(roots, key=lambda z: (z.real, z.imag), reverse=True)
-    return complex(r[0]), complex(r[1])
-
-
-def _p_eigenvector(alpha, mat, p, value):
-    """Unit kernel vector of M - value * diag(1, alpha^p)."""
-    shifted = np.asarray(mat, dtype=complex) - value * np.diag([1, complex(alpha) ** p])
-    _, _, vh = np.linalg.svd(shifted)
-    return vh[-1].conj()
-
-
 def _paired_eigendata(point):
     """Eigen-data (alpha_1..3, beta_1..3) of an S_p candidate.
 
@@ -177,8 +156,8 @@ def _paired_eigendata(point):
     roots = p_eigenvalues(a1, ablock, p)
     raw_betas = []
     for val in roots:
-        v = _p_eigenvector(a1, ablock, p, val)
-        lv = np.diag([1, complex(b1) ** p]) @ v
+        v = _null_vector(ablock - val * _l_matrix(a1, p))
+        lv = _l_matrix(b1, p) @ v
         k = int(np.argmax(np.abs(lv)))
         raw_betas.append(complex((bblock @ v)[k] / lv[k]))
     candidates = []
@@ -191,23 +170,19 @@ def _paired_eigendata(point):
     return candidates[0]
 
 
-def _power_clash(a1, a2, a3, r, s):
-    """|a1^r a2^s / a3 - 1| through logs, overflow-safe."""
-    z = r * np.log(complex(a1)) + s * np.log(complex(a2)) - np.log(complex(a3))
-    if abs(z.real) > 1:
-        return np.inf
-    w = complex(z.real, np.angle(np.exp(1j * z.imag)))
-    return abs(np.expm1(w) + 0j)
-
-
 def _no_clash_window(a1, a2, a3, bound, tol, excluded=None):
-    """True iff a3 != a1^r a2^s for every (r, s) in the window, s >= 1."""
-    for r in range(-bound, bound + 1):
-        for s in range(1, bound + 1):
-            if excluded is not None and (r, s) == excluded:
-                continue
-            if _power_clash(a1, a2, a3, r, s) <= tol:
-                return False
+    """True iff a3 != a1^r a2^s for every (r, s) in the window, s >= 1.
+
+    The whole window is screened at once; each screened word is then
+    decided by the scalar residual.
+    """
+    r = np.arange(-bound, bound + 1)[:, None]
+    s = np.arange(1, bound + 1)[None, :]
+    z = r * np.log(complex(a1)) + s * np.log(complex(a2)) - np.log(complex(a3))
+    for i, k in np.argwhere(_log_screen(z, tol)):
+        word = (int(r[i, 0]), int(s[0, k]))
+        if word != excluded and _power_residual((a1, a2), a3, word) <= tol:
+            return False
     return True
 
 
@@ -289,9 +264,9 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
                 raise ValueError("the plain condition C has no sharp variant")
             condition = "K_pq^S"
             clauses.append(("resonant-alpha",
-                            _power_clash(a1, a2, a3, p, q) <= tol))
+                            _power_residual((a1, a2), a3, (p, q)) <= tol))
             clauses.append(("resonant-beta",
-                            _power_clash(b1, b2, b3, p, q) <= tol))
+                            _power_residual((b1, b2), b3, (p, q)) <= tol))
         return MembershipReport(condition, tuple(clauses), bound, tol)
     # S_p candidate
     condition = "C_p"
@@ -311,9 +286,9 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
     if sharp:
         condition = "C_p^S"
         clauses.append(("resonant-alpha",
-                        _power_clash(data[0], data[1], data[2], p, 1) <= tol))
+                        _power_residual(data[:2], data[2], (p, 1)) <= tol))
         clauses.append(("resonant-beta",
-                        _power_clash(data[3], data[4], data[5], p, 1) <= tol))
+                        _power_residual(data[3:5], data[5], (p, 1)) <= tol))
     return MembershipReport(condition, tuple(clauses), bound, tol)
 
 
@@ -363,6 +338,19 @@ def _shear(lam):
     return out
 
 
+def _shear_denominators(point, p, q):
+    """(a3 - a2, a3 - a1^p a2^q) of a T or T_pq point, refused with
+    IllConditioned when either is negligible against the eigenvalues."""
+    a1, a2, a3 = point.diagonals()[:3]
+    d_plain = a3 - a2
+    d_twist = a3 - a1 ** p * a2 ** q
+    scale = 1 + max(abs(a2), abs(a3))
+    if abs(d_plain) < DENOM_TOL * scale or abs(d_twist) < DENOM_TOL * scale:
+        raise IllConditioned("eigenvalue collision: denominators %.3e and "
+                             "%.3e" % (abs(d_plain), abs(d_twist)))
+    return d_plain, d_twist
+
+
 def glue_psi_p(point, x, p):
     """Chart change T -> S_p: conjugation by unipotent shears.
 
@@ -375,15 +363,10 @@ def glue_psi_p(point, x, p):
         raise ValueError("glue_psi_p expects a T point")
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
-    a1, a2, a3, b1, b2, b3 = point.diagonals()
+    a1, _, _, b1, b2, b3 = point.diagonals()
     eps = point.amat[2, 1]
     lam = point.lam
-    d_plain = a3 - a2
-    d_twist = a3 - a1 ** p * a2
-    scale = 1 + max(abs(a2), abs(a3))
-    if abs(d_plain) < DENOM_TOL * scale or abs(d_twist) < DENOM_TOL * scale:
-        raise IllConditioned("twisted eigenvalue collision: denominators "
-                             "%.3e and %.3e" % (abs(d_plain), abs(d_twist)))
+    d_plain, d_twist = _shear_denominators(point, p, 1)
     delta1 = eps * (b3 - b1 ** p * b2) / d_twist
     btilde = np.array(point.bmat)
     btilde[2, 1] = delta1
@@ -415,7 +398,7 @@ def invert_psi_p(point, x, p):
     scale = 1 + max(abs(a2), abs(a3))
     if abs(a2) <= abs(a3):
         raise NotInImage("twisted eigenvalues are not modulus-ordered")
-    if _power_clash(a1, a2, a3, p, 1) <= tol:
+    if _power_residual((a1, a2), a3, (p, 1)) <= tol:
         raise NotInImage("twisted eigenvalues satisfy a3' = a1^p a2'")
     if abs(eps1) <= tol * scale and abs(a2e - a2) > tol * scale:
         raise NotInImage("vanishing lower shear forces alpha2 = alpha2'")
@@ -452,14 +435,9 @@ def glue_phi_pq(point, x, p, q):
                          "indices")
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
-    a1, a2, a3, b1, b2, b3 = point.diagonals()
+    _, _, _, _, b2, b3 = point.diagonals()
     eps = point.amat[2, 1]
-    d_plain = a3 - a2
-    d_twist = a3 - a1 ** p * a2 ** q
-    scale = 1 + max(abs(a2), abs(a3))
-    if abs(d_plain) < DENOM_TOL * scale or abs(d_twist) < DENOM_TOL * scale:
-        raise IllConditioned("eigenvalue collision: denominators %.3e and "
-                             "%.3e" % (abs(d_plain), abs(d_twist)))
+    d_plain, d_twist = _shear_denominators(point, p, q)
     bout = np.array(point.bmat)
     bout[2, 1] = eps * (b3 - b2) / d_plain
     xi1, xi2, xi3 = x.array()
@@ -476,14 +454,9 @@ def invert_phi_pq(point, x, p, q):
         raise ValueError("invert_phi_pq expects a T point")
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
-    a1, a2, a3, b1, b2, b3 = point.diagonals()
+    _, _, _, b1, b2, b3 = point.diagonals()
     eps = point.amat[2, 1]
-    d_plain = a3 - a2
-    d_twist = a3 - a1 ** p * a2 ** q
-    scale = 1 + max(abs(a2), abs(a3))
-    if abs(d_plain) < DENOM_TOL * scale or abs(d_twist) < DENOM_TOL * scale:
-        raise IllConditioned("eigenvalue collision: denominators %.3e and "
-                             "%.3e" % (abs(d_plain), abs(d_twist)))
+    d_plain, d_twist = _shear_denominators(point, p, q)
     bout = np.array(point.bmat)
     bout[2, 1] = eps * (b3 - b1 ** p * b2 ** q) / d_twist
     xi1, xi2, xi3 = x.array()

@@ -110,46 +110,16 @@ def _commutator_params(f, g):
     return compose(f, g).params() - compose(g, f).params()
 
 
-def tangent_dimension(pair, cls, tol=1e-8, h=1e-6):
-    """Complex dimension of the Zariski tangent space to the commuting-
-    pair variety at the given pair.
+def _jacobian_rank(pair, cls, h):
+    """(rank, gap) of the finite-difference Jacobian of the commutator map
+    with respect to all group parameters of both elements (the map is
+    holomorphic, so real increments determine the complex derivative).
 
-    Finite-difference Jacobian of the commutator map with respect to all
-    group parameters of both elements (the map is holomorphic, so real
-    increments determine the complex derivative), rank by singular-value
-    threshold at sigma_max * 1e-8.
+    The rank counts singular values above sigma_max * SV_THRESHOLD, and is
+    0 when the Jacobian vanishes; the gap is the ratio between the
+    smallest kept and largest dropped singular value (inf when the
+    Jacobian vanishes or has full rank).
     """
-    f, g = pair
-    n = len(f.params())
-    base = _commutator_params(f, g)
-    scale = 1 + max(np.max(np.abs(f.params())), np.max(np.abs(g.params())))
-    cols = []
-    for which in range(2):
-        for k in range(n):
-            pf, pg = f.params().copy(), g.params().copy()
-            (pf if which == 0 else pg)[k] += h
-            f2 = element_from_params(cls, pf)
-            g2 = element_from_params(cls, pg)
-            cols.append((_commutator_params(f2, g2) - base) / h)
-    jac = np.column_stack(cols)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    if sv[0] <= 1e-9 * scale:
-        return 2 * n  # Jacobian vanishes: the whole parameter space is tangent
-    rel = sv / sv[0]
-    rank = int(np.sum(rel > SV_THRESHOLD))
-    if rank < len(sv) and rank > 0 and rel[rank] > 0:
-        gap = rel[rank - 1] / rel[rank]
-    else:
-        gap = np.inf
-    if gap < MIN_GAP:
-        warnings.warn("RankAmbiguous: singular-value gap %.2f below %.0f"
-                      % (gap, MIN_GAP))
-    return 2 * n - rank
-
-
-def tangent_gap(pair, cls, h=1e-6):
-    """Ratio between the smallest kept and largest dropped singular value
-    (inf when the Jacobian vanishes or has full rank)."""
     f, g = pair
     n = len(f.params())
     base = _commutator_params(f, g)
@@ -163,12 +133,30 @@ def tangent_gap(pair, cls, h=1e-6):
                                             element_from_params(cls, pg)) - base) / h)
     sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
     if sv[0] <= 1e-9 * scale:
-        return np.inf
+        return 0, np.inf  # the whole parameter space is tangent
     rel = sv / sv[0]
     rank = int(np.sum(rel > SV_THRESHOLD))
     if rank == 0 or rank == len(sv) or rel[rank] == 0:
-        return np.inf
-    return float(rel[rank - 1] / rel[rank])
+        return rank, np.inf
+    return rank, float(rel[rank - 1] / rel[rank])
+
+
+def tangent_dimension(pair, cls, tol=1e-8, h=1e-6):
+    """Complex dimension of the Zariski tangent space to the commuting-
+    pair variety at the given pair: 2 * (group dimension) minus the rank
+    of the commutator Jacobian (see ``_jacobian_rank``).
+    """
+    rank, gap = _jacobian_rank(pair, cls, h)
+    if gap < MIN_GAP:
+        warnings.warn("RankAmbiguous: singular-value gap %.2f below %.0f"
+                      % (gap, MIN_GAP))
+    return 2 * len(pair[0].params()) - rank
+
+
+def tangent_gap(pair, cls, h=1e-6):
+    """Ratio between the smallest kept and largest dropped singular value
+    (inf when the Jacobian vanishes or has full rank)."""
+    return _jacobian_rank(pair, cls, h)[1]
 
 
 def _principal_c(gamma):

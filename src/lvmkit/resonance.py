@@ -65,23 +65,26 @@ def _power_residual(values, target, p):
     return abs(np.expm1(-z) + 0j) if abs(z) < 1e-3 else abs(np.exp(-z) - 1)
 
 
+def _log_screen(z, tol):
+    """Mask of the log-residuals z that may meet |exp(-z) - 1| <= tol.
+
+    A necessary condition, never a verdict.  A residual t <= tol < 1
+    bounds the principal log w of exp(-z) by |w| <= -log(1 - t), and
+    |Re w| + |Im w| <= sqrt(2) |w| stays below twice that bound with room
+    for rounding.  The 1e-3 floor keeps near-resonances (up to 10 tol,
+    warned about) among the candidates at small tol.  From tol = 1 on,
+    the residual admits ratios near 0, whose logs no screen bounds.
+    """
+    if tol >= 1:
+        raise ValueError("tol must be below 1, got %r" % (tol,))
+    wrapped = np.remainder(z.imag + np.pi, 2 * np.pi) - np.pi
+    return np.abs(z.real) + np.abs(wrapped) < max(1e-3, -2 * np.log1p(-tol))
+
+
 def _is_resonance(h, j, p, tol):
     ra = _power_residual(h.alpha, h.alpha[j - 1], p)
     rb = _power_residual(h.beta, h.beta[j - 1], p)
     return max(ra, rb) <= tol, max(ra, rb)
-
-
-def exhaustive_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
-    """Reference implementation: try every exponent in the box."""
-    found = []
-    for j in (1, 2, 3):
-        for p1 in range(-bound, bound + 1):
-            for p2 in range(0, bound + 1):
-                for p3 in range(0, bound + 1):
-                    ok, _ = _is_resonance(h, j, (p1, p2, p3), tol)
-                    if ok:
-                        found.append(Resonance(j, (p1, p2, p3)))
-    return sorted(found, key=lambda r: (r.j, r.p))
 
 
 def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND, warn_near=True):
@@ -126,10 +129,7 @@ def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND, warn_near=True):
         for j in (1, 2, 3):
             da = za - log_alpha[j - 1]
             db = zb - log_beta[j - 1]
-            # alpha^p/alpha_j = exp(da); 1 only if Re(da)=0, Im(da) in 2 pi Z
-            ra = np.abs(da.real) + np.abs(np.remainder(da.imag + np.pi, 2 * np.pi) - np.pi)
-            rb = np.abs(db.real) + np.abs(np.remainder(db.imag + np.pi, 2 * np.pi) - np.pi)
-            hits = np.argwhere((ra < 1e-3) & (rb < 1e-3))
+            hits = np.argwhere(_log_screen(da, tol) & _log_screen(db, tol))
             for i1, i2, i3 in hits:
                 candidates.add((j, (int(p1s[i1]), int(p2s[i2]), int(p3s[i3]))))
 

@@ -184,24 +184,36 @@ def _null_vector(mat):
     return vh[-1].conj()
 
 
+def p_eigenvalues(alpha, mat, p):
+    """The two roots of det(X L_{alpha,p} - M), multiplicity kept:
+    alpha^p X^2 - (m11 alpha^p + m22) X + det M = 0.
+
+    Ordered lexicographically on (re, im), larger first, so repeated
+    calls are reproducible.
+    """
+    alpha = complex(alpha)
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    mat = np.asarray(mat, dtype=complex)
+    ap = alpha ** p
+    roots = np.roots([ap, -(mat[0, 0] * ap + mat[1, 1]), np.linalg.det(mat)])
+    r = sorted(roots, key=lambda z: (z.real, z.imag), reverse=True)
+    return complex(r[0]), complex(r[1])
+
+
 def triangularize(f, tol=1e-10):
     """Conjugate a Double element to lower-triangular form.
 
     Returns (h, t) with h = (1, P) and t = h^{-1} f h whose matrix has
-    zero upper-right entry.  The triangular eigenvalue solves
-    det(X L_{a1,p} - M) = a1^p X^2 - (m11 a1^p + m22) X + det M = 0;
-    of the two roots the one with lexicographically larger (re, im) is
-    taken, so conjugators are reproducible.
+    zero upper-right entry.  The triangular eigenvalue is the first of
+    ``p_eigenvalues``, so conjugators are reproducible.
     """
     a1, mat = f.data
     p = f.regime.p
     if abs(mat[0, 1]) <= tol:
         return identity(f.regime), f
-    ap = a1 ** p
-    roots = np.roots([ap, -(mat[0, 0] * ap + mat[1, 1]), np.linalg.det(mat)])
-    lam = max(roots, key=lambda z: (z.real, z.imag))
-    lmat = _l_matrix(a1, p)
-    y = _null_vector(mat - lam * lmat)
+    lam = p_eigenvalues(a1, mat, p)[0]
+    y = _null_vector(mat - lam * _l_matrix(a1, p))
     # complete y to a basis: put the better-conditioned unit vector first
     x = np.array([1, 0], dtype=complex) if abs(y[1]) >= abs(y[0]) \
         else np.array([0, 1], dtype=complex)
@@ -220,12 +232,9 @@ def simultaneous_triangularize(f, g, tol=1e-8):
     b1, bmat = g.data
     p = f.regime.p
     la, lb = _l_matrix(a1, p), _l_matrix(b1, p)
-    ap = a1 ** p
 
-    candidates = []
-    roots = np.roots([ap, -(amat[0, 0] * ap + amat[1, 1]), np.linalg.det(amat)])
-    for lam in sorted(roots, key=lambda z: (-z.real, -z.imag)):
-        candidates.append(_null_vector(amat - lam * la))
+    candidates = [_null_vector(amat - lam * la)
+                  for lam in p_eigenvalues(a1, amat, p)]
     # if f is central (scalar multiple of L), its kernel carries no
     # information; eigenvectors of the untwisted g matrix then decide
     _, eigvecs = np.linalg.eig(np.linalg.inv(lb) @ bmat)
@@ -300,16 +309,15 @@ class AlgebraElement:
         return AlgebraElement(self.regime, tuple(t * x for x in self.data))
 
 
-def _eps_of_flow(e, x3, mu):
-    """eps(1) for the Single one-parameter subgroup with generator
-    (x1, x2, x3, e), where mu = p x1 + q x2."""
+def _flow_factor(x3, mu):
+    """(exp(mu) - exp(x3)) / (mu - x3): eps(1) = e * factor for the Single
+    one-parameter subgroup with generator (x1, x2, x3, e), where
+    mu = p x1 + q x2."""
     d = mu - x3
     if abs(d) < 1e-8:
         # exp(x3) * (exp(d) - 1)/d, stable near d = 0
-        factor = np.exp(x3) * (1 + d / 2 + d * d / 6)
-    else:
-        factor = (np.exp(mu) - np.exp(x3)) / d
-    return e * factor
+        return np.exp(x3) * (1 + d / 2 + d * d / 6)
+    return (np.exp(mu) - np.exp(x3)) / d
 
 
 def group_exp(x):
@@ -320,7 +328,7 @@ def group_exp(x):
         x1, x2, x3, e = x.data
         mu = x.regime.p * x1 + x.regime.q * x2
         return GroupElement(x.regime, (np.exp(x1), np.exp(x2), np.exp(x3),
-                                       _eps_of_flow(e, x3, mu)))
+                                       e * _flow_factor(x3, mu)))
     x1, k = x.data
     n = scipy.linalg.expm(np.asarray(k, dtype=complex))
     return twist(x.regime, np.exp(x1), n)
@@ -333,12 +341,7 @@ def group_log(f):
     if tag == "Single":
         a1, a2, a3, eps = f.data
         x1, x2, x3 = np.log(a1), np.log(a2), np.log(a3)
-        mu = f.regime.p * x1 + f.regime.q * x2
-        d = mu - x3
-        if abs(d) < 1e-8:
-            factor = np.exp(x3) * (1 + d / 2 + d * d / 6)
-        else:
-            factor = (np.exp(mu) - np.exp(x3)) / d
+        factor = _flow_factor(x3, f.regime.p * x1 + f.regime.q * x2)
         if abs(factor) < 1e-14:
             if abs(eps) < 1e-14:
                 return AlgebraElement(f.regime, (x1, x2, x3, 0))

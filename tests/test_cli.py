@@ -106,6 +106,16 @@ class TestResonances:
         assert result.exit_code == 2
         assert "--bound must be non-negative, got -5" in result.output
 
+    @pytest.mark.parametrize("command", ["analyze", "resonances"])
+    @pytest.mark.parametrize("tol", ["1", "2.5"])
+    def test_tol_without_sound_screen(self, runner, tmp_path, command, tol):
+        # from tol = 1 on, a residual |x - 1| <= tol admits ratios x near
+        # 0, so no log screen of the box search is sound
+        path = write(tmp_path, "e1.json", E1_DOC)
+        result = runner.invoke(main, [command, path, "--tol", tol])
+        assert result.exit_code == 2
+        assert "--tol must be below 1, got %s" % tol in result.output
+
 
 class TestVerify:
     def test_group_laws(self, runner):

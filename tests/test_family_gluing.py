@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
 from lvmkit.resonance import ResonanceClass
 from lvmkit.resonant_group import (GroupElement, IllConditioned, PointV,
-                                   triangularize)
+                                   p_eigenvalues, triangularize)
 from lvmkit.family_gluing import (
     FamilyPoint,
     NotInImage,
+    _no_clash_window,
     check_condition,
     family_action,
     family_point_from_dict,
@@ -16,8 +18,8 @@ from lvmkit.family_gluing import (
     glue_psi_p,
     invert_phi_pq,
     invert_psi_p,
-    p_eigenvalues,
 )
+from resonance_oracle import no_clash_window
 
 E1 = Configuration(2, (
     (1, 0),
@@ -203,6 +205,19 @@ class TestCheckCondition:
         assert report.condition == "K_pq^S"
         assert report.clause("resonant-alpha") and report.clause("resonant-beta")
 
+    def test_sharp_clauses_measure_target_over_power(self):
+        # the clauses measure |a3 / (a1^p a2^q) - 1|: 0.1 for alpha and
+        # 0.1 / 1.1 for beta, on either side of tol = 0.095
+        a1, a2 = 1.2, 0.8 + 0.1j
+        b1, b2 = 0.9, 1.4
+        p, q = 1, 2
+        amat = np.diag([a1, a2, a1 ** p * a2 ** q * 1.1]).astype(complex)
+        bmat = np.diag([b1, b2, b1 ** p * b2 ** q / 1.1]).astype(complex)
+        point = FamilyPoint("T_pq", amat, bmat, lam=0.0, p=p, q=q)
+        report = check_condition(point, sharp=True, tol=0.095)
+        assert not report.clause("resonant-alpha")
+        assert report.clause("resonant-beta")
+
     def test_sharp_variant_of_C_rejected(self):
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
@@ -222,6 +237,35 @@ class TestCheckCondition:
     def test_bound_recorded(self):
         rng = np.random.default_rng(7)
         assert check_condition(rand_T(rng), bound=9).bound == 9
+
+
+class TestNoClashWindow:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), log_tol=st.floats(-14, -1),
+           moduli=st.sampled_from(["generic", "unit", "extreme"]),
+           plant=st.booleans(), exclude=st.booleans())
+    def test_matches_scalar_loop(self, seed, log_tol, moduli, plant, exclude):
+        rng = np.random.default_rng(seed)
+        tol = 10.0 ** log_tol
+        bound = int(rng.integers(1, 25))
+        word = (int(rng.integers(-bound, bound + 1)), int(rng.integers(1, bound + 1)))
+        if moduli == "generic":
+            logs = rng.uniform(-0.7, 0.7, size=3)
+        elif moduli == "unit":
+            logs = np.zeros(3)
+        else:
+            # moduli up to e^350 and down to e^-350, scaled so that a
+            # planted a3 stays finite
+            logs = rng.uniform(-350, 350, size=3) / (max(1, abs(word[0])), word[1], 1)
+        lx = logs + 2j * np.pi * rng.uniform(size=3)
+        if plant:
+            # a3 / (a1^r a2^s) = 1 + rho, with |rho| in 0.5..1.5 tol
+            rho = tol * rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.uniform())
+            lx[2] = word[0] * lx[0] + word[1] * lx[1] + np.log1p(rho)
+        a1, a2, a3 = np.exp(lx)
+        excluded = word if exclude else None
+        assert _no_clash_window(a1, a2, a3, bound, tol, excluded) \
+            == no_clash_window(a1, a2, a3, bound, tol, excluded)
 
 
 class TestFamilyAction:

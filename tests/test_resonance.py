@@ -14,10 +14,10 @@ from lvmkit.resonance import (
     check_resonant,
     classify_regime,
     cohomology_dims,
-    exhaustive_resonances,
     find_resonances,
     first_obstruction_vanishes,
 )
+from resonance_oracle import exhaustive_resonances
 
 FLOW_TOLERANCE = 1e-6
 SMALL_BOUND = 8
@@ -63,12 +63,48 @@ class TestFindResonances:
         slow = as_set(exhaustive_resonances(h, bound=4))
         assert out == slow
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-2, 0.3]))
+    def test_box_path_honours_tol(self, seed, tol):
+        # unit-modulus alpha_1, alpha_2 send the search to the box path; a
+        # (3, (1, 2, 0)) relation off by tol / 2 lies within tol but
+        # outside the screen used at the default tol
+        rng = np.random.default_rng(seed)
+        alpha = np.exp(2j * np.pi * rng.uniform(size=2))
+        beta = rng.uniform(0.5, 2, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
+        off = tol / 2 * np.exp(2j * np.pi * rng.uniform(size=2))
+        h = HolonomyPair((alpha[0], alpha[1], alpha[0] * alpha[1] ** 2 * (1 + off[0])),
+                         (beta[0], beta[1], beta[0] * beta[1] ** 2 * (1 + off[1])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            found = find_resonances(h, tol=tol, bound=4)
+        assert (3, (1, 2, 0)) in as_set(found)
+        assert found == exhaustive_resonances(h, tol=tol, bound=4)
+
+    def test_box_path_rejects_tol_without_sound_screen(self):
+        theta = np.exp(2j * np.pi * np.sqrt(2))
+        h = HolonomyPair((theta, theta ** 2, theta ** 3), (2, 3, 5))
+        with pytest.raises(ValueError, match="tol must be below 1"):
+            find_resonances(h, tol=1.0, bound=4)
+
     def test_near_resonance_warning(self):
         tol = 1e-9
         a3 = 0.72 * (1 + 5 * tol)  # within 10x tol but outside tol
         h = HolonomyPair((2, 0.6, a3), (1 + 1j, 0.5j, -0.25 - 0.25j))
         with pytest.warns(UserWarning, match="near-resonances"):
             out = as_set(find_resonances(h, tol=tol, bound=SMALL_BOUND))
+        assert (3, (1, 2, 0)) not in out
+
+    def test_near_resonance_warning_box_path(self):
+        # unit-modulus alpha_1, alpha_2: the box screen must keep
+        # candidates within 10x tol at the default tol
+        tol = 1e-9
+        theta = np.exp(2j * np.pi * np.sqrt(2))
+        phi = np.exp(2j * np.pi * np.sqrt(3))
+        h = HolonomyPair((theta, phi, theta * phi ** 2 * (1 + 5 * tol)),
+                         (2, 3, 2 * 9))
+        with pytest.warns(UserWarning, match="near-resonances"):
+            out = as_set(find_resonances(h, tol=tol, bound=4))
         assert (3, (1, 2, 0)) not in out
 
     @settings(max_examples=30, deadline=None)
