@@ -417,6 +417,11 @@ def deform(path, seed, samples, tol, as_json):
         rdoc = doc["regime"]
         regime = ResonanceClass(rdoc["tag"], p=rdoc.get("p", 0),
                                 q=rdoc.get("q", 0))
+        count = group_dim(regime)
+        for n in map(len, doc["generators"]):
+            if n != count:
+                raise click.UsageError("a %s generator needs %d coefficients, "
+                                       "got %d" % (regime.tag, count, n))
         gens = tuple(
             element_from_params(regime,
                                 [complex(re, im) for re, im in coeffs])

@@ -141,7 +141,7 @@ def _jacobian_rank(pair, cls, h):
     return rank, float(rel[rank - 1] / rel[rank])
 
 
-def tangent_dimension(pair, cls, tol=1e-8, h=1e-6):
+def tangent_dimension(pair, cls, h=1e-6):
     """Complex dimension of the Zariski tangent space to the commuting-
     pair variety at the given pair: 2 * (group dimension) minus the rank
     of the commutator Jacobian (see ``_jacobian_rank``).

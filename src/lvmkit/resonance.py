@@ -65,6 +65,12 @@ def _power_residual(values, target, p):
     return abs(np.expm1(-z) + 0j) if abs(z) < 1e-3 else abs(np.exp(-z) - 1)
 
 
+def _screen_bound(tol):
+    if tol >= 1:
+        raise ValueError("tol must be below 1, got %r" % (tol,))
+    return max(1e-3, -2 * np.log1p(-tol))
+
+
 def _log_screen(z, tol):
     """Mask of the log-residuals z that may meet |exp(-z) - 1| <= tol.
 
@@ -75,10 +81,8 @@ def _log_screen(z, tol):
     warned about) among the candidates at small tol.  From tol = 1 on,
     the residual admits ratios near 0, whose logs no screen bounds.
     """
-    if tol >= 1:
-        raise ValueError("tol must be below 1, got %r" % (tol,))
     wrapped = np.remainder(z.imag + np.pi, 2 * np.pi) - np.pi
-    return np.abs(z.real) + np.abs(wrapped) < max(1e-3, -2 * np.log1p(-tol))
+    return np.abs(z.real) + np.abs(wrapped) < _screen_bound(tol)
 
 
 def _is_resonance(h, j, p, tol):
@@ -87,52 +91,58 @@ def _is_resonance(h, j, p, tol):
     return max(ra, rb) <= tol, max(ra, rb)
 
 
+def _screened(h, tol, bound):
+    """The (j, p) of the box that pass `_log_screen` for alpha and beta.
+
+    Only the exponents in both slabs (see find_resonances) are built, and
+    each is screened from the same per-axis products, added in the same
+    order, as a scan of the whole box would screen it.
+    """
+    thr = _screen_bound(tol)
+    logs = [np.log(np.asarray(v, dtype=complex)) for v in (h.alpha, h.beta)]
+    steps = np.arange(-bound, bound + 1) * 1.0
+    tables = [(steps * lg[0], steps[bound:] * lg[1], steps[bound:] * lg[2])
+              for lg in logs]
+    found = set()
+    for j in (1, 2, 3):
+        lo = np.full((max(bound + 1, 0),) * 2, -bound * 1.0)
+        hi = -lo
+        for lg, (t1, t2, t3) in zip(logs, tables):
+            # Re z is monotone in p1, so the slab is a p1 interval: found
+            # with room far above the rounding of z, then widened a step
+            r = lg.real
+            edge = thr + 1e-12 * (thr + bound * np.abs(r).sum() + np.abs(r).max())
+            c = t2.real[:, None] + t3.real[None, :] - r[j - 1]
+            with np.errstate(all="ignore"):  # r[0] may be 0, logs infinite
+                ends = ((-edge - c) / r[0], (edge - c) / r[0])
+            lo = np.maximum(lo, np.ceil(np.fmin(*ends)) - 1)
+            hi = np.minimum(hi, np.floor(np.fmax(*ends)) + 1)
+        i2, i3 = np.nonzero(lo <= hi)
+        lo, n = lo[i2, i3].astype(int), (hi - lo)[i2, i3].astype(int) + 1
+        # row by row, p1 + bound runs over lo + bound, ..., hi + bound
+        i1 = np.repeat(lo + bound + n - np.cumsum(n), n) + np.arange(n.sum())
+        i2, i3 = np.repeat(i2, n), np.repeat(i3, n)
+        for lg, (t1, t2, t3) in zip(logs, tables):
+            keep = _log_screen((t1[i1] + t2[i2]) + t3[i3] - lg[j - 1], tol)
+            i1, i2, i3 = i1[keep], i2[keep], i3[keep]
+        found.update((j, (int(a) - bound, int(b), int(c)))
+                     for a, b, c in zip(i1, i2, i3))
+    return found
+
+
 def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND, warn_near=True):
     """All resonances of h with |p1| <= bound, 0 <= p2, p3 <= bound.
 
-    When the log-modulus matrix of (alpha_1, alpha_2) against
-    (beta_1, beta_2) is well conditioned, each candidate (j, p3) pins
-    (p1, p2) down to a real 2x2 solve and only a small integer window
-    around it needs checking.  Otherwise the box is enumerated outright
-    (vectorized), which stays fast at the default bound.
+    One pruned search of the box.  The log screen passes z only if the
+    rounded sum |Re z| + |wrapped Im z| is below its threshold, so only if
+    |Re z| is: for alpha and for beta, a slab around the log-modulus
+    constraint, a few p1 per (p2, p3) when the moduli are generic, the
+    whole box when all six multipliers lie on the unit circle.
+    `_screened` screens the exponents of both slabs as a scan of the whole
+    box would; the power residual decides them and the trivial ones, and
+    the undecided within 10 tol are warned about.
     """
-    la = np.log(np.abs(np.asarray(h.alpha, dtype=complex)))
-    lb = np.log(np.abs(np.asarray(h.beta, dtype=complex)))
-    mat = np.array([[la[0], la[1]], [lb[0], lb[1]]])
-    use_fast = abs(np.linalg.det(mat)) >= 1e-12
-
-    candidates = set()
-    for j in (1, 2, 3):
-        candidates.add((j, EJ[j]))
-    if use_fast:
-        for j in (1, 2, 3):
-            for p3 in range(0, bound + 1):
-                rhs = np.array([la[j - 1] - p3 * la[2], lb[j - 1] - p3 * lb[2]])
-                sol = np.linalg.solve(mat, rhs)
-                for p1 in range(int(np.floor(sol[0])) - 2, int(np.ceil(sol[0])) + 3):
-                    if abs(p1) > bound:
-                        continue
-                    for p2 in range(int(np.floor(sol[1])) - 2, int(np.ceil(sol[1])) + 3):
-                        if 0 <= p2 <= bound:
-                            candidates.add((j, (p1, p2, p3)))
-    else:
-        p1s = np.arange(-bound, bound + 1)
-        p2s = np.arange(0, bound + 1)
-        p3s = np.arange(0, bound + 1)
-        # vectorized log-residual over the whole box, one component at a time
-        log_alpha = np.log(np.asarray(h.alpha, dtype=complex))
-        log_beta = np.log(np.asarray(h.beta, dtype=complex))
-        grid = (p1s[:, None, None] * 1.0, p2s[None, :, None] * 1.0,
-                p3s[None, None, :] * 1.0)
-        za = grid[0] * log_alpha[0] + grid[1] * log_alpha[1] + grid[2] * log_alpha[2]
-        zb = grid[0] * log_beta[0] + grid[1] * log_beta[1] + grid[2] * log_beta[2]
-        for j in (1, 2, 3):
-            da = za - log_alpha[j - 1]
-            db = zb - log_beta[j - 1]
-            hits = np.argwhere(_log_screen(da, tol) & _log_screen(db, tol))
-            for i1, i2, i3 in hits:
-                candidates.add((j, (int(p1s[i1]), int(p2s[i2]), int(p3s[i3]))))
-
+    candidates = {(j, EJ[j]) for j in (1, 2, 3)} | _screened(h, tol, bound)
     found = []
     near = []
     for j, p in sorted(candidates):

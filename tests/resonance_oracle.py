@@ -1,15 +1,18 @@
-"""Reference searches for multiplicative relations, one exponent at a
-time, used as a test oracle.
+"""Reference searches for multiplicative relations, used as test oracles.
 
-Every exponent of the window is tried with the scalar residual
-`_power_residual`.  The searches are slow and independent of the screens
-in `lvmkit.resonance.find_resonances` and
+`exhaustive_resonances` and `no_clash_window` try every exponent of the
+window, one at a time, with the scalar residual `_power_residual`.  They
+are slow and independent of the screens in
+`lvmkit.resonance.find_resonances` and
 `lvmkit.family_gluing._no_clash_window`, which the tests compare against
-them.
+them.  `box_screen` applies the log screen to the whole box at once; the
+pruned search must pass exactly the exponents it passes.
 """
 
+import numpy as np
+
 from lvmkit.resonance import (DEFAULT_BOUND, DEFAULT_TOL, Resonance,
-                              _is_resonance, _power_residual)
+                              _is_resonance, _log_screen, _power_residual)
 
 
 def exhaustive_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
@@ -34,3 +37,26 @@ def no_clash_window(a1, a2, a3, bound, tol, excluded=None):
             if _power_residual((a1, a2), a3, (r, s)) <= tol:
                 return False
     return True
+
+
+def box_screen(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
+    """The (j, p) of the whole box that pass the log screen for alpha and
+    for beta, as a set."""
+    p1s = np.arange(-bound, bound + 1)
+    p2s = np.arange(0, bound + 1)
+    p3s = np.arange(0, bound + 1)
+    # vectorized log-residual over the whole box, one component at a time
+    log_alpha = np.log(np.asarray(h.alpha, dtype=complex))
+    log_beta = np.log(np.asarray(h.beta, dtype=complex))
+    grid = (p1s[:, None, None] * 1.0, p2s[None, :, None] * 1.0,
+            p3s[None, None, :] * 1.0)
+    za = grid[0] * log_alpha[0] + grid[1] * log_alpha[1] + grid[2] * log_alpha[2]
+    zb = grid[0] * log_beta[0] + grid[1] * log_beta[1] + grid[2] * log_beta[2]
+    candidates = set()
+    for j in (1, 2, 3):
+        da = za - log_alpha[j - 1]
+        db = zb - log_beta[j - 1]
+        hits = np.argwhere(_log_screen(da, tol) & _log_screen(db, tol))
+        for i1, i2, i3 in hits:
+            candidates.add((j, (int(p1s[i1]), int(p2s[i2]), int(p3s[i3]))))
+    return candidates

@@ -110,7 +110,7 @@ class TestResonances:
     @pytest.mark.parametrize("tol", ["1", "2.5"])
     def test_tol_without_sound_screen(self, runner, tmp_path, command, tol):
         # from tol = 1 on, a residual |x - 1| <= tol admits ratios x near
-        # 0, so no log screen of the box search is sound
+        # 0, so no log screen of the resonance search is sound
         path = write(tmp_path, "e1.json", E1_DOC)
         result = runner.invoke(main, [command, path, "--tol", tol])
         assert result.exit_code == 2
@@ -200,6 +200,21 @@ class TestDeform:
         path = write(tmp_path, "bad.json", doc)
         result = runner.invoke(main, ["deform", path])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("regime,count,given", [
+        ({"tag": "NonResonant"}, 3, 4),
+        ({"tag": "Single", "p": 1, "q": 2}, 4, 3),
+        ({"tag": "Double", "p": 1}, 5, 3)],
+        ids=["NonResonant", "Single", "Double"])
+    def test_wrong_coefficient_count_is_usage_error(self, runner, tmp_path,
+                                                    regime, count, given):
+        gens = [flat([1] * count), flat([1 + 1j] * given), flat([1] * count)]
+        path = write(tmp_path, "count.json",
+                     {"regime": regime, "generators": gens})
+        result = runner.invoke(main, ["deform", path])
+        assert result.exit_code == 2
+        assert ("a %s generator needs %d coefficients, got %d"
+                % (regime["tag"], count, given)) in result.output
 
     def test_missing_generators_is_usage_error(self, runner, tmp_path):
         path = write(tmp_path, "empty.json",

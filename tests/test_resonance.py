@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lvmkit.holonomy import HolonomyPair
 from lvmkit.resonance import (
@@ -10,6 +10,8 @@ from lvmkit.resonance import (
     ResonanceClass,
     ResonantVectorField,
     UnclassifiableResonancePattern,
+    _screen_bound,
+    _screened,
     bracket,
     check_resonant,
     classify_regime,
@@ -17,7 +19,7 @@ from lvmkit.resonance import (
     find_resonances,
     first_obstruction_vanishes,
 )
-from resonance_oracle import exhaustive_resonances
+from resonance_oracle import box_screen, exhaustive_resonances
 
 FLOW_TOLERANCE = 1e-6
 SMALL_BOUND = 8
@@ -52,9 +54,9 @@ class TestFindResonances:
             slow = exhaustive_resonances(h, bound=SMALL_BOUND)
             assert fast == slow
 
-    def test_unit_moduli_fallback_path(self):
+    def test_unit_moduli_alpha(self):
         # all moduli on the unit circle except one per pair, so the
-        # log-modulus system is singular and the vectorized box scan runs
+        # alpha moduli constrain only p3
         theta = np.exp(2j * np.pi * np.sqrt(2))
         phi = np.exp(2j * np.pi * np.sqrt(3))
         h = HolonomyPair((theta, phi, theta * phi ** 2), (2, 3, 2 * 9))
@@ -65,10 +67,10 @@ class TestFindResonances:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1e-2, 0.3]))
-    def test_box_path_honours_tol(self, seed, tol):
-        # unit-modulus alpha_1, alpha_2 send the search to the box path; a
-        # (3, (1, 2, 0)) relation off by tol / 2 lies within tol but
-        # outside the screen used at the default tol
+    def test_unit_moduli_honours_tol(self, seed, tol):
+        # unit-modulus alpha_1, alpha_2; a (3, (1, 2, 0)) relation off by
+        # tol / 2 lies within tol but outside the screen used at the
+        # default tol
         rng = np.random.default_rng(seed)
         alpha = np.exp(2j * np.pi * rng.uniform(size=2))
         beta = rng.uniform(0.5, 2, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
@@ -81,7 +83,7 @@ class TestFindResonances:
         assert (3, (1, 2, 0)) in as_set(found)
         assert found == exhaustive_resonances(h, tol=tol, bound=4)
 
-    def test_box_path_rejects_tol_without_sound_screen(self):
+    def test_rejects_tol_without_sound_screen(self):
         theta = np.exp(2j * np.pi * np.sqrt(2))
         h = HolonomyPair((theta, theta ** 2, theta ** 3), (2, 3, 5))
         with pytest.raises(ValueError, match="tol must be below 1"):
@@ -95,9 +97,9 @@ class TestFindResonances:
             out = as_set(find_resonances(h, tol=tol, bound=SMALL_BOUND))
         assert (3, (1, 2, 0)) not in out
 
-    def test_near_resonance_warning_box_path(self):
-        # unit-modulus alpha_1, alpha_2: the box screen must keep
-        # candidates within 10x tol at the default tol
+    def test_near_resonance_warning_unit_moduli(self):
+        # unit-modulus alpha_1, alpha_2: the screen must keep candidates
+        # within 10x tol at the default tol
         tol = 1e-9
         theta = np.exp(2j * np.pi * np.sqrt(2))
         phi = np.exp(2j * np.pi * np.sqrt(3))
@@ -106,6 +108,79 @@ class TestFindResonances:
         with pytest.warns(UserWarning, match="near-resonances"):
             out = as_set(find_resonances(h, tol=tol, bound=4))
         assert (3, (1, 2, 0)) not in out
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    @example(4)
+    @example(12)
+    @example(17)
+    @example(46)
+    def test_generic_moduli_large_tol(self, seed):
+        # a (3, (1, 2, 0)) relation off by tol / 2 on generic moduli; an
+        # integer window around the real solve of the log-modulus system
+        # missed it on seeds 4, 12, 17 and 46, whose systems are ill
+        # conditioned
+        tol = 0.3
+        rng = np.random.default_rng(seed)
+        alpha = rng.uniform(0.5, 2, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
+        beta = rng.uniform(0.5, 2, size=2) * np.exp(2j * np.pi * rng.uniform(size=2))
+        off = tol / 2 * np.exp(2j * np.pi * rng.uniform(size=2))
+        h = HolonomyPair((alpha[0], alpha[1], alpha[0] * alpha[1] ** 2 * (1 + off[0])),
+                         (beta[0], beta[1], beta[0] * beta[1] ** 2 * (1 + off[1])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            found = find_resonances(h, tol=tol, bound=4)
+        assert found == exhaustive_resonances(h, tol=tol, bound=4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["generic", "unit_alpha", "unit", "near_one",
+                            "extreme"]),
+           st.integers(0, 17), st.floats(-12, np.log10(0.5)))
+    def test_screen_equals_whole_box(self, seed, moduli, bound, log_tol):
+        # the pruned search screens exactly the exponents a scan of the
+        # whole box screens, so found and near-resonances agree with it
+        rng = np.random.default_rng(seed)
+        logs = {"generic": rng.uniform(-0.7, 0.7, size=6),
+                "unit_alpha": np.r_[0, 0, rng.uniform(-0.7, 0.7, size=4)],
+                "unit": np.zeros(6),
+                "near_one": rng.choice([-1, 1], size=6) * rng.uniform(0.5, 2, size=6) * 1e-7,
+                "extreme": rng.choice([-1, 1], size=6) * rng.uniform(4, 6, size=6)}[moduli]
+        vals = np.exp(logs + 2j * np.pi * rng.uniform(size=6))
+        if rng.uniform() < 0.5:
+            # a relation near a word of the box, so some exponents pass
+            p1, p2 = int(rng.integers(-3, 4)), int(rng.integers(0, 4))
+            near = 1 + 10 ** rng.uniform(-12, -1) * np.exp(2j * np.pi * rng.uniform(size=2))
+            vals[2] = vals[0] ** p1 * vals[1] ** p2 * near[0]
+            vals[5] = vals[3] ** p1 * vals[4] ** p2 * near[1]
+        h = HolonomyPair(tuple(vals[:3]), tuple(vals[3:]))
+        tol = 10 ** log_tol
+        assert _screened(h, tol, bound) == box_screen(h, tol, bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    @example(496)
+    @example(865)
+    @example(924)
+    def test_screen_equals_whole_box_at_slab_edge(self, seed):
+        # z = log alpha_1 - log alpha_3, as the screen computes it, lies
+        # within two ulps of the threshold, so p = (1, 0, 0) sits on the
+        # edge of the j = 3 slab; beta_3 = beta_1 puts it inside beta's.
+        # Seeds 496, 865 and 924 need the slab's room for rounding: with
+        # neither its allowance nor its widening step, the interval drops
+        # a screened exponent there
+        rng = np.random.default_rng(seed)
+        tol = 10 ** rng.uniform(-12, np.log10(0.5))
+        thr = _screen_bound(tol)
+        a1, a2, b1, b2 = np.exp(rng.uniform(-0.7, 0.7, size=4)
+                                + 2j * np.pi * rng.uniform(size=4))
+        for k in rng.permutation(np.arange(-64, 65)):
+            a3 = a1 * np.exp(-thr) * (1 + k * 2.0 ** -53)
+            if abs(np.log(a1).real - np.log(a3).real - thr) <= 2 * np.spacing(thr):
+                break
+        h = HolonomyPair((a1, a2, a3), (b1, b2, b1))
+        bound = int(rng.integers(1, 5))
+        assert _screened(h, tol, bound) == box_screen(h, tol, bound)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
