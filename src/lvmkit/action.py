@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .resonant_group import PointV, apply, compose, identity, inverse
+from .resonant_group import (PointV, _modulus, apply, apply_many, compose,
+                             compose_many, identity, inverse)
 
 DEFAULT_WINDOW = 25
 FP_TOL = 1e-10
@@ -55,74 +56,16 @@ def _grid(bound):
     return np.repeat(k, k.size), np.tile(k, k.size)
 
 
-def _cmul(a, b):
-    """a * b rounded as Python's complex product (and numpy's scalar one)
-    rounds it; numpy's array product may fuse the multiply-adds."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _modulus(z):
-    """|z| rounded as numpy's scalar abs rounds it."""
-    return np.hypot(z.real, z.imag)
-
-
-def _python_powers(zs, n):
-    """complex(z) ** n for each z, as `compose` takes it, with nan where
-    Python refuses the power (overflow, zero to a negative power)."""
-    out = []
-    for z in zs:
-        try:
-            out.append(complex(z) ** n)
-        except (OverflowError, ZeroDivisionError):
-            out.append(complex(np.nan, np.nan))
-    return np.array(out)
-
-
 def _word_composer(f, g, fp, gp, bound):
     """A function taking integer arrays (r, s), |r|, |s| <= bound, to the
-    parameter rows (`GroupElement.params`) of the words f^r g^s and a mask
-    that is False on every word `compose` refuses.
-
-    The mask may also be False on a word `compose` accepts (a nan power),
-    so callers hand each masked word to `compose`, which raises what it
-    raises on it.
-    """
+    parameter rows of the words f^r g^s and the mask of `compose_many`."""
     if f.regime != g.regime:
         raise ValueError("cannot compose elements of different regimes")
-    tag = f.regime.tag
     fa = np.array([fp[r].params() for r in range(-bound, bound + 1)])
     gb = np.array([gp[s].params() for s in range(-bound, bound + 1)])
-    if tag == "Single":
-        # compose's eps * b1^p * b2^q
-        gx = (_python_powers(gb[:, 0], f.regime.p),
-              _python_powers(gb[:, 1], f.regime.q))
-    elif tag == "Double":
-        # compose's tau(b1, p, M): b1^-p above, b1^p below the diagonal
-        gx = (_python_powers(gb[:, 0], -f.regime.p),
-              _python_powers(gb[:, 0], f.regime.p))
 
     def words(r, s):
-        a, b = fa[r + bound], gb[s + bound]
-        if tag == "NonResonant":
-            h = _cmul(a, b)
-            return h, (h != 0).all(axis=1)
-        x, y = (t[s + bound] for t in gx)
-        ok = ~np.isnan(x) & ~np.isnan(y)
-        h = np.empty_like(a)
-        if tag == "Single":
-            h[:, :3] = _cmul(a[:, :3], b[:, :3])
-            h[:, 3] = _cmul(a[:, 2], b[:, 3]) + _cmul(_cmul(a[:, 3], x), y)
-            return h, ok & (h[:, :3] != 0).all(axis=1)
-        h[:, 0] = _cmul(a[:, 0], b[:, 0])
-        t = a[:, 1:].reshape(-1, 2, 2)
-        t[:, 0, 1] = _cmul(t[:, 0, 1], x)
-        t[:, 1, 0] = _cmul(t[:, 1, 0], y)
-        mat = t @ b[:, 1:].reshape(-1, 2, 2)
-        h[:, 1:] = mat.reshape(-1, 4)
-        return h, ok & (h[:, 0] != 0) & (np.linalg.det(mat) != 0)
+        return compose_many(f.regime, fa[r + bound], gb[s + bound])
     return words
 
 
@@ -241,44 +184,6 @@ def _in_annulus(y, radius):
     return (inner <= m1) & (m1 <= radius) & (inner <= m23) & (m23 <= radius)
 
 
-def _point_factors(regime, x):
-    """The powers of the coordinates of the points x (N, 3) that `apply`
-    takes, and the index of the first point where Python refuses one (N if
-    none): xi1^p and xi2^q (Single, numpy scalar powers), or xi1^-p and
-    xi1^p for tau (Double, Python powers, nan where refused)."""
-    if regime.tag == "Single":
-        return (np.array([z ** regime.p for z in x[:, 0]]),
-                np.array([z ** regime.q for z in x[:, 1]])), len(x)
-    if regime.tag == "Double":
-        u = _python_powers(x[:, 0], -regime.p)
-        v = _python_powers(x[:, 0], regime.p)
-        refused = np.flatnonzero(np.isnan(u) | np.isnan(v))
-        return (u, v), (refused[0] if refused.size else len(x))
-    return (), len(x)
-
-
-def _images(regime, h, x, factors):
-    """Images (W, N, 3) of the points x (N, 3) under the words with
-    parameter rows h (W, k), by the `apply` formula."""
-    tag = regime.tag
-    if tag == "NonResonant":
-        return h[:, None, :] * x  # numpy's array product, as in apply
-    y = np.empty((len(h), len(x), 3), dtype=complex)
-    y[..., 0] = _cmul(h[:, None, 0], x[:, 0])
-    u, v = factors
-    if tag == "Single":
-        y[..., 1] = _cmul(h[:, None, 1], x[:, 1])
-        y[..., 2] = (_cmul(h[:, None, 2], x[:, 2])
-                     + _cmul(_cmul(h[:, None, 3], u), v))
-        return y
-    t = np.repeat(h[:, None, 1:], len(x), axis=1).reshape(len(h), len(x),
-                                                          2, 2)
-    t[..., 0, 1] = _cmul(t[..., 0, 1], u)
-    t[..., 1, 0] = _cmul(t[..., 1, 0], v)
-    y[..., 1:] = (t @ x[:, 1:, None])[..., 0]
-    return y
-
-
 def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
                      samples=20, seed=0):
     """Look for words moving the compact annulus K back onto itself.
@@ -313,21 +218,22 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
     block = max(1, _BLOCK // samples)
     violations = []
     with np.errstate(over="ignore", invalid="ignore"):
-        factors, refused = _point_factors(f.regime, x)
         for c in range(0, r.size, block):
             rc, sc = r[c:c + block], s[c:c + block]
             h, ok = words(rc, sc)
-            inside = _in_annulus(_images(f.regime, h, x, factors),
-                                 compact_radius)
+            y, fine = apply_many(f.regime, h[:, None], x)
+            inside = _in_annulus(y, compact_radius)
+            suspect = np.flatnonzero(~fine)
             first = np.where(inside.any(axis=1), inside.argmax(axis=1),
                              samples)
             # replay through compose and apply the words they may refuse:
-            # those compose may refuse, and those that meet a point apply
-            # refuses before their first return
-            for k in np.flatnonzero(~ok | (first > refused)):
+            # those compose may refuse, and those that meet a point whose
+            # powers apply may refuse before their first return
+            late = first > (suspect[0] if suspect.size else samples)
+            for k in np.flatnonzero(~ok | late):
                 word = compose(fp[int(rc[k])], gp[int(sc[k])])
-                if first[k] > refused:
-                    apply(word, pts[refused])
+                for n in suspect[suspect < first[k]]:
+                    apply(word, pts[n])
             violations += [((int(rc[k]), int(sc[k])), pts[first[k]])
                            for k in np.flatnonzero(first < samples)]
     return PropernessReport(horizon, compact_radius, samples, seed,

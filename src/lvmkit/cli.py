@@ -7,7 +7,8 @@ Four commands:
 * ``resonances`` -- resonance detection for a configuration or for raw
                     eigen-data;
 * ``verify``     -- seeded property suites (group laws, gluing maps,
-                    developing-map equivariance, action certificates);
+                    developing-map equivariance, action certificates),
+                    the first three evaluated on arrays of all samples;
 * ``deform``     -- project a deformed holonomy triple and verify the
                     induced structure.
 
@@ -17,6 +18,7 @@ checks are seeded (default 0) and reports embed seed, tolerances and
 bounds, so identical invocations produce byte-identical output.
 """
 
+import functools
 import json
 import sys
 
@@ -25,17 +27,19 @@ import numpy as np
 
 from .config_geometry import Configuration, NotLVMError, config_report
 from .holonomy import holonomy_pair, pair_from_flat
-from .resonance import (DEFAULT_BOUND, DEFAULT_TOL, ResonanceClass,
-                        UnclassifiableResonancePattern, classify_regime,
-                        cohomology_dims, find_resonances)
-from .resonant_group import (GroupElement, PointV, apply, compose,
-                             element_from_params, group_dim, identity,
-                             inverse)
+from .resonance import (DEFAULT_BOUND, DEFAULT_TOL, MAX_BOUND,
+                        ResonanceClass, UnclassifiableResonancePattern,
+                        classify_regime, cohomology_dims, find_resonances)
+from .resonant_group import (BranchDomain, GroupElement, _cdiv, _cmul,
+                             _modulus, _python_powers, apply_checked, checked,
+                             compose, compose_many, element_from_params,
+                             group_dim, identity, inverse, inverse_many,
+                             replay)
 from .rep_variety import NoConvergence, StructureSpec
 from .developing import check_structure
 from .action import fixed_point_certificate, properness_probe
-from .family_gluing import FamilyPoint, family_action, glue_phi_pq, \
-    glue_psi_p, invert_phi_pq, invert_psi_p
+from .family_gluing import (_diagonal, family_action_many, glue_phi_pq_many,
+                            glue_psi_p_many, invert_psi_p_many)
 
 VERIFY_TOL = 1e-10
 
@@ -55,6 +59,9 @@ def _check_search_options(tol, bound):
         raise click.UsageError("--tol must be below 1, got %g" % tol)
     if bound < 0:
         raise click.UsageError("--bound must be non-negative, got %d" % bound)
+    if bound > MAX_BOUND:
+        raise click.UsageError("--bound must be at most %d, got %d"
+                               % (MAX_BOUND, bound))
 
 
 def _load_document(path):
@@ -191,111 +198,142 @@ def resonances(path, tol, bound, as_json):
     _emit(report, as_json)
 
 
-def _random_element(rng, regime):
-    def c(scale=1.0):
-        return complex(rng.normal(), rng.normal()) * scale
-    if regime.tag == "NonResonant":
-        return GroupElement(regime, (2 + c(0.3), 1 + c(0.3), 0.7 + c(0.2)))
+# samples per array block of a suite, which bounds the memory a large
+# --samples takes
+_BLOCK = 4096
+
+
+def _worst(rng, samples, width, evaluate, fault):
+    """The worst residual of evaluate(z, fault) over blocks of complex
+    draws z (n, width), one row per sample, drawn as a loop over the
+    samples draws them.  A block that raises is evaluated again one
+    sample at a time, so that the error raised is the first sample's."""
+    worst = 0.0
+    for start in range(0, samples, _BLOCK):
+        n = min(_BLOCK, samples - start)
+        z = rng.normal(size=(n, 2 * width)).view(complex)
+        try:
+            worst = max(worst, evaluate(z, fault and start == 0))
+        except Exception:
+            for k in range(n):
+                evaluate(z[k:k + 1], fault and start + k == 0)
+            raise
+    return worst
+
+
+def _random_points(z):
+    """Points (N, 3) of V from three complex draws per row."""
+    return np.stack([2 + z[:, 0], z[:, 1], 1 + z[:, 2]], axis=1)
+
+
+def _random_elements(regime, z):
+    """Parameter rows (N, k) of group elements near the identity from 3,
+    4 or 5 complex draws per row."""
+    if regime.tag == "Double":
+        re = z[:, 1:].view(float)
+        mats = (np.eye(2) + re[:, :4].reshape(-1, 2, 2) * 0.4
+                + 1j * re[:, 4:].reshape(-1, 2, 2) * 0.4)
+        return np.concatenate([2 + _cmul(z[:, :1], 0.3),
+                               mats.reshape(-1, 4)], axis=1)
+    h = np.stack([2 + _cmul(z[:, 0], 0.3), 1 + _cmul(z[:, 1], 0.3),
+                  0.7 + _cmul(z[:, 2], 0.2)], axis=1)
     if regime.tag == "Single":
-        return GroupElement(regime, (2 + c(0.3), 1 + c(0.3), 0.7 + c(0.2),
-                                     c(0.4)))
-    return GroupElement(regime, (2 + c(0.3),
-                                 np.eye(2) + rng.normal(size=(2, 2)) * 0.4
-                                 + 1j * rng.normal(size=(2, 2)) * 0.4))
+        h = np.concatenate([h, _cmul(z[:, 3:4], 0.4)], axis=1)
+    return h
 
 
-def _random_point(rng):
-    return PointV((2 + complex(rng.normal(), rng.normal()),
-                   complex(rng.normal(), rng.normal()),
-                   1 + complex(rng.normal(), rng.normal())))
+def _group_laws(regime, z, fault):
+    """The worst residual of associativity, inverses and the action
+    homomorphism over the samples drawn as z."""
+    k = group_dim(regime)
+    f, g, h = (_random_elements(regime, z[:, i * k:(i + 1) * k])
+               for i in range(3))
+    x = _random_points(z[:, 3 * k:])
+
+    def compose_rows(a, b):
+        return checked(regime, compose_many, compose, a, b)
+    fg = compose_rows(f, g)
+    if fault:  # corrupt one intermediate composition
+        fg[0] = fg[0] * (1 + 1e-3)
+    scale = 1 + np.max(np.abs([f, g, h]), axis=(0, 2))
+    assoc = np.abs(compose_rows(fg, h) - compose_rows(f, compose_rows(g, h)))
+    inv = np.abs(compose_rows(f, checked(regime, inverse_many, inverse, f))
+                 - identity(regime).params())
+    hom = np.abs(apply_checked(regime, fg, x) - apply_checked(
+        regime, f, apply_checked(regime, g, x)))
+    return max(np.max(np.max(assoc, axis=1) / scale),
+               np.max(np.max(inv, axis=1) / scale),
+               np.max(np.max(hom, axis=1) / (1 + np.max(np.abs(x), axis=1))))
 
 
 def _suite_group_laws(seed, samples, tol, fault):
     rng = np.random.default_rng(seed)
     worst = 0.0
     for regime in _REGIMES:
-        for _ in range(samples):
-            f = _random_element(rng, regime)
-            g = _random_element(rng, regime)
-            h = _random_element(rng, regime)
-            x = _random_point(rng)
-            fg = compose(f, g)
-            if fault:
-                # corrupt one intermediate composition
-                fg = element_from_params(regime, fg.params() * (1 + 1e-3))
-                fault = False
-            scale = 1 + max(np.max(np.abs(e.params()))
-                            for e in (f, g, h))
-            assoc = np.max(np.abs(compose(fg, h).params()
-                                  - compose(f, compose(g, h)).params()))
-            inv = np.max(np.abs(compose(f, inverse(f)).params()
-                                - identity(regime).params()))
-            hom = np.max(np.abs(apply(fg, x).array()
-                                - apply(f, apply(g, x)).array()))
-            worst = max(worst, assoc / scale, inv / scale,
-                        hom / (1 + np.max(np.abs(x.array()))))
+        width = 3 * group_dim(regime) + 3
+        worst = max(worst, _worst(rng, samples, width, functools.partial(
+            _group_laws, regime), fault and regime == _REGIMES[0]))
     return {"name": "group-laws", "samples": samples,
             "max_residual": worst, "passed": worst <= tol}
 
 
-def _random_chart_point(rng, p=0, q=1):
-    """A random T point, or a T_pq point when q >= 2, whose second shear
+def _random_charts(z, p=0, q=1):
+    """Stacked T points, or T_pq points when q >= 2, from eight complex
+    draws per row: matrices (N, 3, 3) and lambdas (N,).  The second shear
     entry solves the shear-compatibility clause (T is the case p = 0,
     q = 1)."""
-    def c(scale=1.0):
-        return complex(rng.normal(), rng.normal()) * scale
-    a = (1.5 + c(0.2), 2.0 + c(0.2), 0.5 + c(0.1))
-    b = (0.8 + c(0.2), 1.3 + c(0.2), 0.4 + c(0.1))
-    eps = c(0.3)
-    amat = np.diag(a).astype(complex)
-    amat[2, 1] = eps
-    bmat = np.diag(b).astype(complex)
-    bmat[2, 1] = (eps * (b[2] - b[0] ** p * b[1] ** q)
-                  / (a[2] - a[0] ** p * a[1] ** q))
-    if q == 1:
-        return FamilyPoint("T", amat, bmat, lam=c(0.5))
-    return FamilyPoint("T_pq", amat, bmat, lam=c(0.5), p=p, q=q)
+    c = _cmul(z, [0.2, 0.2, 0.1, 0.2, 0.2, 0.1, 0.3, 0.5])
+    a = c[:, :3] + [1.5, 2.0, 0.5]
+    b = c[:, 3:6] + [0.8, 1.3, 0.4]
+
+    def twisted(d):
+        u, v = _python_powers(d[:, 0], p), _python_powers(d[:, 1], q)
+        replay((~np.isnan(u) & ~np.isnan(v), lambda x, y: (x ** p, y ** q),
+                d[:, 0].tolist(), d[:, 1].tolist()))
+        return d[:, 2] - _cmul(u, v)
+    delta = _cdiv(_cmul(c[:, 6], twisted(b)), twisted(a))
+    return _diagonal(*a.T, c[:, 6]), _diagonal(*b.T, delta), c[:, 7]
 
 
-def _pair_diff(u, v):
-    out = max(np.max(np.abs(u[0].amat - v[0].amat)),
-              np.max(np.abs(u[0].bmat - v[0].bmat)),
-              np.max(np.abs(u[1].array() - v[1].array())))
-    if u[0].lam is not None and v[0].lam is not None:
-        out = max(out, abs(u[0].lam - v[0].lam))
-    return float(out)
+def _gluing(p, q, z, fault):
+    """The worst residual of the equivariance and the round trip of psi_p
+    and phi_pq over the samples drawn as z."""
+    def diff(*pairs):
+        return np.max([np.max(np.abs(u - v), axis=tuple(range(1, u.ndim)))
+                       for u, v in pairs], axis=0)
+    amat, bmat, lam = _random_charts(z[:, :8])
+    x = _random_points(z[:, 8:11])
+    sa, sb, sx = glue_psi_p_many(amat, bmat, lam, x, p)
+    if fault:
+        sa[0, 1, 1] *= 1 + 1e-3
+    scale = 1 + np.max(np.abs(sx), axis=1)
+    res = []
+    for word in ((1, 0), (0, 1)):
+        la, lb, lx = glue_psi_p_many(
+            amat, bmat, lam, family_action_many("T", amat, bmat, word, x), p)
+        rx = family_action_many("S_p", sa, sb, word, sx, p)
+        res.append(diff((la, sa), (lb, sb), (lx, rx)) / scale)
+    ta, tb, tlam, tx = invert_psi_p_many(sa, sb, sx, p)
+    res.append(np.maximum(diff((ta, amat), (tb, bmat), (tx, x)),
+                          _modulus(tlam - lam)) / scale)
+
+    amat, bmat, lam = _random_charts(z[:, 11:19], p, q)
+    x = _random_points(z[:, 19:])
+    ta, tb, tx = glue_phi_pq_many(amat, bmat, x, p, q)
+    scale = 1 + np.max(np.abs(tx), axis=1)
+    for word in ((1, 0), (0, 1)):
+        la, lb, lx = glue_phi_pq_many(amat, bmat, family_action_many(
+            "T_pq", amat, bmat, word, x, p, q), p, q)
+        rx = family_action_many("T", ta, tb, word, tx)
+        res.append(diff((la, ta), (lb, tb), (lx, rx)) / scale)
+    ba, bb, bx = glue_phi_pq_many(ta, tb, tx, p, q, invert=True)
+    res.append(diff((ba, amat), (bb, bmat), (bx, x)) / scale)
+    return np.max(res)
 
 
 def _suite_gluing(seed, samples, tol, p, q, fault):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        point = _random_chart_point(rng)
-        x = _random_point(rng)
-        out = glue_psi_p(point, x, p)
-        if fault:
-            bad = np.array(out[0].amat)
-            bad[1, 1] *= 1 + 1e-3
-            out = (FamilyPoint("S_p", bad, out[0].bmat, p=p), out[1])
-            fault = False
-        scale = 1 + np.max(np.abs(out[1].array()))
-        for word in ((1, 0), (0, 1)):
-            lhs = glue_psi_p(point, family_action(point, word, x), p)
-            rhs = (out[0], family_action(out[0], word, out[1]))
-            worst = max(worst, _pair_diff(lhs, rhs) / scale)
-        back = invert_psi_p(out[0], out[1], p)
-        worst = max(worst, _pair_diff(back, (point, x)) / scale)
-
-        point = _random_chart_point(rng, p, q)
-        x = _random_point(rng)
-        out = glue_phi_pq(point, x, p, q)
-        scale = 1 + np.max(np.abs(out[1].array()))
-        for word in ((1, 0), (0, 1)):
-            lhs = glue_phi_pq(point, family_action(point, word, x), p, q)
-            rhs = (out[0], family_action(out[0], word, out[1]))
-            worst = max(worst, _pair_diff(lhs, rhs) / scale)
-        back = invert_phi_pq(out[0], out[1], p, q)
-        worst = max(worst, _pair_diff(back, (point, x)) / scale)
+    worst = _worst(rng, samples, 22, functools.partial(_gluing, p, q), fault)
     return {"name": "gluing", "samples": samples, "p": p, "q": q,
             "max_residual": worst, "passed": worst <= tol}
 
@@ -442,7 +480,7 @@ def deform(path, seed, samples, tol, as_json):
     try:
         spec = StructureSpec(gens, base_config=config)
         result = check_structure(spec, samples=samples, tol=tol, seed=seed)
-    except (ValueError, NoConvergence, NotLVMError) as exc:
+    except (ValueError, NoConvergence, NotLVMError, BranchDomain) as exc:
         report["failure"] = str(exc) or exc.__class__.__name__
         _emit(report, as_json)
         sys.exit(1)

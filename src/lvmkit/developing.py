@@ -12,7 +12,9 @@ holonomy generator C, and the deck action of Z^3 on the cover is:
 
 This convention is the single source of truth used by every equivariance
 check in the package: Dev(deck_i(w)) = rho(e_i) . Dev(w) with rho the
-*input* rank-3 representation.
+*input* rank-3 representation.  The check evaluates both sides at all
+sample points at once (``dev_eval_many``, ``deck_transform_many``),
+rounding as one point at a time would.
 """
 
 from dataclasses import dataclass
@@ -20,9 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rep_variety import StructureSpec, psi_case, psi_nonresonant, psi_resonant
-from .resonant_group import PointV, apply, group_exp, group_log, identity, tau
+from .resonant_group import (_cmul, _expm2, _l_matrices, _numpy_powers,
+                             _points_ok, _to_point, apply_checked, group_log,
+                             identity, replay)
 
 TWO_PI_I = 2j * np.pi
+# cover points per array block, which bounds the memory a large sample
+# count takes
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -65,78 +72,124 @@ def build_structure(spec):
 
 
 def dev_eval(d, w):
-    w1 = complex(w[0])
-    xi2, xi3 = complex(w[1]), complex(w[2])
-    if xi2 == 0 and xi3 == 0:
-        raise ValueError("(xi2, xi3) must not both vanish")
+    w = np.array([complex(c) for c in w])
+    return _to_point(dev_eval_many(d, w[None])[0])
+
+
+def dev_eval_many(d, w):
+    """The developing map at the cover points w (N, 3): points (N, 3) of V,
+    each rounded as a scalar evaluation rounds it."""
+    w1, xi2, xi3 = w.T
+    replay(((xi2 != 0) | (xi3 != 0), _vanishing, w))
     if d.case == "canonical-form":
-        c1, c2, c3 = d.params
-        return PointV((np.exp(TWO_PI_I * w1 * (1 + c1)),
-                       np.exp(TWO_PI_I * w1 * c2) * xi2,
-                       np.exp(TWO_PI_I * w1 * c3) * xi3))
-    if d.case == "affine":
-        x = d.params[0]
-        base = PointV((np.exp(TWO_PI_I * w1), xi2, xi3))
-        return apply(group_exp(x.scaled(w1)), base)
-    gamma, c1, c4, c3 = d.params
-    p, q = d.regime.p, d.regime.q
-    lg, lc1, lc4 = np.log(gamma), np.log(c1), np.log(c4)
-    first = np.exp((TWO_PI_I + lg) * w1)
-    second = np.exp(w1 * lc1) * xi2
-    if d.case == "generic":
-        kappa = c3 / (gamma ** p * c1 ** q - c4)
-        third = (np.exp(w1 * lc4) * xi3
-                 + kappa * np.exp(p * (TWO_PI_I + lg) * w1)
-                 * np.exp(q * w1 * lc1) * xi2 ** q)
-    else:  # degenerate: c4 = gamma^p c1^q
-        third = np.exp(w1 * lc4) * (
-            xi3 + (c3 / c4) * w1 * np.exp(TWO_PI_I * p * w1) * xi2 ** q)
-    return PointV((first, second, third))
+        t = _cmul(TWO_PI_I, w1)
+        y = np.stack([np.exp(_cmul(t, 1 + d.params[0])),
+                      _cmul(np.exp(_cmul(t, d.params[1])), xi2),
+                      _cmul(np.exp(_cmul(t, d.params[2])), xi3)], axis=1)
+    elif d.case == "affine":
+        x1, k = d.params[0].data
+        regime = d.regime
+        a1 = np.exp(_cmul(w1, x1))
+        n = _expm2(w1[:, None, None] * np.asarray(k))
+        h = np.concatenate([a1[:, None], (_l_matrices(a1, regime.p) @ n)
+                            .reshape(-1, 4)], axis=1)
+        y = apply_checked(regime, h, np.stack([np.exp(_cmul(TWO_PI_I, w1)),
+                                                xi2, xi3], axis=1))
+    else:
+        gamma, c1, c4, c3 = d.params
+        p, q = d.regime.p, d.regime.q
+        lg, lc1, lc4 = np.log(gamma), np.log(c1), np.log(c4)
+        tail = _cmul(np.exp(_cmul(w1, lc4)), xi3)
+        xq = np.array([complex(z) ** q for z in xi2], dtype=complex)
+        if d.case == "generic":
+            kappa = c3 / (gamma ** p * c1 ** q - c4)
+            e1 = np.exp(_cmul(_cmul(p, TWO_PI_I + lg), w1))
+            e2 = np.exp(_cmul(_cmul(q, w1), lc1))
+            third = tail + _cmul(_cmul(_cmul(kappa, e1), e2), xq)
+        else:  # degenerate: c4 = gamma^p c1^q
+            e1 = np.exp(_cmul(TWO_PI_I * p, w1))
+            shear = _cmul(_cmul(_cmul(c3 / c4, w1), e1), xq)
+            third = _cmul(np.exp(_cmul(w1, lc4)), xi3 + shear)
+        y = np.stack([np.exp(_cmul(TWO_PI_I + lg, w1)),
+                      _cmul(np.exp(_cmul(w1, lc1)), xi2), third], axis=1)
+    replay((_points_ok(y), _to_point, y))
+    return y
+
+
+def _vanishing(w):
+    raise ValueError("(xi2, xi3) must not both vanish")
 
 
 def deck_transform(structure, index, w):
     """Image of w under the deck generator with the given index (1..3)."""
-    w1 = complex(w[0])
-    xi2, xi3 = complex(w[1]), complex(w[2])
+    w = np.array([complex(c) for c in w])
+    return tuple(complex(c) for c in deck_transform_many(structure, index,
+                                                         w[None])[0])
+
+
+def deck_transform_many(structure, index, w):
+    """Images (N, 3) of the cover points w (N, 3) under a deck generator."""
+    w1, xi2, xi3 = w.T
     if index == 3:
-        return (w1 + 1, xi2, xi3)
+        return np.stack([w1 + 1, xi2, xi3], axis=1)
     if index not in (1, 2):
         raise ValueError("generator index must be 1, 2 or 3")
     gen = structure.output_pair[index - 1]
     s = structure.shifts[index - 1]
     regime = structure.spec.regime
-    xi1 = np.exp(TWO_PI_I * w1)
+    xi1 = np.exp(_cmul(TWO_PI_I, w1))
     if regime.tag == "NonResonant":
         _, a2, a3 = gen.data
-        return (w1 + s, a2 * xi2, a3 * xi3)
+        return np.stack([w1 + s, _cmul(a2, xi2), _cmul(a3, xi3)], axis=1)
     if regime.tag == "Single":
         _, a2, a3, eps = gen.data
         p, q = regime.p, regime.q
-        return (w1 + s, a2 * xi2, a3 * xi3 + eps * xi1 ** p * xi2 ** q)
-    _, mat = gen.data
-    tail = tau(xi1, regime.p, mat) @ np.array([xi2, xi3])
-    return (w1 + s, tail[0], tail[1])
+        shear = _cmul(_cmul(eps, _numpy_powers(xi1, p)),
+                      np.array([complex(z) ** q for z in xi2], dtype=complex))
+        return np.stack([w1 + s, _cmul(a2, xi2), _cmul(a3, xi3) + shear],
+                        axis=1)
+    y = apply_checked(regime, gen.params()[None],
+                       np.stack([xi1, xi2, xi3], axis=1))
+    return np.stack([w1 + s, y[:, 1], y[:, 2]], axis=1)
 
 
 def equivariance_residual(structure, index, w):
     """Relative size of Dev(deck_index(w)) - rho(e_index) . Dev(w)."""
-    lhs = dev_eval(structure.dev, deck_transform(structure, index, w)).array()
-    base = dev_eval(structure.dev, w)
-    rhs = apply(structure.spec.generators[index - 1], base).array()
-    return float(np.max(np.abs(lhs - rhs)) / (1 + np.max(np.abs(rhs))))
+    w = np.array([complex(c) for c in w])[None]
+    return float(_residuals(structure, index, w, dev_eval_many(
+        structure.dev, w))[0])
+
+
+def _residuals(structure, index, w, base):
+    """equivariance_residual at the cover points w (N, 3), whose images
+    under the developing map are base."""
+    lhs = dev_eval_many(structure.dev, deck_transform_many(structure, index, w))
+    gen = structure.spec.generators[index - 1]
+    rhs = apply_checked(gen.regime, gen.params()[None], base)
+    return np.max(np.abs(lhs - rhs), axis=1) / (1 + np.max(np.abs(rhs), axis=1))
 
 
 def sample_cover_points(rng, samples):
-    pts = []
-    while len(pts) < samples:
-        w1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-        norm = np.linalg.norm(vec)
-        if norm < 1e-6:
+    """Seeded cover points (N, 3): w1 uniform in the square |Re|, |Im| <= 1
+    and (xi2, xi3) of a uniform modulus in [0.5, 2] and a normal direction,
+    drawn one point at a time.  rng.uniform(lo, hi) is lo + (hi - lo) *
+    rng.random(), which the points take in one array expression."""
+    draws = []
+    while len(draws) < samples:
+        u, vec, r = rng.random(2), rng.normal(size=4), rng.random()
+        if (abs(vec[0]) < 1e-5
+                and np.linalg.norm(vec[:2] + 1j * vec[2:]) < 1e-6):
             continue
-        vec = vec / norm * rng.uniform(0.5, 2.0)
-        pts.append((w1, vec[0], vec[1]))
-    return pts
+        draws.append((u[0], u[1], vec[0], vec[1], vec[2], vec[3], r))
+    d = np.array(draws).reshape(-1, 7)
+    w = np.empty((len(d), 3), dtype=complex)
+    w[:, 0].real, w[:, 0].imag = -1 + 2 * d[:, 0], -1 + 2 * d[:, 1]
+    vec = d[:, 2:4] + 1j * d[:, 4:6]
+    # |vec| as np.linalg.norm takes it, by one dot product per part
+    norm = np.sqrt((vec.real[:, None] @ vec.real[..., None]
+                    + vec.imag[:, None] @ vec.imag[..., None])[:, 0, 0])
+    w[:, 1:] = vec / norm[:, None] * (0.5 + 1.5 * d[:, 6:])
+    return w
 
 
 @dataclass(frozen=True)
@@ -160,11 +213,15 @@ def check_structure(spec, samples=100, tol=1e-9, seed=0):
         raise ValueError("need at least one sample")
     structure = build_structure(spec)
     rng = np.random.default_rng(seed)
-    pts = sample_cover_points(rng, samples)
+    res = []
+    for start in range(0, samples, _BLOCK):
+        w = sample_cover_points(rng, min(_BLOCK, samples - start))
+        base = dev_eval_many(structure.dev, w)
+        res.append([_residuals(structure, index, w, base)
+                    for index in (1, 2, 3)])
     per_gen = []
-    for index in (1, 2, 3):
-        res = [equivariance_residual(structure, index, w) for w in pts]
-        per_gen.append((index, max(res), float(np.mean(res))))
+    for index, r in zip((1, 2, 3), np.concatenate(res, axis=1)):
+        per_gen.append((index, float(r.max()), float(np.mean(r))))
     max_res = max(m for _, m, _ in per_gen)
     mean_res = float(np.mean([a for _, _, a in per_gen]))
     cgen = spec.generators[2]

@@ -17,6 +17,11 @@ Membership of a candidate point in its chart is checked clause by clause
 by ``check_condition``; clauses quantified over all integer exponent
 pairs are evaluated over a bounded window whose bound is recorded in the
 report.
+
+The maps work on stacked chart data (``*_many``: matrices (N, 3, 3),
+lambdas and points of V), rounding as one point at a time would, and
+raise what the first refused point raises; the scalar maps call them on
+one point.
 """
 
 from dataclasses import dataclass
@@ -27,9 +32,12 @@ import numpy as np
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
 from .resonance import (DEFAULT_BOUND, ResonanceClass, _log_screen,
                         _power_residual)
-from .resonant_group import (GroupElement, IllConditioned, PointV, _l_matrix,
-                             _null_vector, apply, compose, identity, inverse,
-                             p_eigenvalues)
+from .resonant_group import (GroupElement, IllConditioned, PointV, _cmul,
+                             _l_matrices, _l_matrix, _modulus, _null_vector,
+                             _numpy_powers, _points_ok, _to_point,
+                             apply_checked, checked, compose, compose_many,
+                             identity, inverse, inverse_many,
+                             p_eigenvalues, p_eigenvalues_many, replay)
 from .rep_variety import variety_residual
 
 DENOM_TOL = 1e-12
@@ -170,6 +178,28 @@ def _paired_eigendata(point):
     return candidates[0]
 
 
+def _paired_eigendata_many(amat, bmat, p):
+    """`_paired_eigendata` of stacked S_p candidates, matrices (N, 3, 3),
+    as six arrays (N,), each rounded as the scalar one; the scalar form
+    stays for `check_condition`, which it keeps fast on one point."""
+    a1, b1 = amat[:, 0, 0], bmat[:, 0, 0]
+    roots = p_eigenvalues_many(a1, amat[:, 1:, 1:], p)
+    la, lb = _l_matrices(a1, p), _l_matrices(b1, p)
+    v = _null_vector(amat[:, None, 1:, 1:] - roots[..., None, None] * la[:, None])
+    lv = (lb[:, None] @ v[..., None])[..., 0]
+    bv = (bmat[:, None, 1:, 1:] @ v[..., None])[..., 0]
+    first = np.argmax(np.abs(lv), axis=-1) == 0
+    betas = (np.where(first, bv[..., 0], bv[..., 1])
+             / np.where(first, lv[..., 0], lv[..., 1]))
+    ap, bp = _numpy_powers(a1, p), _numpy_powers(b1, p)
+    # the assignment (i, j) = (0, 1) unless only (1, 0) is modulus-ordered
+    swap = ((_modulus(roots[:, 0]) <= _modulus(_cmul(roots[:, 1], ap)))
+            & (_modulus(roots[:, 1]) > _modulus(_cmul(roots[:, 0], ap))))
+    roots[swap], betas[swap] = roots[swap, ::-1], betas[swap, ::-1]
+    return (a1, roots[:, 0], _cmul(roots[:, 1], ap),
+            b1, betas[:, 0], _cmul(betas[:, 1], bp))
+
+
 def _no_clash_window(a1, a2, a3, bound, tol, excluded=None):
     """True iff a3 != a1^r a2^s for every (r, s) in the window, s >= 1.
 
@@ -292,63 +322,121 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
     return MembershipReport(condition, tuple(clauses), bound, tol)
 
 
-def _group_power(f, n):
-    out = identity(f.regime)
-    step = f if n >= 0 else inverse(f)
+def _chart_regime(space, p, q):
+    """The regime of the transformations of an S_p or T_pq chart."""
+    if space == "S_p":
+        return ResonanceClass("Double", p=p)
+    return ResonanceClass("Single", p=p, q=q)
+
+
+def _generator_rows(space, mat):
+    """Parameter rows (N, k) of the transformations of V attached to
+    stacked S_p or T_pq matrices (N, 3, 3)."""
+    if space == "S_p":
+        return np.concatenate([mat[:, :1, 0], mat[:, 1:, 1:].reshape(-1, 4)],
+                              axis=1)
+    return np.stack([mat[:, 0, 0], mat[:, 1, 1], mat[:, 2, 2], mat[:, 2, 1]],
+                    axis=1)
+
+
+def _group_power(regime, f, n):
+    """Rows of f^n by iterated composition from the identity, as the
+    scalar power f^n = (...((1 f) f)...) f is built."""
+    out = np.broadcast_to(identity(regime).params(), f.shape).copy()
+    step = f if n >= 0 else checked(regime, inverse_many, inverse, f)
     for _ in range(abs(n)):
-        out = compose(out, step)
+        out = checked(regime, compose_many, compose, out, step)
     return out
 
 
-def _chart_generators(point):
-    """The two commuting transformations of V attached to the point."""
-    a1, _, _, b1, _, _ = point.diagonals()
-    ablock, bblock = point.blocks()
-    if point.space == "S_p":
-        cls = ResonanceClass("Double", p=point.p)
-        return (GroupElement(cls, (a1, ablock)),
-                GroupElement(cls, (b1, bblock)))
-    if point.space == "T_pq":
-        cls = ResonanceClass("Single", p=point.p, q=point.q)
-        a = point.diagonals()
-        return (GroupElement(cls, (a[0], a[1], a[2], point.amat[2, 1])),
-                GroupElement(cls, (a[3], a[4], a[5], point.bmat[2, 1])))
-    return None  # "T" acts linearly; handled directly in family_action
+def family_action_many(space, amat, bmat, word, x, p=None, q=None):
+    """`family_action` for stacked points of one chart, matrices (N, 3, 3)
+    with indices p, q, on the points x (N, 3): the images (N, 3)."""
+    r, s = word
+    replay((_points_ok(x), _to_point, x))
+    if space == "T":
+        a = np.linalg.matrix_power(amat if r >= 0 else np.linalg.inv(amat),
+                                   abs(r))
+        b = np.linalg.matrix_power(bmat if s >= 0 else np.linalg.inv(bmat),
+                                   abs(s))
+        y = (a @ b @ x[..., None])[..., 0]
+    else:
+        regime = _chart_regime(space, p, q)
+        hr = _group_power(regime, _generator_rows(space, amat), r)
+        hs = _group_power(regime, _generator_rows(space, bmat), s)
+        h = checked(regime, compose_many, compose, hr, hs)
+        return apply_checked(regime, h, x)
+    replay((_points_ok(y), _to_point, y))
+    return y
 
 
 def family_action(point, word, x):
     """Image of x under the (r, s) word of the point's Z^2 action."""
-    r, s = word
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
-    if point.space == "T":
-        a = np.linalg.matrix_power(
-            point.amat if r >= 0 else np.linalg.inv(point.amat), abs(r))
-        b = np.linalg.matrix_power(
-            point.bmat if s >= 0 else np.linalg.inv(point.bmat), abs(s))
-        return PointV(tuple(a @ b @ x.array()))
-    f, g = _chart_generators(point)
-    h = compose(_group_power(f, r), _group_power(g, s))
-    return apply(h, x)
+    y = family_action_many(point.space, point.amat[None], point.bmat[None],
+                           word, x.array()[None], point.p, point.q)
+    return _to_point(y[0])
+
+
+def _charts_ok(space, amat, bmat):
+    """Rows that pass the shape checks of `FamilyPoint`."""
+    zeros = _BLOCK_ZEROS if space == "S_p" else _TRIANGULAR_ZEROS
+    ok = np.ones(len(amat), dtype=bool)
+    for mat in (amat, bmat):
+        ok &= (np.isfinite(mat).all(axis=(1, 2)) & (mat[:, 0, 0] != 0)
+               & (np.linalg.det(mat[:, 1:, 1:]) != 0))
+        for i, j in zeros:
+            ok &= mat[:, i, j] == 0
+    return ok
 
 
 def _shear(lam):
-    out = np.eye(3, dtype=complex)
-    out[1, 2] = lam
+    """I + lam E_23 for each lam (N,)."""
+    out = np.zeros((len(lam), 3, 3), dtype=complex)
+    out[:, [0, 1, 2], [0, 1, 2]] = 1
+    out[:, 1, 2] = lam
     return out
 
 
-def _shear_denominators(point, p, q):
-    """(a3 - a2, a3 - a1^p a2^q) of a T or T_pq point, refused with
-    IllConditioned when either is negligible against the eigenvalues."""
-    a1, a2, a3 = point.diagonals()[:3]
+def _shear_denominators(amat, p, q):
+    """(a3 - a2, a3 - a1^p a2^q) of stacked T or T_pq matrices, and the
+    check (mask, replay) refusing with IllConditioned the rows where
+    either is negligible against the eigenvalues."""
+    a1, a2, a3 = amat[:, 0, 0], amat[:, 1, 1], amat[:, 2, 2]
     d_plain = a3 - a2
-    d_twist = a3 - a1 ** p * a2 ** q
-    scale = 1 + max(abs(a2), abs(a3))
-    if abs(d_plain) < DENOM_TOL * scale or abs(d_twist) < DENOM_TOL * scale:
-        raise IllConditioned("eigenvalue collision: denominators %.3e and "
-                             "%.3e" % (abs(d_plain), abs(d_twist)))
-    return d_plain, d_twist
+    d_twist = a3 - _cmul(_numpy_powers(a1, p), _numpy_powers(a2, q))
+    tiny = DENOM_TOL * (1 + np.maximum(_modulus(a2), _modulus(a3)))
+    ok = (_modulus(d_plain) >= tiny) & (_modulus(d_twist) >= tiny)
+    return d_plain, d_twist, (ok, _collision, d_plain, d_twist)
+
+
+def _collision(d_plain, d_twist):
+    raise IllConditioned("eigenvalue collision: denominators %.3e and %.3e"
+                         % (abs(d_plain), abs(d_twist)))
+
+
+def glue_psi_p_many(amat, bmat, lam, x, p):
+    """`glue_psi_p` for stacked T points, matrices (N, 3, 3) and lambdas
+    (N,), and points x (N, 3): (amat, bmat, x) of the images."""
+    a1, b1, b2, b3 = amat[:, 0, 0], bmat[:, 0, 0], bmat[:, 1, 1], bmat[:, 2, 2]
+    eps = amat[:, 2, 1]
+    with np.errstate(all="ignore"):
+        d_plain, d_twist, denominators = _shear_denominators(amat, p, 1)
+        btilde = bmat.copy()
+        btilde[:, 2, 1] = _cmul(eps, b3 - _cmul(_numpy_powers(b1, p), b2)) / d_twist
+        aout = _shear(_cmul(lam, _numpy_powers(a1, -p))) @ amat @ _shear(-lam)
+        bout = _shear(_cmul(lam, _numpy_powers(b1, -p))) @ btilde @ _shear(-lam)
+        xi1, xi2, xi3 = x.T
+        eta3 = (xi3 + _cmul(eps / d_plain, xi2)
+                - _cmul(_cmul(eps / d_twist, _numpy_powers(xi1, p)), xi2))
+        y = np.stack([xi1, xi2 + _cmul(_cmul(lam, _numpy_powers(xi1, -p)), eta3),
+                      eta3], axis=1)
+    replay((_points_ok(x), _to_point, x), denominators,
+           (_points_ok(y), _to_point, y),
+           (_charts_ok("S_p", aout, bout),
+            lambda a, b: FamilyPoint("S_p", a, b, p=int(p)), aout, bout))
+    return aout, bout, y
 
 
 def glue_psi_p(point, x, p):
@@ -363,19 +451,58 @@ def glue_psi_p(point, x, p):
         raise ValueError("glue_psi_p expects a T point")
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
-    a1, _, _, b1, b2, b3 = point.diagonals()
-    eps = point.amat[2, 1]
-    lam = point.lam
-    d_plain, d_twist = _shear_denominators(point, p, 1)
-    delta1 = eps * (b3 - b1 ** p * b2) / d_twist
-    btilde = np.array(point.bmat)
-    btilde[2, 1] = delta1
-    aout = _shear(lam * a1 ** (-p)) @ point.amat @ _shear(-lam)
-    bout = _shear(lam * b1 ** (-p)) @ btilde @ _shear(-lam)
-    xi1, xi2, xi3 = x.array()
-    eta3 = xi3 + eps / d_plain * xi2 - eps / d_twist * xi1 ** p * xi2
-    out_x = PointV((xi1, xi2 + lam * xi1 ** (-p) * eta3, eta3))
-    return FamilyPoint("S_p", aout, bout, p=int(p)), out_x
+    aout, bout, y = glue_psi_p_many(point.amat[None], point.bmat[None],
+                                    np.array([point.lam]), x.array()[None], p)
+    return FamilyPoint("S_p", aout[0], bout[0], p=int(p)), _to_point(y[0])
+
+
+def invert_psi_p_many(amat, bmat, x, p):
+    """`invert_psi_p` for stacked S_p points, matrices (N, 3, 3), and
+    points x (N, 3): (amat, bmat, lam, x) of the preimages."""
+    a2e, eps1, eps2 = amat[:, 1, 1], amat[:, 2, 1], amat[:, 1, 2]
+    a1, a2, a3, b1, b2, b3 = _paired_eigendata_many(amat, bmat, p)
+    tol = MEMBERSHIP_TOL
+    scale = 1 + np.maximum(_modulus(a2), _modulus(a3))
+    unordered = _modulus(a2) <= _modulus(a3)
+    resonant = np.array([_power_residual((u, v), w, (p, 1)) <= tol
+                         for u, v, w in zip(a1, a2, a3)], dtype=bool)
+    shear = _modulus(eps1) > tol * scale
+    forced = ~shear & (_modulus(a2e - a2) > tol * scale)
+
+    # unique lam making (lam, 1) a twisted eigenvector for a3; the raw
+    # root representing a3 is a3 * a1^{-p}
+    with np.errstate(all="ignore"):
+        lam = np.where(shear, (a3 - amat[:, 2, 2]) / eps1,
+                       eps2 / (_cmul(a3, _numpy_powers(a1, -p)) - a2e))
+        amat_t = _diagonal(a1, a2, a3, eps1)
+        bmat_t = _diagonal(b1, b2, b3, _cmul(eps1, b3 - b2) / (a3 - a2))
+        xi1, xi2p, eta3 = x.T
+        xi2 = xi2p - _cmul(_cmul(lam, _numpy_powers(xi1, -p)), eta3)
+        xi3 = (eta3 - _cmul(eps1 / (a3 - a2), xi2)
+               + _cmul(_cmul(eps1 / (a3 - _cmul(_numpy_powers(a1, p), a2)),
+                             _numpy_powers(xi1, p)), xi2))
+        y = np.stack([xi1, xi2, xi3], axis=1)
+    replay((_points_ok(x), _to_point, x),
+           (~(unordered | resonant | forced), _not_in_image, unordered,
+            resonant),
+           (_charts_ok("T", amat_t, bmat_t),
+            lambda a, b, c: FamilyPoint("T", a, b, lam=c), amat_t, bmat_t, lam),
+           (_points_ok(y), _to_point, y))
+    return amat_t, bmat_t, lam, y
+
+
+def _not_in_image(unordered, resonant):
+    raise NotInImage(
+        "twisted eigenvalues are not modulus-ordered" if unordered else
+        "twisted eigenvalues satisfy a3' = a1^p a2'" if resonant else
+        "vanishing lower shear forces alpha2 = alpha2'")
+
+
+def _diagonal(d1, d2, d3, shear):
+    """Stacked diag(d1, d2, d3) with the (2, 1) entry set to shear."""
+    out = np.zeros((len(d1), 3, 3), dtype=complex)
+    out[:, 0, 0], out[:, 1, 1], out[:, 2, 2], out[:, 2, 1] = d1, d2, d3, shear
+    return out
 
 
 def invert_psi_p(point, x, p):
@@ -389,38 +516,38 @@ def invert_psi_p(point, x, p):
         raise ValueError("invert_psi_p expects an S_p point with matching p")
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
-    a2e = point.amat[1, 1]
-    ablock = point.blocks()[0]
-    eps1 = point.amat[2, 1]
-    eps2 = point.amat[1, 2]
-    a1, a2, a3, b1, b2, b3 = _paired_eigendata(point)
-    tol = MEMBERSHIP_TOL
-    scale = 1 + max(abs(a2), abs(a3))
-    if abs(a2) <= abs(a3):
-        raise NotInImage("twisted eigenvalues are not modulus-ordered")
-    if _power_residual((a1, a2), a3, (p, 1)) <= tol:
-        raise NotInImage("twisted eigenvalues satisfy a3' = a1^p a2'")
-    if abs(eps1) <= tol * scale and abs(a2e - a2) > tol * scale:
-        raise NotInImage("vanishing lower shear forces alpha2 = alpha2'")
-    # unique lam making (lam, 1) a twisted eigenvector for a3; the raw
-    # root representing a3 is a3 * a1^{-p}
-    if abs(eps1) > tol * scale:
-        lam = (a3 - ablock[1, 1]) / eps1
-    else:
-        lam = eps2 / (a3 * a1 ** (-p) - a2e)
-    eps = eps1
-    delta = eps * (b3 - b2) / (a3 - a2)
-    amat = np.diag([a1, a2, a3]).astype(complex)
-    amat[2, 1] = eps
-    bmat = np.diag([b1, b2, b3]).astype(complex)
-    bmat[2, 1] = delta
-    out = FamilyPoint("T", amat, bmat, lam=lam)
-    xi1, xi2p, xi3p = x.array()
-    eta3 = xi3p
-    xi2 = xi2p - lam * xi1 ** (-p) * eta3
-    xi3 = (eta3 - eps / (a3 - a2) * xi2
-           + eps / (a3 - a1 ** p * a2) * xi1 ** p * xi2)
-    return out, PointV((xi1, xi2, xi3))
+    amat, bmat, lam, y = invert_psi_p_many(point.amat[None], point.bmat[None],
+                                           x.array()[None], p)
+    return FamilyPoint("T", amat[0], bmat[0], lam=lam[0]), _to_point(y[0])
+
+
+def glue_phi_pq_many(amat, bmat, x, p, q, invert=False):
+    """`glue_phi_pq` (or with ``invert`` `invert_phi_pq`) for stacked
+    points, matrices (N, 3, 3), and points x (N, 3): (amat, bmat, x) of
+    the images; the lambdas pass through unchanged."""
+    b1, b2, b3 = bmat[:, 0, 0], bmat[:, 1, 1], bmat[:, 2, 2]
+    eps = amat[:, 2, 1]
+    with np.errstate(all="ignore"):
+        d_plain, d_twist, denominators = _shear_denominators(amat, p, q)
+        bout = bmat.copy()
+        if invert:
+            bout[:, 2, 1] = _cmul(eps, b3 - _cmul(_numpy_powers(b1, p),
+                                                  _numpy_powers(b2, q))) / d_twist
+        else:
+            bout[:, 2, 1] = _cmul(eps, b3 - b2) / d_plain
+        xi1, xi2, xi3 = x.T
+        plain = _cmul(eps / d_plain, xi2)
+        twist = _cmul(_cmul(eps / d_twist, _numpy_powers(xi1, p)),
+                      _numpy_powers(xi2, q))
+        y = x.copy()
+        y[:, 2] = xi3 + plain - twist if invert else xi3 - plain + twist
+    space = "T_pq" if invert else "T"
+    replay((_points_ok(x), _to_point, x), denominators,
+           (_charts_ok(space, amat, bout), lambda a, b: FamilyPoint(
+               space, a, b, lam=0, p=p if invert else None,
+               q=q if invert else None), amat, bout),
+           (_points_ok(y), _to_point, y))
+    return amat.copy(), bout, y
 
 
 def glue_phi_pq(point, x, p, q):
@@ -435,16 +562,9 @@ def glue_phi_pq(point, x, p, q):
                          "indices")
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
-    _, _, _, _, b2, b3 = point.diagonals()
-    eps = point.amat[2, 1]
-    d_plain, d_twist = _shear_denominators(point, p, q)
-    bout = np.array(point.bmat)
-    bout[2, 1] = eps * (b3 - b2) / d_plain
-    xi1, xi2, xi3 = x.array()
-    xi3out = (xi3 - eps / d_plain * xi2
-              + eps / d_twist * xi1 ** p * xi2 ** q)
-    return (FamilyPoint("T", np.array(point.amat), bout, lam=point.lam),
-            PointV((xi1, xi2, xi3out)))
+    amat, bmat, y = glue_phi_pq_many(point.amat[None], point.bmat[None],
+                                     x.array()[None], p, q)
+    return FamilyPoint("T", amat[0], bmat[0], lam=point.lam), _to_point(y[0])
 
 
 def invert_phi_pq(point, x, p, q):
@@ -454,14 +574,7 @@ def invert_phi_pq(point, x, p, q):
         raise ValueError("invert_phi_pq expects a T point")
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
-    _, _, _, b1, b2, b3 = point.diagonals()
-    eps = point.amat[2, 1]
-    d_plain, d_twist = _shear_denominators(point, p, q)
-    bout = np.array(point.bmat)
-    bout[2, 1] = eps * (b3 - b1 ** p * b2 ** q) / d_twist
-    xi1, xi2, xi3 = x.array()
-    xi3out = (xi3 + eps / d_plain * xi2
-              - eps / d_twist * xi1 ** p * xi2 ** q)
-    return (FamilyPoint("T_pq", np.array(point.amat), bout, lam=point.lam,
-                        p=int(p), q=int(q)),
-            PointV((xi1, xi2, xi3out)))
+    amat, bmat, y = glue_phi_pq_many(point.amat[None], point.bmat[None],
+                                     x.array()[None], p, q, invert=True)
+    return (FamilyPoint("T_pq", amat[0], bmat[0], lam=point.lam,
+                        p=int(p), q=int(q)), _to_point(y[0]))

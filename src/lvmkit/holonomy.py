@@ -97,14 +97,19 @@ def holonomy_pair(config):
 
 
 def validate_holonomy(h):
-    """Return the list of violated structural constraints (empty = OK)."""
+    """Return the list of violated structural constraints (empty = OK).
+
+    Multipliers count as on the unit circle, and as equal, within 1e-12
+    of their modulus."""
+    def same(x, y):
+        return abs(x - y) <= 1e-12 * max(abs(x), abs(y))
     violations = []
     for j in range(3):
         if abs(abs(h.alpha[j]) - 1) < 1e-12 and abs(abs(h.beta[j]) - 1) < 1e-12:
             violations.append(
                 "component %d has both multipliers on the unit circle" % (j + 1))
     for j in (1, 2):
-        if h.alpha[0] == h.alpha[j] and h.beta[0] == h.beta[j]:
+        if same(h.alpha[0], h.alpha[j]) and same(h.beta[0], h.beta[j]):
             violations.append(
                 "components 1 and %d have identical multiplier pairs" % (j + 1))
     return violations

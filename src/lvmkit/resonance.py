@@ -14,6 +14,12 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BOUND = 64
+# the largest search bound the CLI accepts: with all six multipliers on
+# the unit circle the screen builds (2b + 1)(b + 1)^2 exponents per
+# component, about 64 bytes each at the peak, 275 MB for b = 128
+MAX_BOUND = 128
+# near-resonances a warning lists, closest first
+NEAR_SHOWN = 5
 COEFF_DROP = 1e-15
 
 EJ = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
@@ -140,7 +146,8 @@ def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND, warn_near=True):
     whole box when all six multipliers lie on the unit circle.
     `_screened` screens the exponents of both slabs as a scan of the whole
     box would; the power residual decides them and the trivial ones, and
-    the undecided within 10 tol are warned about.
+    the undecided within 10 tol are warned about, by their count and the
+    NEAR_SHOWN closest.
     """
     candidates = {(j, EJ[j]) for j in (1, 2, 3)} | _screened(h, tol, bound)
     found = []
@@ -152,8 +159,11 @@ def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND, warn_near=True):
         elif residual <= 10 * tol:
             near.append((j, p, residual))
     if near and warn_near:
-        warnings.warn("near-resonances within 10x tolerance: %s"
-                      % ", ".join("(%d, %s) residual %.2e" % t for t in near))
+        near.sort(key=lambda t: (t[2], t[0], t[1]))
+        warnings.warn("near-resonances within 10x tolerance: %d exponents, "
+                      "closest %s"
+                      % (len(near), ", ".join("(%d, %s) residual %.2e" % t
+                                               for t in near[:NEAR_SHOWN])))
     return sorted(found, key=lambda r: (r.j, r.p))
 
 

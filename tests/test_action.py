@@ -7,14 +7,12 @@ import lvmkit.resonant_group
 from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
 from lvmkit.resonance import ResonanceClass
-from lvmkit.resonant_group import (GroupElement, PointV, apply, compose,
-                                   identity)
+from lvmkit.resonant_group import (GroupElement, PointV, apply, apply_many,
+                                   compose, identity)
 from lvmkit.action import (
     FP_TOL,
     ActionCertificate,
     _grid,
-    _images,
-    _point_factors,
     _powers,
     _word_composer,
     fixed_point_certificate,
@@ -303,9 +301,8 @@ class TestAgainstOracle:
         x = np.array([[0.7 + 0.2j, 1.1 - 0.4j, -0.3 + 0.9j],
                       [-2.5j, 0.1 + 0.3j, 4.0],
                       [0.3 - 0.3j, 0.0, 1.7 + 2.2j]])
-        factors, refused = _point_factors(f.regime, x)
-        y = _images(f.regime, h, x, factors)
-        assert ok.all() and refused == len(x)
+        y, fine = apply_many(f.regime, h[:, None], x)
+        assert ok.all() and fine.all()
         for k in range(r.size):
             word = compose(fp[int(r[k])], gp[int(s[k])])
             assert word.params().tobytes() == h[k].tobytes()

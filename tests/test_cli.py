@@ -1,10 +1,17 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import lvmkit.action
+import lvmkit.cli
+import lvmkit.family_gluing
+import lvmkit.resonant_group
 from lvmkit.cli import main
+from lvmkit.resonance import MAX_BOUND
 from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
 
@@ -117,7 +124,65 @@ class TestResonances:
         assert "--tol must be below 1, got %s" % tol in result.output
 
 
+class TestSearchBound:
+    @pytest.mark.parametrize("command", ["analyze", "resonances"])
+    def test_bound_above_cap_is_usage_error(self, runner, tmp_path,
+                                            monkeypatch, command):
+        # refused before any search runs, so nothing is allocated
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(lvmkit.cli, "find_resonances", no_search)
+        path = write(tmp_path, "e1.json", E1_DOC)
+        result = runner.invoke(main, [command, path, "--bound", "2000000000"])
+        assert result.exit_code == 2
+        assert ("--bound must be at most %d, got 2000000000" % MAX_BOUND
+                in result.output)
+
+    def test_cap_itself_accepted(self, runner, tmp_path):
+        doc = {"eigen_data": [[2, 0], [0.6, 0], [0.72, 0],
+                              [1, 1], [0, 0.5], [-0.25, -0.25]]}
+        path = write(tmp_path, "eig.json", doc)
+        result = runner.invoke(main, ["resonances", path, "--bound",
+                                      str(MAX_BOUND), "--json"])
+        assert result.exit_code == 0
+        assert json.loads(result.output)["bound"] == MAX_BOUND
+
+
+def test_cli_import_leaves_scipy_out():
+    code = ("import sys, lvmkit.cli, lvmkit.action; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestVerify:
+    def test_batched_suites_build_no_scalar_objects(self, runner, monkeypatch):
+        # the group-laws, gluing and developing suites run on arrays: no
+        # chart point is built and no scalar apply runs
+        counts = {"FamilyPoint": 0, "apply": 0}
+        init = lvmkit.family_gluing.FamilyPoint.__post_init__
+        apply = lvmkit.resonant_group.apply
+
+        def counted_init(self):
+            counts["FamilyPoint"] += 1
+            init(self)
+
+        def counted_apply(*args):
+            counts["apply"] += 1
+            return apply(*args)
+        monkeypatch.setattr(lvmkit.family_gluing.FamilyPoint, "__post_init__",
+                            counted_init)
+        for module in (lvmkit.resonant_group, lvmkit.action):
+            monkeypatch.setattr(module, "apply", counted_apply)
+        for suite in ("group-laws", "gluing", "developing"):
+            result = runner.invoke(main, ["verify", suite])
+            assert result.exit_code == 0
+        assert counts == {"FamilyPoint": 0, "apply": 0}
+        assert runner.invoke(main, ["verify", "all"]).exit_code == 0
+        assert counts["FamilyPoint"] == 0
+
+
     def test_group_laws(self, runner):
         result = runner.invoke(main, ["verify", "group-laws",
                                       "--seed", "7", "--samples", "25",

@@ -118,6 +118,14 @@ class TestValidateHolonomy:
         out = validate_holonomy(h)
         assert len(out) == 1 and "components 1 and 2" in out[0]
 
+    def test_equal_pairs_within_1e12_of_the_modulus(self):
+        # one ulp apart counts as identical, as the unit-circle check
+        # beside it counts 1e-12 as on the circle; 1e-9 apart does not
+        a = 1.5 - 0.25j
+        for gap, flagged in ((np.spacing(1.5), True), (1e-9, False)):
+            h = HolonomyPair((a, a + gap, 0.5), (3, 3, 0.5))
+            assert bool(validate_holonomy(h)) == flagged
+
     def test_zero_entry_rejected(self):
         with pytest.raises(ValueError):
             HolonomyPair((0, 1, 1), (1, 1, 1))

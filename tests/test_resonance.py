@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from lvmkit.holonomy import HolonomyPair
 from lvmkit.resonance import (
+    NEAR_SHOWN,
     Resonance,
     ResonanceClass,
     ResonantVectorField,
@@ -96,6 +97,31 @@ class TestFindResonances:
         with pytest.warns(UserWarning, match="near-resonances"):
             out = as_set(find_resonances(h, tol=tol, bound=SMALL_BOUND))
         assert (3, (1, 2, 0)) not in out
+
+    def test_near_resonance_warning_is_bounded(self):
+        # at tol 0.3 the undecided exponents within 10 tol run into the
+        # thousands on the unit circle: the warning gives their count and
+        # the NEAR_SHOWN closest, by residual and then (j, p)
+        tol = 0.3
+        rng = np.random.default_rng(1)
+        alpha = rng.uniform(0.5, 2, size=3) * np.exp(2j * np.pi * rng.uniform(size=3))
+        beta = rng.uniform(0.5, 2, size=3) * np.exp(2j * np.pi * rng.uniform(size=3))
+        with pytest.warns(UserWarning) as caught:
+            find_resonances(HolonomyPair(tuple(alpha), tuple(beta)), tol=tol)
+        assert [str(w.message) for w in caught] == [
+            "near-resonances within 10x tolerance: 12 exponents, closest "
+            "(1, (-25, 30, 41)) residual 3.84e-01, "
+            "(2, (-26, 31, 41)) residual 3.84e-01, "
+            "(3, (-26, 30, 42)) residual 3.84e-01, "
+            "(1, (-1, 2, 3)) residual 4.28e-01, "
+            "(2, (-2, 3, 3)) residual 4.28e-01"]
+        unit = np.exp(2j * np.pi * rng.uniform(size=6))
+        with pytest.warns(UserWarning) as caught:
+            find_resonances(HolonomyPair(tuple(unit[:3]), tuple(unit[3:])),
+                            tol=tol, bound=16)
+        message = str(caught[0].message)
+        assert int(message.split(": ")[1].split(" ")[0]) > NEAR_SHOWN
+        assert message.count("residual") == NEAR_SHOWN
 
     def test_near_resonance_warning_unit_moduli(self):
         # unit-modulus alpha_1, alpha_2: the screen must keep candidates

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from lvmkit.resonance import ResonanceClass
 from lvmkit.resonant_group import (
+    _expm2,
+    _logm2,
     AlgebraElement,
     BranchDomain,
     GroupElement,
@@ -410,6 +414,107 @@ class TestExpLog:
         f = GroupElement(S12, (a1, a2, a1 * a2 ** 2, 0))
         x = group_log(f)
         assert x.data[3] == 0
+
+
+def _kind_matrix(rng, kind, scale):
+    """A 2x2 matrix of the given kind, scaled to max-entry `scale`."""
+    def c(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    p = c(2, 2)
+    if kind == "diagonal":
+        k = np.diag(c(2))
+    elif kind == "nilpotent":
+        k = p @ np.array([[0, 1], [0, 0]]) @ np.linalg.inv(p)
+    elif kind == "defective":
+        k = p @ (c(1)[0] * np.array([[1, 1], [0, 1]])) @ np.linalg.inv(p)
+    elif kind == "near-confluent":
+        lam = c(1)[0]
+        k = p @ np.diag([lam, lam + 10 ** rng.uniform(-12, -3)]) @ np.linalg.inv(p)
+    else:
+        k = c(2, 2)
+    return k / np.max(np.abs(k)) * scale
+
+
+class TestClosedForm2x2:
+    """The closed-form 2x2 exp and log against scipy's general ones."""
+
+    KINDS = ("random", "diagonal", "nilpotent", "defective", "near-confluent")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(KINDS), st.floats(-6, np.log10(3)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_expm_against_scipy(self, kind, log_scale, seed):
+        k = _kind_matrix(np.random.default_rng(seed), kind, 10 ** log_scale)
+        want = scipy.linalg.expm(k)
+        assert np.max(np.abs(_expm2(k) - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(KINDS), st.floats(-6, np.log10(3)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_logm_inverts_expm(self, kind, log_scale, seed):
+        # with the spectrum of K inside the strip |Im| < pi, log exp K is
+        # K; scipy's logm agrees
+        k = _kind_matrix(np.random.default_rng(seed), kind, 10 ** log_scale)
+        assume(np.all(np.abs(np.linalg.eigvals(k).imag) < 3))
+        n = _expm2(k)
+        got = _logm2(n)
+        assert np.max(np.abs(got - k)) <= 1e-10 * (1 + np.max(np.abs(k)))
+        assert np.max(np.abs(got - scipy.linalg.logm(n))) <= \
+            1e-10 * (1 + np.max(np.abs(k)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-6, -1), st.floats(-1, 1), st.floats(-1, 1),
+           st.sampled_from([(1, 1), (1, -1), (-1, -1)]),
+           st.integers(0, 2 ** 32 - 1))
+    def test_logm_near_the_negative_axis(self, log_gap, log_r, log_ratio,
+                                         sides, seed):
+        # eigenvalues at argument +-(pi - gap), on one side of the cut or
+        # on both, conjugated by a well-conditioned matrix; on both sides
+        # the log is as sensitive as |lambda| / |lambda1 - lambda2|
+        rng = np.random.default_rng(seed)
+        theta = np.pi - 10 ** log_gap
+        lam = 10 ** log_r * np.exp(1j * theta * np.array(sides)) \
+            * np.array([1, 10 ** log_ratio])
+        p = np.eye(2) + 0.3 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        n = p @ np.diag(lam) @ np.linalg.inv(p)
+        want = scipy.linalg.logm(n)
+        sensitivity = 1 + np.max(np.abs(lam)) / abs(lam[0] - lam[1])
+        assert np.max(np.abs(_logm2(n) - want)) <= 1e-13 * sensitivity \
+            * np.linalg.cond(p) ** 2 * (1 + np.max(np.abs(want)))
+
+    def test_stack_rounds_as_its_matrices(self):
+        rng = np.random.default_rng(5)
+        k = np.array([_kind_matrix(rng, kind, scale) for kind in self.KINDS
+                      for scale in (1e-6, 1e-3, 1, 3)])
+        for stacked, fn in ((_expm2(k), _expm2), (_logm2(_expm2(k)), _logm2)):
+            arg = k if fn is _expm2 else _expm2(k)
+            for i in range(len(k)):
+                assert fn(arg[i]).tobytes() == stacked[i].tobytes()
+
+    def test_log_on_the_negative_axis(self):
+        # numpy's principal log takes argument pi there, as scipy does
+        n = np.diag([-0.99, 1.03]).astype(complex)
+        assert np.allclose(_logm2(n), scipy.linalg.logm(n), atol=1e-15)
+
+    def test_log_branch_domain(self):
+        # eigenvalues -1 +- 1e-10 i straddle the cut: ill-conditioned
+        with pytest.raises(BranchDomain, match="ill-conditioned"):
+            _logm2(np.array([[-1, -1e-10], [1e-10, -1]], dtype=complex))
+        with pytest.raises(BranchDomain, match="singular"):
+            _logm2(np.array([[1, 1], [1, 1]], dtype=complex))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 2.5))
+    def test_group_exp_log_round_trip(self, seed, radius):
+        # the existing 1e-8 round-trip check of group_log holds on the
+        # closed forms
+        rng = np.random.default_rng(seed)
+        for p in (-2, 1, 3):
+            x = random_algebra_element(ResonanceClass("Double", p=p), rng,
+                                       radius)
+            f = group_exp(x)
+            g = group_exp(group_log(f))
+            assert params_distance(f, g) <= 1e-8 * (1 + np.max(np.abs(f.params())))
 
 
 class TestGroupDim:

@@ -1,0 +1,502 @@
+"""The scalar reading of the `verify` suites and of the chart maps and
+developing maps they check, one sample at a time, used as a test oracle.
+
+Every sample builds its group elements, chart points and points of V as
+objects and runs the scalar `compose`, `inverse` and `apply` on them.  It
+is slow and independent of the array evaluation in `lvmkit.cli`,
+`lvmkit.family_gluing` and `lvmkit.developing`, which the tests compare
+against it.
+"""
+
+import numpy as np
+
+from lvmkit.cli import _E1, _REGIMES
+from lvmkit.developing import TWO_PI_I, StructureReport, build_structure
+from lvmkit.family_gluing import (DENOM_TOL, MEMBERSHIP_TOL, FamilyPoint,
+                                  NotInImage)
+from lvmkit.holonomy import holonomy_pair
+from lvmkit.rep_variety import StructureSpec
+from lvmkit.resonance import ResonanceClass, _power_residual
+from lvmkit.resonant_group import (GroupElement, IllConditioned, PointV,
+                                   _l_matrix, apply, compose,
+                                   element_from_params, group_exp, identity,
+                                   inverse, tau)
+
+
+# ------------------------------------------------------------ chart maps
+
+def _null_vector(mat):
+    """Unit vector spanning the (numerical) kernel of a 2x2 matrix."""
+    _, _, vh = np.linalg.svd(mat)
+    return vh[-1].conj()
+
+
+def p_eigenvalues(alpha, mat, p):
+    """The two roots of det(X L_{alpha,p} - M), multiplicity kept:
+    alpha^p X^2 - (m11 alpha^p + m22) X + det M = 0.
+
+    Ordered lexicographically on (re, im), larger first, so repeated
+    calls are reproducible.
+    """
+    alpha = complex(alpha)
+    if alpha == 0:
+        raise ValueError("alpha must be nonzero")
+    mat = np.asarray(mat, dtype=complex)
+    ap = alpha ** p
+    roots = np.roots([ap, -(mat[0, 0] * ap + mat[1, 1]), np.linalg.det(mat)])
+    r = sorted(roots, key=lambda z: (z.real, z.imag), reverse=True)
+    return complex(r[0]), complex(r[1])
+
+
+def _paired_eigendata(point):
+    """Eigen-data (alpha_1..3, beta_1..3) of an S_p candidate.
+
+    A root r of det(X L - M) represents the multiplier alpha2' directly
+    when its eigenvector plays the first fiber role, and the multiplier
+    alpha3' = r * alpha1^p when it plays the second.  Of the two possible
+    assignments the one satisfying |alpha2'| > |alpha3'| is preferred;
+    each beta is read off along the matching eigenvector of the second
+    block (the balance equations make the eigenvectors common).
+    """
+    a1, _, _, b1, _, _ = point.diagonals()
+    ablock, bblock = point.blocks()
+    p = point.p
+    roots = p_eigenvalues(a1, ablock, p)
+    raw_betas = []
+    for val in roots:
+        v = _null_vector(ablock - val * _l_matrix(a1, p))
+        lv = _l_matrix(b1, p) @ v
+        k = int(np.argmax(np.abs(lv)))
+        raw_betas.append(complex((bblock @ v)[k] / lv[k]))
+    candidates = []
+    for (i, j) in ((0, 1), (1, 0)):
+        candidates.append((a1, roots[i], roots[j] * a1 ** p,
+                           b1, raw_betas[i], raw_betas[j] * b1 ** p))
+    for cand in candidates:
+        if abs(cand[1]) > abs(cand[2]):
+            return cand
+    return candidates[0]
+
+
+def _group_power(f, n):
+    out = identity(f.regime)
+    step = f if n >= 0 else inverse(f)
+    for _ in range(abs(n)):
+        out = compose(out, step)
+    return out
+
+
+def _chart_generators(point):
+    """The two commuting transformations of V attached to the point."""
+    a1, _, _, b1, _, _ = point.diagonals()
+    ablock, bblock = point.blocks()
+    if point.space == "S_p":
+        cls = ResonanceClass("Double", p=point.p)
+        return (GroupElement(cls, (a1, ablock)),
+                GroupElement(cls, (b1, bblock)))
+    if point.space == "T_pq":
+        cls = ResonanceClass("Single", p=point.p, q=point.q)
+        a = point.diagonals()
+        return (GroupElement(cls, (a[0], a[1], a[2], point.amat[2, 1])),
+                GroupElement(cls, (a[3], a[4], a[5], point.bmat[2, 1])))
+    return None  # "T" acts linearly; handled directly in family_action
+
+
+def family_action(point, word, x):
+    """Image of x under the (r, s) word of the point's Z^2 action."""
+    r, s = word
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
+    if point.space == "T":
+        a = np.linalg.matrix_power(
+            point.amat if r >= 0 else np.linalg.inv(point.amat), abs(r))
+        b = np.linalg.matrix_power(
+            point.bmat if s >= 0 else np.linalg.inv(point.bmat), abs(s))
+        return PointV(tuple(a @ b @ x.array()))
+    f, g = _chart_generators(point)
+    h = compose(_group_power(f, r), _group_power(g, s))
+    return apply(h, x)
+
+
+def _shear(lam):
+    out = np.eye(3, dtype=complex)
+    out[1, 2] = lam
+    return out
+
+
+def _shear_denominators(point, p, q):
+    """(a3 - a2, a3 - a1^p a2^q) of a T or T_pq point, refused with
+    IllConditioned when either is negligible against the eigenvalues."""
+    a1, a2, a3 = point.diagonals()[:3]
+    d_plain = a3 - a2
+    d_twist = a3 - a1 ** p * a2 ** q
+    scale = 1 + max(abs(a2), abs(a3))
+    if abs(d_plain) < DENOM_TOL * scale or abs(d_twist) < DENOM_TOL * scale:
+        raise IllConditioned("eigenvalue collision: denominators %.3e and "
+                             "%.3e" % (abs(d_plain), abs(d_twist)))
+    return d_plain, d_twist
+
+
+def glue_psi_p(point, x, p):
+    """Chart change T -> S_p: conjugation by unipotent shears.
+
+    The matrices are conjugated by I + lambda * alpha1^{-p} E_23 on the
+    left and I - lambda E_23 on the right (beta1 for the second matrix,
+    whose shear entry is first rebalanced), and the point picks up the
+    matching polynomial shear in (xi2, xi3).
+    """
+    if point.space != "T":
+        raise ValueError("glue_psi_p expects a T point")
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
+    a1, _, _, b1, b2, b3 = point.diagonals()
+    eps = point.amat[2, 1]
+    lam = point.lam
+    d_plain, d_twist = _shear_denominators(point, p, 1)
+    delta1 = eps * (b3 - b1 ** p * b2) / d_twist
+    btilde = np.array(point.bmat)
+    btilde[2, 1] = delta1
+    aout = _shear(lam * a1 ** (-p)) @ point.amat @ _shear(-lam)
+    bout = _shear(lam * b1 ** (-p)) @ btilde @ _shear(-lam)
+    xi1, xi2, xi3 = x.array()
+    eta3 = xi3 + eps / d_plain * xi2 - eps / d_twist * xi1 ** p * xi2
+    out_x = PointV((xi1, xi2 + lam * xi1 ** (-p) * eta3, eta3))
+    return FamilyPoint("S_p", aout, bout, p=int(p)), out_x
+
+
+def invert_psi_p(point, x, p):
+    """Inverse chart change S_p -> T, defined on the image of glue_psi_p.
+
+    The image is cut out by three clauses on the twisted eigenvalues
+    (alpha2', alpha3') of the first block, |alpha2'| > |alpha3'| among
+    them; violations raise NotInImage.
+    """
+    if point.space != "S_p" or point.p != p:
+        raise ValueError("invert_psi_p expects an S_p point with matching p")
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
+    a2e = point.amat[1, 1]
+    ablock = point.blocks()[0]
+    eps1 = point.amat[2, 1]
+    eps2 = point.amat[1, 2]
+    a1, a2, a3, b1, b2, b3 = _paired_eigendata(point)
+    tol = MEMBERSHIP_TOL
+    scale = 1 + max(abs(a2), abs(a3))
+    if abs(a2) <= abs(a3):
+        raise NotInImage("twisted eigenvalues are not modulus-ordered")
+    if _power_residual((a1, a2), a3, (p, 1)) <= tol:
+        raise NotInImage("twisted eigenvalues satisfy a3' = a1^p a2'")
+    if abs(eps1) <= tol * scale and abs(a2e - a2) > tol * scale:
+        raise NotInImage("vanishing lower shear forces alpha2 = alpha2'")
+    # unique lam making (lam, 1) a twisted eigenvector for a3; the raw
+    # root representing a3 is a3 * a1^{-p}
+    if abs(eps1) > tol * scale:
+        lam = (a3 - ablock[1, 1]) / eps1
+    else:
+        lam = eps2 / (a3 * a1 ** (-p) - a2e)
+    eps = eps1
+    delta = eps * (b3 - b2) / (a3 - a2)
+    amat = np.diag([a1, a2, a3]).astype(complex)
+    amat[2, 1] = eps
+    bmat = np.diag([b1, b2, b3]).astype(complex)
+    bmat[2, 1] = delta
+    out = FamilyPoint("T", amat, bmat, lam=lam)
+    xi1, xi2p, xi3p = x.array()
+    eta3 = xi3p
+    xi2 = xi2p - lam * xi1 ** (-p) * eta3
+    xi3 = (eta3 - eps / (a3 - a2) * xi2
+           + eps / (a3 - a1 ** p * a2) * xi1 ** p * xi2)
+    return out, PointV((xi1, xi2, xi3))
+
+
+def glue_phi_pq(point, x, p, q):
+    """Chart change T_pq -> T: rebalance the second shear entry and
+    straighten the twisted part of the action by a polynomial shear.
+
+    lambda is carried through unchanged as the extra T coordinate; it
+    does not act on the point.
+    """
+    if point.space != "T_pq" or point.p != p or point.q != q:
+        raise ValueError("glue_phi_pq expects a T_pq point with matching "
+                         "indices")
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
+    _, _, _, _, b2, b3 = point.diagonals()
+    eps = point.amat[2, 1]
+    d_plain, d_twist = _shear_denominators(point, p, q)
+    bout = np.array(point.bmat)
+    bout[2, 1] = eps * (b3 - b2) / d_plain
+    xi1, xi2, xi3 = x.array()
+    xi3out = (xi3 - eps / d_plain * xi2
+              + eps / d_twist * xi1 ** p * xi2 ** q)
+    return (FamilyPoint("T", np.array(point.amat), bout, lam=point.lam),
+            PointV((xi1, xi2, xi3out)))
+
+
+def invert_phi_pq(point, x, p, q):
+    """Inverse of glue_phi_pq: restore the shear entry compatible with
+    the twisted action and negate the polynomial point shear."""
+    if point.space != "T":
+        raise ValueError("invert_phi_pq expects a T point")
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
+    _, _, _, b1, b2, b3 = point.diagonals()
+    eps = point.amat[2, 1]
+    d_plain, d_twist = _shear_denominators(point, p, q)
+    bout = np.array(point.bmat)
+    bout[2, 1] = eps * (b3 - b1 ** p * b2 ** q) / d_twist
+    xi1, xi2, xi3 = x.array()
+    xi3out = (xi3 + eps / d_plain * xi2
+              - eps / d_twist * xi1 ** p * xi2 ** q)
+    return (FamilyPoint("T_pq", np.array(point.amat), bout, lam=point.lam,
+                        p=int(p), q=int(q)),
+            PointV((xi1, xi2, xi3out)))
+
+
+# ------------------------------------------------------- developing maps
+
+def dev_eval(d, w):
+    w1 = complex(w[0])
+    xi2, xi3 = complex(w[1]), complex(w[2])
+    if xi2 == 0 and xi3 == 0:
+        raise ValueError("(xi2, xi3) must not both vanish")
+    if d.case == "canonical-form":
+        c1, c2, c3 = d.params
+        return PointV((np.exp(TWO_PI_I * w1 * (1 + c1)),
+                       np.exp(TWO_PI_I * w1 * c2) * xi2,
+                       np.exp(TWO_PI_I * w1 * c3) * xi3))
+    if d.case == "affine":
+        x = d.params[0]
+        base = PointV((np.exp(TWO_PI_I * w1), xi2, xi3))
+        return apply(group_exp(x.scaled(w1)), base)
+    gamma, c1, c4, c3 = d.params
+    p, q = d.regime.p, d.regime.q
+    lg, lc1, lc4 = np.log(gamma), np.log(c1), np.log(c4)
+    first = np.exp((TWO_PI_I + lg) * w1)
+    second = np.exp(w1 * lc1) * xi2
+    if d.case == "generic":
+        kappa = c3 / (gamma ** p * c1 ** q - c4)
+        third = (np.exp(w1 * lc4) * xi3
+                 + kappa * np.exp(p * (TWO_PI_I + lg) * w1)
+                 * np.exp(q * w1 * lc1) * xi2 ** q)
+    else:  # degenerate: c4 = gamma^p c1^q
+        third = np.exp(w1 * lc4) * (
+            xi3 + (c3 / c4) * w1 * np.exp(TWO_PI_I * p * w1) * xi2 ** q)
+    return PointV((first, second, third))
+
+
+def deck_transform(structure, index, w):
+    """Image of w under the deck generator with the given index (1..3)."""
+    w1 = complex(w[0])
+    xi2, xi3 = complex(w[1]), complex(w[2])
+    if index == 3:
+        return (w1 + 1, xi2, xi3)
+    if index not in (1, 2):
+        raise ValueError("generator index must be 1, 2 or 3")
+    gen = structure.output_pair[index - 1]
+    s = structure.shifts[index - 1]
+    regime = structure.spec.regime
+    xi1 = np.exp(TWO_PI_I * w1)
+    if regime.tag == "NonResonant":
+        _, a2, a3 = gen.data
+        return (w1 + s, a2 * xi2, a3 * xi3)
+    if regime.tag == "Single":
+        _, a2, a3, eps = gen.data
+        p, q = regime.p, regime.q
+        return (w1 + s, a2 * xi2, a3 * xi3 + eps * xi1 ** p * xi2 ** q)
+    _, mat = gen.data
+    tail = tau(xi1, regime.p, mat) @ np.array([xi2, xi3])
+    return (w1 + s, tail[0], tail[1])
+
+
+def equivariance_residual(structure, index, w):
+    """Relative size of Dev(deck_index(w)) - rho(e_index) . Dev(w)."""
+    lhs = dev_eval(structure.dev, deck_transform(structure, index, w)).array()
+    base = dev_eval(structure.dev, w)
+    rhs = apply(structure.spec.generators[index - 1], base).array()
+    return float(np.max(np.abs(lhs - rhs)) / (1 + np.max(np.abs(rhs))))
+
+
+def sample_cover_points(rng, samples):
+    pts = []
+    while len(pts) < samples:
+        w1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        vec = rng.normal(size=2) + 1j * rng.normal(size=2)
+        norm = np.linalg.norm(vec)
+        if norm < 1e-6:
+            continue
+        vec = vec / norm * rng.uniform(0.5, 2.0)
+        pts.append((w1, vec[0], vec[1]))
+    return pts
+
+
+def check_structure(spec, samples=100, tol=1e-9, seed=0):
+    """Sampled equivariance verification of the structure carried by spec.
+
+    Deterministic for a fixed seed.  The structure is flagged complete
+    (uniformizable) exactly when the third generator is the identity.
+    """
+    if samples < 1:
+        raise ValueError("need at least one sample")
+    structure = build_structure(spec)
+    rng = np.random.default_rng(seed)
+    pts = sample_cover_points(rng, samples)
+    per_gen = []
+    for index in (1, 2, 3):
+        res = [equivariance_residual(structure, index, w) for w in pts]
+        per_gen.append((index, max(res), float(np.mean(res))))
+    max_res = max(m for _, m, _ in per_gen)
+    mean_res = float(np.mean([a for _, _, a in per_gen]))
+    cgen = spec.generators[2]
+    complete = np.max(np.abs(cgen.params()
+                             - identity(spec.regime).params())) < 1e-12
+    return StructureReport(max_res <= tol, max_res, mean_res,
+                           tuple(per_gen), bool(complete), seed, samples)
+
+
+# ---------------------------------------------------------------- suites
+
+def _random_element(rng, regime):
+    def c(scale=1.0):
+        return complex(rng.normal(), rng.normal()) * scale
+    if regime.tag == "NonResonant":
+        return GroupElement(regime, (2 + c(0.3), 1 + c(0.3), 0.7 + c(0.2)))
+    if regime.tag == "Single":
+        return GroupElement(regime, (2 + c(0.3), 1 + c(0.3), 0.7 + c(0.2),
+                                     c(0.4)))
+    return GroupElement(regime, (2 + c(0.3),
+                                 np.eye(2) + rng.normal(size=(2, 2)) * 0.4
+                                 + 1j * rng.normal(size=(2, 2)) * 0.4))
+
+
+def _random_point(rng):
+    return PointV((2 + complex(rng.normal(), rng.normal()),
+                   complex(rng.normal(), rng.normal()),
+                   1 + complex(rng.normal(), rng.normal())))
+
+
+def oracle_group_laws(seed, samples, tol, fault):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for regime in _REGIMES:
+        for _ in range(samples):
+            f = _random_element(rng, regime)
+            g = _random_element(rng, regime)
+            h = _random_element(rng, regime)
+            x = _random_point(rng)
+            fg = compose(f, g)
+            if fault:
+                # corrupt one intermediate composition
+                fg = element_from_params(regime, fg.params() * (1 + 1e-3))
+                fault = False
+            scale = 1 + max(np.max(np.abs(e.params()))
+                            for e in (f, g, h))
+            assoc = np.max(np.abs(compose(fg, h).params()
+                                  - compose(f, compose(g, h)).params()))
+            inv = np.max(np.abs(compose(f, inverse(f)).params()
+                                - identity(regime).params()))
+            hom = np.max(np.abs(apply(fg, x).array()
+                                - apply(f, apply(g, x)).array()))
+            worst = max(worst, assoc / scale, inv / scale,
+                        hom / (1 + np.max(np.abs(x.array()))))
+    return {"name": "group-laws", "samples": samples,
+            "max_residual": worst, "passed": worst <= tol}
+
+
+def _random_chart_point(rng, p=0, q=1):
+    """A random T point, or a T_pq point when q >= 2, whose second shear
+    entry solves the shear-compatibility clause (T is the case p = 0,
+    q = 1)."""
+    def c(scale=1.0):
+        return complex(rng.normal(), rng.normal()) * scale
+    a = (1.5 + c(0.2), 2.0 + c(0.2), 0.5 + c(0.1))
+    b = (0.8 + c(0.2), 1.3 + c(0.2), 0.4 + c(0.1))
+    eps = c(0.3)
+    amat = np.diag(a).astype(complex)
+    amat[2, 1] = eps
+    bmat = np.diag(b).astype(complex)
+    bmat[2, 1] = (eps * (b[2] - b[0] ** p * b[1] ** q)
+                  / (a[2] - a[0] ** p * a[1] ** q))
+    if q == 1:
+        return FamilyPoint("T", amat, bmat, lam=c(0.5))
+    return FamilyPoint("T_pq", amat, bmat, lam=c(0.5), p=p, q=q)
+
+
+def _pair_diff(u, v):
+    out = max(np.max(np.abs(u[0].amat - v[0].amat)),
+              np.max(np.abs(u[0].bmat - v[0].bmat)),
+              np.max(np.abs(u[1].array() - v[1].array())))
+    if u[0].lam is not None and v[0].lam is not None:
+        out = max(out, abs(u[0].lam - v[0].lam))
+    return float(out)
+
+
+def oracle_gluing(seed, samples, tol, p, q, fault):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        point = _random_chart_point(rng)
+        x = _random_point(rng)
+        out = glue_psi_p(point, x, p)
+        if fault:
+            bad = np.array(out[0].amat)
+            bad[1, 1] *= 1 + 1e-3
+            out = (FamilyPoint("S_p", bad, out[0].bmat, p=p), out[1])
+            fault = False
+        scale = 1 + np.max(np.abs(out[1].array()))
+        for word in ((1, 0), (0, 1)):
+            lhs = glue_psi_p(point, family_action(point, word, x), p)
+            rhs = (out[0], family_action(out[0], word, out[1]))
+            worst = max(worst, _pair_diff(lhs, rhs) / scale)
+        back = invert_psi_p(out[0], out[1], p)
+        worst = max(worst, _pair_diff(back, (point, x)) / scale)
+
+        point = _random_chart_point(rng, p, q)
+        x = _random_point(rng)
+        out = glue_phi_pq(point, x, p, q)
+        scale = 1 + np.max(np.abs(out[1].array()))
+        for word in ((1, 0), (0, 1)):
+            lhs = glue_phi_pq(point, family_action(point, word, x), p, q)
+            rhs = (out[0], family_action(out[0], word, out[1]))
+            worst = max(worst, _pair_diff(lhs, rhs) / scale)
+        back = invert_phi_pq(out[0], out[1], p, q)
+        worst = max(worst, _pair_diff(back, (point, x)) / scale)
+    return {"name": "gluing", "samples": samples, "p": p, "q": q,
+            "max_residual": worst, "passed": worst <= tol}
+
+
+def oracle_developing(seed, samples, fault):
+    pair = holonomy_pair(_E1)
+    nr = ResonanceClass("NonResonant")
+    s12 = ResonanceClass("Single", p=1, q=2)
+    d1 = ResonanceClass("Double", p=1)
+    third = (1 + 1e-3, 1 - 2e-3, 1 + 1e-3j)
+    if fault:
+        third = (1.05, 1 - 2e-3, 1 + 1e-3j)
+
+    def single(x1, x2, x3, kappa=0.4):
+        return GroupElement(s12, (x1, x2, x3, kappa * (x3 - x1 * x2 ** 2)))
+
+    specs = (
+        StructureSpec((GroupElement(nr, pair.alpha),
+                       GroupElement(nr, pair.beta),
+                       GroupElement(nr, third)), base_config=_E1),
+        StructureSpec((single(2, 0.6, 0.5),
+                       single(1 + 1j, 0.5j, -0.3 + 0.2j),
+                       single(1.01, 1.02, 0.97))),
+        StructureSpec((GroupElement(d1, (2 + 0.5j, np.diag([1.3, 0.7 - 0.2j]))),
+                       GroupElement(d1, (0.8, np.diag([0.5j, 1.1]))),
+                       GroupElement(d1, (1.02, np.diag([0.99, 1.03]))))),
+    )
+    worst = 0.0
+    results = []
+    for spec in specs:
+        rep = check_structure(spec, samples=samples, seed=seed)
+        worst = max(worst, rep.max_residual)
+        results.append({"regime": spec.regime.tag,
+                        "max_residual": rep.max_residual,
+                        "complete": rep.complete})
+    return {"name": "developing", "samples": samples, "structures": results,
+            "max_residual": worst, "passed": worst <= 1e-9}
+
+
