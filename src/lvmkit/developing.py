@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rep_variety import StructureSpec, psi_case, psi_nonresonant, psi_resonant
+from .holonomy import TWO_PI_I
+from .rep_variety import (StructureSpec, _principal_c, psi_case,
+                          psi_nonresonant, psi_resonant)
 from .resonant_group import (_cmul, _expm2, _l_matrices, _numpy_powers,
                              _points_ok, _to_point, apply_checked, group_log,
                              identity, replay)
 
-TWO_PI_I = 2j * np.pi
 # cover points per array block, which bounds the memory a large sample
 # count takes
 _BLOCK = 4096
@@ -37,9 +38,6 @@ class DevMap:
     regime: object
     case: str  # "canonical-form" | "affine" | "generic" | "degenerate"
     params: tuple
-
-    def __call__(self, w):
-        return dev_eval(self, w)
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,7 @@ def build_structure(spec):
     regime = spec.regime
     if regime.tag == "NonResonant":
         pair, tail, shifts = psi_nonresonant(spec)
-        c = tuple(np.log(complex(g)) / TWO_PI_I for g in spec.generators[2].data)
+        c = tuple(_principal_c(g) for g in spec.generators[2].data)
         dev = DevMap(regime, "canonical-form", c)
         return DevStructure(spec, pair, shifts, dev, tail)
     pair, shifts = psi_resonant(spec)

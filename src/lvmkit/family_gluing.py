@@ -122,31 +122,6 @@ class FamilyPoint:
         """The lower-right 2x2 blocks of both matrices."""
         return self.amat[1:, 1:], self.bmat[1:, 1:]
 
-    def as_dict(self):
-        def pairs(mat):
-            return [[float(z.real), float(z.imag)] for z in mat.ravel()]
-        out = {"space": self.space,
-               "amat": pairs(self.amat), "bmat": pairs(self.bmat)}
-        if self.lam is not None:
-            out["lambda"] = [float(self.lam.real), float(self.lam.imag)]
-        if self.p is not None:
-            out["p"] = int(self.p)
-        if self.q is not None:
-            out["q"] = int(self.q)
-        return out
-
-
-def family_point_from_dict(doc):
-    def mat(entries):
-        flat = [complex(re, im) for re, im in entries]
-        if len(flat) != 9:
-            raise ValueError("expected 9 row-major [re, im] entries")
-        return np.array(flat).reshape(3, 3)
-    lam = doc.get("lambda")
-    return FamilyPoint(doc["space"], mat(doc["amat"]), mat(doc["bmat"]),
-                       lam=None if lam is None else complex(lam[0], lam[1]),
-                       p=doc.get("p"), q=doc.get("q"))
-
 
 def _paired_eigendata(point):
     """Eigen-data (alpha_1..3, beta_1..3) of an S_p candidate.

@@ -75,20 +75,22 @@ def omega_matrix(config):
     return omega
 
 
-def holonomy_pair(config):
+def pairings(config):
+    """(Omega, u, w): the complex bilinear pairings u_j = d_j^T Omega^{-1} e_1
+    and w_j = d_j^T Omega^{-1} e_2 of the tail differences
+    d_j = Lambda_{j+3} - Lambda_1, j = 1, 2, 3."""
     omega = omega_matrix(config)
     v = [np.asarray(w, dtype=complex) for w in config.vectors]
     inv = np.linalg.inv(omega)
-    alpha = []
-    beta = []
-    for j in range(3):
-        d = v[j + 3] - v[0]
-        # complex bilinear pairing <d, inv @ K> = d^T inv K
-        u = d @ inv[:, 0]
-        w = d @ inv[:, 1]
-        alpha.append(np.exp(TWO_PI_I * u))
-        beta.append(np.exp(TWO_PI_I * w))
-    pair = HolonomyPair(tuple(alpha), tuple(beta), omega)
+    d = [v[j + 3] - v[0] for j in range(3)]
+    return (omega, np.array([x @ inv[:, 0] for x in d]),
+            np.array([x @ inv[:, 1] for x in d]))
+
+
+def holonomy_pair(config):
+    omega, u, w = pairings(config)
+    pair = HolonomyPair(tuple(np.exp(TWO_PI_I * x) for x in u),
+                        tuple(np.exp(TWO_PI_I * x) for x in w), omega)
     violations = validate_holonomy(pair)
     if violations:
         raise ValueError("eigen-data violates structural constraints: %s"

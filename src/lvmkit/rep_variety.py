@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holonomy import holonomy_pair, omega_matrix
+from .holonomy import TWO_PI_I, holonomy_pair, pairings
 from .resonant_group import (
+    COMMUTE_TOL,
     GroupElement,
     commutation_residual,
     compose,
@@ -27,8 +28,9 @@ from .resonant_group import (
     inverse,
 )
 
-TWO_PI_I = 2j * np.pi
 SV_THRESHOLD = 1e-8
+# step of the finite-difference commutator Jacobian
+FD_STEP = 1e-6
 MIN_GAP = 10.0
 TOL_CASE = 1e-12
 REJECTION_RADIUS = 1.0
@@ -57,7 +59,6 @@ class StructureSpec:
     """
     generators: tuple
     base_config: object = None
-    tol: float = 1e-8
 
     def __post_init__(self):
         gens = tuple(self.generators)
@@ -69,7 +70,7 @@ class StructureSpec:
         scale = 1 + max(np.max(np.abs(g.params())) for g in gens)
         for i in range(3):
             for j in range(i + 1, 3):
-                if commutation_residual(gens[i], gens[j]) > self.tol * scale:
+                if commutation_residual(gens[i], gens[j]) > COMMUTE_TOL * scale:
                     raise ValueError(
                         "generators %d and %d do not commute" % (i + 1, j + 1))
         object.__setattr__(self, "generators", gens)
@@ -110,7 +111,7 @@ def _commutator_params(f, g):
     return compose(f, g).params() - compose(g, f).params()
 
 
-def _jacobian_rank(pair, cls, h):
+def _jacobian_rank(pair, cls):
     """(rank, gap) of the finite-difference Jacobian of the commutator map
     with respect to all group parameters of both elements (the map is
     holomorphic, so real increments determine the complex derivative).
@@ -128,9 +129,10 @@ def _jacobian_rank(pair, cls, h):
     for which in range(2):
         for k in range(n):
             pf, pg = f.params().copy(), g.params().copy()
-            (pf if which == 0 else pg)[k] += h
+            (pf if which == 0 else pg)[k] += FD_STEP
             cols.append((_commutator_params(element_from_params(cls, pf),
-                                            element_from_params(cls, pg)) - base) / h)
+                                            element_from_params(cls, pg)) - base)
+                        / FD_STEP)
     sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
     if sv[0] <= 1e-9 * scale:
         return 0, np.inf  # the whole parameter space is tangent
@@ -141,59 +143,42 @@ def _jacobian_rank(pair, cls, h):
     return rank, float(rel[rank - 1] / rel[rank])
 
 
-def tangent_dimension(pair, cls, h=1e-6):
+def tangent_dimension(pair, cls):
     """Complex dimension of the Zariski tangent space to the commuting-
     pair variety at the given pair: 2 * (group dimension) minus the rank
     of the commutator Jacobian (see ``_jacobian_rank``).
     """
-    rank, gap = _jacobian_rank(pair, cls, h)
+    rank, gap = _jacobian_rank(pair, cls)
     if gap < MIN_GAP:
         warnings.warn("RankAmbiguous: singular-value gap %.2f below %.0f"
                       % (gap, MIN_GAP))
     return 2 * len(pair[0].params()) - rank
 
 
-def tangent_gap(pair, cls, h=1e-6):
+def tangent_gap(pair, cls):
     """Ratio between the smallest kept and largest dropped singular value
     (inf when the Jacobian vanishes or has full rank)."""
-    return _jacobian_rank(pair, cls, h)[1]
+    return _jacobian_rank(pair, cls)[1]
 
 
 def _principal_c(gamma):
     return np.log(complex(gamma)) / TWO_PI_I
 
 
-def _base_pairings(config):
-    """(u0, v0) pairings of the anchor tail against the difference matrix."""
-    omega = omega_matrix(config)
-    inv = np.linalg.inv(omega)
-    v = [np.asarray(w, dtype=complex) for w in config.vectors]
-    u0 = np.array([ (v[j + 3] - v[0]) @ inv[:, 0] for j in range(3)])
-    v0 = np.array([ (v[j + 3] - v[0]) @ inv[:, 1] for j in range(3)])
-    return omega, u0, v0
-
-
-def _nonres_residual(uv, c, alpha, beta):
+def _nonres_exps(uv, c):
+    """The six exponentials of the non-resonant projection equations."""
     u, v = uv[:3], uv[3:]
-    return np.array([
-        np.exp(TWO_PI_I * u[0] * (1 + c[0])) - alpha[0],
-        np.exp(TWO_PI_I * (u[1] + u[0] * c[1])) - alpha[1],
-        np.exp(TWO_PI_I * (u[2] + u[0] * c[2])) - alpha[2],
-        np.exp(TWO_PI_I * v[0] * (1 + c[0])) - beta[0],
-        np.exp(TWO_PI_I * (v[1] + v[0] * c[1])) - beta[1],
-        np.exp(TWO_PI_I * (v[2] + v[0] * c[2])) - beta[2],
-    ])
+    return np.array([np.exp(TWO_PI_I * u[0] * (1 + c[0])),
+                     np.exp(TWO_PI_I * (u[1] + u[0] * c[1])),
+                     np.exp(TWO_PI_I * (u[2] + u[0] * c[2])),
+                     np.exp(TWO_PI_I * v[0] * (1 + c[0])),
+                     np.exp(TWO_PI_I * (v[1] + v[0] * c[1])),
+                     np.exp(TWO_PI_I * (v[2] + v[0] * c[2]))])
 
 
 def _nonres_jacobian(uv, c):
-    u, v = uv[:3], uv[3:]
     jac = np.zeros((6, 6), dtype=complex)
-    e = [np.exp(TWO_PI_I * u[0] * (1 + c[0])),
-         np.exp(TWO_PI_I * (u[1] + u[0] * c[1])),
-         np.exp(TWO_PI_I * (u[2] + u[0] * c[2])),
-         np.exp(TWO_PI_I * v[0] * (1 + c[0])),
-         np.exp(TWO_PI_I * (v[1] + v[0] * c[1])),
-         np.exp(TWO_PI_I * (v[2] + v[0] * c[2]))]
+    e = _nonres_exps(uv, c)
     jac[0, 0] = TWO_PI_I * (1 + c[0]) * e[0]
     jac[1, 0] = TWO_PI_I * c[1] * e[1]
     jac[1, 1] = TWO_PI_I * e[1]
@@ -207,14 +192,13 @@ def _nonres_jacobian(uv, c):
     return jac
 
 
-def _damped_newton(residual, jacobian, x0, anchor, scale=1.0,
-                   max_iter=50, step_tol=1e-14):
+def _damped_newton(residual, jacobian, x0, anchor, scale=1.0):
     x = np.array(x0, dtype=complex)
     noise_floor = 1e-13 * (scale + np.max(np.abs(x)))
     if np.max(np.abs(x - anchor)) > REJECTION_RADIUS:
         raise NoConvergence("initial guess outside the branch-anchor "
                             "neighborhood")
-    for _ in range(max_iter):
+    for _ in range(50):
         r = residual(x)
         if np.max(np.abs(r)) <= noise_floor:
             return x
@@ -234,7 +218,7 @@ def _damped_newton(residual, jacobian, x0, anchor, scale=1.0,
         x = x - t * step
         if np.max(np.abs(x - anchor)) > REJECTION_RADIUS:
             raise NoConvergence("iterate left the branch-anchor neighborhood")
-        if t * np.max(np.abs(step)) < step_tol:
+        if t * np.max(np.abs(step)) < 1e-14:
             return x
     raise NoConvergence("Newton did not converge in 50 iterations")
 
@@ -256,7 +240,7 @@ def psi_nonresonant(spec):
     beta = np.asarray(b.data, dtype=complex)
     c = np.array([_principal_c(g) for g in cgen.data])
 
-    omega, u0, v0 = _base_pairings(spec.base_config)
+    omega, u0, v0 = pairings(spec.base_config)
     base = holonomy_pair(spec.base_config)
     alpha0 = np.asarray(base.alpha)
     beta0 = np.asarray(base.beta)
@@ -274,10 +258,11 @@ def psi_nonresonant(spec):
     v[2] = v0[2] + dv[2] - v[0] * c[2]
 
     anchor = np.concatenate([u0, v0])
-    uv = _damped_newton(lambda x: _nonres_residual(x, c, alpha, beta),
+    target = np.concatenate([alpha, beta])
+    uv = _damped_newton(lambda x: _nonres_exps(x, c) - target,
                         lambda x: _nonres_jacobian(x, c),
                         np.concatenate([u, v]), anchor,
-                        scale=np.max(np.abs(np.concatenate([alpha, beta]))))
+                        scale=np.max(np.abs(target)))
     u, v = uv[:3], uv[3:]
 
     a_rho = GroupElement(spec.regime, tuple(np.exp(TWO_PI_I * u)))
@@ -302,45 +287,38 @@ def _solve_scaling(target, c, anchor):
     return out[0]
 
 
-def psi_resonant(spec, tol_case=TOL_CASE):
+def psi_resonant(spec):
     """Project a resonant commuting triple (A, B, C) to a commuting pair.
 
     Returns ((A_rho, B_rho), (s1, s2)) with the deck translation lengths
     s1 = Log(delta)/2i pi, s2 = Log(eta)/2i pi.
     """
     regime = spec.regime
+    if regime.tag not in ("Single", "Double"):
+        raise ValueError("psi_resonant needs a resonant regime")
     a, b, cgen = spec.generators
+    c = _principal_c(cgen.data[0])
+    delta = _solve_scaling(a.data[0], c, a.data[0])
+    eta = _solve_scaling(b.data[0], c, b.data[0])
+    s1 = np.log(delta) / TWO_PI_I
+    s2 = np.log(eta) / TWO_PI_I
     if regime.tag == "Double":
-        gamma = cgen.data[0]
-        delta = _solve_scaling(a.data[0], _principal_c(gamma), a.data[0])
-        eta = _solve_scaling(b.data[0], _principal_c(gamma), b.data[0])
         x = group_log(cgen)
-        s1 = np.log(delta) / TWO_PI_I
-        s2 = np.log(eta) / TWO_PI_I
         a_rho = compose(inverse(group_exp(x.scaled(s1))), a)
         b_rho = compose(inverse(group_exp(x.scaled(s2))), b)
         return (a_rho, b_rho), (s1, s2)
-    if regime.tag != "Single":
-        raise ValueError("psi_resonant needs a resonant regime")
 
     p, q = regime.p, regime.q
-    alpha, a1, a4, a3 = a.data
-    beta, b1, b4, b3 = b.data
+    _, a1, a4, a3 = a.data
+    _, b1, b4, b3 = b.data
     gamma, c1, c4, c3 = cgen.data
-    delta = _solve_scaling(alpha, _principal_c(gamma), alpha)
-    eta = _solve_scaling(beta, _principal_c(gamma), beta)
-    s1 = np.log(delta) / TWO_PI_I
-    s2 = np.log(eta) / TWO_PI_I
-
     d1 = a1 * np.exp(-s1 * np.log(c1))
     d4 = a4 * np.exp(-s1 * np.log(c4))
     e1 = b1 * np.exp(-s2 * np.log(c1))
     e4 = b4 * np.exp(-s2 * np.log(c4))
 
-    gap = abs(c4 - gamma ** p * c1 ** q)
-    degenerate = gap < tol_case * (1 + abs(c4))
-    if degenerate:
-        if gap > 0:
+    if psi_case(spec) == "degenerate":
+        if c4 != gamma ** p * c1 ** q:
             warnings.warn("case boundary: treating c4 = gamma^p c1^q "
                           "as the degenerate branch")
         d3 = a3 * (d4 / a4) - (c3 / c4) * s1 * delta ** p * d1 ** q
@@ -353,13 +331,13 @@ def psi_resonant(spec, tol_case=TOL_CASE):
     return (a_rho, b_rho), (s1, s2)
 
 
-def psi_case(spec, tol_case=TOL_CASE):
+def psi_case(spec):
     """Which resonant formula applies: 'affine' (q=1), 'generic' or
     'degenerate' (q >= 2)."""
     if spec.regime.tag == "Double":
         return "affine"
     gamma, c1, c4, _ = spec.generators[2].data
     p, q = spec.regime.p, spec.regime.q
-    if abs(c4 - gamma ** p * c1 ** q) < tol_case * (1 + abs(c4)):
+    if abs(c4 - gamma ** p * c1 ** q) < TOL_CASE * (1 + abs(c4)):
         return "degenerate"
     return "generic"

@@ -136,7 +136,7 @@ def _screened(h, tol, bound):
     return found
 
 
-def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND, warn_near=True):
+def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
     """All resonances of h with |p1| <= bound, 0 <= p2, p3 <= bound.
 
     One pruned search of the box.  The log screen passes z only if the
@@ -158,7 +158,7 @@ def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND, warn_near=True):
             found.append(Resonance(j, p))
         elif residual <= 10 * tol:
             near.append((j, p, residual))
-    if near and warn_near:
+    if near:
         near.sort(key=lambda t: (t[2], t[0], t[1]))
         warnings.warn("near-resonances within 10x tolerance: %d exponents, "
                       "closest %s"
@@ -219,8 +219,8 @@ class ResonantVectorField:
     def as_dict(self):
         return dict(self.terms)
 
-    def is_zero(self, tol=0.0):
-        return all(abs(a) <= tol for _, a in self.terms)
+    def is_zero(self):
+        return all(a == 0 for _, a in self.terms)
 
     def max_coeff(self):
         return max((abs(a) for _, a in self.terms), default=0.0)

@@ -30,6 +30,8 @@ import numpy as np
 from .resonance import ResonanceClass
 
 TOL_SEP = 1e-8
+# relative commutation residual up to which elements count as commuting
+COMMUTE_TOL = 1e-8
 _NAN = complex(np.nan, np.nan)
 
 
@@ -462,16 +464,17 @@ def p_eigenvalues_many(alpha, mat, p):
     return roots
 
 
-def triangularize(f, tol=1e-10):
+def triangularize(f):
     """Conjugate a Double element to lower-triangular form.
 
     Returns (h, t) with h = (1, P) and t = h^{-1} f h whose matrix has
-    zero upper-right entry.  The triangular eigenvalue is the first of
-    ``p_eigenvalues``, so conjugators are reproducible.
+    zero upper-right entry; an element whose upper-right entry is at
+    most 1e-10 counts as triangular already.  The triangular eigenvalue is
+    the first of ``p_eigenvalues``, so conjugators are reproducible.
     """
     a1, mat = f.data
     p = f.regime.p
-    if abs(mat[0, 1]) <= tol:
+    if abs(mat[0, 1]) <= 1e-10:
         return identity(f.regime), f
     lam = p_eigenvalues(a1, mat, p)[0]
     y = _null_vector(mat - lam * _l_matrix(a1, p))
@@ -484,10 +487,10 @@ def triangularize(f, tol=1e-10):
     return h, t
 
 
-def simultaneous_triangularize(f, g, tol=1e-8):
+def simultaneous_triangularize(f, g):
     """Common lower-triangular form of a commuting Double pair."""
-    if commutation_residual(f, g) > tol * (1 + max(np.max(np.abs(f.params())),
-                                                   np.max(np.abs(g.params())))):
+    scale = 1 + max(np.max(np.abs(f.params())), np.max(np.abs(g.params())))
+    if commutation_residual(f, g) > COMMUTE_TOL * scale:
         raise ValueError("elements do not commute within tolerance")
     a1, amat = f.data
     b1, bmat = g.data
@@ -523,18 +526,18 @@ def _eigen_residual(mat, lmat, y):
     return float(np.linalg.norm(w - lam * y))
 
 
-def diagonalize_pair(f, g, tol_sep=TOL_SEP):
+def diagonalize_pair(f, g):
     """Simultaneous linear-diagonal form of a commuting Single pair.
 
     The conjugator is h: x3 -> x3 + c x1^p x2^q with
     c = -eps / (a3 - a1^p a2^q); when that denominator (relative to the
-    element scale) is below tol_sep the pair is genuinely resonant and no
+    element scale) is at most TOL_SEP the pair is genuinely resonant and no
     diagonalization exists.
     """
     a1, a2, a3, eps = f.data
     p, q = f.regime.p, f.regime.q
     gap = a3 - a1 ** p * a2 ** q
-    if abs(gap) <= tol_sep * (1 + abs(a3)):
+    if abs(gap) <= TOL_SEP * (1 + abs(a3)):
         raise IllConditioned("linear part is resonant: |a3 - a1^p a2^q| too small")
     c = -eps / gap
     h = GroupElement(f.regime, (1, 1, 1, c))

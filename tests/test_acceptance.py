@@ -237,8 +237,7 @@ def test_criterion_06_resonance_detection():
     agreements = 0
     for i in range(200):
         pair = _random_eigendata(rng, REGIMES[i % 3])
-        got = {(r.j, r.p) for r in find_resonances(pair, tol=tol, bound=bound,
-                                                   warn_near=False)}
+        got = {(r.j, r.p) for r in find_resonances(pair, tol=tol, bound=bound)}
         want = _oracle_resonances(pair, tol, bound)
         if got == want:
             agreements += 1

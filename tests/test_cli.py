@@ -204,10 +204,25 @@ class TestVerify:
         assert report["results"][0]["counterexample_witnessed"]
         assert report["results"][0]["probe_clean"]
 
-    def test_injected_fault_fails(self, runner):
-        result = runner.invoke(main, ["verify", "group-laws",
+    @pytest.mark.parametrize("suite", ["group-laws", "gluing", "developing",
+                                       "action", "all"])
+    def test_injected_fault_fails(self, runner, suite):
+        result = runner.invoke(main, ["verify", suite,
                                       "--samples", "10", "--inject-fault"])
         assert result.exit_code == 1
+
+    def test_refusing_suite_reports_failure(self, runner):
+        # powers of the chart eigenvalues overflow at p = 2000, and the
+        # chart maps refuse the non-finite matrices
+        result = runner.invoke(main, ["verify", "gluing", "--p", "2000",
+                                      "--json"])
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        report = json.loads(result.output)
+        assert report["passed"] is False
+        assert report["results"] == [{
+            "name": "gluing", "passed": False,
+            "failure": "ValueError: matrix entries must be finite"}]
 
     def test_unknown_suite(self, runner):
         result = runner.invoke(main, ["verify", "nonsense"])

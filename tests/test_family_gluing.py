@@ -13,7 +13,6 @@ from lvmkit.family_gluing import (
     _no_clash_window,
     check_condition,
     family_action,
-    family_point_from_dict,
     glue_phi_pq,
     glue_psi_p,
     invert_phi_pq,
@@ -161,16 +160,6 @@ class TestFamilyPoint:
         with pytest.raises(ValueError):
             FamilyPoint("T", np.diag([1.0, 2.0, 0.0]),
                         np.diag([1.0, 2.0, 3.0]), lam=0.0)
-
-    def test_dict_round_trip(self):
-        rng = np.random.default_rng(3)
-        for point in (rand_T(rng), rand_Tpq(rng, 1, 2)):
-            back = family_point_from_dict(point.as_dict())
-            assert back.space == point.space
-            assert np.max(np.abs(back.amat - point.amat)) < 1e-15
-            assert np.max(np.abs(back.bmat - point.bmat)) < 1e-15
-            assert abs(back.lam - point.lam) < 1e-15
-            assert back.p == point.p and back.q == point.q
 
 
 class TestCheckCondition:

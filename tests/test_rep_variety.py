@@ -245,7 +245,7 @@ class TestPsiResonantSingle:
         g, c1 = 1.01, 1.02
         spec = self.make_spec((g, c1, g * c1 ** 2 + 1e-14))
         with pytest.warns(UserWarning, match="case boundary"):
-            psi_resonant(spec, tol_case=1e-12)
+            psi_resonant(spec)
 
     def test_scaling_equation_satisfied(self):
         spec = self.make_spec((1.03, 0.98, 1.01))

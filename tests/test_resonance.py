@@ -51,7 +51,7 @@ class TestFindResonances:
 
     def test_matches_exhaustive_oracle(self):
         for h in (H_SINGLE, H_NONRES, H_DOUBLE):
-            fast = find_resonances(h, bound=SMALL_BOUND, warn_near=False)
+            fast = find_resonances(h, bound=SMALL_BOUND)
             slow = exhaustive_resonances(h, bound=SMALL_BOUND)
             assert fast == slow
 

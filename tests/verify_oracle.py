@@ -11,10 +11,10 @@ against it.
 import numpy as np
 
 from lvmkit.cli import _E1, _REGIMES
-from lvmkit.developing import TWO_PI_I, StructureReport, build_structure
+from lvmkit.developing import StructureReport, build_structure
 from lvmkit.family_gluing import (DENOM_TOL, MEMBERSHIP_TOL, FamilyPoint,
                                   NotInImage)
-from lvmkit.holonomy import holonomy_pair
+from lvmkit.holonomy import TWO_PI_I, holonomy_pair
 from lvmkit.rep_variety import StructureSpec
 from lvmkit.resonance import ResonanceClass, _power_residual
 from lvmkit.resonant_group import (GroupElement, IllConditioned, PointV,
@@ -471,11 +471,9 @@ def oracle_developing(seed, samples, fault):
     s12 = ResonanceClass("Single", p=1, q=2)
     d1 = ResonanceClass("Double", p=1)
     third = (1 + 1e-3, 1 - 2e-3, 1 + 1e-3j)
-    if fault:
-        third = (1.05, 1 - 2e-3, 1 + 1e-3j)
 
-    def single(x1, x2, x3, kappa=0.4):
-        return GroupElement(s12, (x1, x2, x3, kappa * (x3 - x1 * x2 ** 2)))
+    def single(x1, x2, x3, shift=0.0):
+        return GroupElement(s12, (x1, x2, x3, 0.4 * (x3 - x1 * x2 ** 2) + shift))
 
     specs = (
         StructureSpec((GroupElement(nr, pair.alpha),
@@ -483,7 +481,7 @@ def oracle_developing(seed, samples, fault):
                        GroupElement(nr, third)), base_config=_E1),
         StructureSpec((single(2, 0.6, 0.5),
                        single(1 + 1j, 0.5j, -0.3 + 0.2j),
-                       single(1.01, 1.02, 0.97))),
+                       single(1.01, 1.02, 0.97, 1e-9 if fault else 0.0))),
         StructureSpec((GroupElement(d1, (2 + 0.5j, np.diag([1.3, 0.7 - 0.2j]))),
                        GroupElement(d1, (0.8, np.diag([0.5j, 1.1]))),
                        GroupElement(d1, (1.02, np.diag([0.99, 1.03]))))),
