@@ -79,11 +79,18 @@ def _load_document(path):
                                % (path, exc.lineno, exc.colno, exc.msg))
 
 
+def _parse_pairs(pairs, what):
+    try:
+        return [complex(re, im) for re, im in pairs]
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError("malformed %s document: %s" % (what, exc))
+
+
 def _parse_config(doc):
     try:
         m = int(doc["m"])
-        vectors = tuple(
-            tuple(complex(re, im) for re, im in vec) for vec in doc["vectors"])
+        vectors = tuple(tuple(_parse_pairs(vec, "configuration"))
+                        for vec in doc["vectors"])
     except (KeyError, TypeError, ValueError) as exc:
         raise click.UsageError("malformed configuration document: %s" % exc)
     return m, vectors
@@ -190,6 +197,7 @@ def resonances(path, tol, bound, as_json):
     report = {"input": path, "tol": tol, "bound": bound}
     try:
         if "eigen_data" in doc:
+            _parse_pairs(doc["eigen_data"], "eigen-data")
             pair = pair_from_flat(doc["eigen_data"])
         else:
             config = Configuration(*_parse_config(doc))
@@ -488,7 +496,7 @@ def deform(path, seed, samples, tol, as_json):
     try:
         spec = StructureSpec(gens, base_config=config)
         result = check_structure(spec, samples=samples, tol=tol, seed=seed)
-    except (ValueError, NoConvergence, NotLVMError, BranchDomain) as exc:
+    except _REFUSALS + (NotLVMError,) as exc:
         report["failure"] = str(exc) or exc.__class__.__name__
         _emit(report, as_json)
         sys.exit(1)

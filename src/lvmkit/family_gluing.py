@@ -31,7 +31,7 @@ import numpy as np
 
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
 from .resonance import (DEFAULT_BOUND, ResonanceClass, _log_screen,
-                        _power_residual)
+                        _power_residual, _screened)
 from .resonant_group import (GroupElement, IllConditioned, PointV, _cmul,
                              _l_matrices, _l_matrix, _modulus, _null_vector,
                              _numpy_powers, _points_ok, _to_point,
@@ -178,17 +178,15 @@ def _paired_eigendata_many(amat, bmat, p):
 def _no_clash_window(a1, a2, a3, bound, tol, excluded=None):
     """True iff a3 != a1^r a2^s for every (r, s) in the window, s >= 1.
 
-    The whole window is screened at once; each screened word is then
-    decided by the scalar residual.
+    The window is screened as the resonance search screens its box, with
+    j = 3 and p3 = 0; each screened word is then decided by the scalar
+    residual.
     """
-    r = np.arange(-bound, bound + 1)[:, None]
-    s = np.arange(1, bound + 1)[None, :]
-    z = r * np.log(complex(a1)) + s * np.log(complex(a2)) - np.log(complex(a3))
-    for i, k in np.argwhere(_log_screen(z, tol)):
-        word = (int(r[i, 0]), int(s[0, k]))
-        if word != excluded and _power_residual((a1, a2), a3, word) <= tol:
-            return False
-    return True
+    logs = [np.log(np.array([a1, a2, a3], dtype=complex))]
+    words = {p[:2] for _, p in _screened(logs, (3,), np.arange(1, bound + 1),
+                                          np.zeros(1, int), tol, bound)}
+    return not any(_power_residual((a1, a2), a3, word) <= tol
+                   for word in words - {excluded})
 
 
 @dataclass(frozen=True)
@@ -237,63 +235,45 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
                     bound=DEFAULT_BOUND):
     """Clause-by-clause membership verdicts for the point's chart.
 
-    The infinite exponent quantifiers are evaluated over |r| <= bound,
-    1 <= s <= bound; the bound used is recorded in the report.  With
-    ``sharp=True`` the extra exact-relation clauses of the sharp variants
-    of the conditions are appended.
+    Each chart supplies its head clauses, eigen-data and excluded word,
+    and one tail of clauses follows.  The infinite exponent quantifiers
+    are evaluated over |r| <= bound, 1 <= s <= bound; the bound used is
+    recorded in the report.  With ``sharp=True`` the exact-relation
+    clauses of the sharp variants of the conditions are appended.
     """
-    a1, a2, a3, b1, b2, b3 = point.diagonals()
-    clauses = []
-    if point.space in ("T", "T_pq"):
-        eps = point.amat[2, 1]
-        delta = point.bmat[2, 1]
-        scale = 1 + max(abs(v) for v in point.diagonals())
-        clauses.append(("modulus-ordering", abs(a2) > abs(a3)))
+    if point.space == "S_p":
+        condition, word = "C_p", (point.p, 1)
+        cls = ResonanceClass("Double", p=point.p)
+        pair = tuple(GroupElement(cls, (m[0, 0], m[1:, 1:]))
+                     for m in (point.amat, point.bmat))
+        scale = 1 + max(np.max(np.abs(point.amat)), np.max(np.abs(point.bmat)))
+        clauses = [(name, abs(value) <= tol * scale)
+                   for name, value in variety_residual(pair, cls).equations]
+        data = _paired_eigendata(point)
+    else:
+        data = a1, a2, a3, b1, b2, b3 = point.diagonals()
+        eps, delta = point.amat[2, 1], point.bmat[2, 1]
         if point.space == "T":
-            condition = "C"
+            condition, word = "C", None
             r = eps * (b3 - b2) - delta * (a3 - a2)
-            excluded = None
         else:
-            condition = "K_pq"
-            p, q = point.p, point.q
-            r = (eps * (b3 - b1 ** p * b2 ** q)
-                 - delta * (a3 - a1 ** p * a2 ** q))
-            excluded = (p, q)
-        clauses.append(("shear-compatibility", abs(r) <= tol * scale))
-        clauses.append(("eigen-admissibility",
-                        _eigen_admissible(point.diagonals(), config, tol)))
-        clauses.append(("no-extra-resonance",
-                        _no_clash_window(a1, a2, a3, bound, tol, excluded)))
-        if sharp:
-            if point.space == "T":
-                raise ValueError("the plain condition C has no sharp variant")
-            condition = "K_pq^S"
-            clauses.append(("resonant-alpha",
-                            _power_residual((a1, a2), a3, (p, q)) <= tol))
-            clauses.append(("resonant-beta",
-                            _power_residual((b1, b2), b3, (p, q)) <= tol))
-        return MembershipReport(condition, tuple(clauses), bound, tol)
-    # S_p candidate
-    condition = "C_p"
-    p = point.p
-    cls = ResonanceClass("Double", p=p)
-    pair = (GroupElement(cls, (a1, point.blocks()[0])),
-            GroupElement(cls, (b1, point.blocks()[1])))
-    res = variety_residual(pair, cls)
-    scale = 1 + max(np.max(np.abs(point.amat)), np.max(np.abs(point.bmat)))
-    for name, value in res.equations:
-        clauses.append((name, abs(value) <= tol * scale))
-    data = _paired_eigendata(point)
+            condition, word = "K_pq", (point.p, point.q)
+            r = (eps * (b3 - b1 ** point.p * b2 ** point.q)
+                 - delta * (a3 - a1 ** point.p * a2 ** point.q))
+        scale = 1 + max(abs(v) for v in data)
+        clauses = [("modulus-ordering", abs(a2) > abs(a3)),
+                   ("shear-compatibility", abs(r) <= tol * scale)]
     clauses.append(("eigen-admissibility", _eigen_admissible(data, config, tol)))
     clauses.append(("no-extra-resonance",
-                    _no_clash_window(data[0], data[1], data[2], bound, tol,
-                                     excluded=(p, 1))))
+                    _no_clash_window(*data[:3], bound, tol, word)))
     if sharp:
-        condition = "C_p^S"
+        if word is None:
+            raise ValueError("the plain condition C has no sharp variant")
+        condition += "^S"
         clauses.append(("resonant-alpha",
-                        _power_residual(data[:2], data[2], (p, 1)) <= tol))
+                        _power_residual(data[:2], data[2], word) <= tol))
         clauses.append(("resonant-beta",
-                        _power_residual(data[3:5], data[5], (p, 1)) <= tol))
+                        _power_residual(data[3:5], data[5], word) <= tol))
     return MembershipReport(condition, tuple(clauses), bound, tol)
 
 
@@ -439,8 +419,11 @@ def invert_psi_p_many(amat, bmat, x, p):
     tol = MEMBERSHIP_TOL
     scale = 1 + np.maximum(_modulus(a2), _modulus(a3))
     unordered = _modulus(a2) <= _modulus(a3)
-    resonant = np.array([_power_residual((u, v), w, (p, 1)) <= tol
-                         for u, v, w in zip(a1, a2, a3)], dtype=bool)
+    # the screen is necessary for tol < 1; the residual decides the rest
+    with np.errstate(all="ignore"):
+        resonant = _log_screen(p * np.log(a1) + np.log(a2) - np.log(a3), tol)
+    resonant[resonant] = [_power_residual((u, v), w, (p, 1)) <= tol for u, v, w
+                          in zip(a1[resonant], a2[resonant], a3[resonant])]
     shear = _modulus(eps1) > tol * scale
     forced = ~shear & (_modulus(a2e - a2) > tol * scale)
 

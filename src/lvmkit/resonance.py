@@ -97,21 +97,20 @@ def _is_resonance(h, j, p, tol):
     return max(ra, rb) <= tol, max(ra, rb)
 
 
-def _screened(h, tol, bound):
-    """The (j, p) of the box that pass `_log_screen` for alpha and beta.
+def _screened(logs, js, p2s, p3s, tol, bound):
+    """The (j, p) with |p1| <= bound, p2 in p2s and p3 in p3s that pass
+    `_log_screen` for every triple of logs.
 
-    Only the exponents in both slabs (see find_resonances) are built, and
+    Only the exponents in every slab (see find_resonances) are built, and
     each is screened from the same per-axis products, added in the same
     order, as a scan of the whole box would screen it.
     """
     thr = _screen_bound(tol)
-    logs = [np.log(np.asarray(v, dtype=complex)) for v in (h.alpha, h.beta)]
     steps = np.arange(-bound, bound + 1) * 1.0
-    tables = [(steps * lg[0], steps[bound:] * lg[1], steps[bound:] * lg[2])
-              for lg in logs]
+    tables = [(steps * lg[0], p2s * lg[1], p3s * lg[2]) for lg in logs]
     found = set()
-    for j in (1, 2, 3):
-        lo = np.full((max(bound + 1, 0),) * 2, -bound * 1.0)
+    for j in js:
+        lo = np.full((len(p2s), len(p3s)), -bound * 1.0)
         hi = -lo
         for lg, (t1, t2, t3) in zip(logs, tables):
             # Re z is monotone in p1, so the slab is a p1 interval: found
@@ -131,7 +130,7 @@ def _screened(h, tol, bound):
         for lg, (t1, t2, t3) in zip(logs, tables):
             keep = _log_screen((t1[i1] + t2[i2]) + t3[i3] - lg[j - 1], tol)
             i1, i2, i3 = i1[keep], i2[keep], i3[keep]
-        found.update((j, (int(a) - bound, int(b), int(c)))
+        found.update((j, (int(a) - bound, int(p2s[b]), int(p3s[c])))
                      for a, b, c in zip(i1, i2, i3))
     return found
 
@@ -149,7 +148,10 @@ def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
     the undecided within 10 tol are warned about, by their count and the
     NEAR_SHOWN closest.
     """
-    candidates = {(j, EJ[j]) for j in (1, 2, 3)} | _screened(h, tol, bound)
+    logs = [np.log(np.asarray(v, dtype=complex)) for v in (h.alpha, h.beta)]
+    box = np.arange(bound + 1)
+    candidates = ({(j, EJ[j]) for j in (1, 2, 3)}
+                  | _screened(logs, (1, 2, 3), box, box, tol, bound))
     found = []
     near = []
     for j, p in sorted(candidates):

@@ -5,8 +5,9 @@ window, one at a time, with the scalar residual `_power_residual`.  They
 are slow and independent of the screens in
 `lvmkit.resonance.find_resonances` and
 `lvmkit.family_gluing._no_clash_window`, which the tests compare against
-them.  `box_screen` applies the log screen to the whole box at once; the
-pruned search must pass exactly the exponents it passes.
+them.  `box_screen` and `window_screen` apply the log screen to the whole
+box or window at once; the slab search `lvmkit.resonance._screened`
+must pass exactly the exponents they pass.
 """
 
 import numpy as np
@@ -60,3 +61,14 @@ def box_screen(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
         for i1, i2, i3 in hits:
             candidates.add((j, (int(p1s[i1]), int(p2s[i2]), int(p3s[i3]))))
     return candidates
+
+
+def window_screen(a1, a2, a3, bound, tol):
+    """The words (r, s) of the window |r| <= bound, 1 <= s <= bound whose
+    log-residual r log a1 + s log a2 - log a3 passes the log screen, as a
+    set."""
+    r = np.arange(-bound, bound + 1)[:, None]
+    s = np.arange(1, bound + 1)[None, :]
+    z = r * np.log(complex(a1)) + s * np.log(complex(a2)) - np.log(complex(a3))
+    return {(int(r[i, 0]), int(s[0, k]))
+            for i, k in np.argwhere(_log_screen(z, tol))}

@@ -105,6 +105,17 @@ class TestResonances:
         result = runner.invoke(main, ["resonances", path])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("pairs", [5, [5] * 6, [[1, 0, 0]] * 6,
+                                       [["1", 0]] * 6, [[None, 0]] * 6])
+    def test_structurally_malformed_eigen_data(self, runner, tmp_path,
+                                               pairs):
+        # pairs that do not parse are a usage error, as malformed
+        # configuration vectors are; six parsed pairs are still required
+        path = write(tmp_path, "eig.json", {"eigen_data": pairs})
+        result = runner.invoke(main, ["resonances", path, "--json"])
+        assert result.exit_code == 2
+        assert "malformed eigen-data document: " in result.output
+
     def test_negative_bound(self, runner, tmp_path):
         doc = {"eigen_data": [[2, 0], [0.6, 0], [0.72, 0],
                               [1, 1], [0, 0.5], [-0.25, -0.25]]}
@@ -280,6 +291,20 @@ class TestDeform:
         path = write(tmp_path, "bad.json", doc)
         result = runner.invoke(main, ["deform", path])
         assert result.exit_code == 1
+
+    def test_library_refusal_reported(self, runner, tmp_path):
+        # commuting Single generators whose a2^q overflows for q = 2000:
+        # the developing check refuses them with an OverflowError, which
+        # the report carries as a failure
+        doc = {"regime": {"tag": "Single", "p": 1, "q": 2000},
+               "generators": [flat((2, 0.6, 0.5, 0)),
+                              flat((1 + 1j, 0.5j, -0.3 + 0.2j, 0)),
+                              flat((1.01, 1.02, 0.97, 0))]}
+        path = write(tmp_path, "overflow.json", doc)
+        result = runner.invoke(main, ["deform", path, "--json"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert json.loads(result.output)["failure"] == "complex exponentiation"
 
     @pytest.mark.parametrize("regime,count,given", [
         ({"tag": "NonResonant"}, 3, 4),

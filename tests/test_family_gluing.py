@@ -1,10 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from lvmkit import family_gluing
 from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
-from lvmkit.resonance import ResonanceClass
+from lvmkit.resonance import ResonanceClass, _screen_bound, _screened
 from lvmkit.resonant_group import (GroupElement, IllConditioned, PointV,
                                    p_eigenvalues, triangularize)
 from lvmkit.family_gluing import (
@@ -18,7 +21,9 @@ from lvmkit.family_gluing import (
     invert_phi_pq,
     invert_psi_p,
 )
-from resonance_oracle import no_clash_window
+import membership_oracle
+from membership_oracle import no_clash_screened
+from resonance_oracle import no_clash_window, window_screen
 
 E1 = Configuration(2, (
     (1, 0),
@@ -64,6 +69,48 @@ def rand_Tpq(rng, p, q):
     amat[2, 1] = eps
     bmat = np.diag([b1, b2, b3]).astype(complex)
     bmat[2, 1] = delta
+    return FamilyPoint("T_pq", amat, bmat, lam=_c(rng, 0.5), p=p, q=q)
+
+
+def _phase(rng):
+    return np.exp(2j * np.pi * rng.uniform())
+
+
+def planted_chart_point(rng, space, plant):
+    """A T, T_pq or S_p point with random eigen-data, whose twisted
+    eigenvalues are (a2, a3) for S_p.  With plant, a3 = a1^r a2^s and
+    b3 = b1^r b2^s up to relative errors 1e-14..1e-1 for a word (r, s) of
+    the window, the chart's own word half the time; every fourth point
+    misses shear compatibility or, for S_p, the variety equations."""
+    a1, a2, a3, b1, b2, b3 = np.exp(rng.uniform(-0.6, 0.6, size=6)) * np.exp(
+        2j * np.pi * rng.uniform(size=6))
+    broken = rng.uniform() < 0.25
+    p, q = int(rng.integers(-2, 3)), int(rng.integers(2, 4))
+    own = {"T": None, "T_pq": (p, q), "S_p": (p, 1)}[space]
+    if plant:
+        r, s = own if own and rng.uniform() < 0.5 else (
+            int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+        a3 = a1 ** r * a2 ** s * (1 + 10 ** rng.uniform(-14, -1) * _phase(rng))
+        b3 = b1 ** r * b2 ** s * (1 + 10 ** rng.uniform(-14, -1) * _phase(rng))
+    if space == "S_p":
+        # the block diag(1, a1^p) N with N of eigenvalues a2, a3 a1^-p
+        conj = np.eye(2) + 0.3 * (rng.normal(size=(2, 2))
+                                  + 1j * rng.normal(size=(2, 2)))
+        mats = [np.zeros((3, 3), dtype=complex) for _ in range(2)]
+        for mat, (d1, d2, d3) in zip(mats, ((a1, a2, a3), (b1, b2, b3))):
+            mat[0, 0] = d1
+            mat[1:, 1:] = (np.diag([1, d1 ** p]) @ np.linalg.inv(conj)
+                           @ np.diag([d2, d3 * d1 ** -p]) @ conj)
+        mats[1][2, 1] += 0.1 * broken
+        return FamilyPoint("S_p", *mats, p=p)
+    u, v = own or (0, 1)
+    eps = _c(rng, 0.3)
+    delta = eps * (b3 - b1 ** u * b2 ** v) / (a3 - a1 ** u * a2 ** v)
+    delta += 0.1 * (1 + abs(delta)) * broken
+    amat, bmat = np.diag([a1, a2, a3]), np.diag([b1, b2, b3])
+    amat[2, 1], bmat[2, 1] = eps, delta
+    if space == "T":
+        return FamilyPoint("T", amat, bmat, lam=_c(rng, 0.5))
     return FamilyPoint("T_pq", amat, bmat, lam=_c(rng, 0.5), p=p, q=q)
 
 
@@ -227,6 +274,33 @@ class TestCheckCondition:
         rng = np.random.default_rng(7)
         assert check_condition(rand_T(rng), bound=9).bound == 9
 
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           space=st.sampled_from(["T", "T_pq", "S_p"]), plant=st.booleans(),
+           sharp=st.booleans(), witness=st.booleans(),
+           tol=st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 0.095, 1.0]),
+           bound=st.integers(-1, 16))
+    def test_matches_two_pipeline_oracle(self, seed, space, plant, sharp,
+                                         witness, tol, bound):
+        # one clause list for every chart gives the report, or raises the
+        # exception, of separate T/T_pq and S_p pipelines screening the
+        # whole window: a sharp T point raises after its four clauses,
+        # tol = 1 from the screen first
+        point = planted_chart_point(np.random.default_rng(seed), space, plant)
+        config = E1 if witness else None
+
+        def outcome(check):
+            try:
+                report = check(point, config=config, sharp=sharp, tol=tol,
+                               bound=bound)
+            except ValueError as exc:
+                return "ValueError: %s" % exc
+            return report.condition, report.clauses, report.bound, report.tol
+        got = outcome(check_condition)
+        assert got == outcome(membership_oracle.check_condition)
+        if space == "T" and sharp or tol >= 1:
+            assert got[:11] == "ValueError:"
+
 
 class TestNoClashWindow:
     @settings(max_examples=200, deadline=None)
@@ -255,6 +329,77 @@ class TestNoClashWindow:
         excluded = word if exclude else None
         assert _no_clash_window(a1, a2, a3, bound, tol, excluded) \
             == no_clash_window(a1, a2, a3, bound, tol, excluded)
+
+
+    @staticmethod
+    def screened_words(a1, a2, a3, bound, tol, excluded):
+        """The verdict of `_no_clash_window` and the words its screen
+        passed."""
+        seen = []
+
+        def spy(*args):
+            seen.append(_screened(*args))
+            return seen[-1]
+        with mock.patch.object(family_gluing, "_screened", spy):
+            verdict = _no_clash_window(a1, a2, a3, bound, tol, excluded)
+        assert all(j == 3 and p[2] == 0 for j, p in seen[0])
+        return verdict, {p[:2] for _, p in seen[0]}
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), bound=st.integers(-1, 17),
+           log_tol=st.floats(-12, np.log10(0.5)),
+           moduli=st.sampled_from(["generic", "unit_a1", "unit_a2",
+                                   "near_one", "extreme"]),
+           plant=st.booleans(), exclude=st.booleans())
+    def test_screens_the_whole_window(self, seed, bound, log_tol, moduli,
+                                      plant, exclude):
+        # the slab screen passes exactly the words a screen of the whole
+        # window passes, so the verdict is the whole-window one
+        rng = np.random.default_rng(seed)
+        logs = {"generic": rng.uniform(-0.7, 0.7, size=3),
+                "unit_a1": np.r_[0, rng.uniform(-0.7, 0.7, size=2)],
+                "unit_a2": np.r_[rng.uniform(-0.7, 0.7), 0,
+                                 rng.uniform(-0.7, 0.7)],
+                "near_one": rng.choice([-1, 1], size=3)
+                * rng.uniform(0.5, 2, size=3) * 1e-7,
+                "extreme": rng.choice([-1, 1], size=3)
+                * rng.uniform(4, 6, size=3)}[moduli]
+        a1, a2, a3 = np.exp(logs + 2j * np.pi * rng.uniform(size=3))
+        word = (int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+        if plant:
+            # a relation near a word of the window, so some words pass
+            a3 = a1 ** word[0] * a2 ** word[1] * (
+                1 + 10 ** rng.uniform(-12, -1) * _phase(rng))
+        tol = 10 ** log_tol
+        excluded = word if exclude else None
+        verdict, words = self.screened_words(a1, a2, a3, bound, tol, excluded)
+        assert words == window_screen(a1, a2, a3, bound, tol)
+        assert verdict == no_clash_screened(a1, a2, a3, bound, tol, excluded)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    @example(535)
+    @example(1594)
+    @example(1619)
+    def test_screens_the_whole_window_at_slab_edge(self, seed):
+        # z = log a1 + log a2 - log a3, as the screen computes it, lies
+        # within two ulps of the threshold, so the word (1, 1) sits on the
+        # edge of its slab.  Seeds 535, 1594 and 1619 need the slab's room
+        # for rounding: with neither its allowance nor its widening step,
+        # the interval drops a screened word there
+        rng = np.random.default_rng(seed)
+        tol = 10 ** rng.uniform(-12, np.log10(0.5))
+        thr = _screen_bound(tol)
+        a1, a2 = np.exp(rng.uniform(-0.7, 0.7, size=2)
+                        + 2j * np.pi * rng.uniform(size=2))
+        for k in rng.permutation(np.arange(-64, 65)):
+            a3 = a1 * a2 * np.exp(-thr) * (1 + k * 2.0 ** -53)
+            re = np.log(np.array([a1, a2, a3])).real
+            if abs(re[0] + re[1] - re[2] - thr) <= 2 * np.spacing(thr):
+                break
+        bound = int(rng.integers(1, 5))
+        _, words = self.screened_words(a1, a2, a3, bound, tol, None)
+        assert words == window_screen(a1, a2, a3, bound, tol)
 
 
 class TestFamilyAction:

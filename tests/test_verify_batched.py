@@ -19,8 +19,9 @@ from lvmkit.family_gluing import (FamilyPoint, _paired_eigendata,
 from lvmkit.rep_variety import StructureSpec
 from lvmkit.resonance import ResonanceClass
 from lvmkit.resonant_group import (GroupElement, PointV, _cdiv,
-                                   _numpy_powers, _python_powers, apply,
-                                   apply_many, checked, compose, compose_many,
+                                   _l_matrices, _numpy_powers, _python_powers,
+                                   apply, apply_many, checked, compose,
+                                   compose_many,
                                    element_from_params, identity, inverse,
                                    inverse_many, p_eigenvalues,
                                    p_eigenvalues_many)
@@ -251,6 +252,34 @@ class TestCharts:
         assert got.startswith("NotInImage")
         assert got == _outcome(lambda: _stack(
             [oracle.invert_psi_p(pt, y, 1) for pt, y in zip(sps, sx)], True))
+
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_resonant_clause(self, exact):
+        # twisted eigenvalues (a2, a1^p a2 (1 + 1e-6)) pass the log screen
+        # of the resonance clause but not its residual, so the inverse maps
+        # them; a row with a3' = a1^p a2' to rounding is refused, as a loop
+        # over the rows refuses it
+        rng = np.random.default_rng(5)
+        n, p = 6, 1
+        sa, sb = np.zeros((2, n, 3, 3), dtype=complex)
+        for mats in (sa, sb):
+            d1, d2 = (np.exp(rng.uniform(-0.6, -0.1, size=(2, n))
+                             + 2j * np.pi * rng.uniform(size=(2, n))))
+            conj = np.eye(2) + 0.3 * rng.normal(size=(n, 2, 2))
+            eigen = np.stack([d2, d2 * (1 + 1e-6)], axis=1)
+            mats[:, 0, 0] = d1
+            mats[:, 1:, 1:] = (_l_matrices(d1, p) @ np.linalg.inv(conj)
+                               @ (eigen[..., None] * conj))
+        if exact:  # a double root the quadratic finds to rounding
+            sa[3] = np.diag([0.5, 3, 1.5])
+        sx = cli._random_points(rng.normal(size=(n, 6)).view(complex))
+        sps = [FamilyPoint("S_p", a, b, p=p) for a, b in zip(sa, sb)]
+        got = _outcome(invert_psi_p_many, sa, sb, sx, p)
+        assert got.startswith("NotInImage: twisted eigenvalues satisfy"
+                              if exact else "[")
+        assert got == _outcome(lambda: _stack(
+            [oracle.invert_psi_p(pt, y, p) for pt, y in zip(sps, sx)], True))
 
 
 def _specs():
