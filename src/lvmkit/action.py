@@ -8,7 +8,9 @@ Both searches evaluate their word window as numpy arrays: the words
 f^r g^s are composed, and in the probe applied to every sample point, a
 block of words at a time.  The array arithmetic rounds as the scalar
 `compose` and `apply` do, operation for operation, so the searches
-decide what word-by-word evaluation decides.
+decide what word-by-word evaluation decides.  The probe skips words whose
+|h_1| sends every sample's |xi_1| out of the annulus and places images by
+squared moduli clear of its bounds; it decides the rest exactly.
 """
 
 from dataclasses import dataclass
@@ -25,6 +27,9 @@ ANNULUS_RADIUS = 1e2
 # words per array block (divided by the sample count in the probe), which
 # bounds the memory a large window or horizon takes
 _BLOCK = 1 << 16
+# relative allowance of the probe's screens, far above their few ulp of
+# rounding, which is relative for squared moduli in [_TINY, _HUGE]
+_SLACK, _TINY, _HUGE = 1e-12, 2.0 ** -960, 2.0 ** 960
 
 
 @dataclass(frozen=True)
@@ -125,13 +130,13 @@ def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
     if window < 1:
         raise ValueError("need window >= 1, got %r" % (window,))
     f, g = pair
-    fp = _powers(f, window)
-    gp = _powers(g, window)
-    words = _word_composer(f, g, fp, gp, window)
     r, s = _grid(window)
     other = (r != 0) | (s != 0)
     r, s = r[other], s[other]
     with np.errstate(over="ignore", invalid="ignore"):
+        fp = _powers(f, window)
+        gp = _powers(g, window)
+        words = _word_composer(f, g, fp, gp, window)
         for c in range(0, r.size, _BLOCK):
             rc, sc = r[c:c + _BLOCK], s[c:c + _BLOCK]
             h, ok = words(rc, sc)
@@ -177,11 +182,25 @@ class PropernessReport:
 def _in_annulus(y, radius):
     """Which images (..., 3) lie in the annulus 1/radius <= |xi1|,
     |(xi2, xi3)| <= radius.  Non-finite images fail, and so do images
-    outside V (xi1 = 0 or xi2 = xi3 = 0)."""
+    outside V (xi1 = 0 or xi2 = xi3 = 0).  Squared moduli decide where
+    they clear the squared bounds, clipped to [_TINY, _HUGE], by the
+    allowance; the moduli the scalar code takes decide the rest."""
     inner = 1 / radius
-    m1 = _modulus(y[..., 0])
-    m23 = np.hypot(_modulus(y[..., 1]), _modulus(y[..., 2]))
-    return (inner <= m1) & (m1 <= radius) & (inner <= m23) & (m23 <= radius)
+    lo, hi = inner * inner, radius * radius
+    out_lo = lo * (1 - _SLACK) if lo * (1 - _SLACK) >= _TINY else 0.0
+    out_hi = hi * (1 + _SLACK) if hi * (1 + _SLACK) <= _HUGE else np.inf
+    in_lo, in_hi = max(lo * (1 + _SLACK), _TINY), min(hi * (1 - _SLACK), _HUGE)
+    q = y.real * y.real + y.imag * y.imag
+    s1, s23 = q[..., 0], q[..., 1] + q[..., 2]
+    inside = (in_lo <= s1) & (s1 <= in_hi) & (in_lo <= s23) & (s23 <= in_hi)
+    # nan squares fail here, as their moduli (nan or inf) fail exactly
+    rest = ~inside & (out_lo <= s1) & (s1 <= out_hi) \
+        & (out_lo <= s23) & (s23 <= out_hi)
+    m1 = _modulus(y[rest, 0])
+    m23 = np.hypot(_modulus(y[rest, 1]), _modulus(y[rest, 2]))
+    inside[rest] = (inner <= m1) & (m1 <= radius) & (inner <= m23) \
+        & (m23 <= radius)
+    return inside
 
 
 def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
@@ -209,23 +228,32 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
         v *= m23 / np.linalg.norm(v)
         x[n] = m1 * np.exp(2j * np.pi * rng.uniform()), v[0], v[1]
     pts = [PointV(tuple(xi)) for xi in x]
-    fp = _powers(f, horizon)
-    gp = _powers(g, horizon)
-    words = _word_composer(f, g, fp, gp, horizon)
     r, s = _grid(horizon)
     band = np.maximum(abs(r), abs(s)) >= (horizon + 1) // 2
     r, s = r[band], s[band]
     block = max(1, _BLOCK // samples)
+    m = _modulus(x[:, 0])
     violations = []
     with np.errstate(over="ignore", invalid="ignore"):
+        # images have |xi1| = |h_1| |x_1| to a few ulp: a word whose |h_1|
+        # (normal, so accurate) sends every |x_1| beyond a bound by the
+        # allowance returns no sample
+        low = (1 / compact_radius) * (1 - _SLACK) / m.max()
+        high = compact_radius * (1 + _SLACK) / m.min()
+        fp = _powers(f, horizon)
+        gp = _powers(g, horizon)
+        words = _word_composer(f, g, fp, gp, horizon)
         for c in range(0, r.size, block):
             rc, sc = r[c:c + block], s[c:c + block]
             h, ok = words(rc, sc)
-            y, fine = apply_many(f.regime, h[:, None], x)
+            a = _modulus(h[:, 0])
+            live = ~((a >= _TINY) & ((a < low) | (a > high)))
+            y, fine = apply_many(f.regime, h[live, None], x)
             inside = _in_annulus(y, compact_radius)
             suspect = np.flatnonzero(~fine)
-            first = np.where(inside.any(axis=1), inside.argmax(axis=1),
-                             samples)
+            first = np.full(rc.size, samples)
+            first[live] = np.where(inside.any(axis=1), inside.argmax(axis=1),
+                                   samples)
             # replay through compose and apply the words they may refuse:
             # those compose may refuse, and those that meet a point whose
             # powers apply may refuse before their first return
@@ -234,7 +262,8 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
                 word = compose(fp[int(rc[k])], gp[int(sc[k])])
                 for n in suspect[suspect < first[k]]:
                     apply(word, pts[n])
-            violations += [((int(rc[k]), int(sc[k])), pts[first[k]])
-                           for k in np.flatnonzero(first < samples)]
+            hit = first < samples
+            violations += [((i, j), pts[n]) for i, j, n in zip(
+                rc[hit].tolist(), sc[hit].tolist(), first[hit].tolist())]
     return PropernessReport(horizon, compact_radius, samples, seed,
                             tuple(violations))

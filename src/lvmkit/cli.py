@@ -82,7 +82,7 @@ def _load_document(path):
 def _parse_pairs(pairs, what):
     try:
         return [complex(re, im) for re, im in pairs]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise click.UsageError("malformed %s document: %s" % (what, exc))
 
 
@@ -91,7 +91,7 @@ def _parse_config(doc):
         m = int(doc["m"])
         vectors = tuple(tuple(_parse_pairs(vec, "configuration"))
                         for vec in doc["vectors"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise click.UsageError("malformed configuration document: %s" % exc)
     return m, vectors
 
@@ -196,7 +196,7 @@ def resonances(path, tol, bound, as_json):
     doc = _load_document(path)
     report = {"input": path, "tol": tol, "bound": bound}
     try:
-        if "eigen_data" in doc:
+        if isinstance(doc, dict) and "eigen_data" in doc:
             _parse_pairs(doc["eigen_data"], "eigen-data")
             pair = pair_from_flat(doc["eigen_data"])
         else:
@@ -477,8 +477,7 @@ def deform(path, seed, samples, tol, as_json):
                 raise click.UsageError("a %s generator needs %d coefficients, "
                                        "got %d" % (regime.tag, count, n))
         gens = tuple(
-            element_from_params(regime,
-                                [complex(re, im) for re, im in coeffs])
+            element_from_params(regime, _parse_pairs(coeffs, "structure"))
             for coeffs in doc["generators"])
         if len(gens) != 3:
             raise click.UsageError("expected exactly three generators")

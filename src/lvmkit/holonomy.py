@@ -88,7 +88,11 @@ def pairings(config):
 
 
 def holonomy_pair(config):
-    omega, u, w = pairings(config)
+    return _pair_from_pairings(*pairings(config))
+
+
+def _pair_from_pairings(omega, u, w):
+    """The validated `HolonomyPair` of the pairings (Omega, u, w)."""
     pair = HolonomyPair(tuple(np.exp(TWO_PI_I * x) for x in u),
                         tuple(np.exp(TWO_PI_I * x) for x in w), omega)
     violations = validate_holonomy(pair)

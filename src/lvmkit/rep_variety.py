@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .holonomy import TWO_PI_I, holonomy_pair, pairings
+from .holonomy import TWO_PI_I, _pair_from_pairings, pairings
 from .resonant_group import (
     COMMUTE_TOL,
     GroupElement,
@@ -176,9 +176,9 @@ def _nonres_exps(uv, c):
                      np.exp(TWO_PI_I * (v[2] + v[0] * c[2]))])
 
 
-def _nonres_jacobian(uv, c):
+def _nonres_jacobian(e, c):
+    """The Jacobian of `_nonres_exps` from its six exponentials e."""
     jac = np.zeros((6, 6), dtype=complex)
-    e = _nonres_exps(uv, c)
     jac[0, 0] = TWO_PI_I * (1 + c[0]) * e[0]
     jac[1, 0] = TWO_PI_I * c[1] * e[1]
     jac[1, 1] = TWO_PI_I * e[1]
@@ -192,30 +192,33 @@ def _nonres_jacobian(uv, c):
     return jac
 
 
-def _damped_newton(residual, jacobian, x0, anchor, scale=1.0):
+def _damped_newton(system, x0, anchor, scale=1.0):
+    """Damped Newton on system(x) = (residual, Jacobian as a thunk)."""
     x = np.array(x0, dtype=complex)
     noise_floor = 1e-13 * (scale + np.max(np.abs(x)))
     if np.max(np.abs(x - anchor)) > REJECTION_RADIUS:
         raise NoConvergence("initial guess outside the branch-anchor "
                             "neighborhood")
+    at_x = system(x)
     for _ in range(50):
-        r = residual(x)
+        r, jacobian = at_x
         if np.max(np.abs(r)) <= noise_floor:
             return x
         try:
-            step = np.linalg.solve(jacobian(x), r)
+            step = np.linalg.solve(jacobian(), r)
         except np.linalg.LinAlgError:
             raise NoConvergence("singular Jacobian in Newton solve")
         t = 1.0
         base_norm = np.linalg.norm(r)
         while t > 1e-6:
             trial = x - t * step
-            if np.linalg.norm(residual(trial)) < base_norm:
+            at_x = system(trial)
+            if np.linalg.norm(at_x[0]) < base_norm:
                 break
             t /= 2
         else:
             raise NoConvergence("damping exhausted without descent")
-        x = x - t * step
+        x = trial
         if np.max(np.abs(x - anchor)) > REJECTION_RADIUS:
             raise NoConvergence("iterate left the branch-anchor neighborhood")
         if t * np.max(np.abs(step)) < 1e-14:
@@ -241,7 +244,7 @@ def psi_nonresonant(spec):
     c = np.array([_principal_c(g) for g in cgen.data])
 
     omega, u0, v0 = pairings(spec.base_config)
-    base = holonomy_pair(spec.base_config)
+    base = _pair_from_pairings(omega, u0, v0)
     alpha0 = np.asarray(base.alpha)
     beta0 = np.asarray(base.beta)
 
@@ -259,9 +262,12 @@ def psi_nonresonant(spec):
 
     anchor = np.concatenate([u0, v0])
     target = np.concatenate([alpha, beta])
-    uv = _damped_newton(lambda x: _nonres_exps(x, c) - target,
-                        lambda x: _nonres_jacobian(x, c),
-                        np.concatenate([u, v]), anchor,
+
+    def system(x):
+        e = _nonres_exps(x, c)
+        return e - target, lambda: _nonres_jacobian(e, c)
+
+    uv = _damped_newton(system, np.concatenate([u, v]), anchor,
                         scale=np.max(np.abs(target)))
     u, v = uv[:3], uv[3:]
 
@@ -275,13 +281,11 @@ def psi_nonresonant(spec):
 
 def _solve_scaling(target, c, anchor):
     """Solve x * exp(c * Log x) = target by damped Newton from x = target."""
-    def res(x):
-        return np.array([x[0] * np.exp(c * np.log(x[0])) - target])
+    def system(x):
+        e = np.exp(c * np.log(x[0]))
+        return np.array([x[0] * e - target]), lambda: np.array([[e * (1 + c)]])
 
-    def jac(x):
-        return np.array([[np.exp(c * np.log(x[0])) * (1 + c)]])
-
-    out = _damped_newton(res, jac, np.array([target], dtype=complex),
+    out = _damped_newton(system, np.array([target], dtype=complex),
                          np.array([anchor], dtype=complex),
                          scale=abs(target))
     return out[0]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -277,7 +279,8 @@ class TestAgainstOracle:
     @given(action_pairs(), st.integers(1, 8), st.integers(1, 5),
            st.integers(0, 2 ** 32 - 1),
            st.one_of(st.floats(1.01, 1e6),
-                     st.floats(6, 300).map(lambda e: 10.0 ** e)))
+                     st.floats(6, 308).map(lambda e: 10.0 ** e),
+                     st.floats(1e308, 1.79e308)))
     def test_probe(self, pair, horizon, samples, seed, radius):
         args = (pair, radius, horizon, samples, seed)
         assert _outcome(properness_probe, *args) == \
@@ -338,3 +341,61 @@ class TestAgainstOracle:
         report = properness_probe(UNIT_PAIR, horizon=6, samples=3, seed=5)
         assert len(report.violations) == 13 ** 2 - 5 ** 2
         assert report == oracle_probe(UNIT_PAIR, 100.0, 6, 3, 5)
+
+    @pytest.mark.parametrize("search,oracle,args", [
+        (fixed_point_certificate, oracle_certificate, (8, FP_TOL)),
+        (properness_probe, oracle_probe, (100.0, 8, 3, 0))],
+        ids=["certificate", "probe"])
+    def test_powers_warn_nothing(self, search, oracle, args):
+        # det(M^8) = e^720 overflows in the check of GroupElement, while
+        # det(M^-8) = e^-720 is subnormal, not 0: both searches report
+        big = np.exp(45.0)
+        pair = (GroupElement(D1, (2.0, np.diag([big, big]))),
+                GroupElement(D1, (0.5j, np.diag([1.5, 0.7]))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            outcome = _outcome(search, pair, *args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert outcome == _outcome(oracle, pair, *args)
+        assert not outcome.startswith(("RuntimeWarning", "ValueError"))
+
+
+def _sample(radius, seed):
+    """The one sample point of a one-sample probe."""
+    pair = (identity(NR), identity(NR))
+    return properness_probe(pair, radius, 1, 1, seed).violations[0][1].xi
+
+
+class TestScreenBoundaries:
+    """Words planted so that images land within a few ulp of a bound of the
+    annulus, on both sides, where a screen without its allowance misplaces
+    some of them: the word screen by |h_1| for xi1, the squared-modulus
+    image screen for xi1 and for (xi2, xi3)."""
+
+    @pytest.mark.parametrize("coord,bound,radius,seed", [
+        ("xi1", "inner", 100.0, 3),
+        ("xi1", "outer", 100.0, 17),
+        ("xi1", "outer", 100.0, 3),
+        ("xi1", "inner", 1e6, 4),
+        ("fiber", "inner", 100.0, 1),
+        ("fiber", "outer", 100.0, 0)],
+        ids=["word-and-image-inner", "word-outer", "image-outer",
+             "word-and-image-inner-1e6", "fiber-inner", "fiber-outer"])
+    def test_planted_image_near_bound(self, coord, bound, radius, seed):
+        xi = _sample(radius, seed)
+        m = abs(xi[0]) if coord == "xi1" else np.hypot(abs(xi[1]), abs(xi[2]))
+        a0 = (1 / radius if bound == "inner" else radius) / m
+        for k in range(-8, 9):
+            a = a0 * (1 + k * 2.0 ** -52)
+            f = (a, 1, 1) if coord == "xi1" else (1, a, a)
+            args = ((GroupElement(NR, f), identity(NR)), radius, 1, 1, seed)
+            assert _outcome(properness_probe, *args) == \
+                _outcome(oracle_probe, *args)
+
+    @pytest.mark.parametrize("radius", [1e160, 1e300, 1.79e308])
+    def test_radius_beyond_square_range(self, radius):
+        # squares of the bounds, and of some images, over- or underflow:
+        # the exact test decides what the squares cannot
+        args = (DIAG_PAIR, radius, 8, 5, 1)
+        assert _outcome(properness_probe, *args) == _outcome(oracle_probe, *args)

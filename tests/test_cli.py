@@ -75,6 +75,16 @@ class TestAnalyze:
         assert result.exit_code == 2
         assert "--bound must be non-negative, got -5" in result.output
 
+    def test_integer_beyond_float_range_is_usage_error(self, runner,
+                                                       tmp_path):
+        doc = {"m": 2, "vectors": [[[10 ** 400, 0], [0, 0]]]
+               + E1_DOC["vectors"][1:]}
+        path = write(tmp_path, "huge.json", doc)
+        result = runner.invoke(main, ["analyze", path, "--json"])
+        assert result.exit_code == 2
+        assert ("malformed configuration document: int too large to convert"
+                " to float") in result.output
+
     def test_deterministic_output(self, runner, tmp_path):
         path = write(tmp_path, "e1.json", E1_DOC)
         a = runner.invoke(main, ["analyze", path, "--json"]).output
@@ -115,6 +125,22 @@ class TestResonances:
         result = runner.invoke(main, ["resonances", path, "--json"])
         assert result.exit_code == 2
         assert "malformed eigen-data document: " in result.output
+
+    @pytest.mark.parametrize("doc", [5, "eigen_data", None])
+    def test_non_object_document_is_usage_error(self, runner, tmp_path, doc):
+        path = write(tmp_path, "scalar.json", doc)
+        result = runner.invoke(main, ["resonances", path, "--json"])
+        assert result.exit_code == 2
+        assert "malformed configuration document: " in result.output
+
+    def test_integer_beyond_float_range_is_usage_error(self, runner,
+                                                       tmp_path):
+        doc = {"eigen_data": [[10 ** 400, 0]] + [[0.5, 0]] * 5}
+        path = write(tmp_path, "huge.json", doc)
+        result = runner.invoke(main, ["resonances", path, "--json"])
+        assert result.exit_code == 2
+        assert ("malformed eigen-data document: int too large to convert to"
+                " float") in result.output
 
     def test_negative_bound(self, runner, tmp_path):
         doc = {"eigen_data": [[2, 0], [0.6, 0], [0.72, 0],
@@ -326,3 +352,20 @@ class TestDeform:
                      {"regime": {"tag": "Single", "p": 1, "q": 2}})
         result = runner.invoke(main, ["deform", path])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("where", ["generator", "config"])
+    def test_integer_beyond_float_range_is_usage_error(self, runner,
+                                                       tmp_path, where):
+        doc = self._nonres_doc()
+        if where == "generator":
+            doc["generators"][2][0] = [10 ** 400, 0]
+            what = "structure"
+        else:
+            doc["config"] = {"m": 2, "vectors": [[[0, 10 ** 400], [0, 0]]]
+                             + E1_DOC["vectors"][1:]}
+            what = "configuration"
+        path = write(tmp_path, "huge.json", doc)
+        result = runner.invoke(main, ["deform", path, "--json"])
+        assert result.exit_code == 2
+        assert ("malformed %s document: int too large to convert to float"
+                % what) in result.output
