@@ -4,13 +4,15 @@ fixed-point certificates, orbits, and a properness falsification probe.
 The probe never claims properness: its positive outcome is only "no
 violation found" over the sampled window.
 
-Both searches evaluate their word window as numpy arrays: the words
-f^r g^s are composed, and in the probe applied to every sample point, a
-block of words at a time.  The array arithmetic rounds as the scalar
-`compose` and `apply` do, operation for operation, so the searches
-decide what word-by-word evaluation decides.  The probe skips words whose
-|h_1| sends every sample's |xi_1| out of the annulus and places images by
-squared moduli clear of its bounds; it decides the rest exactly.
+Both searches evaluate their word window as numpy arrays.  The powers
+of each generator are built once as parameter rows, in the arithmetic of
+`compose`, and validated once; the words f^r g^s are composed from them
+and, in the probe, applied to every sample point, a block at a time.
+The array arithmetic rounds as the scalar `compose` and `apply` do, so
+the searches decide what word-by-word evaluation decides.  The probe
+skips words whose |h_1| sends every sample's |xi_1| out of the annulus
+and places images by squared moduli clear of its bounds; it decides the
+rest exactly.
 """
 
 from dataclasses import dataclass
@@ -18,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .resonant_group import (PointV, _modulus, apply, apply_many, compose,
-                             compose_many, identity, inverse)
+from .resonant_group import (PointV, _compose_data, _element_ok, _modulus,
+                             apply, apply_many, compose, compose_many,
+                             element_from_params, identity, inverse)
 
 DEFAULT_WINDOW = 25
 FP_TOL = 1e-10
@@ -45,13 +48,30 @@ class ActionCertificate:
 
 
 def _powers(f, bound):
-    """f^r for r in [-bound, bound], by iterated composition."""
-    out = {0: identity(f.regime)}
-    finv = inverse(f)
-    for r in range(1, bound + 1):
-        out[r] = compose(out[r - 1], f)
-        out[-r] = compose(out[-(r - 1)], finv)
-    return out
+    """The parameter rows (2 bound + 1, k) of f^r, r = -bound ... bound,
+    composed as `compose` composes f^(r-1) f and f^-(r-1) f^-1, then
+    checked once: `GroupElement` refuses all rows of a regime alike."""
+    finv = inverse(f).data
+    up, down = [identity(f.regime).data], [identity(f.regime).data]
+    for _ in range(bound):
+        up.append(_compose_data(f.regime, up[-1], f.data))
+        down.append(_compose_data(f.regime, down[-1], finv))
+    seq = down[:0:-1] + up
+    if f.regime.tag == "Double":
+        rows = np.column_stack([[d[0] for d in seq],
+                                np.reshape([d[1] for d in seq], (-1, 4))])
+    else:
+        rows = np.array(seq, dtype=complex)
+    ok = _element_ok(f.regime, rows)
+    if not ok.all():
+        element_from_params(f.regime, rows[np.argmin(ok)])
+    return rows
+
+
+def _word(f, g, fp, gp, r, s):
+    """The element f^r g^s from the `_powers` rows fp of f and gp of g."""
+    return compose(element_from_params(f.regime, fp[r + len(fp) // 2]),
+                   element_from_params(g.regime, gp[s + len(gp) // 2]))
 
 
 def _grid(bound):
@@ -66,11 +86,9 @@ def _word_composer(f, g, fp, gp, bound):
     parameter rows of the words f^r g^s and the mask of `compose_many`."""
     if f.regime != g.regime:
         raise ValueError("cannot compose elements of different regimes")
-    fa = np.array([fp[r].params() for r in range(-bound, bound + 1)])
-    gb = np.array([gp[s].params() for s in range(-bound, bound + 1)])
 
     def words(r, s):
-        return compose_many(f.regime, fa[r + bound], gb[s + bound])
+        return compose_many(f.regime, fp[r + bound], gp[s + bound])
     return words
 
 
@@ -143,26 +161,29 @@ def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
             near = _modulus(h[:, 0] - 1) <= 2 * tol
             for k in np.flatnonzero(near | ~ok):
                 word = int(rc[k]), int(sc[k])
-                w = _fixed_point_witness(compose(fp[word[0]], gp[word[1]]),
-                                         tol)
+                w = _fixed_point_witness(_word(f, g, fp, gp, *word), tol)
                 if w is not None:
                     return ActionCertificate(window, False, (word, w))
     return ActionCertificate(window, True)
 
 
 def orbit(pair, word, x):
-    """Successive images of x under the group elements f^r g^s named by
-    the word; the returned list starts with x itself."""
+    """Successive images of x under the words f^r g^s, (r, s) integers,
+    named by the word; the returned list starts with x itself."""
     f, g = pair
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
     word = list(word)
-    fp = _powers(f, max((abs(r) for r, _ in word), default=0))
-    gp = _powers(g, max((abs(s) for _, s in word), default=0))
+    for entry in word:
+        if not all(isinstance(k, (int, np.integer)) for k in entry):
+            raise ValueError("word entry %r is not an integer pair" % (entry,))
     out = [x]
-    for r, s in word:
-        x = apply(compose(fp[r], gp[s]), x)
-        out.append(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fp = _powers(f, max((abs(r) for r, _ in word), default=0))
+        gp = _powers(g, max((abs(s) for _, s in word), default=0))
+        for r, s in word:
+            x = apply(_word(f, g, fp, gp, r, s), x)
+            out.append(x)
     return out
 
 
@@ -259,7 +280,7 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
             # powers apply may refuse before their first return
             late = first > (suspect[0] if suspect.size else samples)
             for k in np.flatnonzero(~ok | late):
-                word = compose(fp[int(rc[k])], gp[int(sc[k])])
+                word = _word(f, g, fp, gp, int(rc[k]), int(sc[k]))
                 for n in suspect[suspect < first[k]]:
                     apply(word, pts[n])
             hit = first < samples

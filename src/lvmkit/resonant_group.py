@@ -246,21 +246,24 @@ def apply(f, x):
     return PointV(tuple(out))
 
 
+def _compose_data(regime, fdata, gdata):
+    """The data of `compose` from the data of its factors, unchecked."""
+    tag = regime.tag
+    if tag == "NonResonant":
+        return tuple(a * b for a, b in zip(fdata, gdata))
+    if tag == "Single":
+        a1, a2, a3, eps = fdata
+        b1, b2, b3, delta = gdata
+        return (a1 * b1, a2 * b2, a3 * b3,
+                a3 * delta + eps * b1 ** regime.p * b2 ** regime.q)
+    (a1, amat), (b1, bmat) = fdata, gdata
+    return a1 * b1, tau(b1, regime.p, amat) @ bmat
+
+
 def compose(f, g):
     if f.regime != g.regime:
         raise ValueError("cannot compose elements of different regimes")
-    tag = f.regime.tag
-    if tag == "NonResonant":
-        return GroupElement(f.regime, tuple(a * b for a, b in zip(f.data, g.data)))
-    if tag == "Single":
-        a1, a2, a3, eps = f.data
-        b1, b2, b3, delta = g.data
-        p, q = f.regime.p, f.regime.q
-        return GroupElement(f.regime, (a1 * b1, a2 * b2, a3 * b3,
-                                       a3 * delta + eps * b1 ** p * b2 ** q))
-    a1, amat = f.data
-    b1, bmat = g.data
-    return GroupElement(f.regime, (a1 * b1, tau(b1, f.regime.p, amat) @ bmat))
+    return GroupElement(f.regime, _compose_data(f.regime, f.data, g.data))
 
 
 def inverse(f):

@@ -1,8 +1,9 @@
 """Reference searches over word windows, one word and one point at a time,
 used as a test oracle.
 
-This is the direct reading of the definitions: every word f^r g^s is
-built with the scalar `compose`, and every image with the scalar `apply`.
+This is the direct reading of the definitions: every power f^r, every
+word f^r g^s and every image is built with the scalar `compose` and
+`apply`, one `GroupElement` at a time.
 It is slow and independent of the array evaluation in `lvmkit.action`,
 which the tests compare against it.
 """
@@ -10,15 +11,25 @@ which the tests compare against it.
 import numpy as np
 
 from lvmkit.action import (ActionCertificate, PropernessReport,
-                           _fixed_point_witness, _powers)
-from lvmkit.resonant_group import PointV, apply, compose
+                           _fixed_point_witness)
+from lvmkit.resonant_group import PointV, apply, compose, identity, inverse
+
+
+def oracle_powers(f, bound):
+    """f^r for r in [-bound, bound], by iterated composition."""
+    out = {0: identity(f.regime)}
+    finv = inverse(f)
+    for r in range(1, bound + 1):
+        out[r] = compose(out[r - 1], f)
+        out[-r] = compose(out[-(r - 1)], finv)
+    return out
 
 
 def oracle_certificate(pair, window, tol):
     """Search the window |r|, |s| <= window for a fixed point of f^r g^s."""
     f, g = pair
-    fp = _powers(f, window)
-    gp = _powers(g, window)
+    fp = oracle_powers(f, window)
+    gp = oracle_powers(g, window)
     with np.errstate(over="ignore", invalid="ignore"):
         for r in range(-window, window + 1):
             for s in range(-window, window + 1):
@@ -53,8 +64,8 @@ def oracle_probe(pair, compact_radius, horizon, samples, seed):
         v *= m23 / np.linalg.norm(v)
         pts.append(PointV((m1 * np.exp(2j * np.pi * rng.uniform()),
                            v[0], v[1])))
-    fp = _powers(f, horizon)
-    gp = _powers(g, horizon)
+    fp = oracle_powers(f, horizon)
+    gp = oracle_powers(g, horizon)
     lo = (horizon + 1) // 2
     violations = []
     with np.errstate(over="ignore", invalid="ignore"):

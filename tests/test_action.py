@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -21,11 +22,12 @@ from lvmkit.action import (
     orbit,
     properness_probe,
 )
-from action_oracle import oracle_certificate, oracle_probe
+from action_oracle import oracle_certificate, oracle_powers, oracle_probe
 
 NR = ResonanceClass("NonResonant")
 S12 = ResonanceClass("Single", p=1, q=2)
 D1 = ResonanceClass("Double", p=1)
+D2 = ResonanceClass("Double", p=2)
 
 E1 = Configuration(2, (
     (1, 0),
@@ -101,9 +103,7 @@ class TestFixedPointCertificate:
         cert = fixed_point_certificate((f, g), window=3)
         assert not cert.fixed_point_free
         (r, s), w = cert.witness
-        from lvmkit.action import _powers
-        from lvmkit.resonant_group import compose
-        h = compose(_powers(f, 3)[r], _powers(g, 3)[s])
+        h = compose(oracle_powers(f, 3)[r], oracle_powers(g, 3)[s])
         assert np.max(np.abs(apply(h, w).array() - w.array())) < 1e-9
 
     def test_double_regime_witness(self):
@@ -113,9 +113,7 @@ class TestFixedPointCertificate:
         assert not cert.fixed_point_free
         (r, s), w = cert.witness
         assert s == 0 and r != 0  # any power of f keeps the unit eigenvalue
-        from lvmkit.action import _powers
-        from lvmkit.resonant_group import compose
-        h = compose(_powers(f, 3)[r], _powers(g, 3)[s])
+        h = compose(oracle_powers(f, 3)[r], oracle_powers(g, 3)[s])
         assert np.max(np.abs(apply(h, w).array() - w.array())) < 1e-9
 
     def test_monotone_in_window(self):
@@ -164,9 +162,41 @@ class TestOrbit:
         x = PointV((0.7 + 0.2j, 1.1 - 0.4j, -0.3 + 0.9j))
         expected = [x]
         for r, s in word:
-            h = compose(_powers(f, abs(r))[r], _powers(g, abs(s))[s])
+            h = compose(oracle_powers(f, abs(r))[r],
+                        oracle_powers(g, abs(s))[s])
             expected.append(apply(h, expected[-1]))
         assert orbit(pair, iter(word), x) == expected
+
+    def test_extreme_pair_warns_nothing(self):
+        # det(M^8) = e^720 overflows in the check of GroupElement
+        big = np.exp(45.0)
+        f = GroupElement(D1, (2.0, np.diag([big, big])))
+        g = GroupElement(D1, (0.5j, np.diag([1.5, 0.7])))
+        x = PointV((0.7 + 0.2j, 1.1 - 0.4j, -0.3 + 0.9j))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = orbit((f, g), [(8, 0)], x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            h = compose(oracle_powers(f, 8)[8], oracle_powers(g, 0)[0])
+            assert out == [x, apply(h, x)]
+
+    @pytest.mark.parametrize("entry", [(1.0, 0), (0, np.float64(2)), (1, "1")])
+    def test_non_integer_word_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"word entry %s is not an "
+                           "integer pair" % re.escape(repr(entry))):
+            orbit(DIAG_PAIR, [(1, 0), entry], PointV((1, 2, 3)))
+
+    def test_mixed_regimes_rejected(self):
+        pair = (DIAG_PAIR[0], SINGLE_PAIR[1])
+        with pytest.raises(ValueError, match="cannot compose elements of "
+                           "different regimes"):
+            orbit(pair, [(1, 1)], PointV((1, 2, 3)))
+
+    def test_bool_and_numpy_word_accepted(self):
+        x = PointV((1, 2, 3))
+        assert orbit(DIAG_PAIR, [(True, False), (np.int64(-1), 0)], x) == \
+            orbit(DIAG_PAIR, [(1, 0), (-1, 0)], x)
 
 
 class TestPropernessProbe:
@@ -271,6 +301,40 @@ def _outcome(search, *args):
         return "%s: %s" % (type(exc).__name__, exc)
 
 
+def _oracle_rows(f, bound):
+    table = oracle_powers(f, bound)
+    return np.array([table[r].params() for r in range(-bound, bound + 1)])
+
+
+class TestPowers:
+    """The rows of `_powers` are the powers of the scalar chain of
+    `compose`, to the bit, and it raises what that chain raises."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(action_pairs(), st.integers(0, 30))
+    def test_rows_match_scalar_chain(self, pair, bound):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for f in pair:
+                assert _outcome(lambda: _powers(f, bound).tobytes()) == \
+                    _outcome(lambda: _oracle_rows(f, bound).tobytes())
+
+    @pytest.mark.parametrize("f,bound,error", [
+        (GroupElement(NR, (1e-170, 2, 3)), 3, "ValueError"),
+        (GroupElement(D2, (3e-155 + 4e-155j, np.eye(2))), 3, "OverflowError"),
+        (GroupElement(D2, (4e-155 + 4e-155j, np.eye(2))), 0, "OverflowError")],
+        ids=["power-underflows", "a1-power-refused", "inverse-refused"])
+    def test_refusals_match_scalar_chain(self, f, bound, error):
+        # f^2 underflows to 0 and GroupElement refuses it; Python refuses
+        # a1^-2 in the first step of the chain, though (1/a1)^-2 is nan for
+        # the inverse; the inverse is built, and refused, at bound 0 too
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            outcome = _outcome(_powers, f, bound)
+            assert outcome == _outcome(_oracle_rows, f, bound)
+        assert outcome.startswith(error + ": ")
+
+
 class TestAgainstOracle:
     """The array searches report exactly what word-by-word evaluation
     reports, witness words and points included, and raise what it raises."""
@@ -298,9 +362,9 @@ class TestAgainstOracle:
     def test_rounding_matches_scalar(self, pair):
         # words and images agree with compose and apply to the last bit
         f, g = pair
-        fp, gp = _powers(f, 4), _powers(g, 4)
+        fp, gp = oracle_powers(f, 4), oracle_powers(g, 4)
         r, s = _grid(4)
-        h, ok = _word_composer(f, g, fp, gp, 4)(r, s)
+        h, ok = _word_composer(f, g, _powers(f, 4), _powers(g, 4), 4)(r, s)
         x = np.array([[0.7 + 0.2j, 1.1 - 0.4j, -0.3 + 0.9j],
                       [-2.5j, 0.1 + 0.3j, 4.0],
                       [0.3 - 0.3j, 0.0, 1.7 + 2.2j]])
