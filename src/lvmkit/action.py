@@ -8,8 +8,10 @@ Both searches evaluate their word window as numpy arrays.  The powers
 of each generator are built once as parameter rows, in the arithmetic of
 `compose`, and validated once; the words f^r g^s are composed from them
 and, in the probe, applied to every sample point, a block at a time.
-The array arithmetic rounds as the scalar `compose` and `apply` do, so
-the searches decide what word-by-word evaluation decides.  The probe
+The array arithmetic is numpy's, so a word agrees with the scalar
+`compose` to rounding; the words the arrays flag (a refusal, a
+non-finite row, a candidate fixed point) are built one by one with
+`compose`, and decided as word-by-word evaluation decides them.  The probe
 skips words whose |h_1| sends every sample's |xi_1| out of the annulus
 and places images by squared moduli clear of its bounds; it decides the
 rest exactly.
@@ -20,9 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .resonant_group import (PointV, _compose_data, _element_ok, _modulus,
-                             apply, apply_many, compose, compose_many,
-                             element_from_params, identity, inverse)
+from .resonant_group import (PointV, _compose_data, _element_check, _images,
+                             apply, compose, compose_many,
+                             element_from_params, identity, inverse, passed,
+                             replay)
 
 DEFAULT_WINDOW = 25
 FP_TOL = 1e-10
@@ -30,8 +33,8 @@ ANNULUS_RADIUS = 1e2
 # words per array block (divided by the sample count in the probe), which
 # bounds the memory a large window or horizon takes
 _BLOCK = 1 << 16
-# relative allowance of the probe's screens, far above their few ulp of
-# rounding, which is relative for squared moduli in [_TINY, _HUGE]
+# relative allowance of the screens, far above their few ulp of rounding,
+# which is relative for squared moduli in [_TINY, _HUGE]
 _SLACK, _TINY, _HUGE = 1e-12, 2.0 ** -960, 2.0 ** 960
 
 
@@ -50,7 +53,7 @@ class ActionCertificate:
 def _powers(f, bound):
     """The parameter rows (2 bound + 1, k) of f^r, r = -bound ... bound,
     composed as `compose` composes f^(r-1) f and f^-(r-1) f^-1, then
-    checked once: `GroupElement` refuses all rows of a regime alike."""
+    validated once: `GroupElement` refuses all rows of a regime alike."""
     finv = inverse(f).data
     up, down = [identity(f.regime).data], [identity(f.regime).data]
     for _ in range(bound):
@@ -62,9 +65,7 @@ def _powers(f, bound):
                                 np.reshape([d[1] for d in seq], (-1, 4))])
     else:
         rows = np.array(seq, dtype=complex)
-    ok = _element_ok(f.regime, rows)
-    if not ok.all():
-        element_from_params(f.regime, rows[np.argmin(ok)])
+    replay(_element_check(f.regime, rows))
     return rows
 
 
@@ -83,12 +84,14 @@ def _grid(bound):
 
 def _word_composer(f, g, fp, gp, bound):
     """A function taking integer arrays (r, s), |r|, |s| <= bound, to the
-    parameter rows of the words f^r g^s and the mask of `compose_many`."""
+    parameter rows of the words f^r g^s and the mask of the rows that
+    pass the checks of `compose_many`."""
     if f.regime != g.regime:
         raise ValueError("cannot compose elements of different regimes")
 
     def words(r, s):
-        return compose_many(f.regime, fp[r + bound], gp[s + bound])
+        h, checks = compose_many(f.regime, fp[r + bound], gp[s + bound])
+        return h, passed(checks)
     return words
 
 
@@ -142,8 +145,9 @@ def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
 
     A fixed point needs the scalar part of the word to be 1, so the
     window's words are composed as arrays and only those whose scalar
-    part is within 2 tol of 1 (or that `compose` may refuse) are built
-    and solved one by one, in loop order.
+    part is within 2 tol of 1, widened by the allowance for the rounding
+    of the array product, (or that `compose` may refuse) are built and
+    solved one by one, in loop order.
     """
     if window < 1:
         raise ValueError("need window >= 1, got %r" % (window,))
@@ -158,7 +162,7 @@ def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
         for c in range(0, r.size, _BLOCK):
             rc, sc = r[c:c + _BLOCK], s[c:c + _BLOCK]
             h, ok = words(rc, sc)
-            near = _modulus(h[:, 0] - 1) <= 2 * tol
+            near = np.abs(h[:, 0] - 1) <= 2 * tol + _SLACK * np.abs(h[:, 0])
             for k in np.flatnonzero(near | ~ok):
                 word = int(rc[k]), int(sc[k])
                 w = _fixed_point_witness(_word(f, g, fp, gp, *word), tol)
@@ -175,7 +179,12 @@ def orbit(pair, word, x):
         x = PointV(tuple(x))
     word = list(word)
     for entry in word:
-        if not all(isinstance(k, (int, np.integer)) for k in entry):
+        try:
+            pair = len(entry) == 2 and all(isinstance(k, (int, np.integer))
+                                           for k in entry)
+        except TypeError:  # no sequence
+            pair = False
+        if not pair:
             raise ValueError("word entry %r is not an integer pair" % (entry,))
     out = [x]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -217,8 +226,9 @@ def _in_annulus(y, radius):
     # nan squares fail here, as their moduli (nan or inf) fail exactly
     rest = ~inside & (out_lo <= s1) & (s1 <= out_hi) \
         & (out_lo <= s23) & (s23 <= out_hi)
-    m1 = _modulus(y[rest, 0])
-    m23 = np.hypot(_modulus(y[rest, 1]), _modulus(y[rest, 2]))
+    m1 = np.hypot(y[rest, 0].real, y[rest, 0].imag)
+    m23 = np.hypot(np.hypot(y[rest, 1].real, y[rest, 1].imag),
+                   np.hypot(y[rest, 2].real, y[rest, 2].imag))
     inside[rest] = (inner <= m1) & (m1 <= radius) & (inner <= m23) \
         & (m23 <= radius)
     return inside
@@ -253,7 +263,7 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
     band = np.maximum(abs(r), abs(s)) >= (horizon + 1) // 2
     r, s = r[band], s[band]
     block = max(1, _BLOCK // samples)
-    m = _modulus(x[:, 0])
+    m = np.abs(x[:, 0])
     violations = []
     with np.errstate(over="ignore", invalid="ignore"):
         # images have |xi1| = |h_1| |x_1| to a few ulp: a word whose |h_1|
@@ -267,11 +277,13 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
         for c in range(0, r.size, block):
             rc, sc = r[c:c + block], s[c:c + block]
             h, ok = words(rc, sc)
-            a = _modulus(h[:, 0])
+            a = np.abs(h[:, 0])
             live = ~((a >= _TINY) & ((a < low) | (a > high)))
-            y, fine = apply_many(f.regime, h[live, None], x)
+            y, powers = _images(f.regime, h[live, None], x)
+            # the samples whose powers apply refuses
+            suspect = np.flatnonzero(~passed(powers)) if powers \
+                else np.zeros(0, int)
             inside = _in_annulus(y, compact_radius)
-            suspect = np.flatnonzero(~fine)
             first = np.full(rc.size, samples)
             first[live] = np.where(inside.any(axis=1), inside.argmax(axis=1),
                                    samples)

@@ -31,10 +31,9 @@ from .resonance import (DEFAULT_BOUND, DEFAULT_TOL, MAX_BOUND,
                         ResonanceClass, UnclassifiableResonancePattern,
                         classify_regime, cohomology_dims, find_resonances)
 from .resonant_group import (BranchDomain, GroupElement, IllConditioned,
-                             _cdiv, _cmul, _modulus, _python_powers,
-                             apply_checked, checked, compose, compose_many,
+                             _power, accepted, apply_many, compose_many,
                              element_from_params, group_dim, identity,
-                             inverse, inverse_many, replay)
+                             inverse_many)
 from .rep_variety import NoConvergence, StructureSpec
 from .developing import check_structure
 from .action import fixed_point_certificate, properness_probe
@@ -217,9 +216,10 @@ _BLOCK = 4096
 
 def _worst(rng, samples, width, evaluate, fault):
     """The worst residual of evaluate(z, fault) over blocks of complex
-    draws z (n, width), one row per sample, drawn as a loop over the
-    samples draws them.  A block that raises is evaluated again one
-    sample at a time, so that the error raised is the first sample's."""
+    draws z (n, width), one row per sample.  A block decides its refusals
+    from its own rows, in numpy's arithmetic; a block that raises is
+    evaluated again one sample at a time, so that the error raised is the
+    first sample's."""
     worst = 0.0
     for start in range(0, samples, _BLOCK):
         n = min(_BLOCK, samples - start)
@@ -245,12 +245,12 @@ def _random_elements(regime, z):
         re = z[:, 1:].view(float)
         mats = (np.eye(2) + re[:, :4].reshape(-1, 2, 2) * 0.4
                 + 1j * re[:, 4:].reshape(-1, 2, 2) * 0.4)
-        return np.concatenate([2 + _cmul(z[:, :1], 0.3),
-                               mats.reshape(-1, 4)], axis=1)
-    h = np.stack([2 + _cmul(z[:, 0], 0.3), 1 + _cmul(z[:, 1], 0.3),
-                  0.7 + _cmul(z[:, 2], 0.2)], axis=1)
+        return np.concatenate([2 + z[:, :1] * 0.3, mats.reshape(-1, 4)],
+                              axis=1)
+    h = np.stack([2 + z[:, 0] * 0.3, 1 + z[:, 1] * 0.3, 0.7 + z[:, 2] * 0.2],
+                 axis=1)
     if regime.tag == "Single":
-        h = np.concatenate([h, _cmul(z[:, 3:4], 0.4)], axis=1)
+        h = np.concatenate([h, z[:, 3:4] * 0.4], axis=1)
     return h
 
 
@@ -263,16 +263,18 @@ def _group_laws(regime, z, fault):
     x = _random_points(z[:, 3 * k:])
 
     def compose_rows(a, b):
-        return checked(regime, compose_many, compose, a, b)
+        return accepted(compose_many(regime, a, b))
+
+    def apply_rows(a, y):
+        return accepted(apply_many(regime, a, y))
     fg = compose_rows(f, g)
     if fault:  # corrupt one intermediate composition
         fg[0] = fg[0] * (1 + 1e-3)
     scale = 1 + np.max(np.abs([f, g, h]), axis=(0, 2))
     assoc = np.abs(compose_rows(fg, h) - compose_rows(f, compose_rows(g, h)))
-    inv = np.abs(compose_rows(f, checked(regime, inverse_many, inverse, f))
+    inv = np.abs(compose_rows(f, accepted(inverse_many(regime, f)))
                  - identity(regime).params())
-    hom = np.abs(apply_checked(regime, fg, x) - apply_checked(
-        regime, f, apply_checked(regime, g, x)))
+    hom = np.abs(apply_rows(fg, x) - apply_rows(f, apply_rows(g, x)))
     return max(np.max(np.max(assoc, axis=1) / scale),
                np.max(np.max(inv, axis=1) / scale),
                np.max(np.max(hom, axis=1) / (1 + np.max(np.abs(x), axis=1))))
@@ -294,16 +296,13 @@ def _random_charts(z, p=0, q=1):
     draws per row: matrices (N, 3, 3) and lambdas (N,).  The second shear
     entry solves the shear-compatibility clause (T is the case p = 0,
     q = 1)."""
-    c = _cmul(z, [0.2, 0.2, 0.1, 0.2, 0.2, 0.1, 0.3, 0.5])
+    c = z * [0.2, 0.2, 0.1, 0.2, 0.2, 0.1, 0.3, 0.5]
     a = c[:, :3] + [1.5, 2.0, 0.5]
     b = c[:, 3:6] + [0.8, 1.3, 0.4]
 
     def twisted(d):
-        u, v = _python_powers(d[:, 0], p), _python_powers(d[:, 1], q)
-        replay((~np.isnan(u) & ~np.isnan(v), lambda x, y: (x ** p, y ** q),
-                d[:, 0].tolist(), d[:, 1].tolist()))
-        return d[:, 2] - _cmul(u, v)
-    delta = _cdiv(_cmul(c[:, 6], twisted(b)), twisted(a))
+        return d[:, 2] - _power(d[:, 0], p) * _power(d[:, 1], q)
+    delta = c[:, 6] * twisted(b) / twisted(a)
     return _diagonal(*a.T, c[:, 6]), _diagonal(*b.T, delta), c[:, 7]
 
 
@@ -327,7 +326,7 @@ def _gluing(p, q, z, fault):
         res.append(diff((la, sa), (lb, sb), (lx, rx)) / scale)
     ta, tb, tlam, tx = invert_psi_p_many(sa, sb, sx, p)
     res.append(np.maximum(diff((ta, amat), (tb, bmat), (tx, x)),
-                          _modulus(tlam - lam)) / scale)
+                          np.abs(tlam - lam)) / scale)
 
     amat, bmat, lam = _random_charts(z[:, 11:19], p, q)
     x = _random_points(z[:, 19:])

@@ -13,8 +13,8 @@ holonomy generator C, and the deck action of Z^3 on the cover is:
 This convention is the single source of truth used by every equivariance
 check in the package: Dev(deck_i(w)) = rho(e_i) . Dev(w) with rho the
 *input* rank-3 representation.  The check evaluates both sides at all
-sample points at once (``dev_eval_many``, ``deck_transform_many``),
-rounding as one point at a time would.
+sample points at once (``dev_eval_many``, ``deck_transform_many``), in
+numpy's arithmetic, and refuses a point from the rows it computed.
 """
 
 from dataclasses import dataclass
@@ -24,8 +24,8 @@ import numpy as np
 from .holonomy import TWO_PI_I
 from .rep_variety import (StructureSpec, _principal_c, psi_case,
                           psi_nonresonant, psi_resonant)
-from .resonant_group import (_cmul, _expm2, _l_matrices, _numpy_powers,
-                             _points_ok, _to_point, apply_checked, group_log,
+from .resonant_group import (_expm2, _l_matrices, _points_ok, _power,
+                             _to_point, accepted, apply_many, group_log,
                              identity, replay)
 
 # cover points per array block, which bounds the memory a large sample
@@ -75,41 +75,37 @@ def dev_eval(d, w):
 
 
 def dev_eval_many(d, w):
-    """The developing map at the cover points w (N, 3): points (N, 3) of V,
-    each rounded as a scalar evaluation rounds it."""
+    """The developing map at the cover points w (N, 3): points (N, 3) of V."""
     w1, xi2, xi3 = w.T
     replay(((xi2 != 0) | (xi3 != 0), _vanishing, w))
-    if d.case == "canonical-form":
-        t = _cmul(TWO_PI_I, w1)
-        y = np.stack([np.exp(_cmul(t, 1 + d.params[0])),
-                      _cmul(np.exp(_cmul(t, d.params[1])), xi2),
-                      _cmul(np.exp(_cmul(t, d.params[2])), xi3)], axis=1)
-    elif d.case == "affine":
+    if d.case == "affine":
         x1, k = d.params[0].data
         regime = d.regime
-        a1 = np.exp(_cmul(w1, x1))
+        a1 = np.exp(w1 * x1)
         n = _expm2(w1[:, None, None] * np.asarray(k))
         h = np.concatenate([a1[:, None], (_l_matrices(a1, regime.p) @ n)
                             .reshape(-1, 4)], axis=1)
-        y = apply_checked(regime, h, np.stack([np.exp(_cmul(TWO_PI_I, w1)),
-                                                xi2, xi3], axis=1))
+        return accepted(apply_many(regime, h, np.stack(
+            [np.exp(TWO_PI_I * w1), xi2, xi3], axis=1)))
+    if d.case == "canonical-form":
+        t = TWO_PI_I * w1
+        y = np.stack([np.exp(t * (1 + d.params[0])),
+                      np.exp(t * d.params[1]) * xi2,
+                      np.exp(t * d.params[2]) * xi3], axis=1)
     else:
         gamma, c1, c4, c3 = d.params
         p, q = d.regime.p, d.regime.q
         lg, lc1, lc4 = np.log(gamma), np.log(c1), np.log(c4)
-        tail = _cmul(np.exp(_cmul(w1, lc4)), xi3)
-        xq = np.array([complex(z) ** q for z in xi2], dtype=complex)
+        xq = _power(xi2, q)
         if d.case == "generic":
             kappa = c3 / (gamma ** p * c1 ** q - c4)
-            e1 = np.exp(_cmul(_cmul(p, TWO_PI_I + lg), w1))
-            e2 = np.exp(_cmul(_cmul(q, w1), lc1))
-            third = tail + _cmul(_cmul(_cmul(kappa, e1), e2), xq)
+            third = (np.exp(w1 * lc4) * xi3 + kappa * np.exp(p * (TWO_PI_I + lg)
+                     * w1) * np.exp(q * w1 * lc1) * xq)
         else:  # degenerate: c4 = gamma^p c1^q
-            e1 = np.exp(_cmul(TWO_PI_I * p, w1))
-            shear = _cmul(_cmul(_cmul(c3 / c4, w1), e1), xq)
-            third = _cmul(np.exp(_cmul(w1, lc4)), xi3 + shear)
-        y = np.stack([np.exp(_cmul(TWO_PI_I + lg, w1)),
-                      _cmul(np.exp(_cmul(w1, lc1)), xi2), third], axis=1)
+            shear = c3 / c4 * w1 * np.exp(TWO_PI_I * p * w1) * xq
+            third = np.exp(w1 * lc4) * (xi3 + shear)
+        y = np.stack([np.exp((TWO_PI_I + lg) * w1),
+                      np.exp(w1 * lc1) * xi2, third], axis=1)
     replay((_points_ok(y), _to_point, y))
     return y
 
@@ -135,19 +131,16 @@ def deck_transform_many(structure, index, w):
     gen = structure.output_pair[index - 1]
     s = structure.shifts[index - 1]
     regime = structure.spec.regime
-    xi1 = np.exp(_cmul(TWO_PI_I, w1))
+    xi1 = np.exp(TWO_PI_I * w1)
     if regime.tag == "NonResonant":
         _, a2, a3 = gen.data
-        return np.stack([w1 + s, _cmul(a2, xi2), _cmul(a3, xi3)], axis=1)
+        return np.stack([w1 + s, a2 * xi2, a3 * xi3], axis=1)
     if regime.tag == "Single":
         _, a2, a3, eps = gen.data
-        p, q = regime.p, regime.q
-        shear = _cmul(_cmul(eps, _numpy_powers(xi1, p)),
-                      np.array([complex(z) ** q for z in xi2], dtype=complex))
-        return np.stack([w1 + s, _cmul(a2, xi2), _cmul(a3, xi3) + shear],
-                        axis=1)
-    y = apply_checked(regime, gen.params()[None],
-                       np.stack([xi1, xi2, xi3], axis=1))
+        shear = eps * xi1 ** regime.p * _power(xi2, regime.q)
+        return np.stack([w1 + s, a2 * xi2, a3 * xi3 + shear], axis=1)
+    y = accepted(apply_many(regime, gen.params()[None],
+                            np.stack([xi1, xi2, xi3], axis=1)))
     return np.stack([w1 + s, y[:, 1], y[:, 2]], axis=1)
 
 
@@ -163,30 +156,26 @@ def _residuals(structure, index, w, base):
     under the developing map are base."""
     lhs = dev_eval_many(structure.dev, deck_transform_many(structure, index, w))
     gen = structure.spec.generators[index - 1]
-    rhs = apply_checked(gen.regime, gen.params()[None], base)
+    rhs = accepted(apply_many(gen.regime, gen.params()[None], base))
     return np.max(np.abs(lhs - rhs), axis=1) / (1 + np.max(np.abs(rhs), axis=1))
 
 
 def sample_cover_points(rng, samples):
     """Seeded cover points (N, 3): w1 uniform in the square |Re|, |Im| <= 1
-    and (xi2, xi3) of a uniform modulus in [0.5, 2] and a normal direction,
-    drawn one point at a time.  rng.uniform(lo, hi) is lo + (hi - lo) *
-    rng.random(), which the points take in one array expression."""
-    draws = []
-    while len(draws) < samples:
-        u, vec, r = rng.random(2), rng.normal(size=4), rng.random()
-        if (abs(vec[0]) < 1e-5
-                and np.linalg.norm(vec[:2] + 1j * vec[2:]) < 1e-6):
-            continue
-        draws.append((u[0], u[1], vec[0], vec[1], vec[2], vec[3], r))
-    d = np.array(draws).reshape(-1, 7)
-    w = np.empty((len(d), 3), dtype=complex)
-    w[:, 0].real, w[:, 0].imag = -1 + 2 * d[:, 0], -1 + 2 * d[:, 1]
-    vec = d[:, 2:4] + 1j * d[:, 4:6]
-    # |vec| as np.linalg.norm takes it, by one dot product per part
-    norm = np.sqrt((vec.real[:, None] @ vec.real[..., None]
-                    + vec.imag[:, None] @ vec.imag[..., None])[:, 0, 0])
-    w[:, 1:] = vec / norm[:, None] * (0.5 + 1.5 * d[:, 6:])
+    and (xi2, xi3) of a uniform modulus in [0.5, 2] and a normal direction.
+    The arrays are drawn for all points at once; a draw whose direction
+    is too short to normalize is dropped and drawn again in the next
+    batch."""
+    w = np.empty((0, 3), dtype=complex)
+    while len(w) < samples:
+        n = samples - len(w)
+        corner = rng.uniform(-1, 1, size=(n, 2))
+        vec = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        modulus = rng.uniform(0.5, 2, size=(n, 1))
+        norm = np.linalg.norm(vec, axis=1, keepdims=True)
+        keep = (np.abs(vec[:, 0].real) >= 1e-5) | (norm[:, 0] >= 1e-6)
+        w = np.concatenate([w, np.column_stack(
+            [corner[:, 0] + 1j * corner[:, 1], vec / norm * modulus])[keep]])
     return w
 
 

@@ -13,15 +13,16 @@ on V = C* x (C^2 \\ {0}):
 ``glue_psi_p`` maps T-points into the S_p chart, ``glue_phi_pq`` maps
 T_pq-points into the T chart; both are equivariant for the corresponding
 Z^2 actions and are inverted by ``invert_psi_p`` / ``invert_phi_pq``.
-Membership of a candidate point in its chart is checked clause by clause
+Membership of a candidate point in its chart is decided clause by clause
 by ``check_condition``; clauses quantified over all integer exponent
 pairs are evaluated over a bounded window whose bound is recorded in the
 report.
 
 The maps work on stacked chart data (``*_many``: matrices (N, 3, 3),
-lambdas and points of V), rounding as one point at a time would, and
-raise what the first refused point raises; the scalar maps call them on
-one point.
+lambdas and points of V) in numpy's arithmetic, and decide refusals from
+the rows they compute: each raises the error of the first refused point,
+found by validating that point's own output.  The scalar maps call them
+on one point.
 """
 
 from dataclasses import dataclass
@@ -32,12 +33,12 @@ import numpy as np
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
 from .resonance import (DEFAULT_BOUND, ResonanceClass, _log_screen,
                         _power_residual, _screened)
-from .resonant_group import (GroupElement, IllConditioned, PointV, _cmul,
-                             _l_matrices, _l_matrix, _modulus, _null_vector,
-                             _numpy_powers, _points_ok, _to_point,
-                             apply_checked, checked, compose, compose_many,
-                             identity, inverse, inverse_many,
-                             p_eigenvalues, p_eigenvalues_many, replay)
+from .resonant_group import (GroupElement, IllConditioned, PointV,
+                             _finite_check, _l_matrices, _l_matrix,
+                             _null_vector, _points_ok, _to_point, accepted,
+                             apply_many, compose_many, identity,
+                             inverse_many, p_eigenvalues, p_eigenvalues_many,
+                             replay)
 from .rep_variety import variety_residual
 
 DENOM_TOL = 1e-12
@@ -155,8 +156,8 @@ def _paired_eigendata(point):
 
 def _paired_eigendata_many(amat, bmat, p):
     """`_paired_eigendata` of stacked S_p candidates, matrices (N, 3, 3),
-    as six arrays (N,), each rounded as the scalar one; the scalar form
-    stays for `check_condition`, which it keeps fast on one point."""
+    as six arrays (N,); the scalar form stays for `check_condition`,
+    which it keeps fast on one point."""
     a1, b1 = amat[:, 0, 0], bmat[:, 0, 0]
     roots = p_eigenvalues_many(a1, amat[:, 1:, 1:], p)
     la, lb = _l_matrices(a1, p), _l_matrices(b1, p)
@@ -166,13 +167,12 @@ def _paired_eigendata_many(amat, bmat, p):
     first = np.argmax(np.abs(lv), axis=-1) == 0
     betas = (np.where(first, bv[..., 0], bv[..., 1])
              / np.where(first, lv[..., 0], lv[..., 1]))
-    ap, bp = _numpy_powers(a1, p), _numpy_powers(b1, p)
+    ap, bp = a1 ** p, b1 ** p
     # the assignment (i, j) = (0, 1) unless only (1, 0) is modulus-ordered
-    swap = ((_modulus(roots[:, 0]) <= _modulus(_cmul(roots[:, 1], ap)))
-            & (_modulus(roots[:, 1]) > _modulus(_cmul(roots[:, 0], ap))))
+    swap = ((np.abs(roots[:, 0]) <= np.abs(roots[:, 1] * ap))
+            & (np.abs(roots[:, 1]) > np.abs(roots[:, 0] * ap)))
     roots[swap], betas[swap] = roots[swap, ::-1], betas[swap, ::-1]
-    return (a1, roots[:, 0], _cmul(roots[:, 1], ap),
-            b1, betas[:, 0], _cmul(betas[:, 1], bp))
+    return (a1, roots[:, 0], roots[:, 1] * ap, b1, betas[:, 0], betas[:, 1] * bp)
 
 
 def _no_clash_window(a1, a2, a3, bound, tol, excluded=None):
@@ -210,7 +210,7 @@ class MembershipReport:
 def _eigen_admissible(eigendata, config, tol):
     """Proxy for "the eigenvalues come from an admissible configuration".
 
-    The necessary holonomy constraints are always checked; when an
+    The necessary holonomy constraints are always tested; when an
     explicitly certified configuration is supplied as a witness, its
     holonomy must reproduce the eigen-data as well.
     """
@@ -298,9 +298,9 @@ def _group_power(regime, f, n):
     """Rows of f^n by iterated composition from the identity, as the
     scalar power f^n = (...((1 f) f)...) f is built."""
     out = np.broadcast_to(identity(regime).params(), f.shape).copy()
-    step = f if n >= 0 else checked(regime, inverse_many, inverse, f)
+    step = f if n >= 0 else accepted(inverse_many(regime, f))
     for _ in range(abs(n)):
-        out = checked(regime, compose_many, compose, out, step)
+        out = accepted(compose_many(regime, out, step))
     return out
 
 
@@ -309,19 +309,19 @@ def family_action_many(space, amat, bmat, word, x, p=None, q=None):
     with indices p, q, on the points x (N, 3): the images (N, 3)."""
     r, s = word
     replay((_points_ok(x), _to_point, x))
-    if space == "T":
+    if space != "T":
+        regime = _chart_regime(space, p, q)
+        hr = _group_power(regime, _generator_rows(space, amat), r)
+        hs = _group_power(regime, _generator_rows(space, bmat), s)
+        h = accepted(compose_many(regime, hr, hs))
+        return accepted(apply_many(regime, h, x))
+    with np.errstate(all="ignore"):
         a = np.linalg.matrix_power(amat if r >= 0 else np.linalg.inv(amat),
                                    abs(r))
         b = np.linalg.matrix_power(bmat if s >= 0 else np.linalg.inv(bmat),
                                    abs(s))
         y = (a @ b @ x[..., None])[..., 0]
-    else:
-        regime = _chart_regime(space, p, q)
-        hr = _group_power(regime, _generator_rows(space, amat), r)
-        hs = _group_power(regime, _generator_rows(space, bmat), s)
-        h = checked(regime, compose_many, compose, hr, hs)
-        return apply_checked(regime, h, x)
-    replay((_points_ok(y), _to_point, y))
+        replay((_points_ok(y), _to_point, y), _finite_check(y))
     return y
 
 
@@ -360,9 +360,9 @@ def _shear_denominators(amat, p, q):
     either is negligible against the eigenvalues."""
     a1, a2, a3 = amat[:, 0, 0], amat[:, 1, 1], amat[:, 2, 2]
     d_plain = a3 - a2
-    d_twist = a3 - _cmul(_numpy_powers(a1, p), _numpy_powers(a2, q))
-    tiny = DENOM_TOL * (1 + np.maximum(_modulus(a2), _modulus(a3)))
-    ok = (_modulus(d_plain) >= tiny) & (_modulus(d_twist) >= tiny)
+    d_twist = a3 - a1 ** p * a2 ** q
+    tiny = DENOM_TOL * (1 + np.maximum(np.abs(a2), np.abs(a3)))
+    ok = (np.abs(d_plain) >= tiny) & (np.abs(d_twist) >= tiny)
     return d_plain, d_twist, (ok, _collision, d_plain, d_twist)
 
 
@@ -379,18 +379,17 @@ def glue_psi_p_many(amat, bmat, lam, x, p):
     with np.errstate(all="ignore"):
         d_plain, d_twist, denominators = _shear_denominators(amat, p, 1)
         btilde = bmat.copy()
-        btilde[:, 2, 1] = _cmul(eps, b3 - _cmul(_numpy_powers(b1, p), b2)) / d_twist
-        aout = _shear(_cmul(lam, _numpy_powers(a1, -p))) @ amat @ _shear(-lam)
-        bout = _shear(_cmul(lam, _numpy_powers(b1, -p))) @ btilde @ _shear(-lam)
+        btilde[:, 2, 1] = eps * (b3 - b1 ** p * b2) / d_twist
+        aout = _shear(lam * a1 ** -p) @ amat @ _shear(-lam)
+        bout = _shear(lam * b1 ** -p) @ btilde @ _shear(-lam)
         xi1, xi2, xi3 = x.T
-        eta3 = (xi3 + _cmul(eps / d_plain, xi2)
-                - _cmul(_cmul(eps / d_twist, _numpy_powers(xi1, p)), xi2))
-        y = np.stack([xi1, xi2 + _cmul(_cmul(lam, _numpy_powers(xi1, -p)), eta3),
-                      eta3], axis=1)
-    replay((_points_ok(x), _to_point, x), denominators,
-           (_points_ok(y), _to_point, y),
-           (_charts_ok("S_p", aout, bout),
-            lambda a, b: FamilyPoint("S_p", a, b, p=int(p)), aout, bout))
+        eta3 = xi3 + eps / d_plain * xi2 - eps / d_twist * xi1 ** p * xi2
+        y = np.stack([xi1, xi2 + lam * xi1 ** -p * eta3, eta3], axis=1)
+        replay((_points_ok(x), _to_point, x), denominators,
+               (_points_ok(y), _to_point, y),
+               (_charts_ok("S_p", aout, bout),
+                lambda a, b: FamilyPoint("S_p", a, b, p=int(p)), aout, bout),
+               _finite_check(y))
     return aout, bout, y
 
 
@@ -415,37 +414,37 @@ def invert_psi_p_many(amat, bmat, x, p):
     """`invert_psi_p` for stacked S_p points, matrices (N, 3, 3), and
     points x (N, 3): (amat, bmat, lam, x) of the preimages."""
     a2e, eps1, eps2 = amat[:, 1, 1], amat[:, 2, 1], amat[:, 1, 2]
-    a1, a2, a3, b1, b2, b3 = _paired_eigendata_many(amat, bmat, p)
     tol = MEMBERSHIP_TOL
-    scale = 1 + np.maximum(_modulus(a2), _modulus(a3))
-    unordered = _modulus(a2) <= _modulus(a3)
-    # the screen is necessary for tol < 1; the residual decides the rest
     with np.errstate(all="ignore"):
+        a1, a2, a3, b1, b2, b3 = _paired_eigendata_many(amat, bmat, p)
+        scale = 1 + np.maximum(np.abs(a2), np.abs(a3))
+        unordered = np.abs(a2) <= np.abs(a3)
+        # the screen is necessary for tol < 1; the residual decides the rest
         resonant = _log_screen(p * np.log(a1) + np.log(a2) - np.log(a3), tol)
-    resonant[resonant] = [_power_residual((u, v), w, (p, 1)) <= tol for u, v, w
-                          in zip(a1[resonant], a2[resonant], a3[resonant])]
-    shear = _modulus(eps1) > tol * scale
-    forced = ~shear & (_modulus(a2e - a2) > tol * scale)
-
-    # unique lam making (lam, 1) a twisted eigenvector for a3; the raw
-    # root representing a3 is a3 * a1^{-p}
-    with np.errstate(all="ignore"):
+        resonant[resonant] = [
+            _power_residual((u, v), w, (p, 1)) <= tol
+            for u, v, w in zip(a1[resonant], a2[resonant], a3[resonant])]
+        shear = np.abs(eps1) > tol * scale
+        forced = ~shear & (np.abs(a2e - a2) > tol * scale)
+        # unique lam making (lam, 1) a twisted eigenvector for a3; the raw
+        # root representing a3 is a3 * a1^{-p}
         lam = np.where(shear, (a3 - amat[:, 2, 2]) / eps1,
-                       eps2 / (_cmul(a3, _numpy_powers(a1, -p)) - a2e))
+                       eps2 / (a3 * a1 ** -p - a2e))
         amat_t = _diagonal(a1, a2, a3, eps1)
-        bmat_t = _diagonal(b1, b2, b3, _cmul(eps1, b3 - b2) / (a3 - a2))
+        bmat_t = _diagonal(b1, b2, b3, eps1 * (b3 - b2) / (a3 - a2))
         xi1, xi2p, eta3 = x.T
-        xi2 = xi2p - _cmul(_cmul(lam, _numpy_powers(xi1, -p)), eta3)
-        xi3 = (eta3 - _cmul(eps1 / (a3 - a2), xi2)
-               + _cmul(_cmul(eps1 / (a3 - _cmul(_numpy_powers(a1, p), a2)),
-                             _numpy_powers(xi1, p)), xi2))
+        xi2 = xi2p - lam * xi1 ** -p * eta3
+        xi3 = (eta3 - eps1 / (a3 - a2) * xi2
+               + eps1 / (a3 - a1 ** p * a2) * xi1 ** p * xi2)
         y = np.stack([xi1, xi2, xi3], axis=1)
-    replay((_points_ok(x), _to_point, x),
-           (~(unordered | resonant | forced), _not_in_image, unordered,
-            resonant),
-           (_charts_ok("T", amat_t, bmat_t),
-            lambda a, b, c: FamilyPoint("T", a, b, lam=c), amat_t, bmat_t, lam),
-           (_points_ok(y), _to_point, y))
+        replay((_points_ok(x), _to_point, x),
+               (~(unordered | resonant | forced), _not_in_image, unordered,
+                resonant),
+               (_charts_ok("T", amat_t, bmat_t),
+                lambda a, b, c: FamilyPoint("T", a, b, lam=c), amat_t,
+                bmat_t, lam),
+               (_points_ok(y), _to_point, y),
+               _finite_check(np.column_stack([lam, y])))
     return amat_t, bmat_t, lam, y
 
 
@@ -489,22 +488,21 @@ def glue_phi_pq_many(amat, bmat, x, p, q, invert=False):
         d_plain, d_twist, denominators = _shear_denominators(amat, p, q)
         bout = bmat.copy()
         if invert:
-            bout[:, 2, 1] = _cmul(eps, b3 - _cmul(_numpy_powers(b1, p),
-                                                  _numpy_powers(b2, q))) / d_twist
+            bout[:, 2, 1] = eps * (b3 - b1 ** p * b2 ** q) / d_twist
         else:
-            bout[:, 2, 1] = _cmul(eps, b3 - b2) / d_plain
+            bout[:, 2, 1] = eps * (b3 - b2) / d_plain
         xi1, xi2, xi3 = x.T
-        plain = _cmul(eps / d_plain, xi2)
-        twist = _cmul(_cmul(eps / d_twist, _numpy_powers(xi1, p)),
-                      _numpy_powers(xi2, q))
+        plain = eps / d_plain * xi2
+        twist = eps / d_twist * xi1 ** p * xi2 ** q
         y = x.copy()
         y[:, 2] = xi3 + plain - twist if invert else xi3 - plain + twist
-    space = "T_pq" if invert else "T"
-    replay((_points_ok(x), _to_point, x), denominators,
-           (_charts_ok(space, amat, bout), lambda a, b: FamilyPoint(
-               space, a, b, lam=0, p=p if invert else None,
-               q=q if invert else None), amat, bout),
-           (_points_ok(y), _to_point, y))
+        space = "T_pq" if invert else "T"
+        replay((_points_ok(x), _to_point, x), denominators,
+               (_charts_ok(space, amat, bout), lambda a, b: FamilyPoint(
+                   space, a, b, lam=0, p=p if invert else None,
+                   q=q if invert else None), amat, bout),
+               (_points_ok(y), _to_point, y),
+               _finite_check(y))
     return amat.copy(), bout, y
 
 

@@ -17,12 +17,15 @@ N = L_{a1,p}^{-1} M, which is how exp/log and normal forms are computed;
 the 2x2 exp and log are closed forms in the eigenvalues.
 
 `compose_many`, `inverse_many` and `apply_many` evaluate the group laws
-on stacked parameter rows.  They round as the scalar functions do,
-operation for operation: products of complex scalars are written out,
-quotients follow Python's complex division, and powers are taken as the
-scalar code takes them, so each row equals its scalar result to the bit.
+on stacked parameter rows in numpy's own arithmetic, so a row agrees
+with the scalar function to rounding, not to the bit.  Each returns,
+with its rows, the checks that decide its refusals from those rows
+alone: a power that leaves the float range, an output that
+`GroupElement` or `PointV` refuses, a non-finite output.  `replay`
+raises the error of the first refused row.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +35,6 @@ from .resonance import ResonanceClass
 TOL_SEP = 1e-8
 # relative commutation residual up to which elements count as commuting
 COMMUTE_TOL = 1e-8
-_NAN = complex(np.nan, np.nan)
 
 
 class IllConditioned(Exception):
@@ -43,92 +45,68 @@ class BranchDomain(Exception):
     """Argument outside the principal-branch domain of exp/log."""
 
 
-def _cmul(a, b):
-    """a * b rounded as Python's complex product (and numpy's scalar one)
-    rounds it; numpy's array product may fuse the multiply-adds."""
-    a, b = np.asarray(a), np.asarray(b)
-    re = a.real * b.real - a.imag * b.imag
-    out = np.empty(re.shape, dtype=complex)
-    out.real = re
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
-def _cdiv(a, b):
-    """a / b rounded as Python's complex division rounds it (numpy's
-    multiplies by the reciprocal of the denominator instead)."""
-    ar, ai = np.real(a), np.imag(a)
-    br, bi = np.real(b), np.imag(b)
-    by_re = np.abs(br) >= np.abs(bi)
-    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+def _power_check(z, n):
+    """z ** n for each z, by numpy's power, and the `replay` checks that
+    refuse each finite z whose power is not a float, as Python refuses
+    complex(z) ** n: ZeroDivisionError where n < 0 and z is 0, or z ** -n
+    is 0 with |n| <= 100 (below its exp-log power), OverflowError
+    otherwise."""
+    z = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
-        t = np.where(by_re, bi / br, br / bi)
-        den = np.where(by_re, br + bi * t, br * t + bi)
-        out.real = np.where(by_re, ar + ai * t, ar * t + ai) / den
-        out.imag = np.where(by_re, ai - ar * t, ai * t - ar) / den
-    return out
+        out = z ** n
+    return out, [(np.isfinite(out) | ~np.isfinite(z),
+                  functools.partial(_refuse_power, n=n), z)]
 
 
-def _modulus(z):
-    """|z| rounded as Python's and numpy's scalar abs round it."""
-    return np.hypot(np.real(z), np.imag(z))
-
-
-def _binary_power(z, k):
-    """z^k for k >= 0 by binary powering from 1, as Python and numpy take
-    integer powers of complex scalars."""
-    out = np.ones_like(z)
-    while k:
-        if k & 1:
-            out = _cmul(out, z)
-        k >>= 1
-        if k:
-            z = _cmul(z, z)
-    return out
-
-
-def _python_powers(zs, n):
-    """complex(z) ** n for each z, as Python takes it, with nan where
-    Python refuses the power (overflow, zero to a negative power)."""
-    z = np.asarray(zs, dtype=complex)
-    if abs(n) > 100:  # Python's exp-log power
-        return np.array([_python_power(c, n) for c in z.ravel()],
-                        dtype=complex).reshape(z.shape)
+def _refuse_power(z, n):
     with np.errstate(all="ignore"):
-        out = _binary_power(z, abs(n))
-        if n < 0:
-            zero = out == 0
-            out = _cdiv(1, out)
-            out[zero] = _NAN
-    out[np.isinf(out.real) | np.isinf(out.imag)] = _NAN
+        if n < 0 and (z == 0 or abs(n) <= 100 and z ** -n == 0):
+            raise ZeroDivisionError("0.0 to a negative or complex power")
+    raise OverflowError("complex exponentiation")
+
+
+def _power(z, n):
+    """z ** n for each z, raising the refusal of the first z refused."""
+    return accepted(_power_check(z, n))
+
+
+def replay(*checks):
+    """Raise the error of the first row that fails a check.  Each check is
+    (ok, fn, *rows) with ok a mask over the rows; for the first row k that
+    fails any check, fn(*(r[k] for r in rows)) of each check it fails
+    runs, in the order given, and raises the refusal of that row."""
+    bad = ~passed(checks).ravel()
+    if not bad.any():
+        return
+    k = np.argmax(bad)
+    with np.errstate(all="ignore"):
+        for ok, fn, *rows in checks:
+            if not ok.flat[k]:
+                fn(*(np.reshape(r, (ok.size,) + np.shape(r)[ok.ndim:])[k]
+                     for r in rows))
+
+
+def passed(checks):
+    """The rows that pass every check of a list of `replay` checks."""
+    return functools.reduce(np.logical_and, [check[0] for check in checks])
+
+
+def accepted(result):
+    """The output of an array form that returns (output, checks), once
+    `replay` has found no refused row."""
+    out, checks = result
+    replay(*checks)
     return out
 
 
-def _python_power(z, n):
-    try:
-        return complex(z) ** n
-    except (OverflowError, ZeroDivisionError):
-        return _NAN
+def _finite_check(out):
+    """The check refusing each non-finite output row (..., k) with
+    OverflowError."""
+    return np.isfinite(out).all(axis=-1), _overflow, out
 
 
-def _numpy_powers(zs, n):
-    """z ** n for each z as a numpy complex scalar, as numpy takes it:
-    small powers unrolled, others by binary powering and, for n < 0,
-    numpy's division; zero to a negative power is nan."""
-    z = np.asarray(zs, dtype=complex)
-    if abs(n) >= 100:  # numpy's exp-log power
-        return np.array([c ** n for c in z.ravel()],
-                        dtype=complex).reshape(z.shape)
-    if n in (1, 2, 3):
-        out = (z.copy(), _cmul(z, z), _cmul(z, _cmul(z, z)))[n - 1]
-    else:
-        out = _binary_power(z, abs(n))
-        if n < 0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = 1 / out
-    if n:
-        out[z == 0] = 0 if n > 0 else _NAN
-    return out
+def _overflow(out):
+    raise OverflowError("result leaves the float range")
 
 
 @dataclass(frozen=True)
@@ -150,8 +128,8 @@ class PointV:
 
 
 def _points_ok(x):
-    """Rows (N, 3) that pass the `PointV` checks."""
-    return (x[:, 0] != 0) & ((x[:, 1] != 0) | (x[:, 2] != 0))
+    """Points (..., 3) that pass the `PointV` checks."""
+    return (x[..., 0] != 0) & ((x[..., 1] != 0) | (x[..., 2] != 0))
 
 
 @dataclass(frozen=True)
@@ -213,7 +191,7 @@ def _l_matrices(z, p):
     """`_l_matrix` for each z (N,)."""
     out = np.zeros((len(z), 2, 2), dtype=complex)
     out[:, 0, 0] = 1
-    out[:, 1, 1] = [complex(c) ** p for c in z]
+    out[:, 1, 1] = _power(z, p)
     return out
 
 
@@ -247,7 +225,7 @@ def apply(f, x):
 
 
 def _compose_data(regime, fdata, gdata):
-    """The data of `compose` from the data of its factors, unchecked."""
+    """The data of `compose` from the data of its factors, not validated."""
     tag = regime.tag
     if tag == "NonResonant":
         return tuple(a * b for a, b in zip(fdata, gdata))
@@ -280,132 +258,107 @@ def inverse(f):
                                    tau(1 / a1, f.regime.p, np.linalg.inv(mat))))
 
 
-def replay(*checks):
-    """Hand the rows that array forms may have refused to the scalar code.
-    Each check is (ok, fn, *rows); for each row k that fails a check, in
-    order, fn(*(r[k] for r in rows)) runs for each check it fails, in the
-    order given, and raises what the scalar code raises there."""
-    if all(check[0].all() for check in checks):
-        return
-    bad = ~np.logical_and.reduce([check[0] for check in checks])
-    for k in np.flatnonzero(bad):
-        for ok, fn, *rows in checks:
-            if not ok[k]:
-                fn(*(r[k] for r in rows))
-
-
 def _to_point(xi):
     return PointV(tuple(xi))
 
 
-def checked(regime, many, scalar, *rows):
-    """many(regime, *rows) for `compose_many` or `inverse_many`, with each
-    row it may have refused replayed through the scalar op on its group
-    elements, which raises what it raises there."""
-    out, ok = many(regime, *rows)
-    replay((ok, lambda *r: scalar(*(element_from_params(regime, e) for e in r)),
-            *rows))
-    return out
-
-
-def _element_ok(regime, h):
-    """Rows (N, k) that pass the `GroupElement` checks."""
+def _element_check(regime, h):
+    """The check refusing the rows h (..., k) that `GroupElement` refuses."""
     if regime.tag == "Double":
-        return (h[:, 0] != 0) & (np.linalg.det(h[:, 1:].reshape(-1, 2, 2)) != 0)
-    return (h[:, :3] != 0).all(axis=1)
+        ok = (h[..., 0] != 0) & (np.linalg.det(
+            h[..., 1:].reshape(h.shape[:-1] + (2, 2))) != 0)
+    else:
+        ok = (h[..., :3] != 0).all(axis=-1)
+    return ok, functools.partial(element_from_params, regime), h
 
 
 def compose_many(regime, a, b):
-    """`compose` on parameter rows (`GroupElement.params`) a, b (N, k):
-    the rows of the products, and a mask that is False on every row
-    `compose` refuses.  The mask may also be False on a row `compose`
-    accepts (a nan power), so callers hand each masked row to `compose`,
-    which raises what it raises on it.
-    """
+    """`compose` on parameter rows (`GroupElement.params`) a, b (N, k),
+    in numpy's arithmetic: the rows of the products and the `replay`
+    checks that refuse a row, in this order where a power leaves the
+    float range, where `GroupElement` refuses the product and where the
+    product is not finite."""
     tag = regime.tag
-    if tag == "NonResonant":
-        h = _cmul(a, b)
-        return h, _element_ok(regime, h)
-    h = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    if tag == "Single":
-        x = _python_powers(b[:, 0], regime.p)
-        y = _python_powers(b[:, 1], regime.q)
-        h[:, :3] = _cmul(a[:, :3], b[:, :3])
-        h[:, 3] = _cmul(a[:, 2], b[:, 3]) + _cmul(_cmul(a[:, 3], x), y)
-    else:  # tau(b1, p, M): b1^-p above, b1^p below the diagonal
-        x = _python_powers(b[:, 0], -regime.p)
-        y = _python_powers(b[:, 0], regime.p)
-        h[:, 0] = _cmul(a[:, 0], b[:, 0])
-        t = a[:, 1:].reshape(-1, 2, 2).copy()
-        t[:, 0, 1] = _cmul(t[:, 0, 1], x)
-        t[:, 1, 0] = _cmul(t[:, 1, 0], y)
-        h[:, 1:] = (t @ b[:, 1:].reshape(-1, 2, 2)).reshape(-1, 4)
-    return h, ~np.isnan(x) & ~np.isnan(y) & _element_ok(regime, h)
+    checks = []
+    with np.errstate(all="ignore"):
+        h = a * b
+        if tag == "Single":
+            x, cx = _power_check(b[:, 0], regime.p)
+            y, cy = _power_check(b[:, 1], regime.q)
+            checks = cx + cy
+            h[:, 3] = a[:, 2] * b[:, 3] + a[:, 3] * x * y
+        elif tag == "Double":  # tau(b1, p, M): b1^-p above, b1^p below
+            x, cx = _power_check(b[:, 0], -regime.p)
+            y, cy = _power_check(b[:, 0], regime.p)
+            checks = cx + cy
+            t = a[:, 1:].reshape(-1, 2, 2).copy()
+            t[:, 0, 1] *= x
+            t[:, 1, 0] *= y
+            h[:, 1:] = (t @ b[:, 1:].reshape(-1, 2, 2)).reshape(-1, 4)
+        return h, checks + [_element_check(regime, h), _finite_check(h)]
 
 
 def inverse_many(regime, a):
-    """`inverse` on parameter rows a (N, k), with a mask as in
-    `compose_many`."""
+    """`inverse` on parameter rows a (N, k), with checks as in
+    `compose_many`, after one refusing the rows of a that are no group
+    elements."""
     tag = regime.tag
-    h = np.empty_like(a)
-    if tag == "NonResonant":
-        h[:] = _cdiv(1, a)
-        return h, (a != 0).all(axis=1) & _element_ok(regime, h)
-    if tag == "Single":
-        x = _python_powers(a[:, 0], regime.p)
-        y = _python_powers(a[:, 1], regime.q)
-        den = _cmul(_cmul(a[:, 2], x), y)
-        h[:, :3] = _cdiv(1, a[:, :3])
-        h[:, 3] = _cdiv(-a[:, 3], den)
-        ok = (a[:, :3] != 0).all(axis=1) & (den != 0)
-    else:
-        mat = a[:, 1:].reshape(-1, 2, 2)
-        ok = (a[:, 0] != 0) & (np.linalg.det(mat) != 0)
-        h[:, 0] = _cdiv(1, a[:, 0])
-        t = np.linalg.inv(np.where(ok[:, None, None], mat, np.eye(2)))
-        t[:, 0, 1] = _cmul(t[:, 0, 1], _python_powers(h[:, 0], -regime.p))
-        t[:, 1, 0] = _cmul(t[:, 1, 0], _python_powers(h[:, 0], regime.p))
-        h[:, 1:] = t.reshape(-1, 4)
-    return h, ok & ~np.isnan(h).any(axis=1) & _element_ok(regime, h)
+    with np.errstate(all="ignore"):
+        checks = [_element_check(regime, a)]
+        h = 1 / a
+        if tag == "Single":
+            x, cx = _power_check(a[:, 0], regime.p)
+            y, cy = _power_check(a[:, 1], regime.q)
+            checks += cx + cy
+            h[:, 3] = -a[:, 3] / (a[:, 2] * x * y)
+        elif tag == "Double":
+            t = np.linalg.inv(np.where(checks[0][0][:, None, None],
+                                       a[:, 1:].reshape(-1, 2, 2), np.eye(2)))
+            x, cx = _power_check(h[:, 0], -regime.p)
+            y, cy = _power_check(h[:, 0], regime.p)
+            checks += cx + cy
+            t[:, 0, 1] *= x
+            t[:, 1, 0] *= y
+            h[:, 1:] = t.reshape(-1, 4)
+        return h, checks + [_element_check(regime, h), _finite_check(h)]
+
+
+def _images(regime, h, x):
+    """The images of `apply_many`, and the `replay` checks on the powers
+    of the points x alone that it refuses (xi1^-p and xi1^p of the Double
+    regime's tau)."""
+    checks = []
+    with np.errstate(all="ignore"):
+        y = h[..., :3] * x
+        if regime.tag == "Single":
+            y[..., 2] += (h[..., 3] * x[..., 0] ** regime.p
+                          * x[..., 1] ** regime.q)
+        elif regime.tag == "Double":
+            u, cu = _power_check(x[..., 0], -regime.p)
+            v, cv = _power_check(x[..., 0], regime.p)
+            checks = cu + cv
+            t = np.broadcast_to(h[..., 1:], y.shape[:-1] + (4,)).reshape(
+                y.shape[:-1] + (2, 2)).copy()
+            t[..., 0, 1] *= u
+            t[..., 1, 0] *= v
+            y[..., 1:] = (t @ x[..., 1:, None])[..., 0]
+    return y, checks
 
 
 def apply_many(regime, h, x):
     """`apply` of the parameter rows h (..., k) to the points x (..., 3),
-    broadcast against each other: the images, and a mask over x that is
-    False where a power of the point is nan, which may be where Python
-    refuses it (the Double regime's xi1^-p and xi1^p for tau)."""
-    tag = regime.tag
-    fine = np.ones(x.shape[:-1], dtype=bool)
-    if tag == "NonResonant":
-        return h * x, fine  # numpy's array product, as in apply
-    shape = np.broadcast_shapes(h.shape[:-1], x.shape[:-1])
-    y = np.empty(shape + (3,), dtype=complex)
-    y[..., 0] = _cmul(h[..., 0], x[..., 0])
-    if tag == "Single":  # numpy scalar powers xi1^p, xi2^q
-        u = _numpy_powers(x[..., 0], regime.p)
-        v = _numpy_powers(x[..., 1], regime.q)
-        y[..., 1] = _cmul(h[..., 1], x[..., 1])
-        y[..., 2] = _cmul(h[..., 2], x[..., 2]) + _cmul(_cmul(h[..., 3], u), v)
-        return y, fine
-    u = _python_powers(x[..., 0], -regime.p)
-    v = _python_powers(x[..., 0], regime.p)
-    t = np.broadcast_to(h[..., 1:], shape + (4,)).reshape(shape + (2, 2)).copy()
-    t[..., 0, 1] = _cmul(t[..., 0, 1], u)
-    t[..., 1, 0] = _cmul(t[..., 1, 0], v)
-    y[..., 1:] = (t @ x[..., 1:, None])[..., 0]
-    return y, ~np.isnan(u) & ~np.isnan(v)
-
-
-def apply_checked(regime, h, x):
-    """`apply_many` of the rows h to the points x (N, 3), with each row
-    and point that `GroupElement`, `apply` or `PointV` may refuse
-    replayed through them."""
-    h = np.broadcast_to(h, (len(x), h.shape[-1]))
-    y, fine = apply_many(regime, h, x)
-    replay((fine & _element_ok(regime, h),
-            lambda e, xi: apply(element_from_params(regime, e), xi), h, x),
-           (_points_ok(y), _to_point, y))
-    return y
+    broadcast against each other, in numpy's arithmetic: the images and
+    the `replay` checks over them that refuse, in this order, a row h
+    that is no group element, a power of a point that leaves the float
+    range, an image off V and a non-finite image."""
+    y, powers = _images(regime, h, x)
+    with np.errstate(all="ignore"):
+        checks = [_element_check(regime, h)] + powers + [
+            (_points_ok(y), _to_point, y), _finite_check(y)]
+    shape = y.shape[:-1]
+    return y, [(np.broadcast_to(ok, shape), fn,
+                *(np.broadcast_to(r, shape + r.shape[ok.ndim:]) for r in rows))
+               for ok, fn, *rows in checks]
 
 
 def conjugate(h, f):
@@ -448,10 +401,10 @@ def p_eigenvalues_many(alpha, mat, p):
     (N, 2), in its order.  The quadratic is solved as np.roots solves it,
     by the eigenvalues of its companion matrix; a row with a zero or
     non-finite coefficient is handed to np.roots itself."""
-    if any(complex(a) == 0 for a in alpha):
+    if np.any(alpha == 0):
         raise ValueError("alpha must be nonzero")
-    ap = np.array([complex(a) ** p for a in alpha], dtype=complex)
-    coef = np.stack([ap, -(_cmul(mat[:, 0, 0], ap) + mat[:, 1, 1]),
+    ap = _power(alpha, p)
+    coef = np.stack([ap, -(mat[:, 0, 0] * ap + mat[:, 1, 1]),
                      np.linalg.det(mat)], axis=1)
     plain = np.isfinite(coef).all(axis=1) & (coef[:, 0] != 0) & (coef[:, 2] != 0)
     comp = np.zeros((len(ap), 2, 2), dtype=complex)
@@ -596,12 +549,12 @@ def _eig2(k):
     c = k.copy()
     c[..., 0, 0] -= m
     c[..., 1, 1] -= m
-    return m, _cmul(d, d) + _cmul(k[..., 0, 1], k[..., 1, 0]), c
+    return m, d * d + k[..., 0, 1] * k[..., 1, 0], c
 
 
 def _combine2(f0, f1, c):
     """f0 I + f1 C for scalars f0, f1 (...) and matrices C (..., 2, 2)."""
-    out = _cmul(f1[..., None, None], c)
+    out = f1[..., None, None] * c
     out[..., 0, 0] += f0
     out[..., 1, 1] += f0
     return out
@@ -612,18 +565,17 @@ def _expm2(k):
     of Matrices, 10.2): exp(K) = e^m (cosh s I + sinh(s)/s (K - m I)).
 
     Both coefficients are even in s, so a series in s^2 covers small |s|,
-    where K is confluent or defective.  Every product is written out, so
-    a stack and its single matrices round alike.
+    where K is confluent or defective.
     """
     m, s2, c = _eig2(k)
     s = np.sqrt(s2)
-    s4 = _cmul(s2, s2)
-    small = _modulus(s) < 1e-3
+    s4 = s2 * s2
+    small = np.abs(s) < 1e-3
     with np.errstate(divide="ignore", invalid="ignore"):
         ch = np.where(small, 1 + s2 / 2 + s4 / 24, np.cosh(s))
         sh = np.where(small, 1 + s2 / 6 + s4 / 120, np.sinh(s) / s)
     e = np.exp(m)
-    return _combine2(_cmul(e, ch), _cmul(e, sh), c)
+    return _combine2(e * ch, e * sh, c)
 
 
 def _logm2(n):
@@ -645,13 +597,13 @@ def _logm2(n):
     if np.any(lam == 0):
         raise BranchDomain("singular matrix: no matrix log")
     l1, l2 = np.log(lam)
-    close = _modulus(s) <= _modulus(m) / 2
+    close = np.abs(s) <= np.abs(m) / 2
     with np.errstate(divide="ignore", invalid="ignore"):
         at = np.arctanh(np.where(close, s / m, 0))
         turns = np.round((l1 - l2 - 2 * at).imag / (2 * np.pi))
         dd = np.where(close, np.where(s == 0, 1 / m, (at + 1j * np.pi * turns) / s),
                       (l1 - l2) / (2 * s))
-    if np.any((turns != 0) & (_modulus(s) < 1e-8 * _modulus(m))):
+    if np.any((turns != 0) & (np.abs(s) < 1e-8 * np.abs(m))):
         raise BranchDomain("eigenvalues within 1e-8 on either side of the "
                            "branch cut: the principal matrix log is "
                            "ill-conditioned")

@@ -48,11 +48,8 @@ def _in_annulus(xi, radius):
     return inner <= m1 <= radius and inner <= m23 <= radius
 
 
-def oracle_probe(pair, compact_radius, horizon, samples, seed):
-    """Apply every word of the band horizon/2 <= max(|r|, |s|) <= horizon
-    to seeded sample points of the annulus, and report for each word the
-    first sample whose image lands in the annulus again."""
-    f, g = pair
+def oracle_samples(compact_radius, samples, seed):
+    """The seeded sample points of the annulus that the probe starts from."""
     rng = np.random.default_rng(seed)
     pts = []
     for _ in range(samples):
@@ -64,6 +61,15 @@ def oracle_probe(pair, compact_radius, horizon, samples, seed):
         v *= m23 / np.linalg.norm(v)
         pts.append(PointV((m1 * np.exp(2j * np.pi * rng.uniform()),
                            v[0], v[1])))
+    return pts
+
+
+def oracle_probe(pair, compact_radius, horizon, samples, seed):
+    """Apply every word of the band horizon/2 <= max(|r|, |s|) <= horizon
+    to seeded sample points of the annulus, and report for each word the
+    first sample whose image lands in the annulus again."""
+    f, g = pair
+    pts = oracle_samples(compact_radius, samples, seed)
     fp = oracle_powers(f, horizon)
     gp = oracle_powers(g, horizon)
     lo = (horizon + 1) // 2

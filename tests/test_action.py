@@ -10,8 +10,9 @@ import lvmkit.resonant_group
 from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
 from lvmkit.resonance import ResonanceClass
-from lvmkit.resonant_group import (GroupElement, PointV, apply, apply_many,
-                                   compose, identity)
+from lvmkit.resonant_group import (GroupElement, PointV, _compose_data,
+                                   apply, apply_many, compose, compose_many,
+                                   element_from_params, identity)
 from lvmkit.action import (
     FP_TOL,
     ActionCertificate,
@@ -22,7 +23,8 @@ from lvmkit.action import (
     orbit,
     properness_probe,
 )
-from action_oracle import oracle_certificate, oracle_powers, oracle_probe
+from action_oracle import (oracle_certificate, oracle_powers, oracle_probe,
+                           oracle_samples)
 
 NR = ResonanceClass("NonResonant")
 S12 = ResonanceClass("Single", p=1, q=2)
@@ -187,6 +189,13 @@ class TestOrbit:
                            "integer pair" % re.escape(repr(entry))):
             orbit(DIAG_PAIR, [(1, 0), entry], PointV((1, 2, 3)))
 
+    @pytest.mark.parametrize("entry", [(1, 2, 3), (1,), 5],
+                             ids=["three", "one", "bare"])
+    def test_malformed_word_entry_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"^word entry %s is not an "
+                           "integer pair$" % re.escape(repr(entry))):
+            orbit(DIAG_PAIR, [(1, 0), entry], PointV((1, 2, 3)))
+
     def test_mixed_regimes_rejected(self):
         pair = (DIAG_PAIR[0], SINGLE_PAIR[1])
         with pytest.raises(ValueError, match="cannot compose elements of "
@@ -335,9 +344,125 @@ class TestPowers:
         assert outcome.startswith(error + ": ")
 
 
+# A complex product is within sqrt(5) u of exact (Brent, Percival and
+# Zimmermann, Math. Comp. 76, 2007); a sum, and each of the few steps of
+# a quotient, counts as one such operation here.
+U = 2.0 ** -53
+GAMMA = np.sqrt(5) * U
+
+
+def _ops(regime):
+    """Operations along the longest chain of one entry of a word f^r g^s
+    composed from two power rows, then applied to a point: a power z^n is
+    at most |n| products and a quotient (3), and each law adds at most 4."""
+    return 2 * (abs(regime.p) + abs(regime.q) + 7)
+
+
+def _near_range(z, n):
+    """Where |z^n| is within 2^8 of leaving the float range (or of its
+    subnormal end), so that two roundings may refuse it differently."""
+    with np.errstate(all="ignore"):
+        e = np.abs(n * np.log2(np.abs(z)))
+    return (1016 < e) & (e < 1084)
+
+
+def _moduli(a):
+    return np.abs(a).astype(complex)
+
+
+def _word_rows(pair, bound):
+    """For every word f^r g^s, |r|, |s| <= bound: the integer arrays r, s,
+    the word rows as `compose` builds them from the scalar powers, and the
+    rows compose gives on the moduli of the powers, which bound the moduli
+    of every term of each entry; None if the scalar powers are refused."""
+    f, g = pair
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fp, gp = oracle_powers(f, bound), oracle_powers(g, bound)
+    except (ValueError, ArithmeticError):
+        return None
+    r, s = _grid(bound)
+    a = np.array([fp[int(k)].params() for k in r])
+    b = np.array([gp[int(k)].params() for k in s])
+    with np.errstate(all="ignore"):
+        words = np.array([_scalar_word(f.regime, fp[int(i)], gp[int(j)])
+                          for i, j in zip(r, s)])
+        size = np.abs(compose_many(f.regime, _moduli(a), _moduli(b))[0])
+    return r, s, b, words, size
+
+
+def _scalar_word(regime, f, g):
+    """The parameters of the word f g in the arithmetic of `compose`,
+    nan where a power of it refuses g."""
+    try:
+        data = _compose_data(regime, f.data, g.data)
+    except ArithmeticError:
+        return np.full(f.params().shape, np.nan, dtype=complex)
+    return np.concatenate([np.ravel(d) for d in data])
+
+
+def _word_ambiguous(regime, b, words, size):
+    """Words whose refusal turns on rounding: a power of b within the
+    margin of the float range, an entry `GroupElement` tests for 0 whose
+    terms are within 2^24 of underflow, or a determinant within its
+    rounding bound of 0 (the error of each entry is at most 2 ops GAMMA
+    times its term size, and the determinant adds 4 u)."""
+    if regime.tag == "Double":
+        amb = _near_range(b[:, 0], regime.p) | (size[:, 0] < 2.0 ** -1000)
+        err = 2 * _ops(regime) * GAMMA + 4 * U
+        with np.errstate(all="ignore"):
+            det = np.linalg.det(words[:, 1:].reshape(-1, 2, 2))
+            margin = err * (size[:, 1] * size[:, 4] + size[:, 2] * size[:, 3])
+        return amb | ~(np.abs(det) > margin)
+    amb = (size[:, :3] < 2.0 ** -1000).any(axis=1)
+    if regime.tag == "Single":
+        amb |= _near_range(b[:, 0], regime.p) | _near_range(b[:, 1], regime.q)
+    return amb
+
+
+def _certificate_ambiguous(pair, window):
+    rows = _word_rows(pair, window)
+    return rows is not None and _word_ambiguous(pair[0].regime,
+                                                *rows[2:]).any()
+
+
+def _probe_ambiguous(pair, radius, horizon, samples, seed):
+    """Whether a word of the band, or its image of a sample, is decided by
+    rounding: the word as in `_word_ambiguous`, a power of a sample that
+    tau takes within the margin of the range, or an image whose modulus
+    |xi1| or |(xi2, xi3)| lies within its error bound of a bound of the
+    annulus.  An image entry's error is at most 2 ops GAMMA times its term
+    size, which apply gives on the moduli of the word and the point."""
+    rows = _word_rows(pair, horizon)
+    if rows is None:
+        return False
+    r, s, b, words, size = rows
+    regime = pair[0].regime
+    band = np.maximum(abs(r), abs(s)) >= (horizon + 1) // 2
+    x = np.array([pt.array() for pt in oracle_samples(radius, samples, seed)])
+    if _word_ambiguous(regime, b, words, size)[band].any() or (
+            regime.tag == "Double" and _near_range(x[:, 0], regime.p).any()):
+        return True
+    with np.errstate(all="ignore"):
+        y = apply_many(regime, words[band, None], x)[0]
+        err = 2 * _ops(regime) * GAMMA * np.abs(apply_many(
+            regime, _moduli(size[band, None]), _moduli(x))[0])
+        m1, m23 = np.abs(y[..., 0]), np.hypot(np.abs(y[..., 1]),
+                                              np.abs(y[..., 2]))
+        e1, e23 = err[..., 0] + 2 * U * m1, err[..., 1] + err[..., 2] \
+            + 2 * U * m23
+        return any((np.abs(m - bound) <= e).any() or (e > 2.0 ** 1000).any()
+                   for m, e in ((m1, e1), (m23, e23))
+                   for bound in (1 / radius, radius))
+
+
 class TestAgainstOracle:
-    """The array searches report exactly what word-by-word evaluation
-    reports, witness words and points included, and raise what it raises."""
+    """The array searches report what word-by-word evaluation reports,
+    witness words and points included, and raise what it raises, except
+    for windows where a word or an image is decided by rounding: the
+    arrays compose and apply in numpy's arithmetic, the oracle in the
+    scalar code's."""
 
     @settings(max_examples=150, deadline=None)
     @given(action_pairs(), st.integers(1, 8), st.integers(1, 5),
@@ -347,6 +472,7 @@ class TestAgainstOracle:
                      st.floats(1e308, 1.79e308)))
     def test_probe(self, pair, horizon, samples, seed, radius):
         args = (pair, radius, horizon, samples, seed)
+        assume(not _probe_ambiguous(*args))
         assert _outcome(properness_probe, *args) == \
             _outcome(oracle_probe, *args)
 
@@ -355,27 +481,31 @@ class TestAgainstOracle:
            st.sampled_from([0.0, FP_TOL, 1e-3, 0.5]))
     def test_certificate(self, pair, window, tol):
         args = (pair, window, tol)
+        assume(not _certificate_ambiguous(pair, window))
         assert _outcome(fixed_point_certificate, *args) == \
             _outcome(oracle_certificate, *args)
 
     @pytest.mark.parametrize("pair", [DIAG_PAIR, SINGLE_PAIR, DOUBLE_PAIR])
     def test_rounding_matches_scalar(self, pair):
-        # words and images agree with compose and apply to the last bit
+        # words and images agree with compose and apply within 2 ops GAMMA
+        # of the size of their terms, which the laws give on moduli
         f, g = pair
-        fp, gp = oracle_powers(f, 4), oracle_powers(g, 4)
-        r, s = _grid(4)
+        r, s, b, words, size = _word_rows(pair, 4)
         h, ok = _word_composer(f, g, _powers(f, 4), _powers(g, 4), 4)(r, s)
         x = np.array([[0.7 + 0.2j, 1.1 - 0.4j, -0.3 + 0.9j],
                       [-2.5j, 0.1 + 0.3j, 4.0],
                       [0.3 - 0.3j, 0.0, 1.7 + 2.2j]])
-        y, fine = apply_many(f.regime, h[:, None], x)
-        assert ok.all() and fine.all()
+        y = apply_many(f.regime, h[:, None], x)[0]
+        images = np.abs(apply_many(f.regime, _moduli(size[:, None]),
+                                   _moduli(x))[0])
+        assert ok.all() and not _word_ambiguous(f.regime, b, words, size).any()
+        bound = 2 * _ops(f.regime) * GAMMA
+        assert (np.abs(h - words) <= bound * size).all()
         for k in range(r.size):
-            word = compose(fp[int(r[k])], gp[int(s[k])])
-            assert word.params().tobytes() == h[k].tobytes()
+            word = element_from_params(f.regime, words[k])
             for n in range(len(x)):
-                image = apply(word, PointV(tuple(x[n])))
-                assert image.array().tobytes() == y[k, n].tobytes()
+                image = apply(word, PointV(tuple(x[n]))).array()
+                assert (np.abs(image - y[k, n]) <= bound * images[k, n]).all()
 
     def test_word_compose_refuses(self):
         # every power is a float, but f g underflows to 0 in xi1

@@ -1,53 +1,63 @@
 """The array forms behind `lvmkit verify` against their scalar oracles.
 
-Every batched form must equal the scalar reading in `verify_oracle` (and
-the scalar group laws) to the last bit, row by row, and must raise what a
-loop over the rows raises on the first row it refuses.
+The array forms compute in numpy's arithmetic and the oracles in the
+scalar code's, so values are compared within twice the rounding bounds
+of `verify_bounds`, which are derived from the formulas before the run.
+Decisions are compared exactly: refused or not, the exception and its
+message, the NotInImage clause, a suite's passed flag.  The exception is
+a row whose decision turns on rounding (a term within 2^24 of the ends
+of the float range, a determinant within its rounding bound of 0, an
+order of moduli within their errors), which each test excludes by that
+computed margin.  A refused batch raises what a loop over its rows
+raises on the first row it refuses.
 """
+
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import verify_oracle as oracle
+from verify_bounds import (GAMMA, HUGE, TINY, U, action_sizes, chart_ops,
+                           eigen_errors, group_laws_errors, gluing_errors,
+                           invert_psi_errors, law_ops, law_sizes, phi_sizes,
+                           psi_sizes, residual_errors)
 from lvmkit import cli
-from lvmkit.developing import check_structure
-from lvmkit.family_gluing import (FamilyPoint, _paired_eigendata,
+from lvmkit.developing import (build_structure, check_structure,
+                               sample_cover_points)
+from lvmkit.family_gluing import (DENOM_TOL, FamilyPoint, _paired_eigendata,
                                   _paired_eigendata_many, family_action_many,
                                   glue_phi_pq_many, glue_psi_p_many,
                                   invert_psi_p_many)
 from lvmkit.rep_variety import StructureSpec
 from lvmkit.resonance import ResonanceClass
-from lvmkit.resonant_group import (GroupElement, PointV, _cdiv,
-                                   _l_matrices, _numpy_powers, _python_powers,
-                                   apply, apply_many, checked, compose,
-                                   compose_many,
-                                   element_from_params, identity, inverse,
-                                   inverse_many, p_eigenvalues,
-                                   p_eigenvalues_many)
+from lvmkit.resonant_group import (GroupElement, PointV, _l_matrices,
+                                   _power_check, accepted, apply, apply_many,
+                                   compose, compose_many, element_from_params,
+                                   identity, inverse, inverse_many,
+                                   p_eigenvalues, p_eigenvalues_many, passed)
 
 REGIMES = (ResonanceClass("NonResonant"), ResonanceClass("Single", p=1, q=2),
            ResonanceClass("Single", p=-2, q=3), ResonanceClass("Double", p=1),
            ResonanceClass("Double", p=-3))
 
 
-def _bits(a):
-    """The bytes of an array, with every nan made the same nan: the sign
-    of a nan is the one bit the scalar and array forms may differ in."""
-    a = np.array(a)
-    if a.dtype.kind == "c":
-        a.real[np.isnan(a.real)] = np.nan
-        a.imag[np.isnan(a.imag)] = np.nan
-    return a.tobytes()
-
-
 def _outcome(fn, *args):
-    """What fn returns, as bytes of its arrays, or the error it raises."""
+    """What fn returns, or the error it raises as "Type: message"."""
     try:
-        out = fn(*args)
+        return fn(*args)
     except Exception as exc:
         return "%s: %s" % (type(exc).__name__, exc)
-    return repr([_bits(o) for o in out])
+
+
+def _agree(got, want, err):
+    """Two outcomes agree: the same error, or arrays (or tuples of them)
+    equal within err entrywise."""
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return all(np.all(np.abs(np.asarray(g) - np.asarray(w)) <= e)
+               for g, w, e in zip(got, want, err))
 
 
 def _rows(rng, n, k, scale):
@@ -63,22 +73,50 @@ def _element_rows(rng, regime, n, scale):
     return rows
 
 
-def _scalar_rows(regime, op, *rows):
-    """The scalar op on the group elements of each row: its result, None
-    where it refuses them, and "skip" where a row is no group element."""
-    out = []
-    for k in range(len(rows[0])):
-        try:
-            args = [element_from_params(regime, r[k]) for r in rows]
-        except ValueError:
-            out.append("skip")
-            continue
-        try:
-            out.append(op(*args))
-        except (ValueError, ZeroDivisionError, OverflowError,
-                np.linalg.LinAlgError):
-            out.append(None)
-    return out
+def _near_range(z, n):
+    """Where |z^n| is within 2^24 of leaving the float range, or of its
+    subnormal end, so that two roundings may refuse the power apart."""
+    with np.errstate(all="ignore"):
+        e = np.abs(n * np.log2(np.abs(z)))
+    return (1000 < e) & (e < 1100)
+
+
+def _law_ambiguous(regime, law, rows, got, size):
+    """Rows of a group law whose refusal turns on rounding: a power of an
+    input near the range, a term beyond HUGE (a non-finite result the
+    arrays refuse and the scalar code returns), an entry `GroupElement`
+    or `PointV` tests for 0 whose terms are below TINY, or a determinant
+    within its rounding bound of 0."""
+    p, q = regime.p, regime.q
+    with np.errstate(all="ignore"):
+        amb = ~(size <= HUGE).all(axis=1)
+        if law is apply_many:
+            amb |= (size[:, 0] < TINY) | (size[:, 1:] < TINY).all(axis=1)
+            powers = [(rows[1][:, 0], p)] if regime.tag == "Double" else []
+        else:
+            lead = size[:, :1] if regime.tag == "Double" else size[:, :3]
+            amb |= (lead < TINY).any(axis=1)
+            if regime.tag == "Double":
+                err = 2 * law_ops(regime) * GAMMA + 4 * U
+                det = np.linalg.det(got[:, 1:].reshape(-1, 2, 2))
+                amb |= ~(np.abs(det) > err * (size[:, 1] * size[:, 4]
+                                              + size[:, 2] * size[:, 3]))
+            base = rows[-1] if law is compose_many else rows[0]
+            if law is inverse_many and regime.tag == "Double":
+                powers = [(1 / base[:, 0], p)]
+            elif regime.tag == "Double":
+                powers = [(base[:, 0], p)]
+            elif regime.tag == "Single":
+                powers = [(base[:, 0], p), (base[:, 1], q)]
+                if law is inverse_many:  # the quotient by a3 a1^p a2^q
+                    den = (np.abs(base[:, 2]) * np.abs(base[:, 0]) ** p
+                           * np.abs(base[:, 1]) ** q)
+                    amb |= ~((den >= TINY) & (den <= HUGE))
+            else:
+                powers = []
+        for z, n in powers:
+            amb |= _near_range(z, n)
+    return amb
 
 
 class TestGroupLaws:
@@ -86,66 +124,93 @@ class TestGroupLaws:
     @given(st.sampled_from(REGIMES), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([0.5, 30, 400]))
     def test_compose_inverse_apply(self, regime, seed, scale):
+        # each row the scalar law takes is taken, within 2 k GAMMA of the
+        # law on moduli, and each row it refuses is refused with its error
         rng = np.random.default_rng(seed)
         a = _element_rows(rng, regime, 40, scale)
         b = _element_rows(rng, regime, 40, scale)
         x = _rows(rng, 40, 3, scale)
-        with np.errstate(all="ignore"):
-            h, ok = compose_many(regime, a, b)
-            inv, inv_ok = inverse_many(regime, a)
-            y, fine = apply_many(regime, a, x)
-        for got, mask, want in ((h, ok, _scalar_rows(regime, compose, a, b)),
-                                (inv, inv_ok, _scalar_rows(regime, inverse, a))):
-            for k, w in enumerate(want):
-                if w is None:
-                    assert not mask[k]
-                elif w != "skip" and mask[k]:
-                    assert _bits(w.params()) == _bits(got[k])
-        for k in range(len(a)):
-            try:
-                f = element_from_params(regime, a[k])
-                want = apply(f, PointV(tuple(x[k]))).array()
-            except ValueError:
-                continue
-            except (ZeroDivisionError, OverflowError):
-                assert not fine[k]
-                continue
-            assert _bits(want) == _bits(y[k])
+        bound = 2 * law_ops(regime) * GAMMA
+        for law, scalar, rows in ((compose_many, compose, (a, b)),
+                                  (inverse_many, inverse, (a,)),
+                                  (apply_many, apply, (a, x))):
+            got, checks = law(regime, *rows)
+            ok = passed(checks)
+            size = law_sizes(regime, law, *rows)
+            ambiguous = _law_ambiguous(regime, law, rows, got, size)
+            elements = rows[:1] if law is apply_many else rows
+            for k in range(len(a)):
+                try:
+                    args = [element_from_params(regime, r[k]) for r in elements]
+                except ValueError:
+                    continue  # no group element: nothing to compare
+                if law is apply_many:
+                    args.append(PointV(tuple(x[k])))
+                want = _outcome(scalar, *args)
+                if ambiguous[k] or (not isinstance(want, str) and not np.all(
+                        np.isfinite(_values(want)))):
+                    continue
+                if isinstance(want, str):
+                    assert not ok[k]
+                    assert _outcome(lambda: accepted(law(
+                        regime, *(r[k:k + 1] for r in rows)))) == want
+                else:
+                    assert ok[k]
+                    assert _agree([got[k]], [_values(want)], [bound * size[k]])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from([-101, -100, -7, -3, -2, -1, 0, 1, 2, 3, 5, 100]))
     def test_powers_and_quotients(self, seed, n):
+        # powers: binary powering takes at most |n| products and a
+        # quotient, the exp-log power errs by |n| (|log |z|| + pi) u; a
+        # power is refused exactly where Python refuses it, with its error,
+        # except a non-finite z, which passes through
         rng = np.random.default_rng(seed)
         z = _rows(rng, 50, 1, 400)[:, 0]
         z[:4] = [0, complex(-0.0, 1), complex(1, -0.0), np.inf]
         w = _rows(rng, 50, 1, 400)[:, 0]
+        got, [(ok, refuse, _)] = _power_check(z, n)
         with np.errstate(all="ignore"):
-            got_py, got_np, got_div = (_python_powers(z, n), _numpy_powers(z, n),
-                                       _cdiv(z, w))
-            for k in range(len(z)):
-                try:
-                    want = complex(z[k]) ** n
-                except (OverflowError, ZeroDivisionError):
-                    want = complex(np.nan, np.nan)
-                for got, ref in ((got_py[k], want), (got_np[k], z[k] ** n),
-                                 (got_div[k], complex(z[k]) / complex(w[k]))):
-                    assert _bits(got) == _bits(ref)
+            rel = (abs(n) + 3) * GAMMA * (
+                1 + np.abs(np.log(np.abs(z) + (z == 0))) + np.pi)
+            quotients = z / w
+        for k in range(len(z)):
+            if not np.isfinite(z[k]):
+                assert ok[k]
+                continue
+            if _near_range(z[k], n):
+                continue
+            want = _outcome(lambda: complex(z[k]) ** n)
+            if not isinstance(want, str) and not np.isfinite(want):
+                continue  # Python's chain of products overflowed to nan
+            if isinstance(want, str):
+                assert not ok[k] and _outcome(refuse, z[k]) == want
+            else:
+                assert ok[k] and abs(got[k] - want) <= 2 * rel[k] * abs(want)
+            size = abs(z[k]) / abs(w[k])
+            if TINY <= size <= HUGE:
+                assert abs(quotients[k] - complex(z[k]) / complex(w[k])) <= \
+                    2 * 6 * GAMMA * size
 
     @pytest.mark.parametrize("regime", REGIMES)
     def test_refused_rows_raise_as_compose_does(self, regime):
         # the product, or a negative power, underflows to 0 in row 1: the
-        # mask refuses it, and the row replayed through compose raises
-        # what compose raises
+        # checks refuse it, and it raises what compose raises on it
         a = np.ones((3, len(identity(regime).params())), dtype=complex)
         a[:] = identity(regime).params()
         a[1, 0] = 1e-170
-        h, ok = compose_many(regime, a, a)
-        assert ok.tolist() == [True, False, True]
+        h, checks = compose_many(regime, a, a)
+        assert passed(checks).tolist() == [True, False, True]
         f = element_from_params(regime, a[1])
         want = _outcome(compose, f, f)
         assert want.startswith(("ValueError", "ZeroDivisionError"))
-        assert _outcome(checked, regime, compose_many, compose, a, a) == want
+        assert _outcome(lambda: accepted(compose_many(regime, a, a))) == want
+
+
+def _values(result):
+    return result.params() if isinstance(result, GroupElement) \
+        else result.array()
 
 
 def _charts(rng, n, p=0, q=1):
@@ -169,6 +234,32 @@ def _tees(amat, bmat, lam):
     return [FamilyPoint("T", a, b, lam=c) for a, b, c in zip(amat, bmat, lam)]
 
 
+def _denominators_ambiguous(amat, p, q):
+    """Whether the IllConditioned refusal of a row turns on rounding: its
+    twisted denominator a3 - a1^p a2^q within its error of the bound."""
+    a1, a2, a3 = (amat[:, i, i] for i in range(3))
+    with np.errstate(all="ignore"):
+        twist = np.abs(a1) ** p * np.abs(a2) ** q
+        tiny = DENOM_TOL * (1 + np.maximum(np.abs(a2), np.abs(a3)))
+        err = 2 * chart_ops(p, q) * GAMMA * (np.abs(a3) + twist)
+        return bool((np.abs(np.abs(a3 - a1 ** p * a2 ** q) - tiny) <= err).any())
+
+
+def _invert_with_eigendata(sa, sb, sx, p):
+    """The batched inverse of psi_p, and the scalar one fed the same
+    eigen-data (the eigen-solve is compared in test_twisted_eigendata),
+    with the bound on their difference."""
+    got = _outcome(invert_psi_p_many, sa, sb, sx, p)
+    eig = _paired_eigendata_many(sa, sb, p)
+    want = _outcome(lambda: _stack([oracle.invert_psi_p(
+        FamilyPoint("S_p", a, b, p=p), y, p, tuple(d[k] for d in eig))
+        for k, (a, b, y) in enumerate(zip(sa, sb, sx))], True))
+    zero = np.zeros(sa.shape)
+    err = invert_psi_errors(sa, sb, sx, p, eig, np.zeros((len(sa), 4)), zero,
+                            zero, np.zeros(sx.shape))
+    return got, want, [2 * e for e in err]
+
+
 class TestCharts:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(-3, 3), st.integers(2, 4),
@@ -182,61 +273,86 @@ class TestCharts:
             amat[rng.integers(12), 2, 2] = amat[0, 1, 1]
             amat[0, 2, 2] = amat[0, 1, 1]
             x[rng.integers(12), 0] = 0
+        assume(not _denominators_ambiguous(amat, p, 1))
         tees = _tees(amat, bmat, lam)
 
         def images(points, xs):
             return [np.array([oracle.family_action(pt, word, y).array()
                               for pt, y in zip(points, xs)])]
+
+        def action(space, am, bm, xs, *pq):
+            size, ops = action_sizes(space, am, bm, word, np.abs(xs), *pq)
+            return [2 * ops * GAMMA * size]
         with np.errstate(all="ignore"):
-            assert _outcome(lambda: [family_action_many(
-                "T", amat, bmat, word, x)]) == _outcome(images, tees, x)
+            assert _agree(_outcome(lambda: [family_action_many(
+                "T", amat, bmat, word, x)]), _outcome(images, tees, x),
+                action("T", amat, bmat, x))
             psi = _outcome(glue_psi_p_many, amat, bmat, lam, x, p)
-            assert psi == _outcome(lambda: _stack(
-                [oracle.glue_psi_p(pt, y, p) for pt, y in zip(tees, x)]))
-        if not psi.startswith("["):
+            bound = 2 * chart_ops(p, 1) * GAMMA
+            assert _agree(psi, _outcome(lambda: _stack(
+                [oracle.glue_psi_p(pt, y, p) for pt, y in zip(tees, x)])),
+                [bound * s for s in psi_sizes(amat, bmat, lam, np.abs(x), p)])
+        if isinstance(psi, str):
             return
-        sa, sb, sx = glue_psi_p_many(amat, bmat, lam, x, p)
+        sa, sb, sx = psi
         sps = [FamilyPoint("S_p", a, b, p=p) for a, b in zip(sa, sb)]
         with np.errstate(all="ignore"):
-            assert _outcome(lambda: [family_action_many(
-                "S_p", sa, sb, word, sx, p)]) == _outcome(images, sps, sx)
-            assert _outcome(invert_psi_p_many, sa, sb, sx, p) == \
-                _outcome(lambda: _stack([oracle.invert_psi_p(pt, y, p)
-                                         for pt, y in zip(sps, sx)], True))
+            assert _agree(_outcome(lambda: [family_action_many(
+                "S_p", sa, sb, word, sx, p)]), _outcome(images, sps, sx),
+                action("S_p", sa, sb, sx, p))
+            assert _agree(*_invert_with_eigendata(sa, sb, sx, p))
         amat, bmat, lam, x = _charts(rng, 12, p, q)
+        assume(not _denominators_ambiguous(amat, p, q))
         tpq = [FamilyPoint("T_pq", a, b, lam=c, p=p, q=q)
                for a, b, c in zip(amat, bmat, lam)]
+        bound = 2 * chart_ops(p, q) * GAMMA
         with np.errstate(all="ignore"):
-            assert _outcome(lambda: [family_action_many(
-                "T_pq", amat, bmat, word, x, p, q)]) == _outcome(images, tpq, x)
-            assert _outcome(glue_phi_pq_many, amat, bmat, x, p, q) == \
+            assert _agree(_outcome(lambda: [family_action_many(
+                "T_pq", amat, bmat, word, x, p, q)]),
+                _outcome(images, tpq, x), action("T_pq", amat, bmat, x, p, q))
+            assert _agree(
+                _outcome(glue_phi_pq_many, amat, bmat, x, p, q),
                 _outcome(lambda: _stack([oracle.glue_phi_pq(pt, y, p, q)
-                                         for pt, y in zip(tpq, x)]))
+                                         for pt, y in zip(tpq, x)])),
+                [bound * s for s in phi_sizes(amat, bmat, np.abs(x), p, q)])
             tees = _tees(amat, bmat, lam)
-            assert _outcome(glue_phi_pq_many, amat, bmat, x, p, q, True) == \
+            assert _agree(
+                _outcome(glue_phi_pq_many, amat, bmat, x, p, q, True),
                 _outcome(lambda: _stack([oracle.invert_phi_pq(pt, y, p, q)
-                                         for pt, y in zip(tees, x)]))
+                                         for pt, y in zip(tees, x)])),
+                [bound * s for s in phi_sizes(amat, bmat, np.abs(x), p, q,
+                                              True)])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(-3, 3))
     def test_twisted_eigendata(self, seed, p):
-        # the stacked twisted eigenvalues and paired eigen-data equal the
-        # scalar ones that check_condition keeps, degenerate rows included
+        # the stacked twisted eigenvalues and paired eigen-data agree with
+        # the scalar ones that check_condition keeps within twice the
+        # bounds of `eigen_errors`, degenerate rows included; a row whose
+        # order or assignment of roots turns on that error is compared
+        # as an unordered pair, or not at all
         rng = np.random.default_rng(seed)
         amat, bmat, lam, x = _charts(rng, 12)
         sa, sb, _ = glue_psi_p_many(amat, bmat, lam, x, p)
         sa[0, 1:, 1:] = [[2, 0], [0, 2 * sa[0, 0, 0] ** p]]  # double root
         sa[1, 2, :] = 0  # det M = 0: a root np.roots appends as 0
         roots = p_eigenvalues_many(sa[:, 0, 0], sa[:, 1:, 1:], p)
+        errors, ambiguous = eigen_errors(sa, sb, p)
+        dr = 2 * errors[:, 0]
         for k in range(12):
-            want = p_eigenvalues(sa[k, 0, 0], sa[k, 1:, 1:], p)
-            assert _bits(roots[k]) == _bits(np.array(want))
+            want = np.array(p_eigenvalues(sa[k, 0, 0], sa[k, 1:, 1:], p))
+            if abs(want[0].real - want[1].real) <= dr[k]:
+                want = min((want, want[::-1]),
+                           key=lambda v: np.max(np.abs(v - roots[k])))
+            assert np.all(np.abs(roots[k] - want) <= dr[k])
         keep = [k for k in range(12) if k != 1]  # row 1 is no S_p point
-        sa, sb = sa[keep], sb[keep]
+        sa, sb, errors = sa[keep], sb[keep], errors[keep]
         many = _paired_eigendata_many(sa, sb, p)
-        for k in range(len(sa)):
+        for k in np.flatnonzero(~ambiguous[keep]):
             want = _paired_eigendata(FamilyPoint("S_p", sa[k], sb[k], p=p))
-            assert _bits(np.array([d[k] for d in many])) == _bits(np.array(want))
+            err = np.array([0, *errors[k, :2], 0, *errors[k, 2:]]) * 2
+            assert np.all(np.abs(np.array([d[k] for d in many])
+                                 - np.array(want)) <= err)
 
     def test_not_in_image_first_row(self):
         # row 1 has a double twisted eigenvalue, so no assignment is
@@ -252,7 +368,6 @@ class TestCharts:
         assert got.startswith("NotInImage")
         assert got == _outcome(lambda: _stack(
             [oracle.invert_psi_p(pt, y, 1) for pt, y in zip(sps, sx)], True))
-
 
     @pytest.mark.parametrize("exact", [False, True])
     def test_resonant_clause(self, exact):
@@ -276,10 +391,12 @@ class TestCharts:
         sx = cli._random_points(rng.normal(size=(n, 6)).view(complex))
         sps = [FamilyPoint("S_p", a, b, p=p) for a, b in zip(sa, sb)]
         got = _outcome(invert_psi_p_many, sa, sb, sx, p)
-        assert got.startswith("NotInImage: twisted eigenvalues satisfy"
-                              if exact else "[")
-        assert got == _outcome(lambda: _stack(
-            [oracle.invert_psi_p(pt, y, p) for pt, y in zip(sps, sx)], True))
+        assert (got.startswith("NotInImage: twisted eigenvalues satisfy")
+                if exact else not isinstance(got, str))
+        assert _agree(got, _outcome(lambda: _stack(
+            [oracle.invert_psi_p(pt, y, p) for pt, y in zip(sps, sx)], True)),
+            [np.inf] * 4)
+        assert _agree(*_invert_with_eigendata(sa, sb, sx, p))
 
 
 def _specs():
@@ -314,22 +431,80 @@ def _specs():
 SPECS = _specs()
 
 
+def _structure_errors(spec, samples, seed):
+    """The bound on one computation's residual for each generator of
+    `check_structure`, over its seeded cover points."""
+    structure = build_structure(spec)
+    w = sample_cover_points(np.random.default_rng(seed), samples)
+    return np.array([residual_errors(structure, index, w).max()
+                     for index in (1, 2, 3)])
+
+
+def _agree_reports(got, want, err, tol):
+    """Two structure reports agree: their flags, seed and sample count
+    exactly (passed unless the worst residual is within 2 err of tol),
+    their residuals within 2 err."""
+    worst = 2 * err.max()
+    assert (got.complete, got.seed, got.samples) == \
+        (want.complete, want.seed, want.samples)
+    if abs(want.max_residual - tol) > worst:
+        assert got.passed == want.passed
+    assert abs(got.max_residual - want.max_residual) <= worst
+    assert abs(got.mean_residual - want.mean_residual) <= worst
+    for (i, mx, mean), (j, mx2, mean2), e in zip(got.per_generator,
+                                                 want.per_generator, err):
+        assert i == j
+        assert abs(mx - mx2) <= 2 * e and abs(mean - mean2) <= 2 * e
+
+
 class TestDeveloping:
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from(range(len(SPECS))), st.integers(0, 2 ** 32 - 1),
            st.integers(1, 60))
     def test_check_structure(self, which, seed, samples):
         spec = SPECS[which]
-        assert check_structure(spec, samples=samples, seed=seed) == \
-            oracle.check_structure(spec, samples=samples, seed=seed)
+        _agree_reports(check_structure(spec, samples=samples, seed=seed),
+                       oracle.check_structure(spec, samples=samples,
+                                              seed=seed),
+                       _structure_errors(spec, samples, seed), 1e-9)
+
+
+def _agree_suites(got, want, err, tol):
+    """Two suite results agree: the same failure, or the same keys and
+    flags (passed unless the worst residual is within 2 err of tol) and
+    residuals within 2 err."""
+    if isinstance(got, str) or "failure" in got:
+        assert got == want
+        return
+    assert got.keys() == want.keys()
+    for key in got:
+        if key == "passed" and abs(want["max_residual"] - tol) <= 2 * err:
+            continue
+        if key == "max_residual":
+            assert abs(got[key] - want[key]) <= 2 * err
+        elif key != "structures":
+            assert got[key] == want[key]
+
+
+def _draws(seed, samples, width):
+    """The complex draws of a one-block suite, as `cli._worst` takes them."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(samples, 2 * width)).view(complex)
 
 
 class TestSuites:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.booleans())
     def test_group_laws(self, seed, samples, fault):
-        assert cli._suite_group_laws(seed, samples, 1e-10, fault) == \
-            oracle.oracle_group_laws(seed, samples, 1e-10, fault)
+        rng = np.random.default_rng(seed)
+        err = 0.0
+        for i, regime in enumerate(cli._REGIMES):
+            width = 3 * len(identity(regime).params()) + 3
+            z = rng.normal(size=(samples, 2 * width)).view(complex)
+            err = max(err, group_laws_errors(regime, z, fault and i == 0).max())
+        _agree_suites(cli._suite_group_laws(seed, samples, 1e-10, fault),
+                      oracle.oracle_group_laws(seed, samples, 1e-10, fault),
+                      err, 1e-10)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 30), st.integers(-3, 3),
@@ -337,17 +512,28 @@ class TestSuites:
     @example(0, 3, 2000, 2, False)
     @example(0, 3, -1500, 3, False)
     def test_gluing(self, seed, samples, p, q, fault):
-        with np.errstate(all="ignore"):
-            assert _outcome(lambda: [repr(cli._suite_gluing(
-                seed, samples, 1e-10, p, q, fault))]) == _outcome(
-                lambda: [repr(oracle.oracle_gluing(seed, samples, 1e-10, p, q,
-                                                   fault))])
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = _outcome(cli._suite_gluing, seed, samples, 1e-10, p, q, fault)
+            want = _outcome(oracle.oracle_gluing, seed, samples, 1e-10, p, q,
+                            fault)
+            if isinstance(got, str) or isinstance(want, str):
+                assert got == want
+                return
+            err = gluing_errors(p, q, _draws(seed, samples, 22), fault).max()
+        _agree_suites(got, want, err, 1e-10)
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 40), st.booleans())
     def test_developing(self, seed, samples, fault):
-        assert cli._suite_developing(seed, samples, fault) == \
-            oracle.oracle_developing(seed, samples, fault)
+        got = cli._suite_developing(seed, samples, fault)
+        want = oracle.oracle_developing(seed, samples, fault)
+        err = max(_structure_errors(spec, samples, seed).max()
+                  for spec in _developing_specs(fault))
+        _agree_suites(got, want, err, 1e-9)
+        for a, b in zip(got["structures"], want["structures"]):
+            assert a["regime"] == b["regime"] and a["complete"] == b["complete"]
+            assert abs(a["max_residual"] - b["max_residual"]) <= 2 * err
 
     def test_first_failing_sample_raises(self):
         # a block that raises is evaluated again sample by sample, so the
@@ -365,3 +551,89 @@ class TestSuites:
         with pytest.raises(ValueError, match="draw %.17g$" % draws[k]):
             cli._worst(np.random.default_rng(0), 6, 1, evaluate, False)
         assert calls == [6] + [1] * (k + 1)
+
+
+def _developing_specs(fault):
+    """The structures of `cli._suite_developing`."""
+    pair = cli.holonomy_pair(cli._E1)
+    nr = ResonanceClass("NonResonant")
+    s12 = ResonanceClass("Single", p=1, q=2)
+    d1 = ResonanceClass("Double", p=1)
+
+    def single(x1, x2, x3, shift=0.0):
+        return GroupElement(s12, (x1, x2, x3, 0.4 * (x3 - x1 * x2 ** 2) + shift))
+    return (
+        StructureSpec((GroupElement(nr, pair.alpha), GroupElement(nr, pair.beta),
+                       GroupElement(nr, (1 + 1e-3, 1 - 2e-3, 1 + 1e-3j))),
+                      base_config=cli._E1),
+        StructureSpec((single(2, 0.6, 0.5), single(1 + 1j, 0.5j, -0.3 + 0.2j),
+                       single(1.01, 1.02, 0.97, 1e-9 if fault else 0.0))),
+        StructureSpec((GroupElement(d1, (2 + 0.5j, np.diag([1.3, 0.7 - 0.2j]))),
+                       GroupElement(d1, (0.8, np.diag([0.5j, 1.1]))),
+                       GroupElement(d1, (1.02, np.diag([0.99, 1.03]))))),
+    )
+
+
+def _wide_charts(rng, n, scale):
+    """Stacked T points whose entries' moduli span e^-scale .. e^scale,
+    and points of V alike: (amat, bmat, lam, x)."""
+    d = _rows(rng, n, 8, scale)
+    amat = np.zeros((2, n, 3, 3), dtype=complex)
+    amat[:, :, [0, 1, 2], [0, 1, 2]] = d[:, :6].reshape(n, 2, 3).transpose(1, 0, 2)
+    amat[:, :, 2, 1] = d[:, 6:8].T
+    return amat[0], amat[1], _rows(rng, n, 1, scale)[:, 0], _rows(rng, n, 3,
+                                                                  scale)
+
+
+class TestNoSilentNan:
+    """On rows whose moduli span +-300 decades every array law and chart
+    map returns finite rows or raises one of the refusals `verify`
+    reports; it never returns nan, and its arithmetic leaks no
+    RuntimeWarning."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(REGIMES), st.integers(0, 2 ** 32 - 1),
+           st.sampled_from([1.0, 100.0, 690.0]))
+    def test_group_laws(self, regime, seed, scale):
+        rng = np.random.default_rng(seed)
+        a = _element_rows(rng, regime, 40, scale)
+        b = _element_rows(rng, regime, 40, scale)
+        x = _rows(rng, 40, 3, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for law, rows in ((compose_many, (a, b)), (inverse_many, (a,)),
+                              (apply_many, (a, x))):
+                out, checks = law(regime, *rows)
+                assert np.isfinite(out[passed(checks)]).all()
+                for k in range(len(a)):
+                    try:
+                        row = accepted(law(regime, *(r[k:k + 1] for r in rows)))
+                    except cli._REFUSALS:
+                        continue
+                    assert np.isfinite(row).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 100.0, 690.0]),
+           st.integers(-3, 3), st.integers(2, 4),
+           st.sampled_from([(1, 0), (0, 1), (-1, 2), (2, -1)]))
+    def test_chart_maps(self, seed, scale, p, q, word):
+        rng = np.random.default_rng(seed)
+        amat, bmat, lam, x = _wide_charts(rng, 12, scale)
+        maps = [lambda: family_action_many("T", amat, bmat, word, x),
+                lambda: family_action_many("T_pq", amat, bmat, word, x, p, q),
+                lambda: glue_phi_pq_many(amat, bmat, x, p, q),
+                lambda: glue_phi_pq_many(amat, bmat, x, p, q, True),
+                lambda: glue_psi_p_many(amat, bmat, lam, x, p)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sa, sb = amat.copy(), bmat.copy()
+            sa[:, 1, 2], sb[:, 1, 2] = _rows(rng, 12, 2, scale).T
+            maps += [lambda: family_action_many("S_p", sa, sb, word, x, p),
+                     lambda: invert_psi_p_many(sa, sb, x, p)]
+            for fn in maps:
+                try:
+                    out = fn()
+                except cli._REFUSALS:
+                    continue
+                for part in out if isinstance(out, tuple) else (out,):
+                    assert np.isfinite(part).all()

@@ -5,13 +5,16 @@ Every sample builds its group elements, chart points and points of V as
 objects and runs the scalar `compose`, `inverse` and `apply` on them.  It
 is slow and independent of the array evaluation in `lvmkit.cli`,
 `lvmkit.family_gluing` and `lvmkit.developing`, which the tests compare
-against it.
+against it.  The chart maps refuse a point that leaves the float range
+as the array forms do; the developing check draws its cover points with
+the library's sampler.
 """
 
 import numpy as np
 
 from lvmkit.cli import _E1, _REGIMES
-from lvmkit.developing import StructureReport, build_structure
+from lvmkit.developing import (StructureReport, build_structure,
+                               sample_cover_points)
 from lvmkit.family_gluing import (DENOM_TOL, MEMBERSHIP_TOL, FamilyPoint,
                                   NotInImage)
 from lvmkit.holonomy import TWO_PI_I, holonomy_pair
@@ -112,10 +115,20 @@ def family_action(point, word, x):
             point.amat if r >= 0 else np.linalg.inv(point.amat), abs(r))
         b = np.linalg.matrix_power(
             point.bmat if s >= 0 else np.linalg.inv(point.bmat), abs(s))
-        return PointV(tuple(a @ b @ x.array()))
+        return _finite(PointV(tuple(a @ b @ x.array())), point.amat,
+                       point.bmat, x.array())
     f, g = _chart_generators(point)
     h = compose(_group_power(f, r), _group_power(g, s))
     return apply(h, x)
+
+
+def _finite(x, *inputs):
+    """x, refused with OverflowError where it is not finite though its
+    inputs are."""
+    if all(np.isfinite(np.asarray(v)).all() for v in inputs) \
+            and not np.isfinite(x.array()).all():
+        raise OverflowError("result leaves the float range")
+    return x
 
 
 def _shear(lam):
@@ -161,15 +174,17 @@ def glue_psi_p(point, x, p):
     xi1, xi2, xi3 = x.array()
     eta3 = xi3 + eps / d_plain * xi2 - eps / d_twist * xi1 ** p * xi2
     out_x = PointV((xi1, xi2 + lam * xi1 ** (-p) * eta3, eta3))
-    return FamilyPoint("S_p", aout, bout, p=int(p)), out_x
+    out = FamilyPoint("S_p", aout, bout, p=int(p))
+    return out, _finite(out_x, point.amat, point.bmat, x.array())
 
 
-def invert_psi_p(point, x, p):
+def invert_psi_p(point, x, p, eigendata=None):
     """Inverse chart change S_p -> T, defined on the image of glue_psi_p.
 
     The image is cut out by three clauses on the twisted eigenvalues
     (alpha2', alpha3') of the first block, |alpha2'| > |alpha3'| among
-    them; violations raise NotInImage.
+    them; violations raise NotInImage.  The eigen-data is the point's
+    `_paired_eigendata` unless given.
     """
     if point.space != "S_p" or point.p != p:
         raise ValueError("invert_psi_p expects an S_p point with matching p")
@@ -179,7 +194,8 @@ def invert_psi_p(point, x, p):
     ablock = point.blocks()[0]
     eps1 = point.amat[2, 1]
     eps2 = point.amat[1, 2]
-    a1, a2, a3, b1, b2, b3 = _paired_eigendata(point)
+    a1, a2, a3, b1, b2, b3 = (_paired_eigendata(point) if eigendata is None
+                              else eigendata)
     tol = MEMBERSHIP_TOL
     scale = 1 + max(abs(a2), abs(a3))
     if abs(a2) <= abs(a3):
@@ -206,7 +222,8 @@ def invert_psi_p(point, x, p):
     xi2 = xi2p - lam * xi1 ** (-p) * eta3
     xi3 = (eta3 - eps / (a3 - a2) * xi2
            + eps / (a3 - a1 ** p * a2) * xi1 ** p * xi2)
-    return out, PointV((xi1, xi2, xi3))
+    return out, _finite(PointV((xi1, xi2, xi3)), point.amat, point.bmat,
+                        x.array())
 
 
 def glue_phi_pq(point, x, p, q):
@@ -229,8 +246,9 @@ def glue_phi_pq(point, x, p, q):
     xi1, xi2, xi3 = x.array()
     xi3out = (xi3 - eps / d_plain * xi2
               + eps / d_twist * xi1 ** p * xi2 ** q)
-    return (FamilyPoint("T", np.array(point.amat), bout, lam=point.lam),
-            PointV((xi1, xi2, xi3out)))
+    out = FamilyPoint("T", np.array(point.amat), bout, lam=point.lam)
+    return out, _finite(PointV((xi1, xi2, xi3out)), point.amat, point.bmat,
+                        x.array())
 
 
 def invert_phi_pq(point, x, p, q):
@@ -248,9 +266,10 @@ def invert_phi_pq(point, x, p, q):
     xi1, xi2, xi3 = x.array()
     xi3out = (xi3 + eps / d_plain * xi2
               - eps / d_twist * xi1 ** p * xi2 ** q)
-    return (FamilyPoint("T_pq", np.array(point.amat), bout, lam=point.lam,
-                        p=int(p), q=int(q)),
-            PointV((xi1, xi2, xi3out)))
+    out = FamilyPoint("T_pq", np.array(point.amat), bout, lam=point.lam,
+                      p=int(p), q=int(q))
+    return out, _finite(PointV((xi1, xi2, xi3out)), point.amat, point.bmat,
+                        x.array())
 
 
 # ------------------------------------------------------- developing maps
@@ -315,19 +334,6 @@ def equivariance_residual(structure, index, w):
     base = dev_eval(structure.dev, w)
     rhs = apply(structure.spec.generators[index - 1], base).array()
     return float(np.max(np.abs(lhs - rhs)) / (1 + np.max(np.abs(rhs))))
-
-
-def sample_cover_points(rng, samples):
-    pts = []
-    while len(pts) < samples:
-        w1 = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-        vec = rng.normal(size=2) + 1j * rng.normal(size=2)
-        norm = np.linalg.norm(vec)
-        if norm < 1e-6:
-            continue
-        vec = vec / norm * rng.uniform(0.5, 2.0)
-        pts.append((w1, vec[0], vec[1]))
-    return pts
 
 
 def check_structure(spec, samples=100, tol=1e-9, seed=0):
