@@ -9,12 +9,14 @@ of each generator are built once as parameter rows, in the arithmetic of
 `compose`, and validated once; the words f^r g^s are composed from them
 and, in the probe, applied to every sample point, a block at a time.
 The array arithmetic is numpy's, so a word agrees with the scalar
-`compose` to rounding; the words the arrays flag (a refusal, a
-non-finite row, a candidate fixed point) are built one by one with
-`compose`, and decided as word-by-word evaluation decides them.  The probe
-skips words whose |h_1| sends every sample's |xi_1| out of the annulus
-and places images by squared moduli clear of its bounds; it decides the
-rest exactly.
+`compose` to rounding; the words the arrays flag (a refusal, a row that
+`compose` may refuse in its own rounding, a non-finite row, a candidate
+fixed point) are built one by one with `compose`, and decided as
+word-by-word evaluation decides them.  The probe skips words whose |h_1|
+sends every sample's |xi_1| out of the annulus and places images by
+squared moduli clear of its bounds; it places the rest by their moduli.
+Its images are numpy's, so an image within rounding of a bound of the
+annulus may be placed otherwise than by the scalar `apply`.
 """
 
 from dataclasses import dataclass
@@ -85,14 +87,52 @@ def _grid(bound):
 def _word_composer(f, g, fp, gp, bound):
     """A function taking integer arrays (r, s), |r|, |s| <= bound, to the
     parameter rows of the words f^r g^s and the mask of the rows that
-    pass the checks of `compose_many`."""
+    pass the checks of `compose_many` clear of rounding: the rows that
+    `compose`, which rounds as Python does, may refuse though the arrays
+    take them are left out too.  They are the rows with a power of the
+    scalars of g^s within 2^8 of an end of the float range (2^1024 and
+    2^-1074), an entry `GroupElement` tests for 0 that may be below
+    _TINY, and the Double words `_invertible` leaves out."""
     if f.regime != g.regime:
         raise ValueError("cannot compose elements of different regimes")
+    regime = f.regime
+    fa, ga = np.abs(fp), np.abs(gp)
+    lead = 1 if regime.tag == "Double" else 3
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = np.abs(np.log2(ga[:, :2]) * [regime.p, regime.q])
+        edge = ((1024 - 8 < e) & (e < 1074 + 8)).any(axis=1)
+        # each tested entry is a product of moduli at least these
+        flo = np.log2(fa[:, :lead].min(axis=1))
+        glo = np.where(edge, -np.inf, np.log2(ga[:, :lead].min(axis=1)))
+        twist = ga[:, 0] ** regime.p
 
     def words(r, s):
-        h, checks = compose_many(f.regime, fp[r + bound], gp[s + bound])
-        return h, passed(checks)
+        i, j = r + bound, s + bound
+        h, checks = compose_many(regime, fp[i], gp[j])
+        ok = passed(checks) & (flo[i] + glo[j] > np.log2(_TINY) + 1)
+        if regime.tag == "Double":
+            ok &= _invertible(fa[i], ga[j], twist[j], h)
+        return h, ok
     return words
+
+
+def _invertible(a, b, w, h):
+    """The Double words h = a b whose 2x2 determinant is nonzero in any
+    rounding, from the moduli a, b of the factors' rows and w = |b1|^p:
+    above _SLACK times the size of its terms (tau_p(b1)(A) B on moduli),
+    every nonzero twisted entry and term size at least _TINY, where
+    rounding is relative."""
+    with np.errstate(all="ignore"):
+        t01, t10 = a[:, 2] / w, a[:, 3] * w
+        s00, s01 = a[:, 1] * b[:, 1] + t01 * b[:, 3], \
+            a[:, 1] * b[:, 2] + t01 * b[:, 4]
+        s10, s11 = t10 * b[:, 1] + a[:, 4] * b[:, 3], \
+            t10 * b[:, 2] + a[:, 4] * b[:, 4]
+        span = s00 * s11 + s01 * s10
+        det = np.abs(h[:, 1] * h[:, 4] - h[:, 2] * h[:, 3])
+        terms = np.array([t01, t10, s00, s01, s10, s11])
+        tiny = ((0 < terms) & (terms < _TINY)).any(axis=0)
+        return (det > _SLACK * span) & (span >= _TINY) & ~tiny
 
 
 def _near_one(z, tol):
@@ -180,11 +220,11 @@ def orbit(pair, word, x):
     word = list(word)
     for entry in word:
         try:
-            pair = len(entry) == 2 and all(isinstance(k, (int, np.integer))
-                                           for k in entry)
+            ok_entry = len(entry) == 2 and all(
+                isinstance(k, (int, np.integer)) for k in entry)
         except TypeError:  # no sequence
-            pair = False
-        if not pair:
+            ok_entry = False
+        if not ok_entry:
             raise ValueError("word entry %r is not an integer pair" % (entry,))
     out = [x]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -214,7 +254,7 @@ def _in_annulus(y, radius):
     |(xi2, xi3)| <= radius.  Non-finite images fail, and so do images
     outside V (xi1 = 0 or xi2 = xi3 = 0).  Squared moduli decide where
     they clear the squared bounds, clipped to [_TINY, _HUGE], by the
-    allowance; the moduli the scalar code takes decide the rest."""
+    allowance; their moduli, as `abs` takes them, decide the rest."""
     inner = 1 / radius
     lo, hi = inner * inner, radius * radius
     out_lo = lo * (1 - _SLACK) if lo * (1 - _SLACK) >= _TINY else 0.0
@@ -281,8 +321,7 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
             live = ~((a >= _TINY) & ((a < low) | (a > high)))
             y, powers = _images(f.regime, h[live, None], x)
             # the samples whose powers apply refuses
-            suspect = np.flatnonzero(~passed(powers)) if powers \
-                else np.zeros(0, int)
+            suspect = np.flatnonzero(~passed(powers))
             inside = _in_annulus(y, compact_radius)
             first = np.full(rc.size, samples)
             first[live] = np.where(inside.any(axis=1), inside.argmax(axis=1),

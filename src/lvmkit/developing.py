@@ -164,8 +164,7 @@ def sample_cover_points(rng, samples):
     """Seeded cover points (N, 3): w1 uniform in the square |Re|, |Im| <= 1
     and (xi2, xi3) of a uniform modulus in [0.5, 2] and a normal direction.
     The arrays are drawn for all points at once; a draw whose direction
-    is too short to normalize is dropped and drawn again in the next
-    batch."""
+    is shorter than 1e-6 is dropped and drawn again in the next batch."""
     w = np.empty((0, 3), dtype=complex)
     while len(w) < samples:
         n = samples - len(w)
@@ -173,7 +172,7 @@ def sample_cover_points(rng, samples):
         vec = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
         modulus = rng.uniform(0.5, 2, size=(n, 1))
         norm = np.linalg.norm(vec, axis=1, keepdims=True)
-        keep = (np.abs(vec[:, 0].real) >= 1e-5) | (norm[:, 0] >= 1e-6)
+        keep = norm[:, 0] >= 1e-6
         w = np.concatenate([w, np.column_stack(
             [corner[:, 0] + 1j * corner[:, 1], vec / norm * modulus])[keep]])
     return w

@@ -87,8 +87,10 @@ def replay(*checks):
 
 
 def passed(checks):
-    """The rows that pass every check of a list of `replay` checks."""
-    return functools.reduce(np.logical_and, [check[0] for check in checks])
+    """The rows that pass every check of a list of `replay` checks (all
+    rows, for no check)."""
+    return functools.reduce(np.logical_and, [check[0] for check in checks],
+                            np.True_)
 
 
 def accepted(result):
@@ -107,6 +109,10 @@ def _finite_check(out):
 
 def _overflow(out):
     raise OverflowError("result leaves the float range")
+
+
+def _zero_division(den):
+    raise ZeroDivisionError("complex division by zero")
 
 
 @dataclass(frozen=True)
@@ -301,7 +307,8 @@ def compose_many(regime, a, b):
 def inverse_many(regime, a):
     """`inverse` on parameter rows a (N, k), with checks as in
     `compose_many`, after one refusing the rows of a that are no group
-    elements."""
+    elements; the Single regime's quotient by a3 a1^p a2^q refuses a
+    denominator that is 0, as Python's complex division does."""
     tag = regime.tag
     with np.errstate(all="ignore"):
         checks = [_element_check(regime, a)]
@@ -309,8 +316,9 @@ def inverse_many(regime, a):
         if tag == "Single":
             x, cx = _power_check(a[:, 0], regime.p)
             y, cy = _power_check(a[:, 1], regime.q)
-            checks += cx + cy
-            h[:, 3] = -a[:, 3] / (a[:, 2] * x * y)
+            den = a[:, 2] * x * y
+            checks += cx + cy + [(den != 0, _zero_division, den)]
+            h[:, 3] = -a[:, 3] / den
         elif tag == "Double":
             t = np.linalg.inv(np.where(checks[0][0][:, None, None],
                                        a[:, 1:].reshape(-1, 2, 2), np.eye(2)))

@@ -30,6 +30,7 @@ from lvmkit.resonant_group import (
     twist,
     untwist,
 )
+from verify_bounds import GAMMA
 
 NR = ResonanceClass("NonResonant")
 S12 = ResonanceClass("Single", p=1, q=2)
@@ -432,15 +433,14 @@ def _closed_form_error(fn, k):
     The products f1 C and e^m (cosh, sinh) and the quotients of D add a
     few GAMMA relative to their sizes.
     """
-    gamma = np.sqrt(5) * 2.0 ** -53
     m, s2, c = _eig2(k)
     d = (k[:, 0, 0] - k[:, 1, 1]) / 2
-    ds2 = 3 * gamma * (np.abs(d) ** 2 + np.abs(k[:, 0, 1] * k[:, 1, 0]))
+    ds2 = 3 * GAMMA * (np.abs(d) ** 2 + np.abs(k[:, 0, 1] * k[:, 1, 0]))
     cn = np.linalg.norm(c, axis=(1, 2))
     s = np.abs(np.sqrt(s2))
     if fn is _expm2:
         size = np.exp(m.real) * np.cosh(s)
-        return size * ((0.5 + cn) * ds2 + 6 * gamma * (1 + cn))
+        return size * ((0.5 + cn) * ds2 + 6 * GAMMA * (1 + cn))
     lam1lam2 = np.abs(m ** 2 - s2)
     with np.errstate(divide="ignore", invalid="ignore"):
         dd = np.where(s <= np.abs(m) / 2, 1 / np.abs(m),
@@ -448,8 +448,8 @@ def _closed_form_error(fn, k):
                       / (2 * s))
         slope = np.where(s <= np.abs(m) / 2, 0.6 / np.abs(m) ** 3,
                          (np.abs(m) / lam1lam2 + dd) / (2 * np.abs(s2)))
-    return ((1 / (2 * lam1lam2) + slope * cn) * ds2 + 8 * gamma * dd * cn
-            + 2 * gamma * np.abs(np.log(lam1lam2)) / 2 + 2 * gamma)
+    return ((1 / (2 * lam1lam2) + slope * cn) * ds2 + 8 * GAMMA * dd * cn
+            + 2 * GAMMA * np.abs(np.log(lam1lam2)) / 2 + 2 * GAMMA)
 
 
 def _kind_matrix(rng, kind, scale):

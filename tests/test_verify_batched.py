@@ -5,11 +5,11 @@ scalar code's, so values are compared within twice the rounding bounds
 of `verify_bounds`, which are derived from the formulas before the run.
 Decisions are compared exactly: refused or not, the exception and its
 message, the NotInImage clause, a suite's passed flag.  The exception is
-a row whose decision turns on rounding (a term within 2^24 of the ends
-of the float range, a determinant within its rounding bound of 0, an
-order of moduli within their errors), which each test excludes by that
-computed margin.  A refused batch raises what a loop over its rows
-raises on the first row it refuses.
+a row whose decision turns on rounding (a power within 2^8 of the ends
+of the float range, a term near or beyond them, a determinant within its
+rounding bound of 0, an order of moduli within their errors), which
+each test excludes by that computed margin.  A refused batch raises what
+a loop over its rows raises on the first row it refuses.
 """
 
 import warnings
@@ -21,8 +21,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import verify_oracle as oracle
 from verify_bounds import (GAMMA, HUGE, TINY, U, action_sizes, chart_ops,
                            eigen_errors, group_laws_errors, gluing_errors,
-                           invert_psi_errors, law_ops, law_sizes, phi_sizes,
-                           psi_sizes, residual_errors)
+                           invert_psi_errors, law_ops, law_sizes, near_end,
+                           near_range, phi_sizes, psi_sizes, residual_errors)
 from lvmkit import cli
 from lvmkit.developing import (build_structure, check_structure,
                                sample_cover_points)
@@ -73,17 +73,10 @@ def _element_rows(rng, regime, n, scale):
     return rows
 
 
-def _near_range(z, n):
-    """Where |z^n| is within 2^24 of leaving the float range, or of its
-    subnormal end, so that two roundings may refuse the power apart."""
-    with np.errstate(all="ignore"):
-        e = np.abs(n * np.log2(np.abs(z)))
-    return (1000 < e) & (e < 1100)
-
-
 def _law_ambiguous(regime, law, rows, got, size):
     """Rows of a group law whose refusal turns on rounding: a power of an
-    input near the range, a term beyond HUGE (a non-finite result the
+    input near the range, the divisor of the Single inverse or its first
+    product near an end of it, a term beyond HUGE (a non-finite result the
     arrays refuse and the scalar code returns), an entry `GroupElement`
     or `PointV` tests for 0 whose terms are below TINY, or a determinant
     within its rounding bound of 0."""
@@ -108,14 +101,20 @@ def _law_ambiguous(regime, law, rows, got, size):
                 powers = [(base[:, 0], p)]
             elif regime.tag == "Single":
                 powers = [(base[:, 0], p), (base[:, 1], q)]
-                if law is inverse_many:  # the quotient by a3 a1^p a2^q
-                    den = (np.abs(base[:, 2]) * np.abs(base[:, 0]) ** p
-                           * np.abs(base[:, 1]) ** q)
-                    amb |= ~((den >= TINY) & (den <= HUGE))
+                if law is inverse_many:
+                    # the quotient by (a3 a1^p) a2^q, each product of which
+                    # may underflow to 0 on one side only near the end; a
+                    # divisor clearly below it is 0 on both sides, and its
+                    # refusal is compared though the quotient is beyond HUGE
+                    e = np.log2(np.abs(base[:, :3]))
+                    head = e[:, 2] + p * e[:, 0]
+                    den = head + q * e[:, 1]
+                    zero = np.minimum(head, den) <= -1074 - 8
+                    amb = (amb & ~zero) | near_end(head) | near_end(den)
             else:
                 powers = []
         for z, n in powers:
-            amb |= _near_range(z, n)
+            amb |= near_range(z, n)
     return amb
 
 
@@ -179,7 +178,7 @@ class TestGroupLaws:
             if not np.isfinite(z[k]):
                 assert ok[k]
                 continue
-            if _near_range(z[k], n):
+            if near_range(z[k], n):
                 continue
             want = _outcome(lambda: complex(z[k]) ** n)
             if not isinstance(want, str) and not np.isfinite(want):
@@ -467,6 +466,39 @@ class TestDeveloping:
                        oracle.check_structure(spec, samples=samples,
                                               seed=seed),
                        _structure_errors(spec, samples, seed), 1e-9)
+
+
+class _ShortDirection:
+    """The draws of a generator, except that row `row` of the first two
+    normal arrays, the direction parts of the first batch, is scaled to
+    a direction far shorter than 1e-6."""
+
+    def __init__(self, seed, row):
+        self.rng, self.row, self.normals = np.random.default_rng(seed), row, 0
+
+    def uniform(self, *args, **kwargs):
+        return self.rng.uniform(*args, **kwargs)
+
+    def normal(self, *args, **kwargs):
+        out = self.rng.normal(*args, **kwargs)
+        if self.row is not None and self.normals < 2:
+            out[self.row] *= 1e-8
+        self.normals += 1
+        return out
+
+
+class TestSampler:
+    @pytest.mark.parametrize("row", [None, 0, 4])
+    def test_cover_points_as_the_oracle_draws_them(self, row):
+        # the same points in the same order, a short direction dropped and
+        # its point drawn in the next batch; the two norms sum four squares
+        # in different orders (within 3 u each) and the quotient and the
+        # product by the modulus round once each
+        got = sample_cover_points(_ShortDirection(11, row), 7)
+        want = np.array(oracle.sample_cover_points(_ShortDirection(11, row),
+                                                   7))
+        assert got.shape == want.shape == (7, 3)
+        assert np.all(np.abs(got - want) <= 10 * U * np.abs(want))
 
 
 def _agree_suites(got, want, err, tol):

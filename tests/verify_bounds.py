@@ -39,6 +39,24 @@ GAMMA = np.sqrt(5) * U
 TINY, HUGE = 2.0 ** -1000, 2.0 ** 1000
 
 
+def near_range(z, n):
+    """Where |z^n| lies within 2^8 of an end of the float range, the
+    overflow threshold 2^1024 or the least subnormal 2^-1074, so that two
+    roundings of the power may refuse it apart.  Its relative error, at
+    most (|n| + 3) GAMMA (1 + |log |z|| + pi), is far below 2^8 - 1 for
+    any |n| a test takes; among subnormals, where rounding is absolute,
+    each of its at most |n| + 3 operations adds a subnormal ulp 2^-1074
+    at most, below 2^8 of them for |n| < 250."""
+    with np.errstate(all="ignore"):
+        return near_end(n * np.log2(np.abs(z)))
+
+
+def near_end(e):
+    """`near_range` of a value given by its base-2 exponent e."""
+    e = np.abs(e)
+    return (1024 - 8 < e) & (e < 1074 + 8)
+
+
 def moduli(a):
     return np.abs(a).astype(complex)
 
