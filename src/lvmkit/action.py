@@ -4,19 +4,15 @@ fixed-point certificates, orbits, and a properness falsification probe.
 The probe never claims properness: its positive outcome is only "no
 violation found" over the sampled window.
 
-Both searches evaluate their word window as numpy arrays.  The powers
-of each generator are built once as parameter rows, in the arithmetic of
-`compose`, and validated once; the words f^r g^s are composed from them
-and, in the probe, applied to every sample point, a block at a time.
-The array arithmetic is numpy's, so a word agrees with the scalar
-`compose` to rounding; the words the arrays flag (a refusal, a row that
-`compose` may refuse in its own rounding, a non-finite row, a candidate
-fixed point) are built one by one with `compose`, and decided as
-word-by-word evaluation decides them.  The probe skips words whose |h_1|
-sends every sample's |xi_1| out of the annulus and places images by
-squared moduli clear of its bounds; it places the rest by their moduli.
-Its images are numpy's, so an image within rounding of a bound of the
-annulus may be placed otherwise than by the scalar `apply`.
+Both searches build the powers of each generator once as parameter
+rows, not validated, and compose the words f^r g^s from them by
+`compose_many`.  Each word is decided as its row reads, so a word whose
+entries round to 0 or leave the float range has no fixed point and no
+return; a word is refused only where a diagonal multiplier of it may be
+any number (`_unread`).  The arrays screen, and each candidate is
+decided alone: the certificate composes and solves each word whose
+scalar part is near 1 as one row, and the probe applies blocks of words
+to all sample points at once.
 """
 
 from dataclasses import dataclass
@@ -24,16 +20,16 @@ from typing import Optional
 
 import numpy as np
 
-from .resonant_group import (PointV, _compose_data, _element_check, _images,
-                             apply, compose, compose_many,
-                             element_from_params, identity, inverse, passed,
-                             replay)
+from .resonant_group import (PointV, _compose_data, _finite_check, _images,
+                             _inverse_data, _overflow, apply, compose,
+                             compose_many, element_from_params, identity,
+                             passed, replay)
 
 DEFAULT_WINDOW = 25
 FP_TOL = 1e-10
 ANNULUS_RADIUS = 1e2
-# words per array block (divided by the sample count in the probe), which
-# bounds the memory a large window or horizon takes
+# word-samples per array block of the probe, which bounds the memory a
+# large horizon or sample count takes
 _BLOCK = 1 << 16
 # relative allowance of the screens, far above their few ulp of rounding,
 # which is relative for squared moduli in [_TINY, _HUGE]
@@ -54,9 +50,10 @@ class ActionCertificate:
 
 def _powers(f, bound):
     """The parameter rows (2 bound + 1, k) of f^r, r = -bound ... bound,
-    composed as `compose` composes f^(r-1) f and f^-(r-1) f^-1, then
-    validated once: `GroupElement` refuses all rows of a regime alike."""
-    finv = inverse(f).data
+    chained as `compose` and `inverse` take f^(r-1) f, f^-1, f^-(r-1) f^-1.
+    They are not validated: a row may hold 0, inf or nan, and only
+    Python's refusal of a power of a1 in this arithmetic raises."""
+    finv = _inverse_data(f.regime, f.data)
     up, down = [identity(f.regime).data], [identity(f.regime).data]
     for _ in range(bound):
         up.append(_compose_data(f.regime, up[-1], f.data))
@@ -67,14 +64,7 @@ def _powers(f, bound):
                                 np.reshape([d[1] for d in seq], (-1, 4))])
     else:
         rows = np.array(seq, dtype=complex)
-    replay(_element_check(f.regime, rows))
     return rows
-
-
-def _word(f, g, fp, gp, r, s):
-    """The element f^r g^s from the `_powers` rows fp of f and gp of g."""
-    return compose(element_from_params(f.regime, fp[r + len(fp) // 2]),
-                   element_from_params(g.regime, gp[s + len(gp) // 2]))
 
 
 def _grid(bound):
@@ -84,82 +74,40 @@ def _grid(bound):
     return np.repeat(k, k.size), np.tile(k, k.size)
 
 
-def _word_composer(f, g, fp, gp, bound):
-    """A function taking integer arrays (r, s), |r|, |s| <= bound, to the
-    parameter rows of the words f^r g^s and the mask of the rows that
-    pass the checks of `compose_many` clear of rounding: the rows that
-    `compose`, which rounds as Python does, may refuse though the arrays
-    take them are left out too.  They are the rows with a power of the
-    scalars of g^s within 2^8 of an end of the float range (2^1024 and
-    2^-1074), an entry `GroupElement` tests for 0 that may be below
-    _TINY, and the Double words `_invertible` leaves out."""
-    if f.regime != g.regime:
-        raise ValueError("cannot compose elements of different regimes")
-    regime = f.regime
-    fa, ga = np.abs(fp), np.abs(gp)
-    lead = 1 if regime.tag == "Double" else 3
-    with np.errstate(divide="ignore", invalid="ignore"):
-        e = np.abs(np.log2(ga[:, :2]) * [regime.p, regime.q])
-        edge = ((1024 - 8 < e) & (e < 1074 + 8)).any(axis=1)
-        # each tested entry is a product of moduli at least these
-        flo = np.log2(fa[:, :lead].min(axis=1))
-        glo = np.where(edge, -np.inf, np.log2(ga[:, :lead].min(axis=1)))
-        twist = ga[:, 0] ** regime.p
-
-    def words(r, s):
-        i, j = r + bound, s + bound
-        h, checks = compose_many(regime, fp[i], gp[j])
-        ok = passed(checks) & (flo[i] + glo[j] > np.log2(_TINY) + 1)
-        if regime.tag == "Double":
-            ok &= _invertible(fa[i], ga[j], twist[j], h)
-        return h, ok
-    return words
-
-
-def _invertible(a, b, w, h):
-    """The Double words h = a b whose 2x2 determinant is nonzero in any
-    rounding, from the moduli a, b of the factors' rows and w = |b1|^p:
-    above _SLACK times the size of its terms (tau_p(b1)(A) B on moduli),
-    every nonzero twisted entry and term size at least _TINY, where
-    rounding is relative."""
-    with np.errstate(all="ignore"):
-        t01, t10 = a[:, 2] / w, a[:, 3] * w
-        s00, s01 = a[:, 1] * b[:, 1] + t01 * b[:, 3], \
-            a[:, 1] * b[:, 2] + t01 * b[:, 4]
-        s10, s11 = t10 * b[:, 1] + a[:, 4] * b[:, 3], \
-            t10 * b[:, 2] + a[:, 4] * b[:, 4]
-        span = s00 * s11 + s01 * s10
-        det = np.abs(h[:, 1] * h[:, 4] - h[:, 2] * h[:, 3])
-        terms = np.array([t01, t10, s00, s01, s10, s11])
-        tiny = ((0 < terms) & (terms < _TINY)).any(axis=0)
-        return (det > _SLACK * span) & (span >= _TINY) & ~tiny
+def _unread(a, b):
+    """Where the product a b of scalar coordinates of two powers may be any
+    number, 1 included: one left the float range (inf or nan) and the
+    other has modulus below 1 (0 included)."""
+    return ~np.isfinite(a) & (np.abs(b) < 1) | (np.abs(a) < 1) & ~np.isfinite(b)
 
 
 def _near_one(z, tol):
-    return np.isfinite(z) and abs(z - 1) <= tol
+    return abs(z - 1) <= tol
 
 
-def _fixed_point_witness(h, tol):
-    """An exact fixed point of h in V, or None.
+def _fixed_point_witness(regime, h, tol):
+    """An exact fixed point in V of the word with the parameter row h
+    (`GroupElement.params`), or None.  A row whose scalar part is within
+    tol of 1 but which is not finite is refused as `compose_many` refuses
+    it.
 
     Solved per regime: the first coordinate forces the scalar part to be
     1; the fiber equations are at most affine in xi3 and are solved in
     closed form.
     """
-    tag = h.regime.tag
-    if tag == "NonResonant":
-        h1, h2, h3 = h.data
-        if not _near_one(h1, tol):
-            return None
+    h1, *rest = (complex(z) for z in h)
+    if not _near_one(h1, tol):
+        return None
+    replay(_finite_check(h))
+    if regime.tag == "NonResonant":
+        h2, h3 = rest
         if _near_one(h2, tol):
             return PointV((1, 1, 0))
         if _near_one(h3, tol):
             return PointV((1, 0, 1))
         return None
-    if tag == "Single":
-        h1, h2, h3, eps = h.data
-        if not _near_one(h1, tol):
-            return None
+    if regime.tag == "Single":
+        h2, h3, eps = rest
         if _near_one(h2, tol):
             if _near_one(h3, tol):
                 return PointV((1, 1, 0)) if abs(eps) <= tol else None
@@ -167,12 +115,9 @@ def _fixed_point_witness(h, tol):
         if _near_one(h3, tol):
             return PointV((1, 0, 1))  # xi2 = 0 kills the shear term (q >= 1)
         return None
-    h1, mat = h.data
-    if not _near_one(h1, tol):
-        return None
     # tau_p(xi1)(M) is similar to M for every xi1, so a fixed fiber point
     # exists iff 1 is an eigenvalue of M
-    vals, vecs = np.linalg.eig(mat)
+    vals, vecs = np.linalg.eig(np.reshape(rest, (2, 2)))
     for k in range(2):
         if _near_one(vals[k], tol):
             v = vecs[:, k]
@@ -180,34 +125,40 @@ def _fixed_point_witness(h, tol):
     return None
 
 
+def _regime(pair):
+    """The regime of a pair, whose generators must share it."""
+    f, g = pair
+    if f.regime != g.regime:
+        raise ValueError("cannot compose elements of different regimes")
+    return f.regime
+
+
 def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
     """Search the window |r|, |s| <= W for a fixed point of f^r g^s.
 
-    A fixed point needs the scalar part of the word to be 1, so the
-    window's words are composed as arrays and only those whose scalar
-    part is within 2 tol of 1, widened by the allowance for the rounding
-    of the array product, (or that `compose` may refuse) are built and
-    solved one by one, in loop order.
+    A fixed point needs the scalar part of the word to be 1, so only the
+    words whose scalar part is within 2 tol of 1, widened by the allowance
+    for rounding, are composed, each alone, and solved, in loop order; a
+    word whose scalar part cannot be read (`_unread`) is refused there.
     """
     if window < 1:
         raise ValueError("need window >= 1, got %r" % (window,))
+    regime = _regime(pair)
     f, g = pair
-    r, s = _grid(window)
-    other = (r != 0) | (s != 0)
-    r, s = r[other], s[other]
-    with np.errstate(over="ignore", invalid="ignore"):
-        fp = _powers(f, window)
-        gp = _powers(g, window)
-        words = _word_composer(f, g, fp, gp, window)
-        for c in range(0, r.size, _BLOCK):
-            rc, sc = r[c:c + _BLOCK], s[c:c + _BLOCK]
-            h, ok = words(rc, sc)
-            near = np.abs(h[:, 0] - 1) <= 2 * tol + _SLACK * np.abs(h[:, 0])
-            for k in np.flatnonzero(near | ~ok):
-                word = int(rc[k]), int(sc[k])
-                w = _fixed_point_witness(_word(f, g, fp, gp, *word), tol)
-                if w is not None:
-                    return ActionCertificate(window, False, (word, w))
+    with np.errstate(all="ignore"):
+        fp, gp = _powers(f, window), _powers(g, window)
+        h1 = np.multiply.outer(fp[:, 0], gp[:, 0])
+        unread = _unread(fp[:, 0, None], gp[None, :, 0])
+        near = unread | (np.abs(h1 - 1) <= 2 * tol + _SLACK * np.abs(h1))
+        near[window, window] = False
+        for i, j in np.argwhere(near).tolist():
+            h = compose_many(regime, fp[i, None], gp[j, None])[0][0]
+            if unread[i, j]:
+                _overflow(h)
+            w = _fixed_point_witness(regime, h, tol)
+            if w is not None:
+                return ActionCertificate(window, False,
+                                         ((i - window, j - window), w))
     return ActionCertificate(window, True)
 
 
@@ -227,11 +178,13 @@ def orbit(pair, word, x):
         if not ok_entry:
             raise ValueError("word entry %r is not an integer pair" % (entry,))
     out = [x]
+    rb = max((abs(r) for r, _ in word), default=0)
+    sb = max((abs(s) for _, s in word), default=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        fp = _powers(f, max((abs(r) for r, _ in word), default=0))
-        gp = _powers(g, max((abs(s) for _, s in word), default=0))
+        fp, gp = _powers(f, rb), _powers(g, sb)
         for r, s in word:
-            x = apply(_word(f, g, fp, gp, r, s), x)
+            x = apply(compose(element_from_params(f.regime, fp[r + rb]),
+                              element_from_params(g.regime, gp[s + sb])), x)
             out.append(x)
     return out
 
@@ -281,12 +234,17 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
     Words f^r g^s with max(|r|, |s|) in [horizon/2, horizon] are applied
     to seeded sample points of K; any image landing in K again is
     reported as a falsification candidate.  Finding none proves nothing.
-    Each word is reported once, with the first sample it returns.
+    Each word is reported once, with the first sample it returns.  In
+    loop order, a word whose diagonal multipliers cannot be read
+    (`_unread`) raises OverflowError, and a word that meets a sample whose
+    powers the Double regime's tau refuses, before its first return,
+    raises that refusal.
     """
     if not 1 < compact_radius < np.inf or horizon < 1 or samples < 1:
         raise ValueError(
             "need a finite compact_radius > 1, horizon >= 1 and samples >= 1,"
             " got %r, %r and %r" % (compact_radius, horizon, samples))
+    regime = _regime(pair)
     f, g = pair
     rng = np.random.default_rng(seed)
     x = np.empty((samples, 3), dtype=complex)
@@ -304,6 +262,7 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
     r, s = r[band], s[band]
     block = max(1, _BLOCK // samples)
     m = np.abs(x[:, 0])
+    diagonal = 1 if regime.tag == "Double" else 3
     violations = []
     with np.errstate(over="ignore", invalid="ignore"):
         # images have |xi1| = |h_1| |x_1| to a few ulp: a word whose |h_1|
@@ -311,29 +270,29 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
         # allowance returns no sample
         low = (1 / compact_radius) * (1 - _SLACK) / m.max()
         high = compact_radius * (1 + _SLACK) / m.min()
-        fp = _powers(f, horizon)
-        gp = _powers(g, horizon)
-        words = _word_composer(f, g, fp, gp, horizon)
+        fp, gp = _powers(f, horizon), _powers(g, horizon)
         for c in range(0, r.size, block):
             rc, sc = r[c:c + block], s[c:c + block]
-            h, ok = words(rc, sc)
+            fr, gs = fp[rc + horizon], gp[sc + horizon]
+            unread = _unread(fr[:, :diagonal], gs[:, :diagonal]).any(axis=1)
+            h = compose_many(regime, fr, gs)[0]
             a = np.abs(h[:, 0])
             live = ~((a >= _TINY) & ((a < low) | (a > high)))
-            y, powers = _images(f.regime, h[live, None], x)
-            # the samples whose powers apply refuses
-            suspect = np.flatnonzero(~passed(powers))
+            y, powers = _images(regime, h[live, None], x)
             inside = _in_annulus(y, compact_radius)
             first = np.full(rc.size, samples)
             first[live] = np.where(inside.any(axis=1), inside.argmax(axis=1),
                                    samples)
-            # replay through compose and apply the words they may refuse:
-            # those compose may refuse, and those that meet a point whose
-            # powers apply may refuse before their first return
-            late = first > (suspect[0] if suspect.size else samples)
-            for k in np.flatnonzero(~ok | late):
-                word = _word(f, g, fp, gp, int(rc[k]), int(sc[k]))
-                for n in suspect[suspect < first[k]]:
-                    apply(word, pts[n])
+            # in loop order, a word that cannot be read raises, and so does
+            # a word that meets a sample whose powers apply refuses, before
+            # its first return, with that sample's refusal
+            suspect = np.flatnonzero(~passed(powers))
+            refused = unread | (first > suspect[0] if suspect.size else False)
+            if refused.any():
+                k = np.argmax(refused)
+                if unread[k]:
+                    _overflow(h[k])
+                replay(*powers)
             hit = first < samples
             violations += [((i, j), pts[n]) for i, j, n in zip(
                 rc[hit].tolist(), sc[hit].tolist(), first[hit].tolist())]

@@ -22,7 +22,8 @@ with the scalar function to rounding, not to the bit.  Each returns,
 with its rows, the checks that decide its refusals from those rows
 alone: a power that leaves the float range, an output that
 `GroupElement` or `PointV` refuses, a non-finite output.  `replay`
-raises the error of the first refused row.
+raises the error of the first refused row.  The scalar `compose`,
+`inverse` and `apply` refuse a non-finite result as the arrays do.
 """
 
 import functools
@@ -157,7 +158,9 @@ class GroupElement:
             a1, mat = self.data
             a1 = complex(a1)
             mat = np.asarray(mat, dtype=complex)
-            if a1 == 0 or mat.shape != (2, 2) or np.linalg.det(mat) == 0:
+            with np.errstate(all="ignore"):
+                singular = mat.shape != (2, 2) or np.linalg.det(mat) == 0
+            if a1 == 0 or singular:
                 raise ValueError("Double element needs a1 != 0 and invertible M")
             mat = mat.copy()
             mat.setflags(write=False)
@@ -210,24 +213,33 @@ def tau(z, p, mat):
     return out
 
 
+def _finite(x):
+    """x, a `GroupElement` or `PointV`, refused by `_finite_check`."""
+    ok, refuse, row = _finite_check(x.array() if isinstance(x, PointV)
+                                    else x.params())
+    if not ok:
+        refuse(row)
+    return x
+
+
 def apply(f, x):
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
     xi = x.array()
     tag = f.regime.tag
-    if tag == "NonResonant":
-        out = np.asarray(f.data) * xi
-    elif tag == "Single":
-        a1, a2, a3, eps = f.data
-        p, q = f.regime.p, f.regime.q
-        out = np.array([a1 * xi[0], a2 * xi[1],
-                        a3 * xi[2] + eps * xi[0] ** p * xi[1] ** q])
-    else:
-        a1, mat = f.data
-        p = f.regime.p
-        tail = tau(xi[0], p, mat) @ xi[1:]
-        out = np.array([a1 * xi[0], tail[0], tail[1]])
-    return PointV(tuple(out))
+    with np.errstate(all="ignore"):
+        if tag == "NonResonant":
+            out = np.asarray(f.data) * xi
+        elif tag == "Single":
+            a1, a2, a3, eps = f.data
+            p, q = f.regime.p, f.regime.q
+            out = np.array([a1 * xi[0], a2 * xi[1],
+                            a3 * xi[2] + eps * xi[0] ** p * xi[1] ** q])
+        else:
+            a1, mat = f.data
+            tail = tau(xi[0], f.regime.p, mat) @ xi[1:]
+            out = np.array([a1 * xi[0], tail[0], tail[1]])
+    return _finite(PointV(tuple(out)))
 
 
 def _compose_data(regime, fdata, gdata):
@@ -245,23 +257,31 @@ def _compose_data(regime, fdata, gdata):
 
 
 def compose(f, g):
+    """f g; a product that leaves the float range is refused."""
     if f.regime != g.regime:
         raise ValueError("cannot compose elements of different regimes")
-    return GroupElement(f.regime, _compose_data(f.regime, f.data, g.data))
+    with np.errstate(all="ignore"):
+        h = _compose_data(f.regime, f.data, g.data)
+    return _finite(GroupElement(f.regime, h))
+
+
+def _inverse_data(regime, data):
+    """The data of `inverse` from the data of an element, not validated."""
+    if regime.tag == "NonResonant":
+        return tuple(1 / a for a in data)
+    if regime.tag == "Single":
+        a1, a2, a3, eps = data
+        return (1 / a1, 1 / a2, 1 / a3,
+                -eps / (a3 * a1 ** regime.p * a2 ** regime.q))
+    a1, mat = data
+    return 1 / a1, tau(1 / a1, regime.p, np.linalg.inv(mat))
 
 
 def inverse(f):
-    tag = f.regime.tag
-    if tag == "NonResonant":
-        return GroupElement(f.regime, tuple(1 / a for a in f.data))
-    if tag == "Single":
-        a1, a2, a3, eps = f.data
-        p, q = f.regime.p, f.regime.q
-        return GroupElement(f.regime, (1 / a1, 1 / a2, 1 / a3,
-                                       -eps / (a3 * a1 ** p * a2 ** q)))
-    a1, mat = f.data
-    return GroupElement(f.regime, (1 / a1,
-                                   tau(1 / a1, f.regime.p, np.linalg.inv(mat))))
+    """f^-1; an inverse that leaves the float range is refused."""
+    with np.errstate(all="ignore"):
+        h = _inverse_data(f.regime, f.data)
+    return _finite(GroupElement(f.regime, h))
 
 
 def _to_point(xi):

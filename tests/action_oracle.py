@@ -1,43 +1,77 @@
 """Reference searches over word windows, one word and one point at a time,
 used as a test oracle.
 
-This is the direct reading of the definitions: every power f^r, every
-word f^r g^s and every image is built with the scalar `compose` and
-`apply`, one `GroupElement` at a time.
-It is slow and independent of the array evaluation in `lvmkit.action`,
-which the tests compare against it.
+This is the direct reading of the definitions in the arithmetic the
+searches share: every power f^r is the chain of `_compose_data` from
+`_inverse_data`, not validated; every word f^r g^s is composed alone, as
+one row of `compose_many`; every image is the `apply_many` of one word
+and one point.  Each word is decided as its row reads.  The only
+refusals are those of a word with a scalar coordinate that cannot be
+read (a power beyond the float range times one below 1 in modulus), of
+`_fixed_point_witness` and of a sample's power.  It is slow and has none
+of the screens and blocks of `lvmkit.action`, which the tests compare
+against it.
 """
+
+import cmath
 
 import numpy as np
 
 from lvmkit.action import (ActionCertificate, PropernessReport,
                            _fixed_point_witness)
-from lvmkit.resonant_group import PointV, apply, compose, identity, inverse
+from lvmkit.resonant_group import (PointV, _compose_data, _inverse_data,
+                                   apply_many, compose_many, identity, replay)
 
 
 def oracle_powers(f, bound):
-    """f^r for r in [-bound, bound], by iterated composition."""
-    out = {0: identity(f.regime)}
-    finv = inverse(f)
+    """The parameter rows of f^r for r in [-bound, bound], keyed by r, by
+    iterated `_compose_data`."""
+    data = {0: identity(f.regime).data}
+    finv = _inverse_data(f.regime, f.data)
     for r in range(1, bound + 1):
-        out[r] = compose(out[r - 1], f)
-        out[-r] = compose(out[-(r - 1)], finv)
-    return out
+        data[r] = _compose_data(f.regime, data[r - 1], f.data)
+        data[-r] = _compose_data(f.regime, data[-(r - 1)], finv)
+    return {r: np.concatenate([np.ravel(d) for d in v], dtype=complex)
+            for r, v in data.items()}
+
+
+def _unread(a, b, coords):
+    """Whether a scalar coordinate of the word with factor rows a, b cannot
+    be read: one factor's entry is not finite and the other's has modulus
+    below 1, so their product may be any number."""
+    return any(not cmath.isfinite(a[k]) and abs(b[k]) < 1
+               or abs(a[k]) < 1 and not cmath.isfinite(b[k])
+               for k in range(coords))
+
+
+def _overflow():
+    raise OverflowError("result leaves the float range")
+
+
+def _words(pair, bound):
+    """The words (r, s), |r|, |s| <= bound, in loop order, each with its
+    factor rows and its row composed alone."""
+    f, g = pair
+    if f.regime != g.regime:
+        raise ValueError("cannot compose elements of different regimes")
+    fp, gp = oracle_powers(f, bound), oracle_powers(g, bound)
+    for r in range(-bound, bound + 1):
+        for s in range(-bound, bound + 1):
+            h = compose_many(f.regime, fp[r][None], gp[s][None])[0]
+            yield (r, s), fp[r], gp[s], h[0]
 
 
 def oracle_certificate(pair, window, tol):
     """Search the window |r|, |s| <= window for a fixed point of f^r g^s."""
-    f, g = pair
-    fp = oracle_powers(f, window)
-    gp = oracle_powers(g, window)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(-window, window + 1):
-            for s in range(-window, window + 1):
-                if r == 0 and s == 0:
-                    continue
-                w = _fixed_point_witness(compose(fp[r], gp[s]), tol)
-                if w is not None:
-                    return ActionCertificate(window, False, ((r, s), w))
+    with np.errstate(all="ignore"):
+        for word, a, b, h in _words(pair, window):
+            if word == (0, 0):
+                continue
+            if _unread(a, b, 1):
+                _overflow()
+            w = _fixed_point_witness(pair[0].regime, h, tol)
+            if w is not None:
+                return ActionCertificate(window, False, (word, w))
     return ActionCertificate(window, True)
 
 
@@ -67,27 +101,24 @@ def oracle_samples(compact_radius, samples, seed):
 def oracle_probe(pair, compact_radius, horizon, samples, seed):
     """Apply every word of the band horizon/2 <= max(|r|, |s|) <= horizon
     to seeded sample points of the annulus, and report for each word the
-    first sample whose image lands in the annulus again."""
-    f, g = pair
+    first sample whose image lands in the annulus again.  A word is
+    refused where one of its diagonal multipliers cannot be read, an image
+    where `apply_many` refuses a power of its point."""
     pts = oracle_samples(compact_radius, samples, seed)
-    fp = oracle_powers(f, horizon)
-    gp = oracle_powers(g, horizon)
     lo = (horizon + 1) // 2
+    diagonal = 1 if pair[0].regime.tag == "Double" else 3
     violations = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for r in range(-horizon, horizon + 1):
-            for s in range(-horizon, horizon + 1):
-                if not lo <= max(abs(r), abs(s)) <= horizon:
-                    continue
-                h = compose(fp[r], gp[s])
-                for x in pts:
-                    try:
-                        y = apply(h, x)
-                    except ValueError:
-                        continue
-                    if np.all(np.isfinite(y.array())) and \
-                            _in_annulus(y.array(), compact_radius):
-                        violations.append(((r, s), x))
-                        break
+    with np.errstate(all="ignore"):
+        for word, a, b, h in _words(pair, horizon):
+            if max(map(abs, word)) < lo:
+                continue
+            if _unread(a, b, diagonal):
+                _overflow()
+            for x in pts:
+                y, checks = apply_many(pair[0].regime, h, x.array())
+                replay(*checks[1:-2])  # the powers of the point alone
+                if np.isfinite(y).all() and _in_annulus(y, compact_radius):
+                    violations.append((word, x))
+                    break
     return PropernessReport(horizon, compact_radius, samples, seed,
                             tuple(violations))

@@ -10,22 +10,22 @@ import lvmkit.resonant_group
 from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
 from lvmkit.resonance import ResonanceClass
-from lvmkit.resonant_group import (GroupElement, PointV, _compose_data,
-                                   apply, apply_many, compose, compose_many,
-                                   element_from_params, identity)
+from lvmkit.resonant_group import (GroupElement, PointV, apply, apply_many,
+                                   compose, compose_many, element_from_params,
+                                   identity)
 from lvmkit.action import (
     FP_TOL,
     ActionCertificate,
+    _fixed_point_witness,
     _grid,
     _powers,
-    _word_composer,
     fixed_point_certificate,
     orbit,
     properness_probe,
 )
 from action_oracle import (oracle_certificate, oracle_powers, oracle_probe,
                            oracle_samples)
-from verify_bounds import GAMMA, HUGE, TINY, U, law_ops, moduli, near_range
+from verify_bounds import GAMMA, HUGE, U, law_ops, moduli
 
 NR = ResonanceClass("NonResonant")
 S12 = ResonanceClass("Single", p=1, q=2)
@@ -52,6 +52,12 @@ SINGLE_PAIR = (GroupElement(S12, (2, 0.6, 0.5, 0.3 - 0.1j)),
                GroupElement(S12, (1 + 1j, 0.5j, -0.3 + 0.2j, 0.25)))
 DOUBLE_PAIR = (GroupElement(D1, (1.5j, np.array([[1.2, 0.3j], [-0.4, 0.8]]))),
                GroupElement(D1, (0.7 - 0.2j, np.diag([0.9j, 1.1]))))
+
+
+def _word_element(pair, r, s):
+    """f^r g^s, composed by `compose` from the oracle's power rows."""
+    return compose(*(element_from_params(e.regime, oracle_powers(e, abs(k))[k])
+                     for e, k in zip(pair, (r, s))))
 
 
 def brute_force_window_check(pair, window, tol=1e-10):
@@ -107,7 +113,7 @@ class TestFixedPointCertificate:
         cert = fixed_point_certificate((f, g), window=3)
         assert not cert.fixed_point_free
         (r, s), w = cert.witness
-        h = compose(oracle_powers(f, 3)[r], oracle_powers(g, 3)[s])
+        h = _word_element((f, g), r, s)
         assert np.max(np.abs(apply(h, w).array() - w.array())) < 1e-9
 
     def test_double_regime_witness(self):
@@ -117,7 +123,7 @@ class TestFixedPointCertificate:
         assert not cert.fixed_point_free
         (r, s), w = cert.witness
         assert s == 0 and r != 0  # any power of f keeps the unit eigenvalue
-        h = compose(oracle_powers(f, 3)[r], oracle_powers(g, 3)[s])
+        h = _word_element((f, g), r, s)
         assert np.max(np.abs(apply(h, w).array() - w.array())) < 1e-9
 
     def test_monotone_in_window(self):
@@ -166,9 +172,7 @@ class TestOrbit:
         x = PointV((0.7 + 0.2j, 1.1 - 0.4j, -0.3 + 0.9j))
         expected = [x]
         for r, s in word:
-            h = compose(oracle_powers(f, abs(r))[r],
-                        oracle_powers(g, abs(s))[s])
-            expected.append(apply(h, expected[-1]))
+            expected.append(apply(_word_element(pair, r, s), expected[-1]))
         assert orbit(pair, iter(word), x) == expected
 
     def test_extreme_pair_warns_nothing(self):
@@ -182,8 +186,7 @@ class TestOrbit:
             out = orbit((f, g), [(8, 0)], x)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            h = compose(oracle_powers(f, 8)[8], oracle_powers(g, 0)[0])
-            assert out == [x, apply(h, x)]
+            assert out == [x, apply(_word_element((f, g), 8, 0), x)]
 
     @pytest.mark.parametrize("entry", [(1.0, 0), (0, np.float64(2)), (1, "1")])
     def test_non_integer_word_rejected(self, entry):
@@ -314,12 +317,12 @@ def _outcome(search, *args):
 
 def _oracle_rows(f, bound):
     table = oracle_powers(f, bound)
-    return np.array([table[r].params() for r in range(-bound, bound + 1)])
+    return np.array([table[r] for r in range(-bound, bound + 1)])
 
 
 class TestPowers:
-    """The rows of `_powers` are the powers of the scalar chain of
-    `compose`, to the bit, and it raises what that chain raises."""
+    """The rows of `_powers` are the powers of the chain of
+    `_compose_data`, to the bit, and it raises what that chain raises."""
 
     @settings(max_examples=100, deadline=None)
     @given(action_pairs(), st.integers(0, 30))
@@ -331,98 +334,52 @@ class TestPowers:
                     _outcome(lambda: _oracle_rows(f, bound).tobytes())
 
     @pytest.mark.parametrize("f,bound,error", [
-        (GroupElement(NR, (1e-170, 2, 3)), 3, "ValueError"),
+        (GroupElement(NR, (1e-170, 2, 3)), 3, None),
         (GroupElement(D2, (3e-155 + 4e-155j, np.eye(2))), 3, "OverflowError"),
         (GroupElement(D2, (4e-155 + 4e-155j, np.eye(2))), 0, "OverflowError")],
         ids=["power-underflows", "a1-power-refused", "inverse-refused"])
     def test_refusals_match_scalar_chain(self, f, bound, error):
-        # f^2 underflows to 0 and GroupElement refuses it; Python refuses
-        # a1^-2 in the first step of the chain, though (1/a1)^-2 is nan for
-        # the inverse; the inverse is built, and refused, at bound 0 too
+        # f^2 underflows to 0 and f^-2 overflows: both are rows like any
+        # other; Python refuses a1^-2 in the first step of the chain, and
+        # (1/a1)^2 in the inverse, which is built at bound 0 too
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            outcome = _outcome(_powers, f, bound)
-            assert outcome == _outcome(_oracle_rows, f, bound)
-        assert outcome.startswith(error + ": ")
+            outcome = _outcome(lambda: _powers(f, bound).tobytes())
+            assert outcome == \
+                _outcome(lambda: _oracle_rows(f, bound).tobytes())
+            if error is None:
+                rows = _powers(f, bound)
+                assert rows[bound + 2, 0] == 0
+                assert np.isinf(rows[bound - 2, 0])
+            else:
+                assert outcome.startswith(error + ": ")
 
 
-def _word_rows(pair, bound):
-    """For every word f^r g^s, |r|, |s| <= bound: the integer arrays r, s,
-    the word rows as `compose` builds them from the scalar powers, and the
-    rows compose gives on the moduli of the powers, which bound the moduli
-    of every term of each entry; None if the scalar powers are refused."""
+def _image_ambiguous(pair, radius, horizon, samples, seed):
+    """Whether an image of a sample under a word of the band has a modulus
+    |xi1| or |(xi2, xi3)| within its error bound of a bound of the
+    annulus, or an error bound beyond the float range.  An image entry of
+    two computations, each a composition and an application, differs by
+    at most 4 law_ops GAMMA times its term size, which the laws give on
+    the moduli of the powers and the point."""
     f, g = pair
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            fp, gp = oracle_powers(f, bound), oracle_powers(g, bound)
-    except (ValueError, ArithmeticError):
-        return None
-    r, s = _grid(bound)
-    a = np.array([fp[int(k)].params() for k in r])
-    b = np.array([gp[int(k)].params() for k in s])
-    with np.errstate(all="ignore"):
-        words = np.array([_scalar_word(f.regime, fp[int(i)], gp[int(j)])
-                          for i, j in zip(r, s)])
-        size = np.abs(compose_many(f.regime, moduli(a), moduli(b))[0])
-    return r, s, b, words, size
-
-
-def _scalar_word(regime, f, g):
-    """The parameters of the word f g in the arithmetic of `compose`,
-    nan where a power of it refuses g."""
-    try:
-        data = _compose_data(regime, f.data, g.data)
-    except ArithmeticError:
-        return np.full(f.params().shape, np.nan, dtype=complex)
-    return np.concatenate([np.ravel(d) for d in data])
-
-
-def _word_ambiguous(regime, b, words, size):
-    """Words whose refusal turns on rounding: a power of b within the
-    margin of the float range, an entry `GroupElement` tests for 0 whose
-    terms are below TINY, or a determinant within its rounding bound of 0
-    (each entry of two computations differs by at most 2 law_ops GAMMA
-    times its term size, and the determinant adds 4 u)."""
-    if regime.tag == "Double":
-        amb = near_range(b[:, 0], regime.p) | (size[:, 0] < TINY)
-        err = 2 * law_ops(regime) * GAMMA + 4 * U
-        with np.errstate(all="ignore"):
-            det = np.linalg.det(words[:, 1:].reshape(-1, 2, 2))
-            margin = err * (size[:, 1] * size[:, 4] + size[:, 2] * size[:, 3])
-        return amb | ~(np.abs(det) > margin)
-    amb = (size[:, :3] < TINY).any(axis=1)
-    if regime.tag == "Single":
-        amb |= near_range(b[:, 0], regime.p) | near_range(b[:, 1], regime.q)
-    return amb
-
-
-def _probe_ambiguous(pair, radius, horizon, samples, seed):
-    """Whether a word of the band, or its image of a sample, is decided by
-    rounding: the word as in `_word_ambiguous`, a power of a sample that
-    tau takes within the margin of the range, or an image whose modulus
-    |xi1| or |(xi2, xi3)| lies within its error bound of a bound of the
-    annulus.  An image entry of two computations, each a composition and
-    an application, differs by at most 4 law_ops GAMMA times its term
-    size, which apply gives on the moduli of the word and the point."""
-    rows = _word_rows(pair, horizon)
-    if rows is None:
+    if f.regime != g.regime:
         return False
-    r, s, b, words, size = rows
-    regime = pair[0].regime
+    regime = f.regime
+    r, s = _grid(horizon)
     band = np.maximum(abs(r), abs(s)) >= (horizon + 1) // 2
     x = np.array([pt.array() for pt in oracle_samples(radius, samples, seed)])
-    if _word_ambiguous(regime, b, words, size)[band].any() or (
-            regime.tag == "Double" and near_range(x[:, 0], regime.p).any()):
-        return True
     with np.errstate(all="ignore"):
-        y = apply_many(regime, words[band, None], x)[0]
+        a, b = _oracle_rows(f, horizon), _oracle_rows(g, horizon)
+        a, b = a[r[band] + horizon], b[s[band] + horizon]
+        y = apply_many(regime, compose_many(regime, a, b)[0][:, None], x)[0]
+        size = np.abs(compose_many(regime, moduli(a), moduli(b))[0])
         err = 4 * law_ops(regime) * GAMMA * np.abs(apply_many(
-            regime, moduli(size[band, None]), moduli(x))[0])
+            regime, moduli(size[:, None]), moduli(x))[0])
         m1, m23 = np.abs(y[..., 0]), np.hypot(np.abs(y[..., 1]),
                                               np.abs(y[..., 2]))
-        e1, e23 = err[..., 0] + 2 * U * m1, err[..., 1] + err[..., 2] \
-            + 2 * U * m23
+        e1 = err[..., 0] + 2 * U * m1
+        e23 = err[..., 1] + err[..., 2] + 2 * U * m23
         return any((np.abs(m - bound) <= e).any() or (e > HUGE).any()
                    for m, e in ((m1, e1), (m23, e23))
                    for bound in (1 / radius, radius))
@@ -430,10 +387,11 @@ def _probe_ambiguous(pair, radius, horizon, samples, seed):
 
 class TestAgainstOracle:
     """The array searches report what word-by-word evaluation reports,
-    witness words and points included, and raise what it raises, except
-    for windows where a word or an image is decided by rounding: the
-    arrays compose and apply in numpy's arithmetic, the oracle in the
-    scalar code's."""
+    witness words and points included, and raise what it raises; no word
+    refusal is left out.  The probe composes and applies words in blocks,
+    whose products may differ from the oracle's in the last bits, so a
+    probe with an image within its error bound of a bound of the annulus,
+    or with a term beyond the float range, is left out."""
 
     @settings(max_examples=150, deadline=None)
     @given(action_pairs(), st.integers(1, 8), st.integers(1, 5),
@@ -443,7 +401,7 @@ class TestAgainstOracle:
                      st.floats(1e308, 1.79e308)))
     def test_probe(self, pair, horizon, samples, seed, radius):
         args = (pair, radius, horizon, samples, seed)
-        assume(not _probe_ambiguous(*args))
+        assume(not _image_ambiguous(*args))
         assert _outcome(properness_probe, *args) == \
             _outcome(oracle_probe, *args)
 
@@ -456,65 +414,131 @@ class TestAgainstOracle:
             _outcome(oracle_certificate, *args)
 
     def test_word_determinant_rounding_to_zero(self):
-        # compose refuses the word f^-1 g^2: the determinant of its 2x2
-        # block, 2^144 det(M_f)^-1, rounds to 0 in compose's arithmetic
-        # but not in numpy's, so the arrays leave the word to compose
+        # the word f^-1 g^2 has determinant 2^144 det(M_f)^-1, which
+        # rounds to 0 in compose's arithmetic; its scalar part g1^2 is not
+        # 1, so it has no fixed point, and the search goes on to the
+        # witness f
         f = GroupElement(D2, (1, np.array([[np.exp(3j * np.pi / 8), 0],
                                            [2, 1]])))
         g = GroupElement(D2, (0.5141027441932217 + 0.8577286100002721j,
                               np.array([[2.0 ** 72, 1], [0, 1]])))
         outcome = _outcome(fixed_point_certificate, (f, g), 2, 0.0)
-        assert outcome.startswith("ValueError: Double element needs")
+        assert outcome.startswith("ActionCertificate(window=2, "
+                                  "fixed_point_free=False, witness=((1, 0), ")
         assert outcome == _outcome(oracle_certificate, (f, g), 2, 0.0)
+
+    @pytest.mark.parametrize("search,oracle,args,report", [
+        (fixed_point_certificate, oracle_certificate, (2, FP_TOL),
+         "ActionCertificate(window=2, fixed_point_free=True, witness=None)"),
+        (properness_probe, oracle_probe, (100.0, 2, 3, 0),
+         "PropernessReport(horizon=2, ")],
+        ids=["certificate", "probe"])
+    def test_word_power_at_the_float_range(self, search, oracle, args, report):
+        # g^2 has a1 = w with Re(w)^2 beyond the float range but |w^2|
+        # within it: Python's power overflows in Re(w)^2, numpy's is
+        # finite, and the words f^r g^2 are decided as their rows read
+        w = complex(np.sqrt(np.finfo(float).max) * (1 + 1e-15), 1e150)
+        f = GroupElement(S22, (2, 3, 5, 0))
+        g = GroupElement(S22, (np.sqrt(w), 1.5, 1.7, 0))
+        outcome = _outcome(search, (f, g), *args)
+        assert outcome.startswith(report)
+        assert outcome == _outcome(oracle, (f, g), *args)
+
+    def test_non_finite_candidate_refused(self):
+        # every word f^r has scalar part 1; f^-8 has a 0 eigenvalue and no
+        # fixed point, and f^8, with e^800 on its diagonal, leaves the
+        # float range
+        f = GroupElement(D1, (1, np.diag([np.exp(100.0), 2])))
+        g = GroupElement(D1, (3, np.eye(2)))
+        outcome = _outcome(fixed_point_certificate, (f, g), 8, FP_TOL)
+        assert outcome == "OverflowError: result leaves the float range"
+        assert outcome == _outcome(oracle_certificate, (f, g), 8, FP_TOL)
+        # a non-finite row is refused only where its scalar part is 1
+        row = np.array([3, np.inf, 0, 0, 2], dtype=complex)
+        assert _fixed_point_witness(D1, row, FP_TOL) is None
+        row[0] = 1
+        with pytest.raises(OverflowError, match="leaves the float range"):
+            _fixed_point_witness(D1, row, FP_TOL)
+
+    @pytest.mark.parametrize("f,g,certificate,probe", [
+        ((-1e-170, 2, 3), (1e170, -0.5, 1), "OverflowError", "OverflowError"),
+        ((1e160, 2, 3), (1e-160, 0.5, 1), "OverflowError", "OverflowError"),
+        ((2, 1e-170, 1), (3, 1e170, 1), "ActionCertificate", "OverflowError"),
+        ((1e-310, 2, 3), (1j, 0.5, 2), "ActionCertificate",
+         "PropernessReport")],
+        ids=["zero-times-inf", "inf-times-small", "fiber-zero-times-inf",
+             "inf-times-unit"])
+    def test_unread_word_refused(self, f, g, certificate, probe):
+        # f^2 g^2 is about (1, 1, 9), (1, 1, 9) and (36, 1, 1): it fixes
+        # (1, 1, 0) or returns samples, but a multiplier of it is the
+        # product of a power beyond the float range and one below 1 in
+        # modulus, 0 times inf or inf times 1e-320, which reads nan or inf.
+        # The certificate reads only the multiplier of xi1, which is 6^2
+        # for the third pair.  The powers f^-r of the last pair leave the
+        # float range, but every g^s has modulus 1: each word is decided
+        pair = (GroupElement(NR, f), GroupElement(NR, g))
+        for search, oracle, args, report in (
+                (fixed_point_certificate, oracle_certificate, (2, FP_TOL),
+                 certificate),
+                (properness_probe, oracle_probe, (100.0, 4, 20, 0), probe)):
+            outcome = _outcome(search, pair, *args)
+            assert outcome.startswith(report)
+            if report == "OverflowError":
+                assert outcome.endswith("result leaves the float range")
+            assert outcome == _outcome(oracle, pair, *args)
 
     @pytest.mark.parametrize("search,oracle,args", [
         (fixed_point_certificate, oracle_certificate, (2, FP_TOL)),
         (properness_probe, oracle_probe, (100.0, 2, 3, 0))],
         ids=["certificate", "probe"])
-    def test_word_power_at_the_float_range(self, search, oracle, args):
-        # g^2 has a1 = w with Re(w)^2 beyond the float range but
-        # |w^2| within it: compose refuses the words f^r g^2, whose
-        # twist w^2 Python's power overflows in Re(w)^2, though numpy's
-        # is finite, so the arrays leave those words to compose
-        w = complex(np.sqrt(np.finfo(float).max) * (1 + 1e-15), 1e150)
-        f = GroupElement(S22, (2, 3, 5, 0))
-        g = GroupElement(S22, (np.sqrt(w), 1.5, 1.7, 0))
-        outcome = _outcome(search, (f, g), *args)
-        assert outcome == "OverflowError: complex exponentiation"
-        assert outcome == _outcome(oracle, (f, g), *args)
+    def test_mixed_regimes_rejected(self, search, oracle, args):
+        # before any power is built
+        pair = (GroupElement(NR, (1e-310, 1, 1)), SINGLE_PAIR[1])
+        outcome = _outcome(search, pair, *args)
+        assert outcome == "ValueError: cannot compose elements of " \
+            "different regimes"
+        assert outcome == _outcome(oracle, pair, *args)
 
     @pytest.mark.parametrize("pair", [DIAG_PAIR, SINGLE_PAIR, DOUBLE_PAIR])
     def test_rounding_matches_scalar(self, pair):
-        # words and images agree with compose and apply within twice the
-        # error of a composition and an application, 4 law_ops GAMMA times
-        # the size of their terms, which the laws give on moduli
+        # the words the searches compose from the `_powers` rows, and their
+        # images, agree with compose and apply within twice the error of a
+        # composition and an application, 4 law_ops GAMMA times the size of
+        # their terms, which the laws give on moduli
         f, g = pair
-        r, s, b, words, size = _word_rows(pair, 4)
-        h, ok = _word_composer(f, g, _powers(f, 4), _powers(g, 4), 4)(r, s)
+        regime = f.regime
+        r, s = _grid(4)
+        a, b = _powers(f, 4)[r + 4], _powers(g, 4)[s + 4]
+        h = compose_many(regime, a, b)[0]
+        size = np.abs(compose_many(regime, moduli(a), moduli(b))[0])
         x = np.array([[0.7 + 0.2j, 1.1 - 0.4j, -0.3 + 0.9j],
                       [-2.5j, 0.1 + 0.3j, 4.0],
                       [0.3 - 0.3j, 0.0, 1.7 + 2.2j]])
-        y = apply_many(f.regime, h[:, None], x)[0]
-        images = np.abs(apply_many(f.regime, moduli(size[:, None]),
+        y = apply_many(regime, h[:, None], x)[0]
+        images = np.abs(apply_many(regime, moduli(size[:, None]),
                                    moduli(x))[0])
-        assert ok.all() and not _word_ambiguous(f.regime, b, words, size).any()
-        bound = 4 * law_ops(f.regime) * GAMMA
-        assert (np.abs(h - words) <= bound * size).all()
+        bound = 4 * law_ops(regime) * GAMMA
         for k in range(r.size):
-            word = element_from_params(f.regime, words[k])
+            word = compose(element_from_params(regime, a[k]),
+                           element_from_params(regime, b[k]))
+            assert (np.abs(h[k] - word.params()) <= bound * size[k]).all()
             for n in range(len(x)):
                 image = apply(word, PointV(tuple(x[n]))).array()
                 assert (np.abs(image - y[k, n]) <= bound * images[k, n]).all()
 
     def test_word_compose_refuses(self):
-        # every power is a float, but f g underflows to 0 in xi1
+        # every power is a float, but f g underflows to 0 in xi1: it is
+        # no group element, has no fixed point and returns no sample
         f = GroupElement(NR, (1e-170, 2, 3))
         g = GroupElement(NR, (1e-170, 5, 7))
-        for search, oracle, args in (
-                (fixed_point_certificate, oracle_certificate, (1, FP_TOL)),
-                (properness_probe, oracle_probe, (100.0, 1, 3, 0))):
+        for search, oracle, args, report in (
+                (fixed_point_certificate, oracle_certificate, (1, FP_TOL),
+                 "ActionCertificate(window=1, fixed_point_free=True, "
+                 "witness=None)"),
+                (properness_probe, oracle_probe, (100.0, 1, 3, 0),
+                 "PropernessReport(horizon=1, ")):
             outcome = _outcome(search, (f, g), *args)
-            assert outcome.startswith("ValueError")
+            assert outcome.startswith(report)
             assert outcome == _outcome(oracle, (f, g), *args)
 
     @pytest.mark.parametrize("seed", range(4))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -265,6 +266,23 @@ class TestOracleAgreement:
         assert report == ConfigReport(siegel, hyperbolic,
                                       frozenset(indispensable), triple)
         assert report == oracle_report(config)
+
+
+class TestPermutationInvariance:
+    """Certification does not depend on the order of the points, and the
+    indispensable set follows them (indices are 1-based)."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_configurations(), st.data())
+    def test_report_permutes_with_points(self, config, data):
+        perm = data.draw(st.permutations(range(config.n)))
+        moved = Configuration(config.m, tuple(config.vectors[k] for k in perm))
+        report = config_report(config)
+        # point i + 1 of the moved configuration is point perm[i] + 1
+        indispensable = frozenset(i + 1 for i, k in enumerate(perm)
+                                  if k + 1 in report.indispensable)
+        assert config_report(moved) == dataclasses.replace(
+            report, indispensable=indispensable)
 
 
 class TestNormalizeAffine:

@@ -242,6 +242,66 @@ class TestFindResonances:
         assert as_set(out) == TRIVIAL
 
 
+@st.composite
+def planted_eigen_data(draw):
+    """Eigen-data of every regime: generic moduli, a planted Single or
+    Double relation, or all six multipliers on the unit circle."""
+    kind = draw(st.sampled_from(["generic", "single", "double", "unit"]))
+
+    def z():
+        log_modulus = 0.0 if kind == "unit" else draw(st.floats(-0.7, 0.7))
+        return np.exp(log_modulus + 2j * np.pi * draw(st.floats(0, 1)))
+
+    alpha, beta = [z(), z(), z()], [z(), z(), z()]
+    p, q = draw(st.integers(-2, 2)), draw(st.integers(2, 3))
+    for v in (alpha, beta):
+        if kind == "single":
+            v[2] = v[0] ** p * v[1] ** q
+        elif kind == "double":
+            v[2] = v[0] ** p * v[1]
+    return HolonomyPair(tuple(alpha), tuple(beta))
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the exception it raises, near-resonance
+    warnings silenced."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            return fn(*args)
+        except UnclassifiableResonancePattern as exc:
+            return repr(exc)
+
+
+class TestMetamorphic:
+    """Relations the mathematics guarantees, with no oracle: resonances
+    hold for alpha and beta alike, and complex conjugation maps every
+    relation among the multipliers to the same relation."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_eigen_data(), st.sampled_from([1e-9, 1e-3, 0.1]),
+           st.integers(0, 6))
+    def test_alpha_beta_swap(self, h, tol, bound):
+        assert _outcome(find_resonances, HolonomyPair(h.beta, h.alpha), tol,
+                        bound) == _outcome(find_resonances, h, tol, bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_eigen_data(), st.sampled_from([1e-9, 1e-3, 0.1]),
+           st.integers(0, 6))
+    def test_conjugation(self, h, tol, bound):
+        conj = HolonomyPair(tuple(np.conj(h.alpha)), tuple(np.conj(h.beta)))
+        assert _outcome(find_resonances, conj, tol, bound) == \
+            _outcome(find_resonances, h, tol, bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_eigen_data(), st.integers(2, 6))
+    def test_regime_under_swap(self, h, bound):
+        def regime(pair):
+            return _outcome(lambda: classify_regime(
+                find_resonances(pair, bound=bound)))
+        assert regime(HolonomyPair(h.beta, h.alpha)) == regime(h)
+
+
 class TestClassifyRegime:
     def test_three_regimes(self):
         assert classify_regime(find_resonances(H_NONRES, bound=8)).tag == "NonResonant"
