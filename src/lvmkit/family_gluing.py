@@ -22,7 +22,7 @@ The maps work on stacked chart data (``*_many``: matrices (N, 3, 3),
 lambdas and points of V) in numpy's arithmetic, and decide refusals from
 the rows they compute: each raises the error of the first refused point,
 found by validating that point's own output.  The scalar maps call them
-on one point.
+on one point, as ``check_condition`` calls ``_paired_eigendata``.
 """
 
 from dataclasses import dataclass
@@ -34,11 +34,9 @@ from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
 from .resonance import (DEFAULT_BOUND, ResonanceClass, _log_screen,
                         _power_residual, _screened)
 from .resonant_group import (GroupElement, IllConditioned, PointV,
-                             _finite_check, _l_matrices, _l_matrix,
-                             _null_vector, _points_ok, _to_point, accepted,
-                             apply_many, compose_many, identity,
-                             inverse_many, p_eigenvalues, p_eigenvalues_many,
-                             replay)
+                             _finite_check, _null_vector, _points_ok, _power,
+                             _to_point, _twisted_roots, accepted, apply_many,
+                             compose_many, identity, inverse_many, replay)
 from .rep_variety import variety_residual
 
 DENOM_TOL = 1e-12
@@ -124,8 +122,9 @@ class FamilyPoint:
         return self.amat[1:, 1:], self.bmat[1:, 1:]
 
 
-def _paired_eigendata(point):
-    """Eigen-data (alpha_1..3, beta_1..3) of an S_p candidate.
+def _paired_eigendata(amat, bmat, p):
+    """Eigen-data (alpha_1..3, beta_1..3) of stacked S_p candidates,
+    matrices (N, 3, 3), as six arrays (N,).
 
     A root r of det(X L - M) represents the multiplier alpha2' directly
     when its eigenvector plays the first fiber role, and the multiplier
@@ -134,44 +133,24 @@ def _paired_eigendata(point):
     each beta is read off along the matching eigenvector of the second
     block (the balance equations make the eigenvectors common).
     """
-    a1, _, _, b1, _, _ = point.diagonals()
-    ablock, bblock = point.blocks()
-    p = point.p
-    roots = p_eigenvalues(a1, ablock, p)
-    raw_betas = []
-    for val in roots:
-        v = _null_vector(ablock - val * _l_matrix(a1, p))
-        lv = _l_matrix(b1, p) @ v
-        k = int(np.argmax(np.abs(lv)))
-        raw_betas.append(complex((bblock @ v)[k] / lv[k]))
-    candidates = []
-    for (i, j) in ((0, 1), (1, 0)):
-        candidates.append((a1, roots[i], roots[j] * a1 ** p,
-                           b1, raw_betas[i], raw_betas[j] * b1 ** p))
-    for cand in candidates:
-        if abs(cand[1]) > abs(cand[2]):
-            return cand
-    return candidates[0]
-
-
-def _paired_eigendata_many(amat, bmat, p):
-    """`_paired_eigendata` of stacked S_p candidates, matrices (N, 3, 3),
-    as six arrays (N,); the scalar form stays for `check_condition`,
-    which it keeps fast on one point."""
     a1, b1 = amat[:, 0, 0], bmat[:, 0, 0]
-    roots = p_eigenvalues_many(a1, amat[:, 1:, 1:], p)
-    la, lb = _l_matrices(a1, p), _l_matrices(b1, p)
-    v = _null_vector(amat[:, None, 1:, 1:] - roots[..., None, None] * la[:, None])
-    lv = (lb[:, None] @ v[..., None])[..., 0]
+    if not a1.all():
+        raise ValueError("alpha must be nonzero")
+    ap, bp = _power(np.array([a1, b1]), p)
+    roots = _twisted_roots(ap, amat[:, 1:, 1:])
+    # the assignment (r0, r1) unless only (r1, r0) is modulus-ordered
+    r0, r1 = roots.T
+    swap = (abs(r0) <= abs(r1 * ap)) & (abs(r1) > abs(r0 * ap))
+    roots = np.where(swap[:, None], roots[:, ::-1], roots)
+    n = np.repeat(amat[:, None, 1:, 1:], 2, axis=1)  # M - r L for each root
+    n[..., 0, 0] -= roots
+    n[..., 1, 1] -= roots * ap[:, None]
+    v = _null_vector(n)
+    lv = v[..., 1] * bp[:, None]
     bv = (bmat[:, None, 1:, 1:] @ v[..., None])[..., 0]
-    first = np.argmax(np.abs(lv), axis=-1) == 0
+    first = abs(v[..., 0]) >= abs(lv)
     betas = (np.where(first, bv[..., 0], bv[..., 1])
-             / np.where(first, lv[..., 0], lv[..., 1]))
-    ap, bp = a1 ** p, b1 ** p
-    # the assignment (i, j) = (0, 1) unless only (1, 0) is modulus-ordered
-    swap = ((np.abs(roots[:, 0]) <= np.abs(roots[:, 1] * ap))
-            & (np.abs(roots[:, 1]) > np.abs(roots[:, 0] * ap)))
-    roots[swap], betas[swap] = roots[swap, ::-1], betas[swap, ::-1]
+             / np.where(first, v[..., 0], lv))
     return (a1, roots[:, 0], roots[:, 1] * ap, b1, betas[:, 0], betas[:, 1] * bp)
 
 
@@ -249,7 +228,8 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
         scale = 1 + max(np.max(np.abs(point.amat)), np.max(np.abs(point.bmat)))
         clauses = [(name, abs(value) <= tol * scale)
                    for name, value in variety_residual(pair, cls).equations]
-        data = _paired_eigendata(point)
+        data = tuple(complex(d[0]) for d in _paired_eigendata(
+            point.amat[None], point.bmat[None], point.p))
     else:
         data = a1, a2, a3, b1, b2, b3 = point.diagonals()
         eps, delta = point.amat[2, 1], point.bmat[2, 1]
@@ -416,7 +396,7 @@ def invert_psi_p_many(amat, bmat, x, p):
     a2e, eps1, eps2 = amat[:, 1, 1], amat[:, 2, 1], amat[:, 1, 2]
     tol = MEMBERSHIP_TOL
     with np.errstate(all="ignore"):
-        a1, a2, a3, b1, b2, b3 = _paired_eigendata_many(amat, bmat, p)
+        a1, a2, a3, b1, b2, b3 = _paired_eigendata(amat, bmat, p)
         scale = 1 + np.maximum(np.abs(a2), np.abs(a3))
         unordered = np.abs(a2) <= np.abs(a3)
         # the screen is necessary for tol < 1; the residual decides the rest

@@ -23,7 +23,9 @@ with its rows, the checks that decide its refusals from those rows
 alone: a power that leaves the float range, an output that
 `GroupElement` or `PointV` refuses, a non-finite output.  `replay`
 raises the error of the first refused row.  The scalar `compose`,
-`inverse` and `apply` refuse a non-finite result as the arrays do.
+`inverse` and `apply` refuse a non-finite result as the arrays do.  The
+twisted eigenvalues and their kernels are closed forms on stacks,
+`_twisted_roots` (a double root exactly) and `_null_vector`.
 """
 
 import functools
@@ -36,6 +38,10 @@ from .resonance import ResonanceClass
 TOL_SEP = 1e-8
 # relative commutation residual up to which elements count as commuting
 COMMUTE_TOL = 1e-8
+# d^2 + e of `_twisted_roots` rounds within (3 + 3 sqrt 5) u of its terms to
+# first order, a complex product within sqrt(5) u (Brent, Percival and
+# Zimmermann, Math. Comp. 76, 2007) and a sum within u; 10 u bounds it all
+DISC_ROUNDING = 10 * 2.0 ** -53
 
 
 class IllConditioned(Exception):
@@ -401,51 +407,56 @@ def commutation_residual(f, g):
 
 
 def _null_vector(mat):
-    """Unit vector spanning the (numerical) kernel of a 2x2 matrix, or of
-    each matrix of a stack (..., 2, 2)."""
-    _, _, vh = np.linalg.svd(mat)
-    return vh[..., -1, :].conj()
+    """Unit vector spanning the kernel of a singular 2x2 matrix N, or of
+    each matrix of a stack (..., 2, 2), from its larger row: (-n12, n11)
+    or (n22, -n21); (0, 1) for the zero matrix."""
+    n = np.asarray(mat, dtype=complex)
+    rows = np.hypot(abs(n[..., 0]), abs(n[..., 1]))
+    top = rows[..., :1] >= rows[..., 1:]
+    w = np.where(top, n[..., 0, ::-1], -n[..., 1, ::-1]) * [-1, 1]
+    size = np.maximum(rows[..., :1], rows[..., 1:])
+    if not size.all():  # the zero matrix: w = 0, and (0, 1) is returned
+        w[size[..., 0] == 0, 1], size[size == 0] = 1, 1
+    return w / size
+
+
+def _twisted_roots(ap, m):
+    """The roots (..., 2) of det(X L - M) = ap X^2 - b X + det M, for
+    ap = alpha^p (...), M (..., 2, 2) and b = m11 ap + m22, ordered
+    lexicographically on (re, im), larger first.
+
+    The discriminant Delta = d^2 + 4 ap m12 m21, d = m11 ap - m22, is 0 on
+    diagonal and triangular blocks with a double root; within
+    DISC_ROUNDING (|d| (|m11 ap| + |m22|) + |4 ap m12 m21|), its rounding
+    from the given floats, it counts as 0 and both roots are b / (2 ap).
+    Otherwise they are q / ap and det M / q with q = (b + s) / 2 and
+    s = +-sqrt(Delta), Re(conj(b) s) >= 0, which cancel nothing (Kahan,
+    "On the cost of floating-point computation without extra-precise
+    arithmetic", 2004; Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 1.8).
+    """
+    m11, m12, m21, m22 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    t = m11 * ap
+    b, d, e = t + m22, t - m22, 4 * ap * m12 * m21
+    delta = d * d + e
+    double = abs(delta) <= DISC_ROUNDING * (abs(d) * (abs(t) + abs(m22))
+                                            + abs(e))
+    s = np.sqrt(delta)
+    q = np.where(double, b, np.where((b.conj() * s).real < 0, b - s, b + s)) / 2
+    r = np.empty(q.shape + (2,), dtype=complex)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r[..., 0] = q / ap
+        r[..., 1] = np.where(double, r[..., 0], (m11 * m22 - m12 * m21) / q)
+    # numpy orders complex numbers lexicographically
+    return np.where((r[..., 1] > r[..., 0])[..., None], r[..., ::-1], r)
 
 
 def p_eigenvalues(alpha, mat, p):
-    """The two roots of det(X L_{alpha,p} - M), multiplicity kept:
-    alpha^p X^2 - (m11 alpha^p + m22) X + det M = 0.
-
-    Ordered lexicographically on (re, im), larger first, so repeated
-    calls are reproducible.
-    """
-    alpha = complex(alpha)
+    """The two roots of det(X L_{alpha,p} - M) by `_twisted_roots`."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    mat = np.asarray(mat, dtype=complex)
-    ap = alpha ** p
-    roots = np.roots([ap, -(mat[0, 0] * ap + mat[1, 1]), np.linalg.det(mat)])
-    r = sorted(roots, key=lambda z: (z.real, z.imag), reverse=True)
+    r = _twisted_roots(_power(complex(alpha), p), np.asarray(mat, dtype=complex))
     return complex(r[0]), complex(r[1])
-
-
-def p_eigenvalues_many(alpha, mat, p):
-    """`p_eigenvalues` of the rows alpha (N,), M (N, 2, 2): the roots
-    (N, 2), in its order.  The quadratic is solved as np.roots solves it,
-    by the eigenvalues of its companion matrix; a row with a zero or
-    non-finite coefficient is handed to np.roots itself."""
-    if np.any(alpha == 0):
-        raise ValueError("alpha must be nonzero")
-    ap = _power(alpha, p)
-    coef = np.stack([ap, -(mat[:, 0, 0] * ap + mat[:, 1, 1]),
-                     np.linalg.det(mat)], axis=1)
-    plain = np.isfinite(coef).all(axis=1) & (coef[:, 0] != 0) & (coef[:, 2] != 0)
-    comp = np.zeros((len(ap), 2, 2), dtype=complex)
-    comp[:, 1, 0] = 1
-    comp[plain, 0] = -coef[plain, 1:] / coef[plain, :1]
-    roots = np.linalg.eigvals(comp)
-    r0, r1 = roots.T
-    up = (r1.real > r0.real) | ((r1.real == r0.real) & (r1.imag > r0.imag))
-    roots = np.where(up[:, None], roots[:, ::-1], roots)
-    for k in np.flatnonzero(~plain):
-        r = sorted(np.roots(coef[k]), key=lambda z: (z.real, z.imag), reverse=True)
-        roots[k] = r[0], r[1]
-    return roots
 
 
 def triangularize(f):
@@ -462,13 +473,13 @@ def triangularize(f):
         return identity(f.regime), f
     lam = p_eigenvalues(a1, mat, p)[0]
     y = _null_vector(mat - lam * _l_matrix(a1, p))
-    # complete y to a basis: put the better-conditioned unit vector first
-    x = np.array([1, 0], dtype=complex) if abs(y[1]) >= abs(y[0]) \
-        else np.array([0, 1], dtype=complex)
-    pmat = np.column_stack([x, y])
-    h = GroupElement(f.regime, (1, pmat))
-    t = conjugate(h, f)
-    return h, t
+    h = GroupElement(f.regime, (1, _basis(y)))
+    return h, conjugate(h, f)
+
+
+def _basis(y):
+    """The columns (x, y), x the unit vector that completes y best."""
+    return np.column_stack([np.eye(2)[int(abs(y[1]) < abs(y[0]))], y])
 
 
 def simultaneous_triangularize(f, g):
@@ -480,26 +491,14 @@ def simultaneous_triangularize(f, g):
     b1, bmat = g.data
     p = f.regime.p
     la, lb = _l_matrix(a1, p), _l_matrix(b1, p)
-
-    candidates = [_null_vector(amat - lam * la)
-                  for lam in p_eigenvalues(a1, amat, p)]
-    # if f is central (scalar multiple of L), its kernel carries no
-    # information; eigenvectors of the untwisted g matrix then decide
-    _, eigvecs = np.linalg.eig(np.linalg.inv(lb) @ bmat)
-    for i in range(2):
-        candidates.append(eigvecs[:, i])
-
-    best = None
-    for y in candidates:
-        ra = _eigen_residual(amat, la, y)
-        rb = _eigen_residual(bmat, lb, y)
-        score = max(ra, rb)
-        if best is None or score < best[0]:
-            best = (score, y)
-    y = best[1]
-    x = np.array([1, 0], dtype=complex) if abs(y[1]) >= abs(y[0]) \
-        else np.array([0, 1], dtype=complex)
-    h = GroupElement(f.regime, (1, np.column_stack([x, y])))
+    # the twisted kernels of f, and those of g, which decide where f is
+    # central (a multiple of L) and its kernels carry no information
+    candidates = [_null_vector(mat - lam * lmat)
+                  for z, mat, lmat in ((a1, amat, la), (b1, bmat, lb))
+                  for lam in p_eigenvalues(z, mat, p)]
+    y = min(candidates, key=lambda y: max(_eigen_residual(amat, la, y),
+                                          _eigen_residual(bmat, lb, y)))
+    h = GroupElement(f.regime, (1, _basis(y)))
     return h, conjugate(h, f), conjugate(h, g)
 
 

@@ -70,7 +70,8 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
     scale = 1 + max(np.max(np.abs(point.amat)), np.max(np.abs(point.bmat)))
     for name, value in res.equations:
         clauses.append((name, abs(value) <= tol * scale))
-    data = _paired_eigendata(point)
+    data = tuple(complex(d[0]) for d in _paired_eigendata(
+        point.amat[None], point.bmat[None], p))
     clauses.append(("eigen-admissibility", _eigen_admissible(data, config, tol)))
     clauses.append(("no-extra-resonance",
                     no_clash_screened(data[0], data[1], data[2], bound, tol,

@@ -285,6 +285,28 @@ class TestPermutationInvariance:
             report, indispensable=indispensable)
 
 
+class TestLinearInvariance:
+    """Certification asks which subsets of the points of R^4 capture the
+    origin in their convex hull, so an invertible real-linear map of R^4
+    leaves the report unchanged.  Coordinate permutations, sign flips,
+    power-of-two scalings and integer shears of the few-bit planted
+    coordinates are such maps, exact in floating point."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_configurations(), st.data())
+    def test_report_invariant_under_exact_linear_maps(self, config, data):
+        points = real_points(config)
+        shears = st.tuples(st.integers(0, 3), st.integers(0, 3),
+                           st.integers(-3, 3)).filter(lambda t: t[0] != t[1])
+        for i, j, k in data.draw(st.lists(shears, max_size=3)):
+            points[:, i] += k * points[:, j]
+        perm = data.draw(st.permutations(range(4)))
+        signs = data.draw(st.tuples(*[st.sampled_from((-1.0, 1.0))] * 4))
+        scales = data.draw(st.tuples(*[st.integers(-40, 40)] * 4))
+        moved = points[:, perm] * np.array(signs) * 2.0 ** np.array(scales)
+        assert config_report(_config(moved)) == config_report(config)
+
+
 class TestNormalizeAffine:
     def test_anchors_map_correctly(self):
         norm = normalize_affine(E1)

@@ -8,6 +8,7 @@ from lvmkit.resonant_group import (
     _eig2,
     _expm2,
     _logm2,
+    _null_vector,
     AlgebraElement,
     BranchDomain,
     GroupElement,
@@ -240,6 +241,49 @@ class TestTriangularize:
             scale = 1 + np.max(np.abs(f.params()))
             assert abs(mat[0, 1]) < 1e-10 * scale
             assert params_distance(compose(h, t), compose(f, h)) < 1e-9 * scale
+
+
+class TestNullVector:
+    """The closed-form kernel v of a 2x2 matrix N from its larger row n_b.
+    v is w / |n_b| for w = (-n12, n11) or (n22, -n21), so n_b . w = 0 and
+    the other row gives +-det N.  Normalising rounds each entry of v by at
+    most 3 GAMMA (abs, hypot, quotient) and evaluating N v adds 2 GAMMA of
+    its terms, so |(N v)_i| <= |det N| / |n_b| + (3 + 2 sqrt 2) GAMMA |n_i|;
+    a product of Gaussian-integer vectors has det N = 0 exactly."""
+
+    @staticmethod
+    def _image_bound(n):
+        rows = np.linalg.norm(n, axis=-1)
+        terms = (np.abs(n[..., 0, 0] * n[..., 1, 1])
+                 + np.abs(n[..., 0, 1] * n[..., 1, 0]))
+        # the determinant as formed here is within 2 GAMMA of its terms
+        det = (np.abs(n[..., 0, 0] * n[..., 1, 1] - n[..., 0, 1] * n[..., 1, 0])
+               + 2 * GAMMA * terms)
+        big = rows.max(axis=-1, keepdims=True)  # 0 for the zero matrix
+        return np.divide(det[..., None], big, out=np.zeros_like(big),
+                         where=big > 0) + 6 * GAMMA * rows
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_unit_vector_with_image_within_bound(self, seed, singular):
+        rng = np.random.default_rng(seed)
+        if singular:  # rank one, the first row zero in some matrices
+            u, w = rng.integers(-5, 6, size=(2, 40, 2, 2)) @ [1, 1j]
+            u[:4, 0] = 0
+            n = u[..., :, None] * w[..., None, :]
+        else:
+            n = (rng.normal(size=(40, 2, 2)) + 1j * rng.normal(size=(40, 2, 2)))
+        n = n * np.exp(rng.uniform(-30, 30, size=(40, 1, 1)))
+        v = _null_vector(n)
+        assert np.all(np.abs(np.linalg.norm(v, axis=-1) - 1) <= 4 * GAMMA)
+        assert np.all(np.abs((n @ v[..., None])[..., 0]) <= self._image_bound(n))
+        for k in range(0, 40, 7):  # one matrix gives the row of the stack
+            assert np.array_equal(_null_vector(n[k]), v[k])
+
+    def test_zero_matrix(self):
+        assert np.array_equal(_null_vector(np.zeros((2, 2))), [0, 1])
+        assert np.array_equal(_null_vector(np.zeros((3, 2, 2))),
+                              [[0, 1]] * 3)
 
 
 class TestSimultaneousTriangularize:

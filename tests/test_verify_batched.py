@@ -28,16 +28,16 @@ from lvmkit import cli
 from lvmkit.developing import (build_structure, check_structure,
                                sample_cover_points)
 from lvmkit.family_gluing import (DENOM_TOL, FamilyPoint, _paired_eigendata,
-                                  _paired_eigendata_many, family_action_many,
-                                  glue_phi_pq_many, glue_psi_p_many,
+                                  family_action_many, glue_phi_pq_many,
+                                  glue_psi_p_many, invert_psi_p,
                                   invert_psi_p_many)
 from lvmkit.rep_variety import StructureSpec
 from lvmkit.resonance import ResonanceClass
 from lvmkit.resonant_group import (GroupElement, PointV, _l_matrices,
-                                   _power_check, accepted, apply, apply_many,
-                                   compose, compose_many, element_from_params,
-                                   identity, inverse, inverse_many,
-                                   p_eigenvalues, p_eigenvalues_many, passed)
+                                   _power, _power_check, _twisted_roots,
+                                   accepted, apply, apply_many, compose,
+                                   compose_many, element_from_params,
+                                   identity, inverse, inverse_many, passed)
 
 REGIMES = (ResonanceClass("NonResonant"), ResonanceClass("Single", p=1, q=2),
            ResonanceClass("Single", p=-2, q=3), ResonanceClass("Double", p=1),
@@ -265,7 +265,7 @@ def _invert_with_eigendata(sa, sb, sx, p):
     eigen-data (the eigen-solve is compared in test_twisted_eigendata),
     with the bound on their difference."""
     got = _outcome(invert_psi_p_many, sa, sb, sx, p)
-    eig = _paired_eigendata_many(sa, sb, p)
+    eig = _paired_eigendata(sa, sb, p)
     want = _outcome(lambda: _stack([oracle.invert_psi_p(
         FamilyPoint("S_p", a, b, p=p), y, p, tuple(d[k] for d in eig))
         for k, (a, b, y) in enumerate(zip(sa, sb, sx))], True))
@@ -273,6 +273,64 @@ def _invert_with_eigendata(sa, sb, sx, p):
     err = invert_psi_errors(sa, sb, sx, p, eig, np.zeros((len(sa), 4)), zero,
                             zero, np.zeros(sx.shape))
     return got, want, [2 * e for e in err]
+
+
+# diag(a1, d, a1 d): the twisted double root d of p = 1 (the first and
+# second the parent's quadratic solver found to rounding, the last two it
+# split by 1.1e-8 and 1.3e-8)
+_EXACT_DIAGONALS = ((0.5, 3, 1.5), (0.7, 0.6, 0.42), (0.5, 0.75, 0.375),
+                    (0.3, 0.9, 0.27))
+
+
+def _dyadic(draw, top, real=False):
+    """A nonzero complex dyadic (x + i y) 2^-e of few bits, x != 0 if real."""
+    x, y = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+        lambda z: z[0] if real else any(z)))
+    return complex(x, y) * 2.0 ** -draw(st.integers(0, top))
+
+
+@st.composite
+def twisted_plants(draw, split=None):
+    """(amat, bmat, p) of an S_p point and its planted eigen-data
+    (a1, a2', a3', b1, b2', b3').  The first block has the twisted roots
+    r and r (1 + 2^-k), k drawn from ``split``, or without it the double
+    root r of a Jordan or scalar block J: N = P J adj(P) with P a product
+    of small-integer shears (det P = 1) and M = L_{a1,p} N.  The second
+    block is L_{b1,p} P (c0 + c1 J) adj(P), which commutes with N.  Every
+    entry is a dyadic of few bits, so the planted roots are the exact
+    roots of the floats.  |a1^p| <= 1/4 keeps the roots' roles
+    modulus-ordered; split roots get distinct real parts, since roots
+    that differ in their imaginary parts alone are ordered by rounding."""
+    p = draw(st.sampled_from([-2, -1, 1, 2]))
+    a1 = draw(st.sampled_from([1, -1, 1j, -1j])) * draw(
+        st.sampled_from([1, 3])) * 2.0 ** (draw(st.integers(2, 3))
+                                           * (1 if p < 0 else -1))
+    r = _dyadic(draw, 3, real=split is not None)
+    if split is None:
+        roots = (r, r)
+        jmat = np.array([[r, 0], [draw(st.sampled_from([0, 1])), r]])
+    else:
+        roots = (r, r + r * 2.0 ** -draw(split))
+        jmat = np.diag(roots)
+    pmat = np.eye(2)
+    for lower, k in draw(st.lists(st.tuples(st.booleans(),
+                                            st.integers(-2, 2)),
+                                  min_size=1, max_size=3)):
+        pmat = pmat @ (np.array([[1, 0], [k, 1]]) if lower
+                       else np.array([[1, k], [0, 1]]))
+    adj = np.array([[pmat[1, 1], -pmat[0, 1]], [-pmat[1, 0], pmat[0, 0]]])
+    c0, c1 = draw(st.tuples(st.integers(-2, 2), st.integers(-2, 2)))
+    assume(c0 + c1 * roots[0] != 0 and c0 + c1 * roots[1] != 0)
+    b1 = _dyadic(draw, 2)
+    amat, bmat = np.zeros((2, 3, 3), dtype=complex)
+    poly = c0 * np.eye(2) + c1 * jmat
+    for mat, z, block in ((amat, a1, jmat), (bmat, b1, poly)):
+        mat[0, 0] = z
+        mat[1:, 1:] = np.diag([1, z ** p]) @ pmat @ block @ adj
+    # the lexicographically larger root is a2', the other a3' / a1^p
+    big, small = sorted(roots, key=lambda z: (z.real, z.imag), reverse=True)
+    return amat, bmat, p, (a1, big, small * a1 ** p, b1, c0 + c1 * big,
+                           (c0 + c1 * small) * b1 ** p)
 
 
 class TestCharts:
@@ -341,32 +399,40 @@ class TestCharts:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(-3, 3))
     def test_twisted_eigendata(self, seed, p):
-        # the stacked twisted eigenvalues and paired eigen-data agree with
-        # the scalar ones that check_condition keeps within twice the
-        # bounds of `eigen_errors`, degenerate rows included; a row whose
-        # order or assignment of roots turns on that error is compared
-        # as an unordered pair, or not at all
+        # the twisted roots and paired eigen-data agree with the np.roots
+        # and SVD reference of `verify_oracle` within twice the bounds of
+        # `eigen_errors`, degenerate rows included; a row whose order or
+        # assignment of roots turns on that error is compared as an
+        # unordered pair, or not at all.  The double root of row 0, which
+        # the reference splits by about sqrt(u), comes out as two equal
+        # roots
         rng = np.random.default_rng(seed)
         amat, bmat, lam, x = _charts(rng, 12)
         sa, sb, _ = glue_psi_p_many(amat, bmat, lam, x, p)
-        sa[0, 1:, 1:] = [[2, 0], [0, 2 * sa[0, 0, 0] ** p]]  # double root
+        ap = _power(sa[:, 0, 0], p)
+        sa[0, 1:, 1:] = [[2, 0], [0, 2 * ap[0]]]  # the double root 2
         sa[1, 2, :] = 0  # det M = 0: a root np.roots appends as 0
-        roots = p_eigenvalues_many(sa[:, 0, 0], sa[:, 1:, 1:], p)
+        # the roots -1 and -1e-8, which b + s and b - s alone lose
+        sa[2, 1:, 1:] = [[-1, 0], [0, -1e-8 * ap[2]]]
+        roots = _twisted_roots(ap, sa[:, 1:, 1:])
         errors, ambiguous = eigen_errors(sa, sb, p)
         dr = 2 * errors[:, 0]
-        for k in range(12):
-            want = np.array(p_eigenvalues(sa[k, 0, 0], sa[k, 1:, 1:], p))
+        # d = 2 ap - 2 ap is 0, and the root (2 ap) / ap one quotient
+        assert roots[0, 0] == roots[0, 1]
+        assert abs(roots[0, 0] - 2) <= 2 * GAMMA
+        for k in range(1, 12):
+            want = np.array(oracle.p_eigenvalues(sa[k, 0, 0], sa[k, 1:, 1:], p))
             if abs(want[0].real - want[1].real) <= dr[k]:
                 want = min((want, want[::-1]),
                            key=lambda v: np.max(np.abs(v - roots[k])))
             assert np.all(np.abs(roots[k] - want) <= dr[k])
         keep = [k for k in range(12) if k != 1]  # row 1 is no S_p point
         sa, sb, errors = sa[keep], sb[keep], errors[keep]
-        many = _paired_eigendata_many(sa, sb, p)
+        got = _paired_eigendata(sa, sb, p)
         for k in np.flatnonzero(~ambiguous[keep]):
-            want = _paired_eigendata(FamilyPoint("S_p", sa[k], sb[k], p=p))
+            want = oracle._paired_eigendata(FamilyPoint("S_p", sa[k], sb[k], p=p))
             err = np.array([0, *errors[k, :2], 0, *errors[k, 2:]]) * 2
-            assert np.all(np.abs(np.array([d[k] for d in many])
+            assert np.all(np.abs(np.array([d[k] for d in got])
                                  - np.array(want)) <= err)
 
     def test_not_in_image_first_row(self):
@@ -388,8 +454,10 @@ class TestCharts:
     def test_resonant_clause(self, exact):
         # twisted eigenvalues (a2, a1^p a2 (1 + 1e-6)) pass the log screen
         # of the resonance clause but not its residual, so the inverse maps
-        # them; a row with a3' = a1^p a2' to rounding is refused, as a loop
-        # over the rows refuses it
+        # them, as a loop over the rows does.  A row diag(a1, d, a1 d) with
+        # p = 1 has the double root d and is refused with the resonance
+        # clause; the loop's reference solver splits some of these double
+        # roots by rounding, so it is fed the library's eigen-data there
         rng = np.random.default_rng(5)
         n, p = 6, 1
         sa, sb = np.zeros((2, n, 3, 3), dtype=complex)
@@ -401,17 +469,41 @@ class TestCharts:
             mats[:, 0, 0] = d1
             mats[:, 1:, 1:] = (_l_matrices(d1, p) @ np.linalg.inv(conj)
                                @ (eigen[..., None] * conj))
-        if exact:  # a double root the quadratic finds to rounding
-            sa[3] = np.diag([0.5, 3, 1.5])
         sx = cli._random_points(rng.normal(size=(n, 6)).view(complex))
-        sps = [FamilyPoint("S_p", a, b, p=p) for a, b in zip(sa, sb)]
-        got = _outcome(invert_psi_p_many, sa, sb, sx, p)
-        assert (got.startswith("NotInImage: twisted eigenvalues satisfy")
-                if exact else not isinstance(got, str))
-        assert _agree(got, _outcome(lambda: _stack(
-            [oracle.invert_psi_p(pt, y, p) for pt, y in zip(sps, sx)], True)),
-            [np.inf] * 4)
+        if not exact:
+            sps = [FamilyPoint("S_p", a, b, p=p) for a, b in zip(sa, sb)]
+            got = _outcome(invert_psi_p_many, sa, sb, sx, p)
+            assert not isinstance(got, str)
+            assert _agree(got, _outcome(lambda: _stack(
+                [oracle.invert_psi_p(pt, y, p) for pt, y in zip(sps, sx)],
+                True)), [np.inf] * 4)
+        for diag in _EXACT_DIAGONALS if exact else ():
+            sa[3] = np.diag(diag)
+            got = _outcome(invert_psi_p_many, sa, sb, sx, p)
+            assert got.startswith("NotInImage: twisted eigenvalues satisfy")
         assert _agree(*_invert_with_eigendata(sa, sb, sx, p))
+
+    @settings(max_examples=200, deadline=None)
+    @given(twisted_plants())
+    def test_planted_double_root_refused(self, plant):
+        # a3' = a1^p a2' holds exactly when the twisted roots coincide
+        point = FamilyPoint("S_p", *plant[:2], p=plant[2])
+        assert _outcome(invert_psi_p, point, PointV((1, 1, 1)), plant[2]) == (
+            "NotInImage: twisted eigenvalues satisfy a3' = a1^p a2'")
+
+    @settings(max_examples=200, deadline=None)
+    @given(twisted_plants(st.sampled_from([20, 23])))
+    def test_planted_split_roots_decided_exactly(self, plant):
+        # roots r and r (1 + 2^-20) or r (1 + 2^-23), split by about 1e-6
+        # and 1e-7, are no double root: the inverse maps the point, or
+        # refuses it for its lower shear, as their exact values decide
+        amat, bmat, p, eigendata = plant
+        point = FamilyPoint("S_p", amat, bmat, p=p)
+        x = PointV((1, 1, 1))
+        got = _outcome(invert_psi_p, point, x, p)
+        want = _outcome(oracle.invert_psi_p, point, x, p, eigendata)
+        assert (got == want if isinstance(want, str)
+                else not isinstance(got, str))
 
 
 def _specs():

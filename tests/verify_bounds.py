@@ -16,7 +16,7 @@ differences:
   Accuracy and Stability of Numerical Algorithms, 2nd ed., 3.1).  A
   divisor d = a - b formed from rounded a and b enters with the size
   (|a| + |b|) / |d|^2 of 1 / d, which folds in the relative error of d.
-* A matrix routine (inv, det, eig, svd, matmul) returns the same bits on
+* A matrix routine (inv, det, matmul) returns the same bits on
   a stack as on each of its matrices, so it adds nothing when both sides
   give it the same input; on perturbed input its output moves by the
   routine's condition times the perturbation, plus its backward error.
@@ -28,8 +28,9 @@ same value differ by at most twice that.
 import numpy as np
 
 from lvmkit.family_gluing import _chart_regime, _generator_rows
-from lvmkit.resonant_group import (apply_many, compose_many, identity,
-                                   inverse_many, p_eigenvalues_many)
+from lvmkit.resonant_group import (DISC_ROUNDING, _null_vector,
+                                   _twisted_roots, apply_many, compose_many,
+                                   identity, inverse_many)
 
 U = 2.0 ** -53
 GAMMA = np.sqrt(5) * U
@@ -169,52 +170,99 @@ def action_sizes(space, amat, bmat, word, xs, p=None, q=None):
 def eigen_errors(amat, bmat, p, ea=0.0, eb=0.0):
     """Bounds (N, 4) on the error of one computation of the paired
     eigen-data (a2', a3', b2', b3') of stacked S_p points whose entries
-    carry absolute errors up to ea and eb (scalars or (N,)), and the rows
-    where the assignment of the roots (their order, or which of them is
-    modulus-ordered) turns on that error.
+    carry absolute errors up to ea and eb (scalars or (N,)), by the closed
+    forms of `_twisted_roots` or by the np.roots reference of
+    `verify_oracle`, and the rows where the assignment of the roots (their
+    order, or which of them is modulus-ordered) turns on that error.
 
-    The roots of c2 X^2 + c1 X + c0 (c2 = a1^p, c1 = -(m11 a1^p + m22),
-    c0 = det M) are the eigenvalues of the companion matrix C with first
-    row (-c1 / c2, -c0 / c2); a perturbation E of C moves root r_i by at
-    most kappa_i |E|, kappa_i = sqrt((1 + |r_i|^2)(1 + |r_j|^2)) /
-    |r_i - r_j|, and eig adds its backward error 10 u |C|.  A null vector
-    v of N = M - r L moves by an angle up to |dN| / (s1 - s2) (Wedin),
-    svd adding 10 u |N|; the beta (B v)_k / (L_b v)_k, with |(L_b v)_k| >=
-    |L_b v| / 2 at the larger component, moves by (|B| + |beta| |L_b|)
-    2 sin(angle) / |(L_b v)_k| and by its own rounding.
+    The closed forms take, with a = a1^p, b = m11 a + m22, Delta = d^2 + e
+    (d = m11 a - m22, e = 4 a m12 m21) and c = det M, each within k GAMMA
+    of its terms' sizes plus the first-order effect of the entries'
+    errors.  Up to sign, a square root moves by at most
+    min(sqrt(dDelta), dDelta / |s|), as min(|u - v|, |u + v|)^2 <=
+    |u^2 - v^2| and max(|u - v|, |u + v|) >= |u|; a change of sign only
+    swaps the roots.  So q = (b + s) / 2 moves by dq = (db + ds) / 2, the
+    root q / a by (dq + |q / a| da) / |a| and the root c / q by
+    (dc + |c / q| dq) / (|q| - dq).  A double root b / (2a) is within
+    |s*| / (2|a|) of each exact root, |s*| <= sqrt(|Delta| + dDelta).
+    np.roots takes the eigenvalues of the companion matrix C with first
+    row (b / a, -c / a); eig's backward error 10 u |C| and the error of C
+    move root r_i by at most kappa_i times their size, kappa_i =
+    sqrt((1 + |r_i|^2)(1 + |r_j|^2)) / |r_i - r_j|.  Near a double root
+    this is far above the closed forms' bound, so the larger of the two
+    bounds the root of either.
+
+    The kernel vector of N = M - r L is read from its larger row, whose
+    error dn tilts it by an angle with sine at most dn / (|row| - dn) plus
+    the rounding of its normalisation; the reference's SVD null vector
+    tilts by no more once dn holds the SVD's backward error (Wedin, with
+    s1 >= |row|).  The beta (B v)_k / (L_b v)_k, with |(L_b v)_k| >= |L_b v| / 2
+    at the larger component, moves by (|B| + |beta| |L_b|) 2 sin(angle) /
+    |(L_b v)_k| and by its own rounding.
     """
     a1, b1 = amat[:, 0, 0], bmat[:, 0, 0]
     m, bm = amat[:, 1:, 1:], bmat[:, 1:, 1:]
+    m11, m12, m21, m22 = m[:, 0, 0], m[:, 0, 1], m[:, 1, 0], m[:, 1, 1]
     k = abs(p) + 8
     with np.errstate(all="ignore"):
         ap, bp = np.abs(a1) ** p, np.abs(b1) ** p
         dap = k * GAMMA * ap + abs(p) * ap * ea / np.abs(a1)
         dbp = k * GAMMA * bp + abs(p) * bp * eb / np.abs(b1)
-        c1 = np.abs(m[:, 0, 0]) * ap + np.abs(m[:, 1, 1])
-        c0 = np.abs(m[:, 0, 0] * m[:, 1, 1]) + np.abs(m[:, 0, 1] * m[:, 1, 0])
-        mnorm = np.linalg.norm(m, axis=(1, 2))
-        dc1 = k * GAMMA * c1 + ea * (ap + 1) + np.abs(m[:, 0, 0]) * dap
-        dc0 = k * GAMMA * c0 + 2 * ea * mnorm
-        row = np.hypot(c1, c0) / ap
-        dc = (np.hypot(dc1, dc0) + row * dap) / ap + 3 * GAMMA * row \
-            + 10 * U * np.sqrt(row ** 2 + 1)
-        roots = p_eigenvalues_many(a1, m, p)
+        a = a1 ** p
+        t = m11 * a  # as `_twisted_roots` forms Delta and decides on it
+        b, d, e = t + m22, t - m22, 4 * a * m12 * m21
+        delta = d * d + e
+        sizes = np.abs(d) * (np.abs(t) + np.abs(m22)) + np.abs(e)
+        double = np.abs(delta) <= DISC_ROUNDING * sizes
+        db = (k * GAMMA * (np.abs(t) + np.abs(m22)) + ea * (ap + 1)
+              + np.abs(m11) * dap)
+        ddelta = (k * GAMMA * sizes
+                  + ea * (2 * np.abs(d) * (ap + 1)
+                          + 4 * ap * (np.abs(m12) + np.abs(m21)))
+                  + dap * (2 * np.abs(d) * np.abs(m11)
+                           + 4 * np.abs(m12 * m21)))
+        dc = (k * GAMMA * (np.abs(m11 * m22) + np.abs(m12 * m21))
+              + ea * np.abs(m).sum(axis=(1, 2)))
+        s = np.sqrt(delta)
+        ds = np.where(double, np.sqrt(np.abs(delta) + ddelta),
+                      np.minimum(np.sqrt(ddelta), ddelta / np.abs(s))
+                      + k * GAMMA * np.abs(s))
+        q = np.where(double, np.abs(b),
+                     np.maximum(np.abs(b + s), np.abs(b - s))) / 2
+        dq = (db + ds) / 2 + GAMMA * q
+        big = q / ap
+        dbig = (dq + big * dap) / ap + k * GAMMA * big
+        small = np.abs(m11 * m22 - m12 * m21) / q
+        dsmall = (dc + small * dq) / np.maximum(q - dq, 0) + k * GAMMA * small
+        roots = _twisted_roots(a, m)
         r0, r1 = roots.T
+        # np.roots: the companion eigenvalues, exact for C + E with
+        # |E| <= 10 u |C|, each moved by at most kappa |E + dC|
+        row = np.hypot(np.abs(t) + np.abs(m22),
+                       np.abs(m11 * m22) + np.abs(m12 * m21)) / ap
+        dcomp = ((np.hypot(db, dc) + row * dap) / ap + 3 * GAMMA * row
+                 + 10 * U * np.sqrt(row ** 2 + 1))
         kappa = np.sqrt((1 + np.abs(r0) ** 2) * (1 + np.abs(r1) ** 2)) \
             / np.abs(r0 - r1)
-        dr = kappa * dc
-        la = np.stack([np.ones_like(a1), a1 ** p], axis=1)
+        dr = np.maximum(kappa * dcomp,
+                        np.where(double, dbig, np.maximum(dbig, dsmall)))
         lb = np.stack([np.ones_like(b1), b1 ** p], axis=1)
         lbnorm, bnorm = np.abs(lb).max(axis=1), np.linalg.norm(bm, axis=(1, 2))
         betas, dbetas = [], []
         for r in (r0, r1):
-            n = m - r[:, None, None] * (la[:, None, :] * np.eye(2))
-            _, sv, vh = np.linalg.svd(n)
-            dn = (dr * np.abs(la).max(axis=1) + dap * np.abs(r) + ea
-                  + k * GAMMA * (mnorm + np.abs(r) * np.abs(la).max(axis=1))
-                  + 10 * U * sv[:, 0])
-            sin = np.minimum(1.0, dn / (sv[:, 0] - sv[:, 1]))
-            v = vh[:, -1, :].conj()
+            n = m.copy()
+            n[:, 0, 0] -= r
+            n[:, 1, 1] -= r * a
+            # the larger error of the rows of N, plus the backward error
+            # 10 u |N| of the reference's SVD
+            dn = (np.hypot(ea + dr + k * GAMMA * (np.abs(m11) + np.abs(r)),
+                           ea + dr * ap + np.abs(r) * dap
+                           + k * GAMMA * (np.abs(m22) + np.abs(r) * ap))
+                  + 10 * U * np.linalg.norm(n, axis=(1, 2)))
+            row = np.linalg.norm(n, axis=2).max(axis=1)
+            sin = np.minimum(1.0, np.where(row > dn, dn / (row - dn), 1.0)
+                             + k * GAMMA)
+            v = _null_vector(n)
             lv = lb * v
             kk = np.argmax(np.abs(lv), axis=1)
             beta = (bm @ v[..., None])[np.arange(len(v)), kk, 0] \
@@ -225,7 +273,7 @@ def eigen_errors(amat, bmat, p, ea=0.0, eb=0.0):
                            + eb + np.abs(beta) * dbp
                            + k * GAMMA * (bnorm + np.abs(beta) * lbnorm)) / half)
         # the assignment: (r0, r1 a1^p) unless only (r1, r0 a1^p) is
-        # modulus-ordered, as `_paired_eigendata_many` decides it
+        # modulus-ordered, as `_paired_eigendata` decides it
         d1ap = dr * ap + np.abs(r1) * dap
         d0ap = dr * ap + np.abs(r0) * dap
         swap = (np.abs(r0) <= np.abs(r1) * ap) & (np.abs(r1) > np.abs(r0) * ap)
@@ -412,8 +460,8 @@ def gluing_errors(p, q, z, fault):
     times its chain's operation count, and for the round trip through
     `invert_psi_p_many` the eigen-data's error as well."""
     from lvmkit.cli import _random_charts, _random_points
-    from lvmkit.family_gluing import (_paired_eigendata_many,
-                                      glue_phi_pq_many, glue_psi_p_many)
+    from lvmkit.family_gluing import (_paired_eigendata, glue_phi_pq_many,
+                                      glue_psi_p_many)
     k = chart_ops(p, q) + 8  # with the rounding of the drawn shear
 
     def worst(*arrays):
@@ -435,7 +483,7 @@ def gluing_errors(p, q, z, fault):
                        + (ops + ops2 + 2 * k) * worst(lx + rx))
         scale = 1 + np.abs(sx).max(axis=1)
         ea, eb, ex = (k * GAMMA * s for s in (size_a, size_b, size_x))
-        eig = _paired_eigendata_many(sa, sb, p)
+        eig = _paired_eigendata(sa, sb, p)
         eig_err, _ = eigen_errors(sa, sb, p, ea[:, 1:, 1:].max(axis=(1, 2)),
                                   eb[:, 1:, 1:].max(axis=(1, 2)))
         ta, tb, tlam, tx = invert_psi_errors(sa, sb, sx, p, eig, eig_err,

@@ -7,7 +7,9 @@ is slow and independent of the array evaluation in `lvmkit.cli`,
 `lvmkit.family_gluing` and `lvmkit.developing`, which the tests compare
 against it.  The chart maps refuse a point that leaves the float range
 as the array forms do; the developing check draws its cover points from
-the generator in the library's order, one point at a time.
+the generator in the library's order, one point at a time.  The twisted
+eigenvalues of the S_p charts are np.roots' and their kernels the SVD's,
+a reference independent of the library's closed forms.
 """
 
 import numpy as np
