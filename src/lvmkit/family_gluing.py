@@ -33,11 +33,11 @@ import numpy as np
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
 from .resonance import (DEFAULT_BOUND, ResonanceClass, _log_screen,
                         _power_residual, _screened)
-from .resonant_group import (GroupElement, IllConditioned, PointV,
-                             _finite_check, _null_vector, _points_ok, _power,
-                             _to_point, _twisted_roots, accepted, apply_many,
+from .resonant_group import (IllConditioned, PointV, _finite_check,
+                             _null_vector, _points_ok, _power, _to_point,
+                             _twisted_roots, accepted, apply_many,
                              compose_many, identity, inverse_many, replay)
-from .rep_variety import variety_residual
+from .rep_variety import _double_equations
 
 DENOM_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
@@ -222,14 +222,13 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
     """
     if point.space == "S_p":
         condition, word = "C_p", (point.p, 1)
-        cls = ResonanceClass("Double", p=point.p)
-        pair = tuple(GroupElement(cls, (m[0, 0], m[1:, 1:]))
-                     for m in (point.amat, point.bmat))
-        scale = 1 + max(np.max(np.abs(point.amat)), np.max(np.abs(point.bmat)))
-        clauses = [(name, abs(value) <= tol * scale)
-                   for name, value in variety_residual(pair, cls).equations]
-        data = tuple(complex(d[0]) for d in _paired_eigendata(
-            point.amat[None], point.bmat[None], point.p))
+        a, b = point.amat, point.bmat
+        scale = 1 + max(np.max(np.abs(a)), np.max(np.abs(b)))
+        clauses = [(name, abs(value) <= tol * scale) for name, value in
+                   _double_equations(complex(a[0, 0]), a[1:, 1:],
+                                     complex(b[0, 0]), b[1:, 1:], point.p)]
+        data = tuple(complex(d[0])
+                     for d in _paired_eigendata(a[None], b[None], point.p))
     else:
         data = a1, a2, a3, b1, b2, b3 = point.diagonals()
         eps, delta = point.amat[2, 1], point.bmat[2, 1]

@@ -93,18 +93,19 @@ def variety_residual(pair, cls):
         p, q = cls.p, cls.q
         r = eps * (b3 - b1 ** p * b2 ** q) - delta * (a3 - a1 ** p * a2 ** q)
         return VarietyResidual((("shear-commutation", r),))
-    # Double: element (a1, [[a2, e2], [e1, a3]]) against (b1, [[b2, d2], [d1, b3]])
-    a1, amat = f.data
-    b1, bmat = g.data
+    return VarietyResidual(_double_equations(*f.data, *g.data, cls.p))
+
+
+def _double_equations(a1, amat, b1, bmat, p):
+    """The (name, residual) equations of `variety_residual` for the Double
+    data (a1, [[a2, e2], [e1, a3]]) against (b1, [[b2, d2], [d1, b3]])."""
     a2, e2, e1, a3 = amat[0, 0], amat[0, 1], amat[1, 0], amat[1, 1]
     b2, d2, d1, b3 = bmat[0, 0], bmat[0, 1], bmat[1, 0], bmat[1, 1]
-    p = cls.p
-    eqs = (
+    return (
         ("off-diagonal-balance", e1 * d2 * b1 ** p - d1 * e2 * a1 ** p),
         ("lower-shear", e1 * (b3 - b1 ** p * b2) - d1 * (a3 - a1 ** p * a2)),
         ("upper-shear", e2 * (b2 - b1 ** (-p) * b3) - d2 * (a2 - a1 ** (-p) * a3)),
     )
-    return VarietyResidual(eqs)
 
 
 def _commutator_params(f, g):

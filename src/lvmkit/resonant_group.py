@@ -25,7 +25,9 @@ alone: a power that leaves the float range, an output that
 raises the error of the first refused row.  The scalar `compose`,
 `inverse` and `apply` refuse a non-finite result as the arrays do.  The
 twisted eigenvalues and their kernels are closed forms on stacks,
-`_twisted_roots` (a double root exactly) and `_null_vector`.
+`_twisted_roots` (a double root exactly, and at any scale: a quadratic
+whose terms could leave the normal range is first rescaled by powers of
+two) and `_null_vector`.
 """
 
 import functools
@@ -434,7 +436,34 @@ def _twisted_roots(ap, m):
     "On the cost of floating-point computation without extra-precise
     arithmetic", 2004; Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., 1.8).
+
+    No term leaves the normal range while the real and imaginary parts of
+    ap and M are 0 or within 2^(+-200).  Otherwise the quadratic is first
+    rescaled by ap -> 2^-j ap and M -> 2^(j - k) diag(1, 2^-j) D M D^-1,
+    D = diag(1, 2^g), which is exact and multiplies the roots by 2^(j - k)
+    (Delta by a power of two): the exponents put |ap| in [1/2, 1) and
+    |m11 ap|, |m22|, |ap m12 m21| and |m12| ~ |m21| at most about 2, so
+    only a term below 2^-1000 of the largest can underflow.
     """
+    z = np.concatenate([np.asarray(ap)[..., None],
+                        m.reshape(m.shape[:-2] + (4,))], -1)
+    exps = np.frexp(z.view(float))[1]
+    if abs(exps).max() < 200:
+        return _quadratic_roots(ap, m)
+    exps = np.where(z.view(float) != 0, exps, -3000)
+    j, k11, k12, k21, k22 = np.moveaxis(
+        exps.reshape(z.shape + (2,)).max(-1), -1, 0)
+    k = np.maximum(np.maximum(k11 + j, k22), (j + k12 + k21 + 1) // 2)
+    g = (j + k12 - k21) // 2
+    shift = np.stack([-j, j - k, j - k - g, g - k, -k], -1)[..., None]
+    z = np.ldexp(z[..., None].view(float), shift).view(complex)[..., 0]
+    r = _quadratic_roots(z[..., 0], z[..., 1:].reshape(m.shape))
+    return np.ldexp(r[..., None].view(float), (k - j)[..., None, None]
+                    ).view(complex)[..., 0]
+
+
+def _quadratic_roots(ap, m):
+    """`_twisted_roots` where no term leaves the normal range."""
     m11, m12, m21, m22 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     t = m11 * ap
     b, d, e = t + m22, t - m22, 4 * ap * m12 * m21
@@ -444,11 +473,12 @@ def _twisted_roots(ap, m):
     s = np.sqrt(delta)
     q = np.where(double, b, np.where((b.conj() * s).real < 0, b - s, b + s)) / 2
     r = np.empty(q.shape + (2,), dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r[..., 0] = q / ap
-        r[..., 1] = np.where(double, r[..., 0], (m11 * m22 - m12 * m21) / q)
-    # numpy orders complex numbers lexicographically
-    return np.where((r[..., 1] > r[..., 0])[..., None], r[..., ::-1], r)
+    r[..., 0] = q / ap
+    # q is 0 only where b = Delta = 0, a double root
+    r[..., 1] = np.where(double, r[..., 0], (m11 * m22 - m12 * m21)
+                         / np.where(double, 1, q))
+    # numpy sorts complex numbers lexicographically
+    return np.sort(r)[..., ::-1]
 
 
 def p_eigenvalues(alpha, mat, p):

@@ -560,6 +560,25 @@ class TestInvertPsiP:
         with pytest.raises(NotInImage):
             invert_psi_p(point, PointV((1, 1, 0)), 1)
 
+    @pytest.mark.parametrize("diag, p", [
+        ((1e-170, 2, 1e-170), 1), ((1e170, 1, 0.5), 1),
+        ((0.5, 2, 2.0 ** -600), 600)])
+    def test_far_scales(self, diag, p):
+        # the twisted roots m11 and m22 / a1^p, whose discriminant under-
+        # or overflows as formed, are no double root: the point maps to
+        # diag(a1, m11, m22); with m22 = a1^p m11 it is refused as one
+        amat = np.diag(diag).astype(complex)
+        bmat = np.diag([0.9, 0.8, 0.7]).astype(complex)
+        point = FamilyPoint("S_p", amat, bmat, p=p)
+        back, _ = invert_psi_p(point, PointV((1, 1, 1)), p)
+        assert np.allclose(np.diag(back.amat), diag, rtol=1e-12, atol=0)
+        assert np.allclose(np.diag(back.bmat), np.diag(bmat), rtol=1e-12)
+        if p == 1 and abs(diag[0]) < 1:
+            amat[2, 2] = diag[0] * diag[1]
+            with pytest.raises(NotInImage, match="a3' = a1\\^p a2'"):
+                invert_psi_p(FamilyPoint("S_p", amat, bmat, p=p),
+                             PointV((1, 1, 1)), p)
+
     def test_mismatched_index_rejected(self):
         rng = np.random.default_rng(19)
         out, y = glue_psi_p(rand_T(rng), rand_point(rng), 1)

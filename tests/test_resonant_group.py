@@ -9,6 +9,7 @@ from lvmkit.resonant_group import (
     _expm2,
     _logm2,
     _null_vector,
+    _twisted_roots,
     AlgebraElement,
     BranchDomain,
     GroupElement,
@@ -25,6 +26,7 @@ from lvmkit.resonant_group import (
     group_log,
     identity,
     inverse,
+    p_eigenvalues,
     simultaneous_triangularize,
     tau,
     triangularize,
@@ -232,6 +234,17 @@ class TestTriangularize:
         assert np.isclose(abs(lam), 1 / np.sqrt(2), atol=1e-10)
         assert params_distance(compose(h, t), compose(f, h)) < 1e-10
 
+    def test_far_scale_kernel(self):
+        # det(X L - M) = (X - 1)(1e-170 X - 2e-170) has the roots 2 and 1,
+        # with the kernel (1, 1) of M - 2 L, although d^2 underflows
+        f = GroupElement(D1, (1e-170, np.array([[1.0, 1.0], [0, 2e-170]])))
+        h, t = triangularize(f)
+        assert np.allclose(np.abs(h.data[1][:, 1]) * np.sqrt(2), 1,
+                           rtol=4 * GAMMA)
+        assert abs(t.data[1][0, 1]) <= 4 * GAMMA
+        # the second diagonal entry is the root 2 times a1^p
+        assert np.allclose(np.diag(t.data[1]), [1, 2e-170], rtol=1e-14)
+
     def test_random_conjugation_identity(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
@@ -284,6 +297,42 @@ class TestNullVector:
         assert np.array_equal(_null_vector(np.zeros((2, 2))), [0, 1])
         assert np.array_equal(_null_vector(np.zeros((3, 2, 2))),
                               [[0, 1]] * 3)
+
+
+class TestTwistedRoots:
+    @pytest.mark.parametrize("alpha, m22, p", [
+        (1e-170, 2e-170, 1), (1e170, 2e170, 1), (2.0 ** -600, 2.0 ** -599, 1),
+        (2.0 ** 600, 2.0 ** 601, 1), (0.5, 2.0 ** -599, 600)])
+    def test_far_scales(self, alpha, m22, p):
+        # the roots 1 and m22 / alpha^p = 2 of diag(1, m22), where d^2 and
+        # the terms of Delta under- or overflow as formed; numpy's complex
+        # power puts 0.5^600 within 2e-14 of 2^-600
+        got = p_eigenvalues(alpha, np.diag([1, m22]), p)
+        assert np.allclose(got, (2, 1), rtol=4 * GAMMA if p == 1 else 1e-12,
+                           atol=0)
+        # the double root 1 is still told exactly
+        if p == 1:
+            assert p_eigenvalues(alpha, np.diag([1, alpha]), 1) == (1, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(-650, 650),
+           st.integers(-250, 250), st.integers(-50, 50))
+    def test_exact_rescalings(self, seed, k, j, g):
+        # M -> 2^k M scales the roots by 2^k, (ap, M) -> (2^j ap,
+        # diag(2^-j, 1) M) by 2^-j, and M -> D M D^-1, D = diag(1, 2^g),
+        # leaves them: in binary floating point all three are exact, and
+        # so is the solver under them, far scales and double roots
+        # (rows 0 and 1) included
+        rng = np.random.default_rng(seed)
+        ap = np.exp(rng.normal(size=6) + 2j * np.pi * rng.uniform(size=6))
+        m = rng.normal(size=(6, 2, 2)) + 1j * rng.normal(size=(6, 2, 2))
+        m[0] = [[0.75, 0], [m[0, 1, 0], 0.75 * ap[0]]]
+        m[1] = [[1.5, 0], [0, 1.5 * ap[1]]]
+        scale = np.ldexp(1.0, [[k - j, k - j - g], [k + g, k]])
+        got = _twisted_roots(np.ldexp(1.0, j) * ap, scale * m)
+        want = _twisted_roots(ap, m)
+        assert np.array_equal(got, np.ldexp(1.0, k - j) * want)
+        assert np.all(want[:2, 0] == want[:2, 1])
 
 
 class TestSimultaneousTriangularize:

@@ -209,7 +209,9 @@ def eigen_errors(amat, bmat, p, ea=0.0, eb=0.0):
         dap = k * GAMMA * ap + abs(p) * ap * ea / np.abs(a1)
         dbp = k * GAMMA * bp + abs(p) * bp * eb / np.abs(b1)
         a = a1 ** p
-        t = m11 * a  # as `_twisted_roots` forms Delta and decides on it
+        # as `_twisted_roots` forms Delta and decides on it where it does
+        # not rescale, which scales Delta and its bound alike
+        t = m11 * a
         b, d, e = t + m22, t - m22, 4 * a * m12 * m21
         delta = d * d + e
         sizes = np.abs(d) * (np.abs(t) + np.abs(m22)) + np.abs(e)
