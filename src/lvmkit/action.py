@@ -5,14 +5,16 @@ The probe never claims properness: its positive outcome is only "no
 violation found" over the sampled window.
 
 Both searches build the powers of each generator once as parameter
-rows, not validated, and compose the words f^r g^s from them by
-`compose_many`.  Each word is decided as its row reads, so a word whose
-entries round to 0 or leave the float range has no fixed point and no
-return; a word is refused only where a diagonal multiplier of it may be
-any number (`_unread`).  The arrays screen, and each candidate is
+rows, chained on Python complex numbers and not validated, and compose
+the words f^r g^s from them by `_compose_rows`, the unchecked arithmetic
+of `compose_many`.  Each word is decided as its row reads, so a word
+whose entries round to 0 or leave the float range has no fixed point
+and no return; a word is refused only where a diagonal multiplier of it
+may be any number (`_unread`).  The arrays screen, and each candidate is
 decided alone: the certificate composes and solves each word whose
 scalar part is near 1 as one row, and the probe applies blocks of words
-to all sample points at once.
+to all samples at once.  It draws them in one batch (other points per
+seed than the earlier per-sample draw), as `PointV`s only if one returns.
 """
 
 from dataclasses import dataclass
@@ -20,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .resonant_group import (PointV, _compose_data, _finite_check, _images,
-                             _inverse_data, _overflow, apply, compose,
-                             compose_many, element_from_params, identity,
-                             passed, replay)
+from .resonant_group import (PointV, _compose_data, _compose_rows,
+                             _finite_check, _images, _inverse_data,
+                             _overflow, apply, compose,
+                             element_from_params, identity, passed, replay)
 
 DEFAULT_WINDOW = 25
 FP_TOL = 1e-10
@@ -50,21 +52,15 @@ class ActionCertificate:
 
 def _powers(f, bound):
     """The parameter rows (2 bound + 1, k) of f^r, r = -bound ... bound,
-    chained as `compose` and `inverse` take f^(r-1) f, f^-1, f^-(r-1) f^-1.
-    They are not validated: a row may hold 0, inf or nan, and only
-    Python's refusal of a power of a1 in this arithmetic raises."""
-    finv = _inverse_data(f.regime, f.data)
-    up, down = [identity(f.regime).data], [identity(f.regime).data]
+    chained on Python complex numbers as `compose` and `inverse` take
+    f^(r-1) f, f^-1, f^-(r-1) f^-1.  They are not validated: a row may hold
+    0, inf or nan, and only Python's refusal of a power of a1 raises."""
+    row, up = f.params().tolist(), [identity(f.regime).params().tolist()]
+    finv, down = _inverse_data(f.regime, row), up[:]
     for _ in range(bound):
-        up.append(_compose_data(f.regime, up[-1], f.data))
+        up.append(_compose_data(f.regime, up[-1], row))
         down.append(_compose_data(f.regime, down[-1], finv))
-    seq = down[:0:-1] + up
-    if f.regime.tag == "Double":
-        rows = np.column_stack([[d[0] for d in seq],
-                                np.reshape([d[1] for d in seq], (-1, 4))])
-    else:
-        rows = np.array(seq, dtype=complex)
-    return rows
+    return np.array(down[:0:-1] + up, dtype=complex)
 
 
 def _grid(bound):
@@ -152,7 +148,7 @@ def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
         near = unread | (np.abs(h1 - 1) <= 2 * tol + _SLACK * np.abs(h1))
         near[window, window] = False
         for i, j in np.argwhere(near).tolist():
-            h = compose_many(regime, fp[i, None], gp[j, None])[0][0]
+            h = _compose_rows(regime, fp[i, None], gp[j, None])[0][0]
             if unread[i, j]:
                 _overflow(h)
             w = _fixed_point_witness(regime, h, tol)
@@ -227,6 +223,16 @@ def _in_annulus(y, radius):
     return inside
 
 
+def _samples(radius, samples, seed):
+    """The seeded sample points (samples, 3) of the annulus, in one batch."""
+    rng = np.random.default_rng(seed)
+    m1, m23 = radius ** rng.uniform(-1, 1, size=(2, samples))
+    v = rng.normal(size=(samples, 2)) + 1j * rng.normal(size=(samples, 2))
+    v = v / np.linalg.norm(v, axis=1)[:, None] * m23[:, None]
+    xi1 = m1 * np.exp(2j * np.pi * rng.uniform(size=samples))
+    return np.column_stack([xi1, v])
+
+
 def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
                      samples=20, seed=0):
     """Look for words moving the compact annulus K back onto itself.
@@ -246,17 +252,7 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
             " got %r, %r and %r" % (compact_radius, horizon, samples))
     regime = _regime(pair)
     f, g = pair
-    rng = np.random.default_rng(seed)
-    x = np.empty((samples, 3), dtype=complex)
-    for n in range(samples):
-        m1 = 10 ** rng.uniform(-np.log10(compact_radius),
-                               np.log10(compact_radius))
-        m23 = 10 ** rng.uniform(-np.log10(compact_radius),
-                                np.log10(compact_radius))
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v *= m23 / np.linalg.norm(v)
-        x[n] = m1 * np.exp(2j * np.pi * rng.uniform()), v[0], v[1]
-    pts = [PointV(tuple(xi)) for xi in x]
+    x = _samples(compact_radius, samples, seed)
     r, s = _grid(horizon)
     band = np.maximum(abs(r), abs(s)) >= (horizon + 1) // 2
     r, s = r[band], s[band]
@@ -275,7 +271,7 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
             rc, sc = r[c:c + block], s[c:c + block]
             fr, gs = fp[rc + horizon], gp[sc + horizon]
             unread = _unread(fr[:, :diagonal], gs[:, :diagonal]).any(axis=1)
-            h = compose_many(regime, fr, gs)[0]
+            h = _compose_rows(regime, fr, gs)[0]
             a = np.abs(h[:, 0])
             live = ~((a >= _TINY) & ((a < low) | (a > high)))
             y, powers = _images(regime, h[live, None], x)
@@ -294,7 +290,7 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
                     _overflow(h[k])
                 replay(*powers)
             hit = first < samples
-            violations += [((i, j), pts[n]) for i, j, n in zip(
-                rc[hit].tolist(), sc[hit].tolist(), first[hit].tolist())]
-    return PropernessReport(horizon, compact_radius, samples, seed,
-                            tuple(violations))
+            violations += np.column_stack([rc, sc, first])[hit].tolist()
+    pts = [PointV(xi) for xi in x.tolist()] if violations else []
+    return PropernessReport(horizon, compact_radius, samples, seed, tuple(
+        [((i, j), pts[n]) for i, j, n in violations]))

@@ -11,6 +11,7 @@ the quotient threefold, anchored at principal branches so the projection
 is continuous near the canonical triple (A, B, Id).
 """
 
+import cmath
 import warnings
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .holonomy import TWO_PI_I, _pair_from_pairings, pairings
 from .resonant_group import (
     COMMUTE_TOL,
     GroupElement,
+    _overflow,
     commutation_residual,
     compose,
     element_from_params,
@@ -98,13 +100,20 @@ def variety_residual(pair, cls):
 
 def _double_equations(a1, amat, b1, bmat, p):
     """The (name, residual) equations of `variety_residual` for the Double
-    data (a1, [[a2, e2], [e1, a3]]) against (b1, [[b2, d2], [d1, b3]])."""
+    data (a1, [[a2, e2], [e1, a3]]) against (b1, [[b2, d2], [d1, b3]]),
+    refused where a power a1^+-p or b1^+-p leaves the float range."""
     a2, e2, e1, a3 = amat[0, 0], amat[0, 1], amat[1, 0], amat[1, 1]
     b2, d2, d1, b3 = bmat[0, 0], bmat[0, 1], bmat[1, 0], bmat[1, 1]
+    try:
+        ap, am, bp, bm = powers = a1 ** p, a1 ** -p, b1 ** p, b1 ** -p
+    except (OverflowError, ZeroDivisionError):
+        powers = (0,)
+    if not all(w != 0 and cmath.isfinite(w) for w in powers):
+        _overflow(powers)
     return (
-        ("off-diagonal-balance", e1 * d2 * b1 ** p - d1 * e2 * a1 ** p),
-        ("lower-shear", e1 * (b3 - b1 ** p * b2) - d1 * (a3 - a1 ** p * a2)),
-        ("upper-shear", e2 * (b2 - b1 ** (-p) * b3) - d2 * (a2 - a1 ** (-p) * a3)),
+        ("off-diagonal-balance", e1 * d2 * bp - d1 * e2 * ap),
+        ("lower-shear", e1 * (b3 - bp * b2) - d1 * (a3 - ap * a2)),
+        ("upper-shear", e2 * (b2 - bm * b3) - d2 * (a2 - am * a3)),
     )
 
 

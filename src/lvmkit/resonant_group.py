@@ -31,6 +31,7 @@ two) and `_null_vector`.
 """
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,18 +251,21 @@ def apply(f, x):
     return _finite(PointV(tuple(out)))
 
 
-def _compose_data(regime, fdata, gdata):
-    """The data of `compose` from the data of its factors, not validated."""
+def _compose_data(regime, a, b):
+    """The parameter row of `compose` from those of its factors, unchecked."""
     tag = regime.tag
     if tag == "NonResonant":
-        return tuple(a * b for a, b in zip(fdata, gdata))
+        return tuple(map(operator.mul, a, b))
     if tag == "Single":
-        a1, a2, a3, eps = fdata
-        b1, b2, b3, delta = gdata
+        a1, a2, a3, eps = a
+        b1, b2, b3, delta = b
         return (a1 * b1, a2 * b2, a3 * b3,
                 a3 * delta + eps * b1 ** regime.p * b2 ** regime.q)
-    (a1, amat), (b1, bmat) = fdata, gdata
-    return a1 * b1, tau(b1, regime.p, amat) @ bmat
+    a1, m11, m12, m21, m22 = a
+    b1, n11, n12, n21, n22 = b  # tau(b1, p, M) N entry by entry
+    m12, m21 = m12 * b1 ** -regime.p, m21 * b1 ** regime.p
+    return (a1 * b1, m11 * n11 + m12 * n21, m11 * n12 + m12 * n22,
+            m21 * n11 + m22 * n21, m21 * n12 + m22 * n22)
 
 
 def compose(f, g):
@@ -269,27 +273,27 @@ def compose(f, g):
     if f.regime != g.regime:
         raise ValueError("cannot compose elements of different regimes")
     with np.errstate(all="ignore"):
-        h = _compose_data(f.regime, f.data, g.data)
-    return _finite(GroupElement(f.regime, h))
+        h = _compose_data(f.regime, f.params().tolist(), g.params().tolist())
+    return _finite(element_from_params(f.regime, h))
 
 
-def _inverse_data(regime, data):
-    """The data of `inverse` from the data of an element, not validated."""
+def _inverse_data(regime, a):
+    """The parameter row of `inverse` from that of an element, unchecked."""
     if regime.tag == "NonResonant":
-        return tuple(1 / a for a in data)
+        return tuple(1 / x for x in a)
     if regime.tag == "Single":
-        a1, a2, a3, eps = data
+        a1, a2, a3, eps = a
         return (1 / a1, 1 / a2, 1 / a3,
                 -eps / (a3 * a1 ** regime.p * a2 ** regime.q))
-    a1, mat = data
-    return 1 / a1, tau(1 / a1, regime.p, np.linalg.inv(mat))
+    mat = np.linalg.inv(np.reshape(a[1:], (2, 2)))
+    return (1 / a[0], *tau(1 / a[0], regime.p, mat).ravel().tolist())
 
 
 def inverse(f):
     """f^-1; an inverse that leaves the float range is refused."""
     with np.errstate(all="ignore"):
-        h = _inverse_data(f.regime, f.data)
-    return _finite(GroupElement(f.regime, h))
+        h = _inverse_data(f.regime, f.params().tolist())
+    return _finite(element_from_params(f.regime, h))
 
 
 def _to_point(xi):
@@ -306,29 +310,33 @@ def _element_check(regime, h):
     return ok, functools.partial(element_from_params, regime), h
 
 
-def compose_many(regime, a, b):
-    """`compose` on parameter rows (`GroupElement.params`) a, b (N, k),
-    in numpy's arithmetic: the rows of the products and the `replay`
-    checks that refuse a row, in this order where a power leaves the
-    float range, where `GroupElement` refuses the product and where the
-    product is not finite."""
-    tag = regime.tag
+def _compose_rows(regime, a, b):
+    """The rows of `compose_many` unchecked, and the checks of its powers."""
     checks = []
     with np.errstate(all="ignore"):
         h = a * b
-        if tag == "Single":
+        if regime.tag == "Single":
             x, cx = _power_check(b[:, 0], regime.p)
             y, cy = _power_check(b[:, 1], regime.q)
             checks = cx + cy
             h[:, 3] = a[:, 2] * b[:, 3] + a[:, 3] * x * y
-        elif tag == "Double":  # tau(b1, p, M): b1^-p above, b1^p below
+        elif regime.tag == "Double":  # tau(b1, p, M) N as in `_compose_data`
             x, cx = _power_check(b[:, 0], -regime.p)
             y, cy = _power_check(b[:, 0], regime.p)
             checks = cx + cy
-            t = a[:, 1:].reshape(-1, 2, 2).copy()
-            t[:, 0, 1] *= x
-            t[:, 1, 0] *= y
-            h[:, 1:] = (t @ b[:, 1:].reshape(-1, 2, 2)).reshape(-1, 4)
+            m12, m21 = a[:, 2, None] * x[:, None], a[:, 3, None] * y[:, None]
+            h[:, 1:3] = a[:, 1, None] * b[:, 1:3] + m12 * b[:, 3:]
+            h[:, 3:] = m21 * b[:, 1:3] + a[:, 4, None] * b[:, 3:]
+    return h, checks
+
+
+def compose_many(regime, a, b):
+    """`compose` on parameter rows (`GroupElement.params`) a, b (N, k) in
+    numpy's arithmetic: the rows of `_compose_rows` and the `replay` checks
+    refusing a row where a power leaves the float range, where `GroupElement`
+    refuses it and where it is not finite, in this order."""
+    h, checks = _compose_rows(regime, a, b)
+    with np.errstate(all="ignore"):
         return h, checks + [_element_check(regime, h), _finite_check(h)]
 
 
@@ -373,11 +381,8 @@ def _images(regime, h, x):
             u, cu = _power_check(x[..., 0], -regime.p)
             v, cv = _power_check(x[..., 0], regime.p)
             checks = cu + cv
-            t = np.broadcast_to(h[..., 1:], y.shape[:-1] + (4,)).reshape(
-                y.shape[:-1] + (2, 2)).copy()
-            t[..., 0, 1] *= u
-            t[..., 1, 0] *= v
-            y[..., 1:] = (t @ x[..., 1:, None])[..., 0]
+            y[..., 1] = h[..., 1] * x[..., 1] + h[..., 2] * u * x[..., 2]
+            y[..., 2] = h[..., 3] * v * x[..., 1] + h[..., 4] * x[..., 2]
     return y, checks
 
 

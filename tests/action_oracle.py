@@ -25,14 +25,14 @@ from lvmkit.resonant_group import (PointV, _compose_data, _inverse_data,
 
 def oracle_powers(f, bound):
     """The parameter rows of f^r for r in [-bound, bound], keyed by r, by
-    iterated `_compose_data`."""
-    data = {0: identity(f.regime).data}
-    finv = _inverse_data(f.regime, f.data)
+    iterated `_compose_data` on tuples of Python complex numbers."""
+    row = tuple(complex(z) for z in f.params())
+    data = {0: tuple(complex(z) for z in identity(f.regime).params())}
+    finv = _inverse_data(f.regime, row)
     for r in range(1, bound + 1):
-        data[r] = _compose_data(f.regime, data[r - 1], f.data)
+        data[r] = _compose_data(f.regime, data[r - 1], row)
         data[-r] = _compose_data(f.regime, data[-(r - 1)], finv)
-    return {r: np.concatenate([np.ravel(d) for d in v], dtype=complex)
-            for r, v in data.items()}
+    return {r: np.array(v, dtype=complex) for r, v in data.items()}
 
 
 def _unread(a, b, coords):
@@ -83,19 +83,16 @@ def _in_annulus(xi, radius):
 
 
 def oracle_samples(compact_radius, samples, seed):
-    """The seeded sample points of the annulus that the probe starts from."""
+    """The seeded sample points of the annulus that the probe starts from,
+    drawn as the probe draws them, in one batch: the moduli of xi1 and of
+    (xi2, xi3) of every sample, then the real and the imaginary parts of
+    every direction of (xi2, xi3), then every phase of xi1."""
     rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(samples):
-        m1 = 10 ** rng.uniform(-np.log10(compact_radius),
-                               np.log10(compact_radius))
-        m23 = 10 ** rng.uniform(-np.log10(compact_radius),
-                                np.log10(compact_radius))
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        v *= m23 / np.linalg.norm(v)
-        pts.append(PointV((m1 * np.exp(2j * np.pi * rng.uniform()),
-                           v[0], v[1])))
-    return pts
+    m1, m23 = compact_radius ** rng.uniform(-1, 1, size=(2, samples))
+    v = rng.normal(size=(samples, 2)) + 1j * rng.normal(size=(samples, 2))
+    v = v / np.linalg.norm(v, axis=1)[:, None] * m23[:, None]
+    xi1 = m1 * np.exp(2j * np.pi * rng.uniform(size=samples))
+    return [PointV((xi1[n], v[n, 0], v[n, 1])) for n in range(samples)]
 
 
 def oracle_probe(pair, compact_radius, horizon, samples, seed):

@@ -19,6 +19,7 @@ from lvmkit.action import (
     _fixed_point_witness,
     _grid,
     _powers,
+    _samples,
     fixed_point_certificate,
     orbit,
     properness_probe,
@@ -252,8 +253,9 @@ class TestPropernessProbe:
             properness_probe(DIAG_PAIR, **kwargs)
 
     def test_no_per_point_work(self, monkeypatch):
-        calls = {"apply": 0, "point": 0}
+        calls = {"apply": 0, "point": 0, "element_check": 0}
         post_init = PointV.__post_init__
+        element_check = lvmkit.resonant_group._element_check
 
         def counting_apply(f, x):
             calls["apply"] += 1
@@ -263,14 +265,45 @@ class TestPropernessProbe:
             calls["point"] += 1
             post_init(point)
 
+        def counting_element_check(regime, h):
+            calls["element_check"] += 1
+            return element_check(regime, h)
+
         monkeypatch.setattr(lvmkit.resonant_group, "apply", counting_apply)
         monkeypatch.setattr(lvmkit.action, "apply", counting_apply)
         monkeypatch.setattr(PointV, "__post_init__", counting_post_init)
+        monkeypatch.setattr(lvmkit.resonant_group, "_element_check",
+                            counting_element_check)
         report = properness_probe(DIAG_PAIR, horizon=20, samples=20)
         assert report.no_violation_found
-        # the 20 sample points are the only points built; word-by-word
-        # evaluation applies 1320 words to each of them
-        assert calls == {"apply": 0, "point": 20}
+        # a clean report builds no point; word-by-word evaluation applies
+        # 1320 words to each of the 20 samples
+        assert calls == {"apply": 0, "point": 0, "element_check": 0}
+        # every word of the band returns, and each sample is built once
+        report = properness_probe(UNIT_PAIR, horizon=20, samples=20)
+        assert len(report.violations) == 41 ** 2 - 19 ** 2
+        assert calls == {"apply": 0, "point": 20, "element_check": 0}
+        # neither search checks the group elements of its words
+        for pair in (DIAG_PAIR, UNIT_PAIR, SINGLE_PAIR, DOUBLE_PAIR):
+            fixed_point_certificate(pair)
+            properness_probe(pair, horizon=8, samples=5)
+        assert calls["apply"] == calls["element_check"] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from([1.01, 1e2, 1e154, 1e300, 1.79e308]),
+           st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+    def test_samples_lie_in_the_annulus(self, radius, samples, seed):
+        # up to the top of the float range, the batched draw gives finite
+        # points of V with both moduli in [1/radius, radius], to a few ulp
+        # of the bounds (1/1.79e308 is subnormal)
+        x = _samples(radius, samples, seed)
+        assert x.shape == (samples, 3) and np.isfinite(x).all()
+        assert all(PointV(xi) for xi in x.tolist())
+        lo, hi = 1 / radius, radius
+        m23 = np.hypot(np.abs(x[:, 1]), np.abs(x[:, 2]))
+        for m in (np.abs(x[:, 0]), m23):
+            assert (lo - 4 * np.spacing(lo) <= m).all()
+            assert (m <= hi + 4 * np.spacing(hi)).all()
 
 
 @st.composite
@@ -596,7 +629,7 @@ class TestScreenBoundaries:
         ("xi1", "outer", 100.0, 3),
         ("xi1", "inner", 1e6, 4),
         ("fiber", "inner", 100.0, 1),
-        ("fiber", "outer", 100.0, 0)],
+        ("fiber", "outer", 100.0, 36)],
         ids=["word-and-image-inner", "word-outer", "image-outer",
              "word-and-image-inner-1e6", "fiber-inner", "fiber-outer"])
     def test_planted_image_near_bound(self, coord, bound, radius, seed):

@@ -274,6 +274,20 @@ class TestCheckCondition:
         rng = np.random.default_rng(7)
         assert check_condition(rand_T(rng), bound=9).bound == 9
 
+    @pytest.mark.parametrize("alpha1,beta1", [
+        (1e-200, 0.5), (0.5, 1e-200), (1e200, 0.5), (0.5, 1e200)],
+        ids=["alpha1-small", "beta1-small", "alpha1-large", "beta1-large"])
+    def test_power_beyond_float_range_refused(self, alpha1, beta1):
+        # |alpha1|^2 or |beta1|^2 leaves the float range, so the variety
+        # equations cannot be read; both (1e-100, 1e100) powers are floats
+        def point(a1, b1):
+            return FamilyPoint("S_p", np.diag([a1, 0.5, 0.25]),
+                               np.diag([b1, 0.5, 0.25]), p=2)
+        with pytest.raises(OverflowError,
+                           match="^result leaves the float range$"):
+            check_condition(point(alpha1, beta1))
+        assert check_condition(point(1e-100, 1e100)).condition == "C_p"
+
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
            space=st.sampled_from(["T", "T_pq", "S_p"]), plant=st.booleans(),
