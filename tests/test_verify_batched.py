@@ -22,8 +22,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 import verify_oracle as oracle
 from verify_bounds import (GAMMA, HUGE, TINY, U, action_sizes, chart_ops,
                            eigen_errors, group_laws_errors, gluing_errors,
-                           invert_psi_errors, law_ops, law_sizes, near_end,
-                           near_range, phi_sizes, psi_sizes, residual_errors)
+                           invert_psi_errors, law_exponents, law_ops,
+                           law_sizes, near_end, near_range, phi_sizes, psi_sizes, residual_errors)
 from lvmkit import cli
 from lvmkit.developing import (build_structure, check_structure,
                                sample_cover_points)
@@ -78,14 +78,15 @@ def _law_ambiguous(regime, law, rows, got, size):
     """Rows of a group law whose refusal turns on rounding: a power of an
     input near the range, or one Python's power returns as nan where
     numpy's is refused, the divisor of the Single inverse or its first
-    product near an end of it, a term near the top of the range, an entry
+    product near an end of it, a term near the top of the range (also
+    just beyond it, where its components may still be finite), an entry
     `GroupElement` or `PointV` tests for 0 whose terms are below TINY, or
     a determinant within its rounding bound of 0.  A term beyond the range
     leaves it on both sides, and both refuse the row."""
     p, q = regime.p, regime.q
     with np.errstate(all="ignore"):
-        e = np.log2(size)
-        amb = ((near_end(e) & (e > 0)) | np.isnan(e)).any(axis=1)
+        e = law_exponents(regime, law, *rows)
+        amb = ((np.abs(e - 1024) < 8) | np.isnan(e)).any(axis=1)
         if law is apply_many:
             amb |= (size[:, 0] < TINY) | (size[:, 1:] < TINY).all(axis=1)
             powers = [(rows[1][:, 0], p)] if regime.tag == "Double" else []
@@ -139,6 +140,7 @@ class TestGroupLaws:
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(REGIMES), st.integers(0, 2 ** 32 - 1),
            st.sampled_from([0.5, 30, 400]))
+    @example(REGIMES[1], 85070, 400)  # a term of modulus 2^1024.3
     def test_compose_inverse_apply(self, regime, seed, scale):
         # each row the scalar law takes is taken, within 2 k GAMMA of the
         # law on moduli, and each row it refuses is refused with its error

@@ -90,6 +90,24 @@ def law_sizes(regime, law, *rows):
         return np.abs(law(regime, *map(moduli, rows))[0])
 
 
+def law_exponents(regime, law, *rows):
+    """log2 of `law_sizes`, read also where a size lies just beyond the
+    top of the float range and `law_sizes` reads inf, though an entry
+    with that size may still be finite in one arithmetic and not in the
+    other (a complex product with or without a fused multiply-add).
+    compose and apply are linear in their first factor, and an inverse's
+    sizes are the moduli of its entries, so such a size is read scaled
+    by 2^-64."""
+    with np.errstate(all="ignore"):
+        e = np.log2(law_sizes(regime, law, *rows))
+        if law is inverse_many:
+            low = np.abs(inverse_many(regime, rows[0])[0] * 2.0 ** -64)
+        else:
+            low = np.abs(law(regime, moduli(rows[0]) * 2.0 ** -64,
+                             *map(moduli, rows[1:]))[0])
+        return np.where(e == np.inf, np.log2(low) + 64, e)
+
+
 def _shear_sizes(lam):
     out = np.zeros((len(lam), 3, 3))
     out[:, [0, 1, 2], [0, 1, 2]] = 1
