@@ -22,8 +22,10 @@ capture, so
 
 The enumeration is exact and carries no tolerance: every finite float is
 a dyadic rational, so the points are scaled by one common power of two to
-integers, and each subset's barycentric system is solved by fraction-free
-integer elimination (Bareiss 1968).
+integers.  A table of integer leading minors, each expanded from those one
+size smaller, decides almost every subset by the signs of minors and
+cofactors; only a subset whose leading minor vanishes is solved by
+fraction-free integer elimination (Bareiss 1968).
 """
 
 import itertools
@@ -101,7 +103,8 @@ def _integer_columns(points, target):
 
 def _captures_origin(columns, dim):
     """True iff the integer vectors are affinely independent and the origin
-    is a convex combination of them with every weight positive.
+    is a convex combination of them with every weight positive.  Only asked
+    of subsets whose leading minor vanishes (see ``_minimal_captures``).
 
     The barycentric system is the row of ones with right-hand side 1 and
     one row per coordinate with right-hand side 0.  It is solved by
@@ -138,13 +141,37 @@ def _minimal_captures(points, target):
     affinely independent subset (tuple of indices) of at most dim+1 points
     that has ``target`` strictly inside, with all barycentric coordinates
     positive.  By Caratheodory, ``target`` lies in the convex hull of a set
-    of points iff some subset of them is a minimal capture."""
+    of points iff some subset of them is a minimal capture.
+
+    A subset S of k <= dim points with a nonzero leading minor (over the
+    first k coordinates) is independent, so it misses the origin.  S of
+    dim+1 points is a capture iff its cofactors (-1)^i minor(S - s_i), whose
+    sum D is the barycentric determinant and cofactor / D the weights, are
+    all nonzero with one sign.  Minors are expanded along their last row
+    from those one size smaller; ``_captures_origin`` decides the rest.
+    """
     columns = _integer_columns(points, target)
     dim = len(target)
+    minors = {(): 1}
     for size in range(1, min(len(columns), dim + 1) + 1):
+        last_row = [c[size - 1] for c in columns] if size <= dim else None
+        level = {}
         for subset in itertools.combinations(range(len(columns)), size):
-            if _captures_origin([columns[i] for i in subset], dim):
+            # last-row cofactors (ones row at size dim+1), s_{size-1}..s_0
+            cofactors = [minors[face]
+                         for face in itertools.combinations(subset, size - 1)]
+            cofactors[1::2] = [-c for c in cofactors[1::2]]
+            if size > dim:
+                if min(cofactors) > 0 or max(cofactors) < 0:
+                    yield subset
+                continue
+            minor = sum(last_row[s] * c
+                        for s, c in zip(reversed(subset), cofactors))
+            level[subset] = minor
+            if not minor and _captures_origin(
+                    [columns[i] for i in subset], dim):
                 yield subset
+        minors = level
 
 
 def _config_captures(config):
@@ -177,6 +204,8 @@ def in_convex_hull(points, target):
     for p in points:
         if len(p) != dim:
             raise ValueError("dimension mismatch between points and target")
+    if not np.isfinite(points + [target]).all():
+        raise ValueError("point and target coordinates must be finite")
     return next(_minimal_captures(points, target), None) is not None
 
 

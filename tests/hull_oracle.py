@@ -60,21 +60,25 @@ def _solve_exact(matrix, rhs):
     return sol
 
 
-def _in_hull_exact(points, target):
+def oracle_minimal_captures(points, target):
+    """Yield every affinely independent subset, smallest first and in
+    `itertools.combinations` order, whose barycentric coordinates of
+    ``target`` are all positive."""
     pts = [[Fraction(x) for x in p] for p in points]
-    tgt = [Fraction(x) for x in target]
-    dim = len(tgt)
-    n = len(pts)
-    max_size = min(n, dim + 1)
-    for size in range(1, max_size + 1):
-        for subset in itertools.combinations(range(n), size):
+    rhs = [Fraction(x) for x in target] + [Fraction(1)]
+    dim = len(target)
+    for size in range(1, min(len(pts), dim + 1) + 1):
+        for subset in itertools.combinations(range(len(pts)), size):
             matrix = [[pts[i][d] for i in subset] for d in range(dim)]
             matrix.append([Fraction(1)] * size)
-            rhs = tgt + [Fraction(1)]
             sol = _solve_exact(matrix, rhs)
-            if sol is not None and all(t >= 0 for t in sol):
-                return True
-    return False
+            if sol is not None and all(t > 0 for t in sol):
+                yield subset
+
+
+def _in_hull_exact(points, target):
+    # by Caratheodory, target is in the hull iff a minimal capture exists
+    return next(oracle_minimal_captures(points, target), None) is not None
 
 
 def oracle_report(config):

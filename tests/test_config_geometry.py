@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from lvmkit import config_geometry
 from lvmkit.config_geometry import (
     ConfigReport,
     Configuration,
@@ -19,7 +20,7 @@ from lvmkit.config_geometry import (
     normalize_affine,
     real_points,
 )
-from hull_oracle import _in_hull_exact, oracle_report
+from hull_oracle import _in_hull_exact, oracle_minimal_captures, oracle_report
 
 # The reference configuration used throughout: four axis vectors plus two
 # nearly-parallel vectors in the (-1-i, -1-i) direction.
@@ -111,6 +112,114 @@ class TestHullMembership:
         # coordinates of very different binary exponents exercise the
         # common scaling and the subtraction of the target
         assert in_convex_hull(pts, tgt) == _in_hull_exact(pts, tgt)
+
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            in_convex_hull([(0, 0), (1, bad)], (0, 0))
+        with pytest.raises(ValueError, match="must be finite"):
+            in_convex_hull([(0, 0), (1, 0)], (bad, 0))
+
+
+@st.composite
+def small_integer_sets(draw):
+    """3-6 points in 2-D or 5-8 points in 4-D with entries in -2..2, so
+    that leading minors often vanish, and a target near the origin."""
+    dim = draw(st.sampled_from((2, 4)))
+    n = draw(st.integers(3, 6) if dim == 2 else st.integers(5, 8))
+    entry = st.integers(-2, 2)
+    points = draw(st.lists(st.lists(entry, min_size=dim, max_size=dim),
+                           min_size=n, max_size=n))
+    target = draw(st.one_of(st.just([0] * dim),
+                            st.lists(st.integers(-1, 1), min_size=dim,
+                                     max_size=dim)))
+    return points, target
+
+
+def _captures(points, target):
+    points = [[float(x) for x in p] for p in points]
+    return list(config_geometry._minimal_captures(points,
+                                                  [float(x) for x in target]))
+
+
+class TestMinimalCaptures:
+    """The minimal captures, decided by leading minors and cofactor signs
+    with elimination only where a leading minor vanishes, against one
+    Fraction solve per subset."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_integer_sets())
+    # the origin is one of the points: a capture of size 1
+    @example(([[0, 0], [1, 2], [-1, 1]], [0, 0]))
+    # an opposite pair
+    @example(([[1, 2], [-1, -2], [2, -1]], [0, 0]))
+    # the origin on a facet of a simplex: the facet is a capture, and the
+    # simplex, whose cofactor at the fifth point is 0, is not
+    @example(([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-1, -1, -1, 0],
+               [0, 0, 0, 1]], [0, 0, 0, 0]))
+    # independent columns whose leading minor is 0: elimination says no
+    @example(([[0, 1], [1, 0], [2, 2]], [0, 0]))
+    @example(([[1, 0, 0, 0], [2, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1],
+               [1, 1, 1, 1]], [0, 0, 0, 0]))
+    def test_matches_oracle(self, case):
+        points, target = case
+        assert _captures(points, target) == list(
+            oracle_minimal_captures(points, target))
+
+    def test_example_paths(self):
+        assert _captures([[0, 0], [1, 2], [-1, 1]], [0, 0])[0] == (0,)
+        assert _captures([[1, 2], [-1, -2], [2, -1]], [0, 0]) == [(0, 1)]
+        facet = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [-1, -1, -1, 0],
+                 [0, 0, 0, 1]]
+        assert _captures(facet, [0, 0, 0, 0]) == [(0, 1, 2, 3)]
+        assert _captures([[0, 1], [1, 0], [2, 2]], [0, 0]) == []
+
+
+def _counting_fallback(monkeypatch):
+    calls = []
+    solve = config_geometry._captures_origin
+
+    def counted(columns, dim):
+        calls.append(len(columns))
+        return solve(columns, dim)
+
+    monkeypatch.setattr(config_geometry, "_captures_origin", counted)
+    return calls
+
+
+def _generic_configurations():
+    """Configurations shaped like the benchmark's analyze inputs: perturbed
+    E1, sextuples in a closed half-space, and E1 continued to n = 8, 10
+    under a perturbed basis."""
+    rng = np.random.default_rng(2024)
+    e1 = real_points(E1)
+    for _ in range(10):
+        yield e1 + rng.uniform(-0.02, 0.02, size=e1.shape)
+        u = rng.normal(size=4)
+        u /= np.linalg.norm(u)
+        v = rng.normal(size=(6, 4))
+        yield v - 2 * np.minimum(v @ u, 0)[:, None] * u + 0.1 * u
+    for n in (8, 10) * 3:
+        basis = np.eye(4) + rng.uniform(-0.05, 0.05, size=(4, 4))
+        negative = rng.uniform(-1.3, -0.8, size=(n - 4, 4))
+        yield np.vstack([basis.T, negative @ basis.T])
+
+
+class TestFallbackStaysDegenerate:
+    """Elimination runs only where a leading minor vanishes: never on
+    generic data, and on the exact E1, whose report is pinned above."""
+
+    def test_generic_configurations_never_eliminate(self, monkeypatch):
+        calls = _counting_fallback(monkeypatch)
+        for points in _generic_configurations():
+            config_report(_config(points))
+        assert calls == []
+
+    def test_exact_e1_eliminates(self, monkeypatch):
+        calls = _counting_fallback(monkeypatch)
+        assert config_report(E1).type_triple == (2, 6, 4)
+        assert len(calls) >= 1
 
 
 class TestReferenceConfiguration:
