@@ -20,6 +20,7 @@ bounds, so identical invocations produce byte-identical output.
 
 import functools
 import json
+import math
 import sys
 
 import click
@@ -55,9 +56,13 @@ _E1 = Configuration(2, ((1, 0), (1j, 0), (0, 1), (0, 1j),
                         (-1 - 1j, -1 - 1j), (-1.1 - 1.1j, -1.1 - 1.1j)))
 
 
-def _check_search_options(tol, bound):
-    if tol <= 0:
-        raise click.UsageError("--tol must be positive")
+def _check_options(tol, bound=None):
+    """Refuse a --tol that is not positive and finite (nan and inf check
+    nothing) and, given a search bound, a tol from 1 on or a bad bound."""
+    if not 0 < tol < math.inf:
+        raise click.UsageError("--tol must be positive and finite, got %g" % tol)
+    if bound is None:
+        return
     if tol >= 1:
         raise click.UsageError("--tol must be below 1, got %g" % tol)
     if bound < 0:
@@ -157,7 +162,7 @@ def main():
 def analyze(path, tol, bound, as_json):
     """Full pipeline on a configuration document: certification,
     holonomy eigen-data, resonances, cohomology dimensions."""
-    _check_search_options(tol, bound)
+    _check_options(tol, bound)
     m, vectors = _parse_config(_load_document(path))
     report = {"input": path, "tol": tol, "bound": bound}
     try:
@@ -191,7 +196,7 @@ def resonances(path, tol, bound, as_json):
     """Resonance detection.  The document either holds a configuration
     (fields m, vectors) or raw eigen-data (field eigen_data: six
     [re, im] pairs in the order a1, a2, a3, b1, b2, b3)."""
-    _check_search_options(tol, bound)
+    _check_options(tol, bound)
     doc = _load_document(path)
     report = {"input": path, "tol": tol, "bound": bound}
     try:
@@ -407,36 +412,27 @@ def _suite_action(seed, fault):
 @main.command()
 @click.argument("suite", type=click.Choice(
     ["group-laws", "gluing", "developing", "action", "all"]))
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--samples", default=100, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
+@click.option("--samples", default=100, show_default=True,
+              type=click.IntRange(1))
 @click.option("--tol", default=VERIFY_TOL, show_default=True, type=float)
 @click.option("--p", default=1, show_default=True, type=int)
-@click.option("--q", default=2, show_default=True, type=int)
+@click.option("--q", default=2, show_default=True, type=click.IntRange(2))
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
-@click.option("--inject-fault", is_flag=True, hidden=True,
+@click.option("--inject-fault", "fault", is_flag=True, hidden=True,
               help="debug: corrupt one input to force a failure")
-def verify(suite, seed, samples, tol, p, q, as_json, inject_fault):
+def verify(suite, seed, samples, tol, p, q, as_json, fault):
     """Run a seeded property suite and report the worst residual."""
-    if samples < 1:
-        raise click.UsageError("--samples must be >= 1")
-    if tol <= 0:
-        raise click.UsageError("--tol must be positive")
-    if q < 2:
-        raise click.UsageError("--q must be >= 2")
-    wanted = ("group-laws", "gluing", "developing", "action") \
-        if suite == "all" else (suite,)
+    _check_options(tol)
+    suites = {
+        "group-laws": lambda: _suite_group_laws(seed, samples, tol, fault),
+        "gluing": lambda: _suite_gluing(seed, samples, tol, p, q, fault),
+        "developing": lambda: _suite_developing(seed, min(samples, 100), fault),
+        "action": lambda: _suite_action(seed, fault)}
     results = []
-    for name in wanted:
-        fault = inject_fault
+    for name in suites if suite == "all" else (suite,):
         try:
-            if name == "group-laws":
-                result = _suite_group_laws(seed, samples, tol, fault)
-            elif name == "gluing":
-                result = _suite_gluing(seed, samples, tol, p, q, fault)
-            elif name == "developing":
-                result = _suite_developing(seed, min(samples, 100), fault)
-            else:
-                result = _suite_action(seed, fault)
+            result = suites[name]()
         except _REFUSALS as exc:
             result = {"name": name, "passed": False,
                       "failure": "%s: %s" % (type(exc).__name__, exc)}
@@ -450,8 +446,9 @@ def verify(suite, seed, samples, tol, p, q, as_json, inject_fault):
 
 @main.command()
 @click.argument("path", type=click.Path())
-@click.option("--seed", default=0, show_default=True, type=int)
-@click.option("--samples", default=100, show_default=True, type=int)
+@click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
+@click.option("--samples", default=100, show_default=True,
+              type=click.IntRange(1))
 @click.option("--tol", default=1e-9, show_default=True, type=float)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def deform(path, seed, samples, tol, as_json):
@@ -461,10 +458,7 @@ def deform(path, seed, samples, tol, as_json):
     coefficient lists of [re, im] pairs (3, 4 or 1+4 coefficients per
     the regime), and, for the non-resonant regime, a base configuration
     under the key config."""
-    if samples < 1:
-        raise click.UsageError("--samples must be >= 1")
-    if tol <= 0:
-        raise click.UsageError("--tol must be positive")
+    _check_options(tol)
     doc = _load_document(path)
     try:
         rdoc = doc["regime"]

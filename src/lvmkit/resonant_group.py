@@ -18,12 +18,13 @@ the 2x2 exp and log are closed forms in the eigenvalues.
 
 `compose_many`, `inverse_many` and `apply_many` evaluate the group laws
 on stacked parameter rows in numpy's own arithmetic, so a row agrees
-with the scalar function to rounding, not to the bit.  Each returns,
-with its rows, the checks that decide its refusals from those rows
-alone: a power that leaves the float range, an output that
-`GroupElement` or `PointV` refuses, a non-finite output.  `replay`
-raises the error of the first refused row.  The scalar `compose`,
-`inverse` and `apply` refuse a non-finite result as the arrays do.  The
+with the scalar function to rounding, not to the bit.  Each decides its
+refusals from those rows alone (a power that leaves the float range, an
+output that `GroupElement` or `PointV` refuses, a non-finite output) in
+one mask; only where it has a False are the checks built with which
+`replay` raises the error of the first refused row.  The scalar laws
+refuse a non-finite result as the arrays do, and `GroupElement` reads a
+2x2 determinant as they do, m11 m22 - m12 m21 (`_invertible`).  The
 twisted eigenvalues and their kernels are closed forms on stacks,
 `_twisted_roots` (a double root exactly, and at any scale: a quadratic
 whose terms could leave the normal range is first rescaled by powers of
@@ -56,16 +57,15 @@ class BranchDomain(Exception):
 
 
 def _power_check(z, n):
-    """z ** n for each z, by numpy's power, and the `replay` checks that
-    refuse each finite z whose power is not a float, as Python refuses
+    """z ** n for each z, by numpy's power, and the `replay` check that
+    refuses each finite z whose power is not a float, as Python refuses
     complex(z) ** n: ZeroDivisionError where n < 0 and z is 0, or z ** -n
     is 0 with |n| <= 100 (below its exp-log power), OverflowError
     otherwise."""
     z = np.asarray(z, dtype=complex)
     with np.errstate(all="ignore"):
         out = z ** n
-    return out, [(np.isfinite(out) | ~np.isfinite(z),
-                  functools.partial(_refuse_power, n=n), z)]
+    return out, [(np.isfinite(out) | ~np.isfinite(z), _refuse_power, z, n)]
 
 
 def _refuse_power(z, n):
@@ -82,17 +82,18 @@ def _power(z, n):
 
 def replay(*checks):
     """Raise the error of the first row that fails a check.  Each check is
-    (ok, fn, *rows) with ok a mask over the rows; for the first row k that
-    fails any check, fn(*(r[k] for r in rows)) of each check it fails
-    runs, in the order given, and raises the refusal of that row."""
-    bad = ~passed(checks).ravel()
-    if not bad.any():
+    (ok, fn, *rows): a mask over the rows, broadcast against the others,
+    and rows of its shape and a row's (a scalar, such as an exponent or a
+    regime, is each row's).  For the first row k that fails any check, the
+    checks it fails raise, in order, by fn(*(r[k] for r in rows))."""
+    ok = passed(checks)
+    if ok.all():
         return
-    k = np.argmax(bad)
+    k = np.unravel_index(np.argmin(ok), ok.shape)
     with np.errstate(all="ignore"):
-        for ok, fn, *rows in checks:
-            if not ok.flat[k]:
-                fn(*(np.reshape(r, (ok.size,) + np.shape(r)[ok.ndim:])[k]
+        for c, fn, *rows in checks:
+            if not np.broadcast_to(c, ok.shape)[k]:
+                fn(*(np.broadcast_to(r, ok.shape + np.shape(r)[np.ndim(c):])[k]
                      for r in rows))
 
 
@@ -101,6 +102,11 @@ def passed(checks):
     rows, for no check)."""
     return functools.reduce(np.logical_and, [check[0] for check in checks],
                             np.True_)
+
+
+def _verdict(ok, refusals):
+    """An array form's checks: (ok, None) if ok is all True, else refusals()."""
+    return [(ok, None)] if ok.all() else refusals()
 
 
 def accepted(result):
@@ -166,12 +172,10 @@ class GroupElement:
         else:
             a1, mat = self.data
             a1 = complex(a1)
-            mat = np.asarray(mat, dtype=complex)
-            with np.errstate(all="ignore"):
-                singular = mat.shape != (2, 2) or np.linalg.det(mat) == 0
+            mat = np.array(mat, dtype=complex)
+            singular = mat.shape != (2, 2) or not _invertible(mat[None])[0]
             if a1 == 0 or singular:
                 raise ValueError("Double element needs a1 != 0 and invertible M")
-            mat = mat.copy()
             mat.setflags(write=False)
             d = (a1, mat)
         object.__setattr__(self, "data", d)
@@ -232,9 +236,7 @@ def _finite(x):
 
 
 def apply(f, x):
-    if not isinstance(x, PointV):
-        x = PointV(tuple(x))
-    xi = x.array()
+    xi = _to_point(x).array()
     tag = f.regime.tag
     with np.errstate(all="ignore"):
         if tag == "NonResonant":
@@ -297,17 +299,23 @@ def inverse(f):
 
 
 def _to_point(xi):
-    return PointV(tuple(xi))
+    return xi if isinstance(xi, PointV) else PointV(tuple(xi))
+
+
+def _invertible(m):
+    """Where m11 m22 - m12 m21 of the 2x2 matrices m (..., 2, 2) is not 0,
+    read as m11 m22 != m12 m21, so two equal infinite products are 0 too.
+    One matrix is read as a stack of one, to round as a stack's rows do."""
+    with np.errstate(all="ignore"):
+        return m[..., 0, 0] * m[..., 1, 1] != m[..., 0, 1] * m[..., 1, 0]
 
 
 def _element_check(regime, h):
-    """The check refusing the rows h (..., k) that `GroupElement` refuses."""
+    """The rows h (..., k) that `GroupElement` takes."""
     if regime.tag == "Double":
-        ok = (h[..., 0] != 0) & (np.linalg.det(
-            h[..., 1:].reshape(h.shape[:-1] + (2, 2))) != 0)
-    else:
-        ok = (h[..., :3] != 0).all(axis=-1)
-    return ok, functools.partial(element_from_params, regime), h
+        return (h[..., 0] != 0) & _invertible(
+            h[..., 1:].reshape(h.shape[:-1] + (2, 2)))
+    return (h[..., :3] != 0).all(axis=-1)
 
 
 def _compose_rows(regime, a, b):
@@ -332,12 +340,14 @@ def _compose_rows(regime, a, b):
 
 def compose_many(regime, a, b):
     """`compose` on parameter rows (`GroupElement.params`) a, b (N, k) in
-    numpy's arithmetic: the rows of `_compose_rows` and the `replay` checks
-    refusing a row where a power leaves the float range, where `GroupElement`
-    refuses it and where it is not finite, in this order."""
-    h, checks = _compose_rows(regime, a, b)
+    numpy's arithmetic: the rows of `_compose_rows` and, by `_verdict`, the
+    `replay` checks refusing a row where a power leaves the float range,
+    where `GroupElement` refuses it and where it is not finite, in order."""
+    h, powers = _compose_rows(regime, a, b)
     with np.errstate(all="ignore"):
-        return h, checks + [_element_check(regime, h), _finite_check(h)]
+        element, finite = _element_check(regime, h), np.isfinite(h).all(-1)
+    return h, _verdict(passed(powers) & element & finite, lambda: powers + [
+        (element, element_from_params, regime, h), (finite, _overflow, h)])
 
 
 def inverse_many(regime, a):
@@ -345,26 +355,28 @@ def inverse_many(regime, a):
     `compose_many`, after one refusing the rows of a that are no group
     elements; the Single regime's quotient by a3 a1^p a2^q refuses a
     denominator that is 0, as Python's complex division does."""
-    tag = regime.tag
     with np.errstate(all="ignore"):
-        checks = [_element_check(regime, a)]
+        given, powers = _element_check(regime, a), []
         h = 1 / a
-        if tag == "Single":
+        if regime.tag == "Single":
             x, cx = _power_check(a[:, 0], regime.p)
             y, cy = _power_check(a[:, 1], regime.q)
             den = a[:, 2] * x * y
-            checks += cx + cy + [(den != 0, _zero_division, den)]
+            powers = cx + cy + [(den != 0, _zero_division, den)]
             h[:, 3] = -a[:, 3] / den
-        elif tag == "Double":
-            t = np.linalg.inv(np.where(checks[0][0][:, None, None],
+        elif regime.tag == "Double":
+            t = np.linalg.inv(np.where(given[:, None, None],
                                        a[:, 1:].reshape(-1, 2, 2), np.eye(2)))
             x, cx = _power_check(h[:, 0], -regime.p)
             y, cy = _power_check(h[:, 0], regime.p)
-            checks += cx + cy
+            powers = cx + cy
             t[:, 0, 1] *= x
             t[:, 1, 0] *= y
             h[:, 1:] = t.reshape(-1, 4)
-        return h, checks + [_element_check(regime, h), _finite_check(h)]
+        element, finite = _element_check(regime, h), np.isfinite(h).all(-1)
+    return h, _verdict(given & passed(powers) & element & finite, lambda: [
+        (given, element_from_params, regime, a)] + powers + [
+        (element, element_from_params, regime, h), (finite, _overflow, h)])
 
 
 def _images(regime, h, x):
@@ -388,18 +400,17 @@ def _images(regime, h, x):
 
 def apply_many(regime, h, x):
     """`apply` of the parameter rows h (..., k) to the points x (..., 3),
-    broadcast against each other, in numpy's arithmetic: the images and
-    the `replay` checks over them that refuse, in this order, a row h
+    broadcast against each other, in numpy's arithmetic: the images and,
+    by `_verdict`, the `replay` checks that refuse, in this order, a row h
     that is no group element, a power of a point that leaves the float
     range, an image off V and a non-finite image."""
     y, powers = _images(regime, h, x)
     with np.errstate(all="ignore"):
-        checks = [_element_check(regime, h)] + powers + [
-            (_points_ok(y), _to_point, y), _finite_check(y)]
-    shape = y.shape[:-1]
-    return y, [(np.broadcast_to(ok, shape), fn,
-                *(np.broadcast_to(r, shape + r.shape[ok.ndim:]) for r in rows))
-               for ok, fn, *rows in checks]
+        element, points = _element_check(regime, h), _points_ok(y)
+        finite = np.isfinite(y).all(-1)
+    return y, _verdict(element & passed(powers) & points & finite, lambda: [
+        (element, element_from_params, regime, h)] + powers + [
+        (points, _to_point, y), (finite, _overflow, y)])
 
 
 def conjugate(h, f):

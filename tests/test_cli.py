@@ -369,3 +369,34 @@ class TestDeform:
         assert result.exit_code == 2
         assert ("malformed %s document: int too large to convert to float"
                 % what) in result.output
+
+
+class TestRunOptions:
+    """A --tol of nan or inf would check nothing (every residual compares
+    False with nan, and passes under inf), and a negative --seed seeds no
+    generator: each command refuses them as usage errors, before any
+    work."""
+
+    def _args(self, tmp_path, command):
+        if command == "verify":
+            return ["verify", "all"]
+        doc = TestDeform()._nonres_doc() if command == "deform" else E1_DOC
+        return [command, write(tmp_path, "doc.json", doc)]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command",
+                             ["analyze", "resonances", "verify", "deform"])
+    def test_non_finite_tol(self, runner, tmp_path, command, tol):
+        result = runner.invoke(main, self._args(tmp_path, command)
+                               + ["--tol", tol, "--json"])
+        assert result.exit_code == 2
+        assert "--tol must be positive and finite, got %s" % tol \
+            in result.output
+
+    @pytest.mark.parametrize("command", ["verify", "deform"])
+    def test_negative_seed(self, runner, tmp_path, command):
+        result = runner.invoke(main, self._args(tmp_path, command)
+                               + ["--seed", "-1", "--json"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--seed': -1 is not in the range x>=0" \
+            in result.output

@@ -4,10 +4,14 @@ import pytest
 from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
 from lvmkit.resonance import ResonanceClass
-from lvmkit.resonant_group import GroupElement, compose, identity, inverse
+import developing_oracle
+from lvmkit import developing
+from lvmkit.resonant_group import (GroupElement, compose, element_from_params,
+                                   identity, inverse)
 from lvmkit.rep_variety import StructureSpec
 from lvmkit.developing import (
     DevMap,
+    DevStructure,
     build_structure,
     check_structure,
     deck_transform,
@@ -231,3 +235,90 @@ class TestCheckStructure:
         res3 = max(equivariance_residual(franken, 3, w)
                    for w in sample_cover_points(rng, 20))
         assert res1 > 1e-3 and res3 < 1e-9
+
+
+def _outcome(fn, *args, **kwargs):
+    """What fn returns, or the error it raises as "Type: message"."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return "%s: %s" % (type(exc).__name__, exc)
+
+
+def _deform_specs():
+    """Structures as `lvmkit deform` builds them from a document of each
+    regime and developing case: generators from flat coefficient rows."""
+    s12 = ResonanceClass("Single", p=1, q=2)
+    s23 = ResonanceClass("Single", p=-1, q=3)
+    d2 = ResonanceClass("Double", p=2)
+
+    def single(regime, x1, x2, x3, kappa=0.4):
+        return (x1, x2, x3, kappa * (x3 - x1 ** regime.p * x2 ** regime.q))
+
+    conjugated = double_spec((1.02, np.diag([0.99, 1.03])),
+                             conjugate_by=np.array([[1, 0.3], [0.2j, 1]]))
+    docs = {
+        "nonresonant": (NR, (BASE.alpha, BASE.beta, (1.3, 0.8j, 1.1))),
+        "single-generic": (s12, (single(s12, 2, 0.6, 0.5),
+                                 single(s12, 1 + 1j, 0.5j, -0.3 + 0.2j),
+                                 single(s12, 1.01, 1.02, 0.97))),
+        "single-degenerate": (s23, (single(s23, 2, 0.6, 0.5),
+                                    single(s23, 1 + 1j, 0.5j, -0.3),
+                                    single(s23, 1, 1, 1, 0.1))),
+        "double": (D1, ((2 + 0.5j, 1.3, 0, 0, 0.7 - 0.2j),
+                        (0.8, 0.5j, 0, 0, 1.1), (1.02, 0.99, 0, 0, 1.03))),
+        "double-conjugated": (D1, [g.params() for g in conjugated.generators]),
+        "double-p2": (d2, ((1.5, 1.3, 0, 0, 0.7 - 0.2j), (0.8j, 0.5j, 0, 0, 1.1),
+                           (1.01, 0.98, 0, 0, 1.02))),
+    }
+    return {name: StructureSpec(
+        tuple(element_from_params(regime, row) for row in rows),
+        base_config=E1 if regime == NR else None)
+        for name, (regime, rows) in docs.items()}
+
+
+DEFORM_SPECS = _deform_specs()
+
+
+class TestStackedCheck:
+    """`check_structure` runs each stage once over the three generators
+    stacked; the loop of one generator at a time that it replaced
+    (`developing_oracle`) gives the same report to the bit, and the same
+    first refusal."""
+
+    @pytest.mark.parametrize("fault", [False, True])
+    @pytest.mark.parametrize("seed,samples", [(0, 100), (1, 100), (7, 37),
+                                              (123, 1)])
+    def test_verify_structures(self, seed, samples, fault):
+        for spec in developing_oracle.verify_specs(fault):
+            assert repr(check_structure(spec, samples=samples, seed=seed)) \
+                == repr(developing_oracle.check_structure(
+                    spec, samples=samples, seed=seed))
+
+    @pytest.mark.parametrize("name", sorted(DEFORM_SPECS))
+    def test_deform_documents(self, name):
+        spec = DEFORM_SPECS[name]
+        for seed, samples in ((0, 100), (5, 13), (9, 4099)):
+            assert repr(_outcome(check_structure, spec, samples, 1e-9, seed)) \
+                == repr(_outcome(developing_oracle.check_structure, spec,
+                                 samples, 1e-9, seed))
+
+    def test_first_refusal_is_in_generator_order(self, monkeypatch):
+        # generator 1 sends the base images out of the float range, and
+        # the deck transform of generator 2, a1 = 5e-324, rounds the xi1 of
+        # its images to 0.  Stacked, the deck stage refuses first; one
+        # generator at a time, generator 1's action does.
+        good = double_spec((1.02, np.diag([0.99, 1.03])))
+        st = build_structure(good)
+        spec = StructureSpec((GroupElement(D1, (1e308, np.eye(2))),
+                              *good.generators[1:]))
+        tiny = GroupElement(D1, (5e-324, np.eye(2)))
+        crafted = DevStructure(spec, (st.output_pair[0], tiny), st.shifts,
+                               st.dev)
+        monkeypatch.setattr(developing, "build_structure", lambda s: crafted)
+        w = sample_cover_points(np.random.default_rng(0), 20)
+        assert _outcome(developing.deck_transform_many, crafted, (1, 2, 3),
+                        w) == "ValueError: xi_1 must be nonzero"
+        want = _outcome(developing_oracle.check_structure, spec, 20)
+        assert want == "OverflowError: result leaves the float range"
+        assert _outcome(check_structure, spec, 20) == want

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from lvmkit.holonomy import HolonomyPair
 from lvmkit.resonance import (
@@ -11,6 +11,7 @@ from lvmkit.resonance import (
     ResonanceClass,
     ResonantVectorField,
     UnclassifiableResonancePattern,
+    _is_resonance,
     _screen_bound,
     _screened,
     bracket,
@@ -292,6 +293,23 @@ class TestMetamorphic:
         conj = HolonomyPair(tuple(np.conj(h.alpha)), tuple(np.conj(h.beta)))
         assert _outcome(find_resonances, conj, tol, bound) == \
             _outcome(find_resonances, h, tol, bound)
+
+    @settings(max_examples=100, deadline=None)
+    @given(planted_eigen_data(), st.sampled_from([1e-9, 1e-3, 0.1]),
+           st.integers(0, 6))
+    def test_inversion(self, h, tol, bound):
+        # alpha_j = alpha^p iff 1/alpha_j = (1/alpha)^p, for beta alike.
+        # The residuals of the two sides differ by a factor within the
+        # residual of 1, so a draw is left out if an exponent found on
+        # either side has a residual within a factor of 10 of tol there
+        inv = HolonomyPair(tuple(1 / np.asarray(h.alpha)),
+                           tuple(1 / np.asarray(h.beta)))
+        got = _outcome(find_resonances, inv, tol, bound)
+        want = _outcome(find_resonances, h, tol, bound)
+        assume(not any(tol / 10 <= _is_resonance(pair, r.j, r.p, tol)[1]
+                       <= 10 * tol
+                       for r in set(got) | set(want) for pair in (h, inv)))
+        assert got == want
 
     @settings(max_examples=100, deadline=None)
     @given(planted_eigen_data(), st.integers(2, 6))

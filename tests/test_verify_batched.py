@@ -20,20 +20,24 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import verify_oracle as oracle
+from developing_oracle import verify_specs as _developing_specs
 from verify_bounds import (GAMMA, HUGE, TINY, U, action_sizes, chart_ops,
                            eigen_errors, group_laws_errors, gluing_errors,
                            invert_psi_errors, law_exponents, law_ops,
                            law_sizes, near_end, near_range, phi_sizes, psi_sizes, residual_errors)
-from lvmkit import cli
+from click.testing import CliRunner
+from lvmkit import cli, resonant_group
 from lvmkit.developing import (build_structure, check_structure,
                                sample_cover_points)
-from lvmkit.family_gluing import (DENOM_TOL, FamilyPoint, _paired_eigendata,
+from lvmkit.family_gluing import (DENOM_TOL, FamilyPoint, _charts_ok,
+                                  _paired_eigendata,
                                   family_action_many, glue_phi_pq_many,
                                   glue_psi_p_many, invert_psi_p,
                                   invert_psi_p_many)
 from lvmkit.rep_variety import StructureSpec
 from lvmkit.resonance import ResonanceClass
-from lvmkit.resonant_group import (GroupElement, PointV, _l_matrices,
+from lvmkit.resonant_group import (GroupElement, PointV, _element_check,
+                                   _l_matrices,
                                    _power, _power_check, _twisted_roots,
                                    accepted, apply, apply_many, compose,
                                    compose_many, element_from_params,
@@ -187,7 +191,7 @@ class TestGroupLaws:
         z = _rows(rng, 50, 1, 400)[:, 0]
         z[:4] = [0, complex(-0.0, 1), complex(1, -0.0), np.inf]
         w = _rows(rng, 50, 1, 400)[:, 0]
-        got, [(ok, refuse, _)] = _power_check(z, n)
+        got, [(ok, refuse, _, _)] = _power_check(z, n)
         with np.errstate(all="ignore"):
             rel = (abs(n) + 3) * GAMMA * (
                 1 + np.abs(np.log(np.abs(z) + (z == 0))) + np.pi)
@@ -203,7 +207,7 @@ class TestGroupLaws:
             if not isinstance(want, str) and not np.isfinite(want):
                 continue  # Python's chain of products overflowed to nan
             if isinstance(want, str):
-                assert not ok[k] and _outcome(refuse, z[k]) == want
+                assert not ok[k] and _outcome(refuse, z[k], n) == want
             else:
                 assert ok[k] and abs(got[k] - want) <= 2 * rel[k] * abs(want)
             if TINY <= sizes[k] <= HUGE:
@@ -223,6 +227,108 @@ class TestGroupLaws:
         want = _outcome(compose, f, f)
         assert want.startswith(("ValueError", "ZeroDivisionError"))
         assert _outcome(lambda: accepted(compose_many(regime, a, a))) == want
+
+
+# 2x2 blocks at and near a zero determinant: a rank-one block whose
+# products round alike, exact dyadic rank one, equal and opposite infinite
+# products, products that underflow, one ulp off and half an ulp off (which
+# rounds to rank one), a wide diagonal, and rank-one rows whose last entry
+# is a rounded quotient, so that their products differ in the last bits
+NEAR_SINGULAR = {
+    "one-third": [[3, 1], [1, 1 / 3]],
+    "dyadic-rank-one": [[0.5 + 0.5j, 4 + 2j], [1, 6 - 2j]],
+    "equal-infinite-products": [[1e200, 1e200], [1e200, 1e200]],
+    "opposite-infinite-products": [[1e200, 1e200], [1e200, -1e200]],
+    "underflowing-products": [[1e-200, 0], [0, 1e-200]],
+    "one-ulp-off": [[1, 1], [1, 1 + 2 ** -52]],
+    "half-ulp-off": [[1, 1], [1, 1 + 2 ** -53]],
+    "wide-diagonal": [[1e-200, 0], [0, 1e200]],
+    "rounded-rank-one-a": [[-0.8 - 0.25j, -1.32 + 0.42j],
+                           [1.14 - 0.55j, 1.021836298932384 - 1.82532384341637j]],
+    "rounded-rank-one-b": [[0.1 + 0.48j, 1.9 - 1.58j],
+                           [1.73 - 0.94j, -8.274259567387688 - 5.477554076539102j]],
+    "rounded-rank-one-c": [[1.35 + 0.19j, -0.4 - 0.02j],
+                           [0.61 - 0.15j,
+                            -0.17452275906596362 + 0.059969869794468944j]],
+    "rounded-rank-one-d": [[0.22 + 0.62j, 1.08 - 0.93j],
+                           [-1.15 - 0.71j,
+                            -0.5333456561922368 + 2.878974121996303j]],
+}
+
+
+class TestDeterminantAgreement:
+    """The scalar `GroupElement`, `_element_check`, `_charts_ok` and
+    `FamilyPoint` read a 2x2 determinant by one formula, m11 m22 - m12 m21
+    in numpy's array arithmetic, and refuse the same blocks."""
+
+    def test_same_refusals(self):
+        names = sorted(NEAR_SINGULAR)
+        mats = np.array([NEAR_SINGULAR[n] for n in names], dtype=complex)
+        rows = np.concatenate([np.ones((len(mats), 1)), mats.reshape(-1, 4)],
+                              axis=1)
+        charts = np.zeros((len(mats), 3, 3), dtype=complex)
+        charts[:, 0, 0], charts[:, 1:, 1:] = 1, mats
+        eye = np.broadcast_to(np.eye(3), charts.shape)
+        scalar = [_outcome(GroupElement, REGIMES[3], (1, m)) for m in mats]
+        points = [_outcome(FamilyPoint, "S_p", a, np.eye(3), None, 1)
+                  for a in charts]
+        refused = [isinstance(out, str) for out in scalar]
+        assert refused == [isinstance(out, str) for out in points]
+        assert refused == (~_element_check(REGIMES[3], rows)).tolist()
+        assert refused == (~_charts_ok("S_p", charts, eye)).tolist()
+        assert refused == (~passed(compose_many(
+            REGIMES[3], rows, np.array([identity(REGIMES[3]).params()]))[1]
+                                    )).tolist()
+        assert {out for out in scalar if isinstance(out, str)} == {
+            "ValueError: Double element needs a1 != 0 and invertible M"}
+        assert {out for out in points if isinstance(out, str)} == {
+            "ValueError: matrices must be invertible"}
+        assert {n for n, r in zip(names, refused) if r} == {
+            "one-third", "dyadic-rank-one", "equal-infinite-products",
+            "underflowing-products", "half-ulp-off", "rounded-rank-one-a",
+            "rounded-rank-one-b"}
+        # the rows whose refusal differs from np.linalg.det's, an LU
+        # factorization, which reads the last two as singular and the
+        # first two as invertible
+        with np.errstate(all="ignore"):
+            lu = (np.linalg.det(mats) == 0).tolist()
+        assert {n for n, r, d in zip(names, refused, lu) if r != d} == {
+            "rounded-rank-one-a", "rounded-rank-one-b", "rounded-rank-one-c",
+            "rounded-rank-one-d"}
+
+
+class TestCleanCallsBuildNoRefusal:
+    """A group law none of whose rows is refused returns its mask alone and
+    builds no refusal checks: `verify all` builds none."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        counts = {"calls": 0, "built": 0}
+        verdict = resonant_group._verdict
+
+        def counting_verdict(ok, refusals):
+            def build():
+                counts["built"] += 1
+                return refusals()
+            counts["calls"] += 1
+            return verdict(ok, build)
+        monkeypatch.setattr(resonant_group, "_verdict", counting_verdict)
+        return counts
+
+    def test_verify_all_builds_none(self, monkeypatch):
+        counts = self._counting(monkeypatch)
+        result = CliRunner().invoke(cli.main, ["verify", "all", "--seed", "0",
+                                               "--json"])
+        assert result.exit_code == 0
+        assert counts["calls"] > 0 and counts["built"] == 0
+
+    def test_refused_row_builds_its_checks(self, monkeypatch):
+        counts = self._counting(monkeypatch)
+        a = np.ones((3, 3), dtype=complex)
+        a[1, 0] = 1e-170
+        with pytest.raises(ValueError, match="three nonzero scalars"):
+            accepted(compose_many(REGIMES[0], a, a))
+        assert counts == {"calls": 1, "built": 1}
 
 
 def _values(result):
@@ -693,27 +799,6 @@ class TestSuites:
         with pytest.raises(ValueError, match="draw %.17g$" % draws[k]):
             cli._worst(np.random.default_rng(0), 6, 1, evaluate, False)
         assert calls == [6] + [1] * (k + 1)
-
-
-def _developing_specs(fault):
-    """The structures of `cli._suite_developing`."""
-    pair = cli.holonomy_pair(cli._E1)
-    nr = ResonanceClass("NonResonant")
-    s12 = ResonanceClass("Single", p=1, q=2)
-    d1 = ResonanceClass("Double", p=1)
-
-    def single(x1, x2, x3, shift=0.0):
-        return GroupElement(s12, (x1, x2, x3, 0.4 * (x3 - x1 * x2 ** 2) + shift))
-    return (
-        StructureSpec((GroupElement(nr, pair.alpha), GroupElement(nr, pair.beta),
-                       GroupElement(nr, (1 + 1e-3, 1 - 2e-3, 1 + 1e-3j))),
-                      base_config=cli._E1),
-        StructureSpec((single(2, 0.6, 0.5), single(1 + 1j, 0.5j, -0.3 + 0.2j),
-                       single(1.01, 1.02, 0.97, 1e-9 if fault else 0.0))),
-        StructureSpec((GroupElement(d1, (2 + 0.5j, np.diag([1.3, 0.7 - 0.2j]))),
-                       GroupElement(d1, (0.8, np.diag([0.5j, 1.1]))),
-                       GroupElement(d1, (1.02, np.diag([0.99, 1.03]))))),
-    )
 
 
 def _wide_charts(rng, n, scale):
