@@ -24,7 +24,7 @@ import numpy as np
 
 from .resonant_group import (PointV, _compose_data, _compose_rows,
                              _finite_check, _images, _inverse_data,
-                             _overflow, _to_point, apply, compose,
+                             _overflow, apply, compose,
                              element_from_params, identity, passed, replay)
 
 DEFAULT_WINDOW = 25
@@ -162,7 +162,8 @@ def orbit(pair, word, x):
     """Successive images of x under the words f^r g^s, (r, s) integers,
     named by the word; the returned list starts with x itself."""
     f, g = pair
-    x = _to_point(x)
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
     word = list(word)
     for entry in word:
         try:

@@ -413,26 +413,34 @@ def _suite_action(seed, fault):
 @click.argument("suite", type=click.Choice(
     ["group-laws", "gluing", "developing", "action", "all"]))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
-@click.option("--samples", default=100, show_default=True,
-              type=click.IntRange(1))
+@click.option("--samples", default=100, show_default=True, type=int)
 @click.option("--tol", default=VERIFY_TOL, show_default=True, type=float)
 @click.option("--p", default=1, show_default=True, type=int)
-@click.option("--q", default=2, show_default=True, type=click.IntRange(2))
+@click.option("--q", default=2, show_default=True, type=int)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
-@click.option("--inject-fault", "fault", is_flag=True, hidden=True,
+@click.option("--inject-fault", is_flag=True, hidden=True,
               help="debug: corrupt one input to force a failure")
-def verify(suite, seed, samples, tol, p, q, as_json, fault):
+def verify(suite, seed, samples, tol, p, q, as_json, inject_fault):
     """Run a seeded property suite and report the worst residual."""
+    if samples < 1:
+        raise click.UsageError("--samples must be >= 1")
     _check_options(tol)
-    suites = {
-        "group-laws": lambda: _suite_group_laws(seed, samples, tol, fault),
-        "gluing": lambda: _suite_gluing(seed, samples, tol, p, q, fault),
-        "developing": lambda: _suite_developing(seed, min(samples, 100), fault),
-        "action": lambda: _suite_action(seed, fault)}
+    if q < 2:
+        raise click.UsageError("--q must be >= 2")
+    wanted = ("group-laws", "gluing", "developing", "action") \
+        if suite == "all" else (suite,)
     results = []
-    for name in suites if suite == "all" else (suite,):
+    for name in wanted:
+        fault = inject_fault
         try:
-            result = suites[name]()
+            if name == "group-laws":
+                result = _suite_group_laws(seed, samples, tol, fault)
+            elif name == "gluing":
+                result = _suite_gluing(seed, samples, tol, p, q, fault)
+            elif name == "developing":
+                result = _suite_developing(seed, min(samples, 100), fault)
+            else:
+                result = _suite_action(seed, fault)
         except _REFUSALS as exc:
             result = {"name": name, "passed": False,
                       "failure": "%s: %s" % (type(exc).__name__, exc)}
@@ -447,8 +455,7 @@ def verify(suite, seed, samples, tol, p, q, as_json, fault):
 @main.command()
 @click.argument("path", type=click.Path())
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
-@click.option("--samples", default=100, show_default=True,
-              type=click.IntRange(1))
+@click.option("--samples", default=100, show_default=True, type=int)
 @click.option("--tol", default=1e-9, show_default=True, type=float)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def deform(path, seed, samples, tol, as_json):
@@ -458,6 +465,8 @@ def deform(path, seed, samples, tol, as_json):
     coefficient lists of [re, im] pairs (3, 4 or 1+4 coefficients per
     the regime), and, for the non-resonant regime, a base configuration
     under the key config."""
+    if samples < 1:
+        raise click.UsageError("--samples must be >= 1")
     _check_options(tol)
     doc = _load_document(path)
     try:

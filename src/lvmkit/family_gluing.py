@@ -33,9 +33,9 @@ import numpy as np
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
 from .resonance import (DEFAULT_BOUND, ResonanceClass, _log_screen,
                         _power_residual, _screened)
-from .resonant_group import (IllConditioned, _finite_check, _invertible,
-                             _null_vector, _points_ok, _power, _to_point,
-                             _twisted_roots, accepted, apply_many,
+from .resonant_group import (IllConditioned, PointV, _finite_check,
+                             _invertible, _null_vector, _points_ok, _power,
+                             _to_point, _twisted_roots, accepted, apply_many,
                              compose_many, identity, inverse_many, replay)
 from .rep_variety import _double_equations
 
@@ -306,8 +306,10 @@ def family_action_many(space, amat, bmat, word, x, p=None, q=None):
 
 def family_action(point, word, x):
     """Image of x under the (r, s) word of the point's Z^2 action."""
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
     y = family_action_many(point.space, point.amat[None], point.bmat[None],
-                           word, _to_point(x).array()[None], point.p, point.q)
+                           word, x.array()[None], point.p, point.q)
     return _to_point(y[0])
 
 
@@ -380,7 +382,8 @@ def glue_psi_p(point, x, p):
     """
     if point.space != "T":
         raise ValueError("glue_psi_p expects a T point")
-    x = _to_point(x)
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
     aout, bout, y = glue_psi_p_many(point.amat[None], point.bmat[None],
                                     np.array([point.lam]), x.array()[None], p)
     return FamilyPoint("S_p", aout[0], bout[0], p=int(p)), _to_point(y[0])
@@ -447,7 +450,8 @@ def invert_psi_p(point, x, p):
     """
     if point.space != "S_p" or point.p != p:
         raise ValueError("invert_psi_p expects an S_p point with matching p")
-    x = _to_point(x)
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
     amat, bmat, lam, y = invert_psi_p_many(point.amat[None], point.bmat[None],
                                            x.array()[None], p)
     return FamilyPoint("T", amat[0], bmat[0], lam=lam[0]), _to_point(y[0])
@@ -491,7 +495,8 @@ def glue_phi_pq(point, x, p, q):
     if point.space != "T_pq" or point.p != p or point.q != q:
         raise ValueError("glue_phi_pq expects a T_pq point with matching "
                          "indices")
-    x = _to_point(x)
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
     amat, bmat, y = glue_phi_pq_many(point.amat[None], point.bmat[None],
                                      x.array()[None], p, q)
     return FamilyPoint("T", amat[0], bmat[0], lam=point.lam), _to_point(y[0])
@@ -502,7 +507,8 @@ def invert_phi_pq(point, x, p, q):
     the twisted action and negate the polynomial point shear."""
     if point.space != "T":
         raise ValueError("invert_phi_pq expects a T point")
-    x = _to_point(x)
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
     amat, bmat, y = glue_phi_pq_many(point.amat[None], point.bmat[None],
                                      x.array()[None], p, q, invert=True)
     return (FamilyPoint("T_pq", amat[0], bmat[0], lam=point.lam,

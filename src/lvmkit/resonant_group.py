@@ -18,13 +18,15 @@ the 2x2 exp and log are closed forms in the eigenvalues.
 
 `compose_many`, `inverse_many` and `apply_many` evaluate the group laws
 on stacked parameter rows in numpy's own arithmetic, so a row agrees
-with the scalar function to rounding, not to the bit.  Each decides its
-refusals from those rows alone (a power that leaves the float range, an
-output that `GroupElement` or `PointV` refuses, a non-finite output) in
-one mask; only where it has a False are the checks built with which
-`replay` raises the error of the first refused row.  The scalar laws
-refuse a non-finite result as the arrays do, and `GroupElement` reads a
-2x2 determinant as they do, m11 m22 - m12 m21 (`_invertible`).  The
+with the scalar function to rounding, not to the bit.  Each returns,
+with its rows, plain (mask, fn, *rows) checks that decide its refusals
+from those rows alone: a power that leaves the float range, an output
+that `GroupElement` or `PointV` refuses, a non-finite output.  A clean
+call costs its arithmetic and masks; only `replay`, on a refused row,
+broadcasts the checks and raises the error of the first refused row.
+The scalar laws refuse a non-finite result as the arrays do, and all
+read a 2x2 matrix as invertible where m11 m22 != m12 m21 (`_invertible`)
+and invert it without raising where it is (`_inverse2`).  The
 twisted eigenvalues and their kernels are closed forms on stacks,
 `_twisted_roots` (a double root exactly, and at any scale: a quadratic
 whose terms could leave the normal range is first rescaled by powers of
@@ -102,11 +104,6 @@ def passed(checks):
     rows, for no check)."""
     return functools.reduce(np.logical_and, [check[0] for check in checks],
                             np.True_)
-
-
-def _verdict(ok, refusals):
-    """An array form's checks: (ok, None) if ok is all True, else refusals()."""
-    return [(ok, None)] if ok.all() else refusals()
 
 
 def accepted(result):
@@ -236,7 +233,9 @@ def _finite(x):
 
 
 def apply(f, x):
-    xi = _to_point(x).array()
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
+    xi = x.array()
     tag = f.regime.tag
     with np.errstate(all="ignore"):
         if tag == "NonResonant":
@@ -287,7 +286,7 @@ def _inverse_data(regime, a):
         a1, a2, a3, eps = a
         return (1 / a1, 1 / a2, 1 / a3,
                 -eps / (a3 * a1 ** regime.p * a2 ** regime.q))
-    mat = np.linalg.inv(np.reshape(a[1:], (2, 2)))
+    mat = _inverse2(np.reshape(a[1:], (1, 2, 2)))[0]
     return (1 / a[0], *tau(1 / a[0], regime.p, mat).ravel().tolist())
 
 
@@ -299,23 +298,65 @@ def inverse(f):
 
 
 def _to_point(xi):
-    return xi if isinstance(xi, PointV) else PointV(tuple(xi))
+    return PointV(tuple(xi))
+
+
+def _ldexp(z, n):
+    """z 2^n for complex z, exactly where no part leaves the normal range."""
+    return np.ldexp(z[..., None].view(float), n[..., None]).view(complex)[..., 0]
+
+
+def _determinant2(m):
+    """(s, d, t) for the 2x2 matrices m (..., 2, 2): d = s11 s22 - s12 s21
+    of s = m 2^t.  t is 0 where that d of m itself is finite and not 0.
+    Where the products are equal or one leaves the float range, t is
+    [[-e11, -e12], [e12 - k, e11 - k]], with e_ij the exponent of the
+    larger part of m_ij and k = max(e11 + e22, e12 + e21): it scales both
+    products by 2^-k exactly, so that neither overflows, nor underflows
+    unless it is negligible beside the other."""
+    with np.errstate(all="ignore"):
+        d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+        if d.all() and np.isfinite(d).all():
+            return m, d, 0
+        m = np.asarray(m, dtype=complex)
+        parts = m[..., None].view(float)
+        e = np.where(parts != 0, np.frexp(parts)[1], -3000).max(-1)
+        k = np.maximum(e[..., 0, 0] + e[..., 1, 1], e[..., 0, 1] + e[..., 1, 0])
+        t = np.stack([-e[..., 0, :], e[..., 0, ::-1] - k[..., None]], -2)
+        redo = (d == 0) | ~np.isfinite(d)
+        s = _ldexp(m, t := np.where(redo[..., None, None], t, 0))
+        return s, s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0], t
 
 
 def _invertible(m):
-    """Where m11 m22 - m12 m21 of the 2x2 matrices m (..., 2, 2) is not 0,
-    read as m11 m22 != m12 m21, so two equal infinite products are 0 too.
-    One matrix is read as a stack of one, to round as a stack's rows do."""
+    """Where d of `_determinant2` is not 0 (a non-finite entry passes)."""
+    return _determinant2(m)[1] != 0
+
+
+def _inverse2(m):
+    """The inverses of the 2x2 matrices m (..., 2, 2): by LU where it meets
+    no zero pivot, else adj(s) / d 2^(t^T) of `_determinant2`, whose d is
+    not 0 where `_invertible` holds, so that no matrix raises."""
     with np.errstate(all="ignore"):
-        return m[..., 0, 0] * m[..., 1, 1] != m[..., 0, 1] * m[..., 1, 0]
+        try:
+            return np.linalg.inv(m)
+        except np.linalg.LinAlgError:  # a zero pivot: det reads 0 there
+            lu = (np.linalg.det(m) != 0)[..., None, None]
+        s, d, t = _determinant2(m)
+        adj = s[..., ::-1, ::-1].swapaxes(-1, -2) * [[1, -1], [-1, 1]]
+        t = np.broadcast_to(t, m.shape).swapaxes(-1, -2)
+        return np.where(lu, np.linalg.inv(np.where(lu, m, np.eye(2))),
+                        _ldexp(adj / d[..., None, None], t))
 
 
 def _element_check(regime, h):
-    """The rows h (..., k) that `GroupElement` takes."""
+    """The check refusing the rows h (..., k) that `GroupElement` refuses."""
     if regime.tag == "Double":
-        return (h[..., 0] != 0) & _invertible(
+        ok = (h[..., 0] != 0) & _invertible(
             h[..., 1:].reshape(h.shape[:-1] + (2, 2)))
-    return (h[..., :3] != 0).all(axis=-1)
+    else:
+        ok = (h[..., :3] != 0).all(axis=-1)
+    return ok, element_from_params, regime, h
 
 
 def _compose_rows(regime, a, b):
@@ -340,14 +381,12 @@ def _compose_rows(regime, a, b):
 
 def compose_many(regime, a, b):
     """`compose` on parameter rows (`GroupElement.params`) a, b (N, k) in
-    numpy's arithmetic: the rows of `_compose_rows` and, by `_verdict`, the
-    `replay` checks refusing a row where a power leaves the float range,
-    where `GroupElement` refuses it and where it is not finite, in order."""
-    h, powers = _compose_rows(regime, a, b)
+    numpy's arithmetic: the rows of `_compose_rows` and the `replay` checks
+    refusing a row where a power leaves the float range, where `GroupElement`
+    refuses it and where it is not finite, in this order."""
+    h, checks = _compose_rows(regime, a, b)
     with np.errstate(all="ignore"):
-        element, finite = _element_check(regime, h), np.isfinite(h).all(-1)
-    return h, _verdict(passed(powers) & element & finite, lambda: powers + [
-        (element, element_from_params, regime, h), (finite, _overflow, h)])
+        return h, checks + [_element_check(regime, h), _finite_check(h)]
 
 
 def inverse_many(regime, a):
@@ -356,27 +395,23 @@ def inverse_many(regime, a):
     elements; the Single regime's quotient by a3 a1^p a2^q refuses a
     denominator that is 0, as Python's complex division does."""
     with np.errstate(all="ignore"):
-        given, powers = _element_check(regime, a), []
+        checks = [_element_check(regime, a)]
         h = 1 / a
         if regime.tag == "Single":
             x, cx = _power_check(a[:, 0], regime.p)
             y, cy = _power_check(a[:, 1], regime.q)
             den = a[:, 2] * x * y
-            powers = cx + cy + [(den != 0, _zero_division, den)]
+            checks += cx + cy + [(den != 0, _zero_division, den)]
             h[:, 3] = -a[:, 3] / den
         elif regime.tag == "Double":
-            t = np.linalg.inv(np.where(given[:, None, None],
-                                       a[:, 1:].reshape(-1, 2, 2), np.eye(2)))
+            t = _inverse2(a[:, 1:].reshape(-1, 2, 2))
             x, cx = _power_check(h[:, 0], -regime.p)
             y, cy = _power_check(h[:, 0], regime.p)
-            powers = cx + cy
+            checks += cx + cy
             t[:, 0, 1] *= x
             t[:, 1, 0] *= y
             h[:, 1:] = t.reshape(-1, 4)
-        element, finite = _element_check(regime, h), np.isfinite(h).all(-1)
-    return h, _verdict(given & passed(powers) & element & finite, lambda: [
-        (given, element_from_params, regime, a)] + powers + [
-        (element, element_from_params, regime, h), (finite, _overflow, h)])
+        return h, checks + [_element_check(regime, h), _finite_check(h)]
 
 
 def _images(regime, h, x):
@@ -400,17 +435,14 @@ def _images(regime, h, x):
 
 def apply_many(regime, h, x):
     """`apply` of the parameter rows h (..., k) to the points x (..., 3),
-    broadcast against each other, in numpy's arithmetic: the images and,
-    by `_verdict`, the `replay` checks that refuse, in this order, a row h
-    that is no group element, a power of a point that leaves the float
-    range, an image off V and a non-finite image."""
+    broadcast against each other, in numpy's arithmetic: the images and
+    the `replay` checks that refuse, in this order, a row h that is no
+    group element, a power of a point that leaves the float range, an
+    image off V and a non-finite image."""
     y, powers = _images(regime, h, x)
     with np.errstate(all="ignore"):
-        element, points = _element_check(regime, h), _points_ok(y)
-        finite = np.isfinite(y).all(-1)
-    return y, _verdict(element & passed(powers) & points & finite, lambda: [
-        (element, element_from_params, regime, h)] + powers + [
-        (points, _to_point, y), (finite, _overflow, y)])
+        return y, [_element_check(regime, h)] + powers + [
+            (_points_ok(y), _to_point, y), _finite_check(y)]
 
 
 def conjugate(h, f):
@@ -471,11 +503,9 @@ def _twisted_roots(ap, m):
         exps.reshape(z.shape + (2,)).max(-1), -1, 0)
     k = np.maximum(np.maximum(k11 + j, k22), (j + k12 + k21 + 1) // 2)
     g = (j + k12 - k21) // 2
-    shift = np.stack([-j, j - k, j - k - g, g - k, -k], -1)[..., None]
-    z = np.ldexp(z[..., None].view(float), shift).view(complex)[..., 0]
+    z = _ldexp(z, np.stack([-j, j - k, j - k - g, g - k, -k], -1))
     r = _quadratic_roots(z[..., 0], z[..., 1:].reshape(m.shape))
-    return np.ldexp(r[..., None].view(float), (k - j)[..., None, None]
-                    ).view(complex)[..., 0]
+    return _ldexp(r, (k - j)[..., None])
 
 
 def _quadratic_roots(ap, m):

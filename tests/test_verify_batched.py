@@ -13,6 +13,7 @@ a loop over its rows raises on the first row it refuses.
 """
 
 import cmath
+import functools
 import warnings
 
 import numpy as np
@@ -26,7 +27,7 @@ from verify_bounds import (GAMMA, HUGE, TINY, U, action_sizes, chart_ops,
                            invert_psi_errors, law_exponents, law_ops,
                            law_sizes, near_end, near_range, phi_sizes, psi_sizes, residual_errors)
 from click.testing import CliRunner
-from lvmkit import cli, resonant_group
+from lvmkit import cli, developing, family_gluing, resonant_group
 from lvmkit.developing import (build_structure, check_structure,
                                sample_cover_points)
 from lvmkit.family_gluing import (DENOM_TOL, FamilyPoint, _charts_ok,
@@ -230,15 +231,17 @@ class TestGroupLaws:
 
 
 # 2x2 blocks at and near a zero determinant: a rank-one block whose
-# products round alike, exact dyadic rank one, equal and opposite infinite
-# products, products that underflow, one ulp off and half an ulp off (which
-# rounds to rank one), a wide diagonal, and rank-one rows whose last entry
-# is a rounded quotient, so that their products differ in the last bits
+# products round alike, exact dyadic rank one, equal and opposite products
+# beyond the float range, products that underflow, one ulp off and half an
+# ulp off (which rounds to rank one), a wide diagonal, rank-one rows whose
+# last entry is a rounded quotient, so that their products differ in the
+# last bits, and an exact rank-one block and an invertible one whose
+# entries are beyond 2^512, where a complex product overflows
 NEAR_SINGULAR = {
     "one-third": [[3, 1], [1, 1 / 3]],
     "dyadic-rank-one": [[0.5 + 0.5j, 4 + 2j], [1, 6 - 2j]],
-    "equal-infinite-products": [[1e200, 1e200], [1e200, 1e200]],
-    "opposite-infinite-products": [[1e200, 1e200], [1e200, -1e200]],
+    "equal-overflowing-products": [[1e200, 1e200], [1e200, 1e200]],
+    "opposite-overflowing-products": [[1e200, 1e200], [1e200, -1e200]],
     "underflowing-products": [[1e-200, 0], [0, 1e-200]],
     "one-ulp-off": [[1, 1], [1, 1 + 2 ** -52]],
     "half-ulp-off": [[1, 1], [1, 1 + 2 ** -53]],
@@ -253,19 +256,27 @@ NEAR_SINGULAR = {
     "rounded-rank-one-d": [[0.22 + 0.62j, 1.08 - 0.93j],
                            [-1.15 - 0.71j,
                             -0.5333456561922368 + 2.878974121996303j]],
+    "complex-rank-one-beyond-2^512": (2.0 ** 600 * (1 + 1j) * np.ones((2, 2))
+                                      ).tolist(),
+    "invertible-beyond-2^512": [[2.0 ** 600, 2.0 ** 600],
+                                [2.0 ** 600, 2.0 ** 601]],
 }
 
 
 class TestDeterminantAgreement:
     """The scalar `GroupElement`, `_element_check`, `_charts_ok` and
     `FamilyPoint` read a 2x2 determinant by one formula, m11 m22 - m12 m21
-    in numpy's array arithmetic, and refuse the same blocks."""
+    in numpy's array arithmetic on entries rescaled by powers of two where
+    a product could leave the float range, and refuse the same blocks;
+    `inverse` and `inverse_many` invert each block that they take."""
+
+    NAMES = sorted(NEAR_SINGULAR)
+    MATS = np.array([NEAR_SINGULAR[n] for n in NAMES], dtype=complex)
+    ROWS = np.concatenate([np.ones((len(MATS), 1)), MATS.reshape(-1, 4)],
+                          axis=1)
 
     def test_same_refusals(self):
-        names = sorted(NEAR_SINGULAR)
-        mats = np.array([NEAR_SINGULAR[n] for n in names], dtype=complex)
-        rows = np.concatenate([np.ones((len(mats), 1)), mats.reshape(-1, 4)],
-                              axis=1)
+        mats, rows = self.MATS, self.ROWS
         charts = np.zeros((len(mats), 3, 3), dtype=complex)
         charts[:, 0, 0], charts[:, 1:, 1:] = 1, mats
         eye = np.broadcast_to(np.eye(3), charts.shape)
@@ -274,7 +285,7 @@ class TestDeterminantAgreement:
                   for a in charts]
         refused = [isinstance(out, str) for out in scalar]
         assert refused == [isinstance(out, str) for out in points]
-        assert refused == (~_element_check(REGIMES[3], rows)).tolist()
+        assert refused == (~_element_check(REGIMES[3], rows)[0]).tolist()
         assert refused == (~_charts_ok("S_p", charts, eye)).tolist()
         assert refused == (~passed(compose_many(
             REGIMES[3], rows, np.array([identity(REGIMES[3]).params()]))[1]
@@ -283,36 +294,78 @@ class TestDeterminantAgreement:
             "ValueError: Double element needs a1 != 0 and invertible M"}
         assert {out for out in points if isinstance(out, str)} == {
             "ValueError: matrices must be invertible"}
-        assert {n for n, r in zip(names, refused) if r} == {
-            "one-third", "dyadic-rank-one", "equal-infinite-products",
-            "underflowing-products", "half-ulp-off", "rounded-rank-one-a",
-            "rounded-rank-one-b"}
+        assert {n for n, r in zip(self.NAMES, refused) if r} == {
+            "one-third", "dyadic-rank-one", "equal-overflowing-products",
+            "half-ulp-off", "rounded-rank-one-a", "rounded-rank-one-b",
+            "complex-rank-one-beyond-2^512"}
         # the rows whose refusal differs from np.linalg.det's, an LU
-        # factorization, which reads the last two as singular and the
-        # first two as invertible
+        # factorization, which reads the first two as invertible and the
+        # others as singular
         with np.errstate(all="ignore"):
             lu = (np.linalg.det(mats) == 0).tolist()
-        assert {n for n, r, d in zip(names, refused, lu) if r != d} == {
+        assert {n for n, r, d in zip(self.NAMES, refused, lu) if r != d} == {
             "rounded-rank-one-a", "rounded-rank-one-b", "rounded-rank-one-c",
-            "rounded-rank-one-d"}
+            "rounded-rank-one-d", "underflowing-products"}
+
+    @pytest.mark.parametrize("regime", [REGIMES[3], REGIMES[4]])
+    def test_inverse_of_every_block_taken(self, regime):
+        # the blocks LU reads as singular are inverted too, and a batch
+        # raises the refusal of its first refused row, here row 0 (a1 = 0)
+        with np.errstate(all="ignore"):
+            lu = np.linalg.det(self.MATS) != 0
+            cond = np.linalg.cond(self.MATS)
+        taken = set()
+        for name, row, m, k in zip(self.NAMES, self.ROWS, self.MATS, cond):
+            f = _outcome(GroupElement, regime, (1, m))
+            want = f if isinstance(f, str) else _outcome(inverse, f)
+            got = _outcome(lambda: accepted(inverse_many(regime, row[None])))
+            if isinstance(want, str):
+                assert got == want
+            else:
+                taken.add(name)
+                assert np.array_equal(got[0], want.params())
+                if k < 1e8:
+                    assert np.abs(want.data[1] @ m - np.eye(2)).max() <= 1e-14
+            first = _outcome(accepted, inverse_many(regime, np.array(
+                [[0, 1, 0, 0, 1], row])))
+            assert first == ("ValueError: Double element needs a1 != 0 "
+                             "and invertible M")
+        assert taken - {n for n, ok in zip(self.NAMES, lu) if ok} == {
+            "rounded-rank-one-c", "rounded-rank-one-d", "underflowing-products"}
 
 
-class TestCleanCallsBuildNoRefusal:
-    """A group law none of whose rows is refused returns its mask alone and
-    builds no refusal checks: `verify all` builds none."""
+class TestCleanCallsStayLean:
+    """A group law returns its checks as plain (mask, fn, *rows) tuples
+    over its own arrays: no check binds its function (`functools.partial`)
+    or broadcasts a mask or a row, which `replay` does for the row it
+    raises for.  `verify all` calls the laws and builds neither."""
+
+    LAWS = ("compose_many", "inverse_many", "apply_many")
 
     @staticmethod
-    def _counting(monkeypatch):
-        counts = {"calls": 0, "built": 0}
-        verdict = resonant_group._verdict
+    def _built(checks):
+        """The checks of a law's return that are bound or broadcast."""
+        def broadcast(r):
+            return any(n > 1 and step == 0 for n, step in
+                       zip(np.shape(r), getattr(r, "strides", ())))
+        return sum(isinstance(fn, functools.partial)
+                   or any(broadcast(r) for r in (ok, *rows))
+                   for ok, fn, *rows in checks)
 
-        def counting_verdict(ok, refusals):
-            def build():
-                counts["built"] += 1
-                return refusals()
-            counts["calls"] += 1
-            return verdict(ok, build)
-        monkeypatch.setattr(resonant_group, "_verdict", counting_verdict)
+    def _counting(self, monkeypatch):
+        counts = {"calls": 0, "built": 0}
+        modules = (resonant_group, developing, family_gluing, cli)
+        for name in self.LAWS:
+            law = getattr(resonant_group, name)
+
+            def counting(*args, law=law):
+                out, checks = law(*args)
+                counts["calls"] += 1
+                counts["built"] += self._built(checks)
+                return out, checks
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
         return counts
 
     def test_verify_all_builds_none(self, monkeypatch):
@@ -322,13 +375,13 @@ class TestCleanCallsBuildNoRefusal:
         assert result.exit_code == 0
         assert counts["calls"] > 0 and counts["built"] == 0
 
-    def test_refused_row_builds_its_checks(self, monkeypatch):
-        counts = self._counting(monkeypatch)
-        a = np.ones((3, 3), dtype=complex)
-        a[1, 0] = 1e-170
-        with pytest.raises(ValueError, match="three nonzero scalars"):
-            accepted(compose_many(REGIMES[0], a, a))
-        assert counts == {"calls": 1, "built": 1}
+    def test_broadcast_check_is_seen(self):
+        # the count does see a broadcast mask, as the laws built them before
+        ok = np.broadcast_to(np.ones(1, dtype=bool), (3,))
+        assert self._built([(ok, resonant_group._overflow, np.ones((3, 3)))]
+                           ) == 1
+        assert self._built([(np.ones(3, dtype=bool), functools.partial(
+            resonant_group._overflow), np.ones((3, 3)))]) == 1
 
 
 def _values(result):
