@@ -10,11 +10,13 @@ the words f^r g^s from them by `_compose_rows`, the unchecked arithmetic
 of `compose_many`.  Each word is decided as its row reads, so a word
 whose entries round to 0 or leave the float range has no fixed point
 and no return; a word is refused only where a diagonal multiplier of it
-may be any number (`_unread`).  The arrays screen, and each candidate is
-decided alone: the certificate composes and solves each word whose
-scalar part is near 1 as one row, and the probe applies blocks of words
-to all samples at once.  It draws them in one batch (other points per
-seed than the earlier per-sample draw), as `PointV`s only if one returns.
+may be any number (`_unread`, formed only where a power is not finite).
+The arrays screen, and each candidate is decided alone: the certificate
+composes and solves each word whose scalar part is near 1 as one row.
+The probe skips words that send every sample out of the annulus in |xi1|
+or in a NonResonant fibre, and applies the rest to its first sample and
+those that do not return there to the others.  It draws its samples in
+one batch, as `PointV`s only if one returns.
 """
 
 from dataclasses import dataclass
@@ -71,10 +73,13 @@ def _grid(bound):
 
 
 def _unread(a, b):
-    """Where the product a b of scalar coordinates of two powers may be any
-    number, 1 included: one left the float range (inf or nan) and the
-    other has modulus below 1 (0 included)."""
-    return ~np.isfinite(a) & (np.abs(b) < 1) | (np.abs(a) < 1) & ~np.isfinite(b)
+    """Where a product a b of scalar coordinates of two powers, over the
+    last axis, may be any number, 1 included: one is inf or nan and the
+    other has modulus below 1 (0 included); nowhere if both are finite."""
+    if np.isfinite(a).all() and np.isfinite(b).all():
+        return np.zeros(np.broadcast_shapes(a.shape, b.shape)[:-1], bool)
+    return (~np.isfinite(a) & (np.abs(b) < 1)
+            | (np.abs(a) < 1) & ~np.isfinite(b)).any(axis=-1)
 
 
 def _near_one(z, tol):
@@ -121,6 +126,11 @@ def _fixed_point_witness(regime, h, tol):
     return None
 
 
+def _at_least(n, least):
+    """Whether n is an integer (numpy's included) of at least least."""
+    return isinstance(n, (int, np.integer)) and n >= least
+
+
 def _regime(pair):
     """The regime of a pair, whose generators must share it."""
     f, g = pair
@@ -137,14 +147,14 @@ def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
     for rounding, are composed, each alone, and solved, in loop order; a
     word whose scalar part cannot be read (`_unread`) is refused there.
     """
-    if window < 1:
-        raise ValueError("need window >= 1, got %r" % (window,))
+    if not _at_least(window, 1):
+        raise ValueError("need window >= 1, an integer, got %r" % (window,))
     regime = _regime(pair)
     f, g = pair
     with np.errstate(all="ignore"):
         fp, gp = _powers(f, window), _powers(g, window)
         h1 = np.multiply.outer(fp[:, 0], gp[:, 0])
-        unread = _unread(fp[:, 0, None], gp[None, :, 0])
+        unread = _unread(fp[:, None, :1], gp[None, :, :1])
         near = unread | (np.abs(h1 - 1) <= 2 * tol + _SLACK * np.abs(h1))
         near[window, window] = False
         for i, j in np.argwhere(near).tolist():
@@ -233,6 +243,14 @@ def _samples(radius, samples, seed):
     return np.column_stack([xi1, v])
 
 
+def _leaves(small, big, m, radius):
+    """Which multipliers with moduli in [small, big] (normal, so accurate)
+    send every modulus m beyond a bound of the annulus by the allowance."""
+    low = (1 / radius) * (1 - _SLACK) / m.max()
+    high = radius * (1 + _SLACK) / m.min()
+    return (big >= _TINY) & (big < low) | (small > high)
+
+
 def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
                      samples=20, seed=0):
     """Look for words moving the compact annulus K back onto itself.
@@ -240,16 +258,19 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
     Words f^r g^s with max(|r|, |s|) in [horizon/2, horizon] are applied
     to seeded sample points of K; any image landing in K again is
     reported as a falsification candidate.  Finding none proves nothing.
-    Each word is reported once, with the first sample it returns.  In
-    loop order, a word whose diagonal multipliers cannot be read
-    (`_unread`) raises OverflowError, and a word that meets a sample whose
-    powers the Double regime's tau refuses, before its first return,
-    raises that refusal.
+    Each word is reported once, with the first sample it returns.  Words
+    whose |h_1|, or NonResonant fibre multipliers, send every sample
+    beyond a bound of K are skipped; the first sample meets every other
+    word, the others only those that do not return there.  In loop order,
+    a word whose diagonal multipliers cannot be read (`_unread`) raises
+    OverflowError, and a word that meets a sample whose powers the Double
+    regime's tau refuses, before its first return, raises that refusal.
     """
-    if not 1 < compact_radius < np.inf or horizon < 1 or samples < 1:
-        raise ValueError(
-            "need a finite compact_radius > 1, horizon >= 1 and samples >= 1,"
-            " got %r, %r and %r" % (compact_radius, horizon, samples))
+    if not (1 < compact_radius < np.inf and _at_least(horizon, 1)
+            and _at_least(samples, 1) and _at_least(seed, 0)):
+        raise ValueError("need a finite compact_radius > 1, integers horizon "
+                         ">= 1, samples >= 1 and seed >= 0, got %r, %r, %r and"
+                         " %r" % (compact_radius, horizon, samples, seed))
     regime = _regime(pair)
     f, g = pair
     x = _samples(compact_radius, samples, seed)
@@ -257,40 +278,49 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
     band = np.maximum(abs(r), abs(s)) >= (horizon + 1) // 2
     r, s = r[band], s[band]
     block = max(1, _BLOCK // samples)
-    m = np.abs(x[:, 0])
+    m1, m23 = np.abs(x[:, 0]), np.hypot(np.abs(x[:, 1]), np.abs(x[:, 2]))
     diagonal = 1 if regime.tag == "Double" else 3
-    violations = []
+    words, returns = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        # images have |xi1| = |h_1| |x_1| to a few ulp: a word whose |h_1|
-        # (normal, so accurate) sends every |x_1| beyond a bound by the
-        # allowance returns no sample
-        low = (1 / compact_radius) * (1 - _SLACK) / m.max()
-        high = compact_radius * (1 + _SLACK) / m.min()
         fp, gp = _powers(f, horizon), _powers(g, horizon)
+        unread = _unread(fp[:, None, :diagonal],
+                         gp[None, :, :diagonal]).ravel()[band]
+        powers = _images(regime, fp[:0, None], x)[1]  # of the samples alone
+        suspect = np.flatnonzero(~passed(powers))
+        limit = suspect[0] if suspect.size else samples
         for c in range(0, r.size, block):
             rc, sc = r[c:c + block], s[c:c + block]
-            fr, gs = fp[rc + horizon], gp[sc + horizon]
-            unread = _unread(fr[:, :diagonal], gs[:, :diagonal]).any(axis=1)
-            h = _compose_rows(regime, fr, gs)[0]
+            h = _compose_rows(regime, fp[rc + horizon], gp[sc + horizon])[0]
+            # to a few ulp, images have |xi1| = |h_1| |x_1| and NonResonant
+            # fibre moduli within min, max(|h_2|, |h_3|) times |x_23|
             a = np.abs(h[:, 0])
-            live = ~((a >= _TINY) & ((a < low) | (a > high)))
-            y, powers = _images(regime, h[live, None], x)
-            inside = _in_annulus(y, compact_radius)
+            dead = _leaves(a, a, m1, compact_radius)
+            if regime.tag == "NonResonant":
+                a2, a3 = np.abs(h[:, 1]), np.abs(h[:, 2])
+                dead |= _leaves(np.minimum(a2, a3), np.maximum(a2, a3), m23,
+                                compact_radius)
+            live = np.flatnonzero(~dead)
+            back = _in_annulus(_images(regime, h[live, None], x[:1])[0],
+                               compact_radius)[:, 0]
             first = np.full(rc.size, samples)
-            first[live] = np.where(inside.any(axis=1), inside.argmax(axis=1),
-                                   samples)
+            first[live[back]] = 0
+            later = live[~back]
+            if later.size and samples > 1:
+                inside = _in_annulus(_images(regime, h[later, None], x[1:])[0],
+                                     compact_radius)
+                first[later] = np.where(inside.any(axis=1),
+                                        1 + inside.argmax(axis=1), samples)
             # in loop order, a word that cannot be read raises, and so does
-            # a word that meets a sample whose powers apply refuses, before
-            # its first return, with that sample's refusal
-            suspect = np.flatnonzero(~passed(powers))
-            refused = unread | (first > suspect[0] if suspect.size else False)
+            # a word that meets a suspect sample before its first return
+            refused = unread[c:c + block] | (first > limit)
             if refused.any():
                 k = np.argmax(refused)
-                if unread[k]:
+                if unread[c + k]:
                     _overflow(h[k])
                 replay(*powers)
             hit = first < samples
-            violations += np.column_stack([rc, sc, first])[hit].tolist()
-    pts = [PointV(xi) for xi in x.tolist()] if violations else []
+            words += zip(rc[hit].tolist(), sc[hit].tolist())
+            returns += first[hit].tolist()
+    pts = [PointV(xi) for xi in x.tolist()] if words else []
     return PropernessReport(horizon, compact_radius, samples, seed, tuple(
-        [((i, j), pts[n]) for i, j, n in violations]))
+        zip(words, map(pts.__getitem__, returns))))

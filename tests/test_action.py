@@ -135,7 +135,7 @@ class TestFixedPointCertificate:
 
     def test_vacuous_window_rejected(self):
         assert not fixed_point_certificate(UNIT_PAIR, window=6).fixed_point_free
-        for window in (0, -3):
+        for window in (0, -3, 2.5):
             with pytest.raises(ValueError, match="need window >= 1"):
                 fixed_point_certificate(UNIT_PAIR, window=window)
 
@@ -244,6 +244,12 @@ class TestPropernessProbe:
             properness_probe(DIAG_PAIR, compact_radius=0.5)
         with pytest.raises(ValueError):
             properness_probe(DIAG_PAIR, horizon=0)
+        # refused by name, not inside numpy
+        for kwargs in ({"horizon": 2.5}, {"samples": 2.5}, {"seed": -1},
+                       {"seed": 0.5}):
+            with pytest.raises(ValueError, match="integers horizon >= 1, "
+                               "samples >= 1 and seed >= 0"):
+                properness_probe(DIAG_PAIR, **kwargs)
 
     @pytest.mark.parametrize("kwargs", [
         {"samples": 0}, {"samples": -2},
@@ -288,6 +294,24 @@ class TestPropernessProbe:
             fixed_point_certificate(pair)
             properness_probe(pair, horizon=8, samples=5)
         assert calls["apply"] == calls["element_check"] == 0
+
+    def test_images_only_where_undecided(self, monkeypatch):
+        # every word of a root-of-unity pair returns at the first sample,
+        # which no other sample meets, and the fibre screen decides every
+        # word of the reference pair that the |h_1| screen keeps
+        images = []
+        formed = lvmkit.action._images
+
+        def counting_images(regime, h, x):
+            y, checks = formed(regime, h, x)
+            images.append(y.size // 3)
+            return y, checks
+
+        monkeypatch.setattr(lvmkit.action, "_images", counting_images)
+        for pair, count in ((UNIT_PAIR, 1320), (DIAG_PAIR, 0)):
+            images.clear()
+            properness_probe(pair, horizon=20, samples=20)
+            assert sum(images) == count
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([1.01, 1e2, 1e154, 1e300, 1.79e308]),
@@ -421,10 +445,11 @@ def _image_ambiguous(pair, radius, horizon, samples, seed):
 class TestAgainstOracle:
     """The array searches report what word-by-word evaluation reports,
     witness words and points included, and raise what it raises; no word
-    refusal is left out.  The probe composes and applies words in blocks,
-    whose products may differ from the oracle's in the last bits, so a
-    probe with an image within its error bound of a bound of the annulus,
-    or with a term beyond the float range, is left out."""
+    refusal is left out.  The probe composes words in blocks and applies
+    them to the first sample, then to the others, in arrays whose products
+    may differ from the oracle's in the last bits, so a probe with an image
+    within its error bound of a bound of the annulus, or with a term
+    beyond the float range, is left out."""
 
     @settings(max_examples=150, deadline=None)
     @given(action_pairs(), st.integers(1, 8), st.integers(1, 5),
@@ -587,6 +612,36 @@ class TestAgainstOracle:
         assert _outcome(oracle_probe, *args).startswith(
             "ZeroDivisionError" if seed == 3 else "PropernessReport")
 
+    @pytest.mark.parametrize("pair,seed", [(SINGLE_PAIR, 0), (DOUBLE_PAIR, 4)])
+    def test_returns_after_the_first_sample(self, pair, seed):
+        # words first return at five different samples of the eight, so
+        # the samples after the first meet the words that did not return
+        # there
+        args = (pair, 100.0, 8, 8, seed)
+        report = properness_probe(*args)
+        assert len({x for _, x in report.violations}) >= 3
+        assert repr(report) == _outcome(oracle_probe, *args)
+
+    @pytest.mark.parametrize("seed,report", [
+        (0, "PropernessReport"), (16, "PropernessReport"),
+        (12, "OverflowError")])
+    def test_refused_sample_after_the_first(self, seed, report):
+        # the first sample's powers xi1^-2 and xi1^2 are floats, a later
+        # one's are not: every word returns before it at seed 0 (at the
+        # first sample) and 16 (some at the second), and a word that does
+        # not return at the first sample meets it at seed 12
+        d2 = ResonanceClass("Double", p=2)
+        pair = (GroupElement(d2, (1.5, np.array([[2, 0.3], [0.1, 1]]))),
+                GroupElement(d2, (0.5, np.eye(2) * 0.7)))
+        xi1 = _samples(1e300, 6, seed)[:, 0]
+        with np.errstate(all="ignore"):
+            refused = ~np.isfinite(xi1 ** -2) | ~np.isfinite(xi1 ** 2)
+        assert not refused[0] and refused[1:].any()
+        args = (pair, 1e300, 3, 6, seed)
+        outcome = _outcome(properness_probe, *args)
+        assert outcome.startswith(report)
+        assert outcome == _outcome(oracle_probe, *args)
+
     def test_every_word_of_a_unit_pair_returns(self):
         report = properness_probe(UNIT_PAIR, horizon=6, samples=3, seed=5)
         assert len(report.violations) == 13 ** 2 - 5 ** 2
@@ -629,16 +684,31 @@ class TestScreenBoundaries:
         ("xi1", "outer", 100.0, 3),
         ("xi1", "inner", 1e6, 4),
         ("fiber", "inner", 100.0, 1),
-        ("fiber", "outer", 100.0, 36)],
+        ("fiber", "outer", 100.0, 36),
+        ("fiber-phase", "inner", 100.0, 6),
+        ("fiber-phase", "outer", 100.0, 10),
+        ("fiber-phase", "inner", 1e6, 15),
+        ("fiber-phase", "outer", 1e6, 13),
+        ("fiber-unequal", "inner", 100.0, 13),
+        ("fiber-unequal", "outer", 100.0, 21)],
         ids=["word-and-image-inner", "word-outer", "image-outer",
-             "word-and-image-inner-1e6", "fiber-inner", "fiber-outer"])
+             "word-and-image-inner-1e6", "fiber-inner", "fiber-outer",
+             "fiber-word-inner", "fiber-word-outer", "fiber-word-inner-1e6",
+             "fiber-word-outer-1e6", "fiber-unequal-inner",
+             "fiber-unequal-outer"])
     def test_planted_image_near_bound(self, coord, bound, radius, seed):
+        # the words (1, a, a e^{i theta}) meet the fibre screen by |a|; for
+        # (1, a/2, 2ia) its bounds by min and max(|h_2|, |h_3|) are loose
+        # and the images decide
         xi = _sample(radius, seed)
-        m = abs(xi[0]) if coord == "xi1" else np.hypot(abs(xi[1]), abs(xi[2]))
+        u, v = {"fiber": (1, 1), "fiber-unequal": (0.5, 2j)}.get(
+            coord, (1, np.exp(0.7j)))
+        m = abs(xi[0]) if coord == "xi1" else np.hypot(abs(u) * abs(xi[1]),
+                                                       abs(v) * abs(xi[2]))
         a0 = (1 / radius if bound == "inner" else radius) / m
         for k in range(-8, 9):
             a = a0 * (1 + k * 2.0 ** -52)
-            f = (a, 1, 1) if coord == "xi1" else (1, a, a)
+            f = (a, 1, 1) if coord == "xi1" else (1, u * a, v * a)
             args = ((GroupElement(NR, f), identity(NR)), radius, 1, 1, seed)
             assert _outcome(properness_probe, *args) == \
                 _outcome(oracle_probe, *args)
