@@ -4,10 +4,10 @@ fixed-point certificates, orbits, and a properness falsification probe.
 The probe never claims properness: its positive outcome is only "no
 violation found" over the sampled window.
 
-Both searches build the powers of each generator once as parameter
-rows, chained on Python complex numbers and not validated, and compose
-the words f^r g^s from them by `_compose_rows`, the unchecked arithmetic
-of `compose_many`.  Each word is decided as its row reads, so a word
+Both searches build the powers of the generators once as parameter rows
+by one `power_many` call, not validated, and compose the words f^r g^s
+from them by `_compose_rows`, the unchecked arithmetic of
+`compose_many`.  Each word is decided as its row reads, so a word
 whose entries round to 0 or leave the float range has no fixed point
 and no return; a word is refused only where a diagonal multiplier of it
 may be any number (`_unread`, formed only where a power is not finite).
@@ -24,10 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .resonant_group import (PointV, _compose_data, _compose_rows,
-                             _finite_check, _images, _inverse_data,
-                             _overflow, apply, compose,
-                             element_from_params, identity, passed, replay)
+from .resonant_group import (PointV, _compose_rows, _finite_check, _images,
+                             _overflow, accepted, apply, compose,
+                             element_from_params, passed, power_many, replay)
 
 DEFAULT_WINDOW = 25
 FP_TOL = 1e-10
@@ -52,17 +51,14 @@ class ActionCertificate:
                              "point exists")
 
 
-def _powers(f, bound):
-    """The parameter rows (2 bound + 1, k) of f^r, r = -bound ... bound,
-    chained on Python complex numbers as `compose` and `inverse` take
-    f^(r-1) f, f^-1, f^-(r-1) f^-1.  They are not validated: a row may hold
-    0, inf or nan, and only Python's refusal of a power of a1 raises."""
-    row, up = f.params().tolist(), [identity(f.regime).params().tolist()]
-    finv, down = _inverse_data(f.regime, row), up[:]
-    for _ in range(bound):
-        up.append(_compose_data(f.regime, up[-1], row))
-        down.append(_compose_data(f.regime, down[-1], finv))
-    return np.array(down[:0:-1] + up, dtype=complex)
+def _powers(elements, bound):
+    """The parameter rows (2 bound + 1, len(elements), k) of e^r, r =
+    -bound ... bound, of each element e, by one `power_many` call.  They
+    are not validated: a row may hold 0, inf or nan, and only a refused
+    power of an element or its inverse raises, the first element's first."""
+    rows = np.array([e.params() for e in elements])
+    return accepted(power_many(elements[0].regime, rows,
+                               np.arange(-bound, bound + 1)[:, None]))
 
 
 def _grid(bound):
@@ -83,7 +79,9 @@ def _unread(a, b):
 
 
 def _near_one(z, tol):
-    return abs(z - 1) <= tol
+    # numpy's modulus: Python's complex abs of a nan may raise a stale
+    # OverflowError left by an earlier overflow
+    return np.abs(z - 1) <= tol
 
 
 def _fixed_point_witness(regime, h, tol):
@@ -152,7 +150,7 @@ def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
     regime = _regime(pair)
     f, g = pair
     with np.errstate(all="ignore"):
-        fp, gp = _powers(f, window), _powers(g, window)
+        fp, gp = _powers(pair, window).swapaxes(0, 1)
         h1 = np.multiply.outer(fp[:, 0], gp[:, 0])
         unread = _unread(fp[:, None, :1], gp[None, :, :1])
         near = unread | (np.abs(h1 - 1) <= 2 * tol + _SLACK * np.abs(h1))
@@ -184,13 +182,12 @@ def orbit(pair, word, x):
         if not ok_entry:
             raise ValueError("word entry %r is not an integer pair" % (entry,))
     out = [x]
-    rb = max((abs(r) for r, _ in word), default=0)
-    sb = max((abs(s) for _, s in word), default=0)
+    n = max((max(map(abs, entry)) for entry in word), default=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        fp, gp = _powers(f, rb), _powers(g, sb)
+        fp, gp = (_powers([e], n)[:, 0] for e in pair)
         for r, s in word:
-            x = apply(compose(element_from_params(f.regime, fp[r + rb]),
-                              element_from_params(g.regime, gp[s + sb])), x)
+            x = apply(compose(element_from_params(f.regime, fp[r + n]),
+                              element_from_params(g.regime, gp[s + n])), x)
             out.append(x)
     return out
 
@@ -282,7 +279,7 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
     diagonal = 1 if regime.tag == "Double" else 3
     words, returns = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        fp, gp = _powers(f, horizon), _powers(g, horizon)
+        fp, gp = _powers(pair, horizon).swapaxes(0, 1)
         unread = _unread(fp[:, None, :diagonal],
                          gp[None, :, :diagonal]).ravel()[band]
         powers = _images(regime, fp[:0, None], x)[1]  # of the samples alone

@@ -36,7 +36,7 @@ from .resonance import (DEFAULT_BOUND, ResonanceClass, _log_screen,
 from .resonant_group import (IllConditioned, PointV, _finite_check,
                              _invertible, _null_vector, _points_ok, _power,
                              _to_point, _twisted_roots, accepted, apply_many,
-                             compose_many, identity, inverse_many, replay)
+                             compose_many, power_many, replay)
 from .rep_variety import _double_equations
 
 DENOM_TOL = 1e-12
@@ -273,16 +273,6 @@ def _generator_rows(space, mat):
                     axis=1)
 
 
-def _group_power(regime, f, n):
-    """Rows of f^n by iterated composition from the identity, as the
-    scalar power f^n = (...((1 f) f)...) f is built."""
-    out = np.broadcast_to(identity(regime).params(), f.shape).copy()
-    step = f if n >= 0 else accepted(inverse_many(regime, f))
-    for _ in range(abs(n)):
-        out = accepted(compose_many(regime, out, step))
-    return out
-
-
 def family_action_many(space, amat, bmat, word, x, p=None, q=None):
     """`family_action` for stacked points of one chart, matrices (N, 3, 3)
     with indices p, q, on the points x (N, 3): the images (N, 3)."""
@@ -290,8 +280,8 @@ def family_action_many(space, amat, bmat, word, x, p=None, q=None):
     replay((_points_ok(x), _to_point, x))
     if space != "T":
         regime = _chart_regime(space, p, q)
-        hr = _group_power(regime, _generator_rows(space, amat), r)
-        hs = _group_power(regime, _generator_rows(space, bmat), s)
+        rows = np.stack([_generator_rows(space, m) for m in (amat, bmat)])
+        hr, hs = accepted(power_many(regime, rows, np.array([[r], [s]])))
         h = accepted(compose_many(regime, hr, hs))
         return accepted(apply_many(regime, h, x))
     with np.errstate(all="ignore"):

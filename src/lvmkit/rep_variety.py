@@ -21,8 +21,8 @@ from .holonomy import TWO_PI_I, _pair_from_pairings, pairings
 from .resonant_group import (
     COMMUTE_TOL,
     GroupElement,
+    _commutators,
     _overflow,
-    commutation_residual,
     compose,
     element_from_params,
     group_exp,
@@ -70,11 +70,12 @@ class StructureSpec:
         if any(g.regime != regime for g in gens):
             raise ValueError("all generators must share one regime")
         scale = 1 + max(np.max(np.abs(g.params())) for g in gens)
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if commutation_residual(gens[i], gens[j]) > COMMUTE_TOL * scale:
-                    raise ValueError(
-                        "generators %d and %d do not commute" % (i + 1, j + 1))
+        pairs = ((0, 1), (0, 2), (1, 2))
+        d = _commutators([(gens[i], gens[j]) for i, j in pairs])
+        for (i, j), row in zip(pairs, d):
+            if np.max(np.abs(row)) > COMMUTE_TOL * scale:
+                raise ValueError(
+                    "generators %d and %d do not commute" % (i + 1, j + 1))
         object.__setattr__(self, "generators", gens)
 
     @property
@@ -117,10 +118,6 @@ def _double_equations(a1, amat, b1, bmat, p):
     )
 
 
-def _commutator_params(f, g):
-    return compose(f, g).params() - compose(g, f).params()
-
-
 def _jacobian_rank(pair, cls):
     """(rank, gap) of the finite-difference Jacobian of the commutator map
     with respect to all group parameters of both elements (the map is
@@ -133,17 +130,16 @@ def _jacobian_rank(pair, cls):
     """
     f, g = pair
     n = len(f.params())
-    base = _commutator_params(f, g)
     scale = 1 + max(np.max(np.abs(f.params())), np.max(np.abs(g.params())))
-    cols = []
+    pairs = [pair]
     for which in range(2):
         for k in range(n):
             pf, pg = f.params().copy(), g.params().copy()
             (pf if which == 0 else pg)[k] += FD_STEP
-            cols.append((_commutator_params(element_from_params(cls, pf),
-                                            element_from_params(cls, pg)) - base)
-                        / FD_STEP)
-    sv = np.linalg.svd(np.column_stack(cols), compute_uv=False)
+            pairs.append((element_from_params(cls, pf),
+                          element_from_params(cls, pg)))
+    d = _commutators(pairs)
+    sv = np.linalg.svd(((d[1:] - d[0]) / FD_STEP).T, compute_uv=False)
     if sv[0] <= 1e-9 * scale:
         return 0, np.inf  # the whole parameter space is tangent
     rel = sv / sv[0]

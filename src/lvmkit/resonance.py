@@ -56,6 +56,10 @@ class ResonanceClass:
     def __post_init__(self):
         if self.tag not in ("NonResonant", "Single", "Double"):
             raise ValueError("unknown regime tag")
+        for name in ("p", "q"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError("regime index %s must be an integer, got %r"
+                                 % (name, getattr(self, name)))
         if self.tag == "Single" and self.q < 2:
             raise ValueError("Single regime requires q >= 2")
 

@@ -17,24 +17,24 @@ N = L_{a1,p}^{-1} M, which is how exp/log and normal forms are computed;
 the 2x2 exp and log are closed forms in the eigenvalues.
 
 `compose_many`, `inverse_many` and `apply_many` evaluate the group laws
-on stacked parameter rows in numpy's own arithmetic, so a row agrees
-with the scalar function to rounding, not to the bit.  Each returns,
+on stacked parameter rows in numpy's own arithmetic, and `compose`,
+`inverse` and `apply` are their one-row calls.  Each array law returns,
 with its rows, plain (mask, fn, *rows) checks that decide its refusals
 from those rows alone: a power that leaves the float range, an output
 that `GroupElement` or `PointV` refuses, a non-finite output.  A clean
 call costs its arithmetic and masks; only `replay`, on a refused row,
 broadcasts the checks and raises the error of the first refused row.
-The scalar laws refuse a non-finite result as the arrays do, and all
-read a 2x2 matrix as invertible where m11 m22 != m12 m21 (`_invertible`)
-and invert it without raising where it is (`_inverse2`).  The
-twisted eigenvalues and their kernels are closed forms on stacks,
+`power_many` takes f^r for rows and exponents broadcast together, as
+the chain f, f f, (f f) f, ... of the products `compose` takes.  All
+laws read a 2x2 matrix as invertible where m11 m22 != m12 m21
+(`_invertible`) and invert it without raising where it is (`_inverse2`).
+The twisted eigenvalues and their kernels are closed forms on stacks,
 `_twisted_roots` (a double root exactly, and at any scale: a quadratic
 whose terms could leave the normal range is first rescaled by powers of
 two) and `_null_vector`.
 """
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,6 +185,7 @@ class GroupElement:
         return np.asarray(self.data, dtype=complex)
 
 
+@functools.lru_cache(maxsize=None)
 def identity(regime):
     if regime.tag == "NonResonant":
         return GroupElement(regime, (1, 1, 1))
@@ -214,87 +215,26 @@ def _l_matrices(z, p):
     return out
 
 
-def tau(z, p, mat):
-    """Twisted conjugation: scales the off-diagonal entries by z^{-+p}."""
-    z = complex(z)
-    out = np.array(mat, dtype=complex)
-    out[0, 1] *= z ** (-p)
-    out[1, 0] *= z ** p
-    return out
-
-
-def _finite(x):
-    """x, a `GroupElement` or `PointV`, refused by `_finite_check`."""
-    ok, refuse, row = _finite_check(x.array() if isinstance(x, PointV)
-                                    else x.params())
-    if not ok:
-        refuse(row)
-    return x
-
-
-def apply(f, x):
-    if not isinstance(x, PointV):
-        x = PointV(tuple(x))
-    xi = x.array()
-    tag = f.regime.tag
-    with np.errstate(all="ignore"):
-        if tag == "NonResonant":
-            out = np.asarray(f.data) * xi
-        elif tag == "Single":
-            a1, a2, a3, eps = f.data
-            p, q = f.regime.p, f.regime.q
-            out = np.array([a1 * xi[0], a2 * xi[1],
-                            a3 * xi[2] + eps * xi[0] ** p * xi[1] ** q])
-        else:
-            a1, mat = f.data
-            tail = tau(xi[0], f.regime.p, mat) @ xi[1:]
-            out = np.array([a1 * xi[0], tail[0], tail[1]])
-    return _finite(PointV(tuple(out)))
-
-
-def _compose_data(regime, a, b):
-    """The parameter row of `compose` from those of its factors, unchecked."""
-    tag = regime.tag
-    if tag == "NonResonant":
-        return tuple(map(operator.mul, a, b))
-    if tag == "Single":
-        a1, a2, a3, eps = a
-        b1, b2, b3, delta = b
-        return (a1 * b1, a2 * b2, a3 * b3,
-                a3 * delta + eps * b1 ** regime.p * b2 ** regime.q)
-    a1, m11, m12, m21, m22 = a
-    b1, n11, n12, n21, n22 = b  # tau(b1, p, M) N entry by entry
-    m12, m21 = m12 * b1 ** -regime.p, m21 * b1 ** regime.p
-    return (a1 * b1, m11 * n11 + m12 * n21, m11 * n12 + m12 * n22,
-            m21 * n11 + m22 * n21, m21 * n12 + m22 * n22)
-
-
 def compose(f, g):
-    """f g; a product that leaves the float range is refused."""
+    """f g, the one row of `compose_many`."""
     if f.regime != g.regime:
         raise ValueError("cannot compose elements of different regimes")
-    with np.errstate(all="ignore"):
-        h = _compose_data(f.regime, f.params().tolist(), g.params().tolist())
-    return _finite(element_from_params(f.regime, h))
-
-
-def _inverse_data(regime, a):
-    """The parameter row of `inverse` from that of an element, unchecked."""
-    if regime.tag == "NonResonant":
-        return tuple(1 / x for x in a)
-    if regime.tag == "Single":
-        a1, a2, a3, eps = a
-        return (1 / a1, 1 / a2, 1 / a3,
-                -eps / (a3 * a1 ** regime.p * a2 ** regime.q))
-    mat = _inverse2(np.reshape(a[1:], (1, 2, 2)))[0]
-    return (1 / a[0], *tau(1 / a[0], regime.p, mat).ravel().tolist())
+    return element_from_params(f.regime, accepted(compose_many(
+        f.regime, f.params()[None], g.params()[None]))[0])
 
 
 def inverse(f):
-    """f^-1; an inverse that leaves the float range is refused."""
-    with np.errstate(all="ignore"):
-        h = _inverse_data(f.regime, f.params().tolist())
-    return _finite(element_from_params(f.regime, h))
+    """f^-1, the one row of `inverse_many`."""
+    return element_from_params(f.regime, accepted(inverse_many(
+        f.regime, f.params()[None]))[0])
+
+
+def apply(f, x):
+    """f x, the one row of `apply_many`."""
+    if not isinstance(x, PointV):
+        x = PointV(tuple(x))
+    return _to_point(accepted(apply_many(f.regime, f.params()[None],
+                                         x.array()[None]))[0])
 
 
 def _to_point(xi):
@@ -359,24 +299,64 @@ def _element_check(regime, h):
     return ok, element_from_params, regime, h
 
 
+def _factor_powers(regime, b):
+    """(x, y, checks): the powers of the rows b (..., k) that a product
+    with b on the right takes, b1^p and b2^q (Single) or b1^-p and b1^p
+    (Double), and their checks; (None, None, []) for NonResonant."""
+    if regime.tag == "NonResonant":
+        return None, None, []
+    if regime.tag == "Single":
+        x, cx = _power_check(b[..., 0], regime.p)
+        y, cy = _power_check(b[..., 1], regime.q)
+    else:
+        x, cx = _power_check(b[..., 0], -regime.p)
+        y, cy = _power_check(b[..., 0], regime.p)
+    return x, y, cx + cy
+
+
+def _shear(a3, eps, b4, x, y):
+    """The shear of a product of Single rows a, b: a3 delta + eps x y, for
+    the powers x, y of b of `_factor_powers`."""
+    return a3 * b4 + eps * x * y
+
+
+def _tau(m, x, y):
+    """tau(z, p, M) for Double blocks M (..., 2, 2), x, y = z^-p, z^p."""
+    m = m.copy()
+    m[..., 0, 1] *= x
+    m[..., 1, 0] *= y
+    return m
+
+
+def _twisted(m, n, x, y):
+    """tau(b1, p, M) N for Double blocks M, N (..., 2, 2) and the powers
+    x, y of b1 of `_factor_powers`, each entry a sum of two products."""
+    m = _tau(m, x, y)
+    return m[..., :1] * n[..., :1, :] + m[..., 1:] * n[..., 1:, :]
+
+
+def _blocks(h):
+    """The Double blocks (..., 2, 2) of the rows h (..., 5)."""
+    return h[..., 1:].reshape(h.shape[:-1] + (2, 2))
+
+
+def _product(regime, a, b, x, y):
+    """The rows a b of `compose_many` unchecked, for rows a, b (..., k) and
+    the powers x, y of b that `_factor_powers` takes; numpy's errors are
+    the caller's to ignore."""
+    h = a * b
+    if regime.tag == "Single":
+        h[..., 3] = _shear(a[..., 2], a[..., 3], b[..., 3], x, y)
+    elif regime.tag == "Double":
+        h[..., 1:] = _twisted(_blocks(a), _blocks(b), x, y).reshape(
+            h.shape[:-1] + (4,))
+    return h
+
+
 def _compose_rows(regime, a, b):
     """The rows of `compose_many` unchecked, and the checks of its powers."""
-    checks = []
-    with np.errstate(all="ignore"):
-        h = a * b
-        if regime.tag == "Single":
-            x, cx = _power_check(b[:, 0], regime.p)
-            y, cy = _power_check(b[:, 1], regime.q)
-            checks = cx + cy
-            h[:, 3] = a[:, 2] * b[:, 3] + a[:, 3] * x * y
-        elif regime.tag == "Double":  # tau(b1, p, M) N as in `_compose_data`
-            x, cx = _power_check(b[:, 0], -regime.p)
-            y, cy = _power_check(b[:, 0], regime.p)
-            checks = cx + cy
-            m12, m21 = a[:, 2, None] * x[:, None], a[:, 3, None] * y[:, None]
-            h[:, 1:3] = a[:, 1, None] * b[:, 1:3] + m12 * b[:, 3:]
-            h[:, 3:] = m21 * b[:, 1:3] + a[:, 4, None] * b[:, 3:]
-    return h, checks
+    x, y, checks = _factor_powers(regime, b)
+    return _product(regime, a, b, x, y), checks
 
 
 def compose_many(regime, a, b):
@@ -384,9 +364,27 @@ def compose_many(regime, a, b):
     numpy's arithmetic: the rows of `_compose_rows` and the `replay` checks
     refusing a row where a power leaves the float range, where `GroupElement`
     refuses it and where it is not finite, in this order."""
-    h, checks = _compose_rows(regime, a, b)
     with np.errstate(all="ignore"):
+        h, checks = _compose_rows(regime, a, b)
         return h, checks + [_element_check(regime, h), _finite_check(h)]
+
+
+def _inverse_rows(regime, a):
+    """The rows of `inverse_many` on rows a (..., k) unchecked, and the
+    checks of its powers and of the Single regime's quotient."""
+    checks = []
+    with np.errstate(all="ignore"):
+        h = 1 / a
+        if regime.tag == "Single":
+            x, y, checks = _factor_powers(regime, a)
+            den = a[..., 2] * x * y
+            checks += [(den != 0, _zero_division, den)]
+            h[..., 3] = -a[..., 3] / den
+        elif regime.tag == "Double":
+            x, y, checks = _factor_powers(regime, h)
+            t = _tau(_inverse2(_blocks(a)), x, y)
+            h[..., 1:] = t.reshape(a.shape[:-1] + (4,))
+    return h, checks
 
 
 def inverse_many(regime, a):
@@ -394,24 +392,51 @@ def inverse_many(regime, a):
     `compose_many`, after one refusing the rows of a that are no group
     elements; the Single regime's quotient by a3 a1^p a2^q refuses a
     denominator that is 0, as Python's complex division does."""
+    h, checks = _inverse_rows(regime, a)
     with np.errstate(all="ignore"):
-        checks = [_element_check(regime, a)]
-        h = 1 / a
+        return h, [_element_check(regime, a)] + checks + [
+            _element_check(regime, h), _finite_check(h)]
+
+
+def power_many(regime, rows, r):
+    """f^r for the parameter rows (..., k) of elements f and integers r,
+    broadcast against each other, as the chain f, f f, (f f) f, ... of
+    `_product` from f, or from f^-1 where r < 0, that `compose` takes: the
+    rows, unchecked, and, whatever r, the `replay` checks of
+    `_inverse_rows` and of the powers of f and f^-1 that the products take
+    (`_factor_powers`), formed once.  The Double block of f^-1 is formed
+    only where some r < 0; the rows of r = 0 and 1 are the identity's and
+    f's."""
+    rows, r = np.asarray(rows, dtype=complex), np.asarray(r)
+    n, k = rows[..., 0].size, rows.shape[-1]
+    double = regime.tag == "Double"
+    with np.errstate(all="ignore"):
+        # f^-1, whose diagonal 1 / f's is all a product with it reads
+        inv = _inverse_rows(regime, rows)[0] if (r < 0).any() else 1 / rows
+        # f and f^-1 of each f, first the one whose powers `_inverse_rows`
+        # takes, so that the checks come in the order of its refusals
+        both = np.stack([inv, rows] if double else [rows, inv],
+                        -2).reshape(2 * n, k)
+        x, y, checks = _factor_powers(regime, both)
         if regime.tag == "Single":
-            x, cx = _power_check(a[:, 0], regime.p)
-            y, cy = _power_check(a[:, 1], regime.q)
-            den = a[:, 2] * x * y
-            checks += cx + cy + [(den != 0, _zero_division, den)]
-            h[:, 3] = -a[:, 3] / den
-        elif regime.tag == "Double":
-            t = _inverse2(a[:, 1:].reshape(-1, 2, 2))
-            x, cx = _power_check(h[:, 0], -regime.p)
-            y, cy = _power_check(h[:, 0], regime.p)
-            checks += cx + cy
-            t[:, 0, 1] *= x
-            t[:, 1, 0] *= y
-            h[:, 1:] = t.reshape(-1, 4)
-        return h, checks + [_element_check(regime, h), _finite_check(h)]
+            den = np.repeat(rows.reshape(n, k)[:, 2] * x[::2] * y[::2], 2)
+            checks.append((den != 0, _zero_division, den))
+        out = np.empty((max(abs(r).max(initial=0), 1) + 1, 2 * n, k),
+                       dtype=complex)
+        out[0], out[1] = identity(regime).params(), both
+        a3, eps = out[..., 2], out[..., -1]
+        blocks = _blocks(out) if double else None  # a copy, written back
+        for j in range(2, len(out)):  # `_product`, scalars and blocks apart
+            np.multiply(out[j - 1], both, out=out[j])
+            if regime.tag == "Single":
+                eps[j] = _shear(a3[j - 1], eps[j - 1], eps[1], x, y)
+            elif double:
+                blocks[j] = _twisted(blocks[j - 1], blocks[1], x, y)
+        if double:
+            out[..., 1:] = blocks.reshape(out.shape[:-1] + (4,))
+    # the row of f, or of f^-1 where r < 0, that each power takes
+    pick = 2 * np.arange(n).reshape(rows.shape[:-1]) + ((r < 0) != double)
+    return out[abs(r), pick], checks
 
 
 def _images(regime, h, x):
@@ -425,9 +450,7 @@ def _images(regime, h, x):
             y[..., 2] += (h[..., 3] * x[..., 0] ** regime.p
                           * x[..., 1] ** regime.q)
         elif regime.tag == "Double":
-            u, cu = _power_check(x[..., 0], -regime.p)
-            v, cv = _power_check(x[..., 0], regime.p)
-            checks = cu + cv
+            u, v, checks = _factor_powers(regime, x)
             y[..., 1] = h[..., 1] * x[..., 1] + h[..., 2] * u * x[..., 2]
             y[..., 2] = h[..., 3] * v * x[..., 1] + h[..., 4] * x[..., 2]
     return y, checks
@@ -450,10 +473,21 @@ def conjugate(h, f):
     return compose(inverse(h), compose(f, h))
 
 
+def _commutators(pairs):
+    """f g - g f in parameters (len(pairs), k) for the pairs (f, g) of one
+    regime, the rows f g, g f, ... of one `compose_many` call."""
+    regime = pairs[0][0].regime
+    if any(e.regime != regime for pair in pairs for e in pair):
+        raise ValueError("cannot compose elements of different regimes")
+    a = np.array([[e.params() for e in pair] for pair in pairs])
+    h = accepted(compose_many(regime, a.reshape(-1, a.shape[-1]),
+                              a[:, ::-1].reshape(-1, a.shape[-1])))
+    return h[::2] - h[1::2]
+
+
 def commutation_residual(f, g):
     """Parameter-space distance between f g and g f (0 iff they commute)."""
-    d = compose(f, g).params() - compose(g, f).params()
-    return float(np.max(np.abs(d)))
+    return float(np.max(np.abs(_commutators([(f, g)]))))
 
 
 def _null_vector(mat):

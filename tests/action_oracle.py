@@ -1,38 +1,34 @@
 """Reference searches over word windows, one word and one point at a time,
 used as a test oracle.
 
-This is the direct reading of the definitions in the arithmetic the
-searches share: every power f^r is the chain of `_compose_data` from
-`_inverse_data`, not validated; every word f^r g^s is composed alone, as
-one row of `compose_many`; every image is the `apply_many` of one word
-and one point.  Each word is decided as its row reads.  The only
-refusals are those of a word with a scalar coordinate that cannot be
-read (a power beyond the float range times one below 1 in modulus), of
-`_fixed_point_witness` and of a sample's power.  It is slow and has none
-of the screens and blocks of `lvmkit.action`, which the tests compare
-against it.
+This is the direct reading of the definitions: every power f^r is the
+chain of `law_reference.chain_powers` in Python's complex arithmetic,
+not validated and independent of the searches' `power_many`; every word
+f^r g^s is composed alone, as one row of `compose_many`; every image is
+the `apply_many` of one word and one point.  Each word is decided as its
+row reads.  The only refusals are those of a word with a scalar
+coordinate that cannot be read (a power beyond the float range times
+one below 1 in modulus), of `_fixed_point_witness` and of a sample's
+power.  It is slow and has none of the screens and blocks of
+`lvmkit.action`, which the tests compare against it; where the two
+arithmetics of the powers differ, the tests compare within a margin
+derived from the products they take.
 """
 
 import cmath
 
 import numpy as np
 
+import law_reference as ref
 from lvmkit.action import (ActionCertificate, PropernessReport,
                            _fixed_point_witness)
-from lvmkit.resonant_group import (PointV, _compose_data, _inverse_data,
-                                   apply_many, compose_many, identity, replay)
+from lvmkit.resonant_group import PointV, apply_many, compose_many, replay
 
 
 def oracle_powers(f, bound):
     """The parameter rows of f^r for r in [-bound, bound], keyed by r, by
-    iterated `_compose_data` on tuples of Python complex numbers."""
-    row = tuple(complex(z) for z in f.params())
-    data = {0: tuple(complex(z) for z in identity(f.regime).params())}
-    finv = _inverse_data(f.regime, row)
-    for r in range(1, bound + 1):
-        data[r] = _compose_data(f.regime, data[r - 1], row)
-        data[-r] = _compose_data(f.regime, data[-(r - 1)], finv)
-    return {r: np.array(v, dtype=complex) for r, v in data.items()}
+    the reference chain of `law_reference`."""
+    return ref.chain_powers(f, bound)
 
 
 def _unread(a, b, coords):

@@ -332,6 +332,21 @@ class TestDeform:
         assert isinstance(result.exception, SystemExit)
         assert json.loads(result.output)["failure"] == "complex exponentiation"
 
+    @pytest.mark.parametrize("p", [1.5, "a"], ids=["fraction", "string"])
+    def test_non_integer_regime_index_refused(self, runner, tmp_path, p):
+        # no Double regime has a fractional p: the document is refused by
+        # name (exit 1), neither answered nor ended in a TypeError
+        doc = {"regime": {"tag": "Double", "p": p},
+               "generators": [flat((2 + 0.5j, 1.3, 0, 0, 0.7 - 0.2j)),
+                              flat((0.8, 0.5j, 0, 0, 1.1)),
+                              flat((1.02, 0.99, 0, 0, 1.03))]}
+        path = write(tmp_path, "index.json", doc)
+        result = runner.invoke(main, ["deform", path, "--json"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert json.loads(result.output)["failure"] == \
+            "regime index p must be an integer, got %r" % (p,)
+
     @pytest.mark.parametrize("regime,count,given", [
         ({"tag": "NonResonant"}, 3, 4),
         ({"tag": "Single", "p": 1, "q": 2}, 4, 3),

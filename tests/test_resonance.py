@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -336,6 +337,19 @@ class TestClassifyRegime:
     def test_missing_trivial(self):
         with pytest.raises(UnclassifiableResonancePattern):
             classify_regime([Resonance(1, (1, 0, 0))])
+
+    @pytest.mark.parametrize("index,value", [
+        ("p", 1.5), ("p", "a"), ("q", 2.0), ("p", None)])
+    def test_non_integer_index_refused(self, index, value):
+        # a regime index names a power, which exists for integers only
+        message = r"^regime index %s must be an integer, got %s$" % (
+            index, re.escape(repr(value)))
+        with pytest.raises(ValueError, match=message):
+            ResonanceClass("Single", **{"p": 1, "q": 2, index: value})
+
+    def test_numpy_integer_index_accepted(self):
+        regime = ResonanceClass("Single", p=np.int64(-2), q=np.int32(3))
+        assert regime == ResonanceClass("Single", p=-2, q=3)
 
 
 class TestCohomologyDims:

@@ -28,11 +28,11 @@ from lvmkit.resonant_group import (
     inverse,
     p_eigenvalues,
     simultaneous_triangularize,
-    tau,
     triangularize,
     twist,
     untwist,
 )
+from law_reference import tau
 from verify_bounds import GAMMA
 
 NR = ResonanceClass("NonResonant")
@@ -660,6 +660,9 @@ class TestGroupDim:
 
 
 class TestTau:
+    """The reference's twisted conjugation, which its `apply` and
+    `compose` take."""
+
     def test_entries(self):
         mat = np.array([[1, 2], [3, 4]], dtype=complex)
         out = tau(2, 1, mat)

@@ -1,15 +1,16 @@
 """The array forms behind `lvmkit verify` against their scalar oracles.
 
-The array forms compute in numpy's arithmetic and the oracles in the
-scalar code's, so values are compared within twice the rounding bounds
-of `verify_bounds`, which are derived from the formulas before the run.
-Decisions are compared exactly: refused or not, the exception and its
-message, the NotInImage clause, a suite's passed flag.  The exception is
-a row whose decision turns on rounding (a power within 2^8 of the ends
-of the float range, a term near its top, a determinant within its
-rounding bound of 0, an order of moduli within their errors), which
-each test excludes by that computed margin.  A refused batch raises what
-a loop over its rows raises on the first row it refuses.
+The array forms compute in numpy's arithmetic and the oracles in
+Python's scalar complex arithmetic (`law_reference`), so values are
+compared within twice the rounding bounds of `verify_bounds`, which are
+derived from the formulas before the run.  Decisions are compared
+exactly: refused or not, the exception and its message, the NotInImage
+clause, a suite's passed flag.  The exception is a row whose decision
+turns on rounding (a power within 2^8 of the ends of the float range, a
+term near its top, a determinant within its rounding bound of 0, an
+order of moduli within their errors), which each test excludes by that
+computed margin.  A refused batch raises what a loop over its rows
+raises on the first row it refuses.
 """
 
 import cmath
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import law_reference as ref
 import verify_oracle as oracle
 from developing_oracle import verify_specs as _developing_specs
 from verify_bounds import (GAMMA, HUGE, TINY, U, action_sizes, chart_ops,
@@ -154,9 +156,9 @@ class TestGroupLaws:
         b = _element_rows(rng, regime, 40, scale)
         x = _rows(rng, 40, 3, scale)
         bound = 2 * law_ops(regime) * GAMMA
-        for law, scalar, rows in ((compose_many, compose, (a, b)),
-                                  (inverse_many, inverse, (a,)),
-                                  (apply_many, apply, (a, x))):
+        for law, scalar, rows in ((compose_many, ref.compose, (a, b)),
+                                  (inverse_many, ref.inverse, (a,)),
+                                  (apply_many, ref.apply, (a, x))):
             got, checks = law(regime, *rows)
             ok = passed(checks)
             size = law_sizes(regime, law, *rows)
@@ -225,7 +227,7 @@ class TestGroupLaws:
         h, checks = compose_many(regime, a, a)
         assert passed(checks).tolist() == [True, False, True]
         f = element_from_params(regime, a[1])
-        want = _outcome(compose, f, f)
+        want = _outcome(ref.compose, f, f)
         assert want.startswith(("ValueError", "ZeroDivisionError"))
         assert _outcome(lambda: accepted(compose_many(regime, a, a))) == want
 
@@ -317,7 +319,7 @@ class TestDeterminantAgreement:
         taken = set()
         for name, row, m, k in zip(self.NAMES, self.ROWS, self.MATS, cond):
             f = _outcome(GroupElement, regime, (1, m))
-            want = f if isinstance(f, str) else _outcome(inverse, f)
+            want = f if isinstance(f, str) else _outcome(ref.inverse, f)
             got = _outcome(lambda: accepted(inverse_many(regime, row[None])))
             if isinstance(want, str):
                 assert got == want
@@ -916,6 +918,35 @@ class TestNoSilentNan:
                 with pytest.raises(OverflowError,
                                    match="^result leaves the float range$"):
                     accepted(many(args[0].regime, *(r[None] for r in rows)))
+
+    @pytest.mark.parametrize("law,row", [
+        ("compose", 24), ("inverse", 22), ("apply", 10), ("apply", 15),
+        ("apply", 22), ("apply", 26), ("apply", 28)])
+    def test_scalar_laws_raise_as_their_rows(self, law, row):
+        # the draw of test_compose_inverse_apply for Single p = 1, q = 2 at
+        # seed 0 and scale 400: on rows 24 (compose) and 22 (inverse)
+        # Python's chain of products returns a nan power where numpy's
+        # leaves the float range, so the reference raises "result leaves
+        # the float range" and the array law "complex exponentiation"; a
+        # scalar law, one row of its array law, raises what that row does,
+        # as on the rows whose images leave the range (apply)
+        regime = REGIMES[1]
+        rng = np.random.default_rng(0)
+        a = _element_rows(rng, regime, 40, 400)[row:row + 1]
+        b = _element_rows(rng, regime, 40, 400)[row:row + 1]
+        x = _rows(rng, 40, 3, 400)[row:row + 1]
+        scalar, many, reference = {
+            "compose": (compose, compose_many, ref.compose),
+            "inverse": (inverse, inverse_many, ref.inverse),
+            "apply": (apply, apply_many, ref.apply)}[law]
+        rows = {"compose": (a, b), "inverse": (a,), "apply": (a, x)}[law]
+        args = [element_from_params(regime, r[0]) for r in rows if r is not x]
+        if law == "apply":
+            args.append(PointV(tuple(x[0])))
+        want = _outcome(lambda: accepted(many(regime, *rows)))
+        assert want.startswith("OverflowError: ")
+        assert _outcome(scalar, *args) == want
+        assert (_outcome(reference, *args) == want) == (law == "apply")
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1.0, 100.0, 690.0]),

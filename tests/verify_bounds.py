@@ -2,9 +2,9 @@
 verify` with their scalar oracles.
 
 The array forms compute in numpy's arithmetic and the oracles in the
-scalar code's, so their values agree to rounding, not to the bit.  The
-bounds here are derived from the formulas, not fitted to observed
-differences:
+Python complex arithmetic of `law_reference`, so their values agree to
+rounding, not to the bit.  The bounds here are derived from the
+formulas, not fitted to observed differences:
 
 * A complex product is within sqrt(5) u of exact (Brent, Percival and
   Zimmermann, "Error bounds on complex floating-point multiplication",

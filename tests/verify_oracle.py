@@ -2,14 +2,15 @@
 developing maps they check, one sample at a time, used as a test oracle.
 
 Every sample builds its group elements, chart points and points of V as
-objects and runs the scalar `compose`, `inverse` and `apply` on them.  It
-is slow and independent of the array evaluation in `lvmkit.cli`,
-`lvmkit.family_gluing` and `lvmkit.developing`, which the tests compare
-against it.  The chart maps refuse a point that leaves the float range
-as the array forms do; the developing check draws its cover points from
-the generator in the library's order, one point at a time.  The twisted
-eigenvalues of the S_p charts are np.roots' and their kernels the SVD's,
-a reference independent of the library's closed forms.
+objects and runs the reference `compose`, `inverse` and `apply` of
+`law_reference` on them.  It is slow and independent of the array
+evaluation in `lvmkit.cli`, `lvmkit.family_gluing` and
+`lvmkit.developing`, which the tests compare against it.  The chart maps
+refuse a point that leaves the float range as the array forms do; the
+developing check draws its cover points from the generator in the
+library's order, one point at a time.  The twisted eigenvalues of the
+S_p charts are np.roots' and their kernels the SVD's, a reference
+independent of the library's closed forms.
 """
 
 import numpy as np
@@ -22,9 +23,9 @@ from lvmkit.holonomy import TWO_PI_I, holonomy_pair
 from lvmkit.rep_variety import StructureSpec
 from lvmkit.resonance import ResonanceClass, _power_residual
 from lvmkit.resonant_group import (GroupElement, IllConditioned, PointV,
-                                   _l_matrix, apply, compose,
-                                   element_from_params, group_exp, identity,
-                                   inverse, tau)
+                                   _l_matrix, element_from_params, group_exp,
+                                   identity)
+from law_reference import apply, compose, inverse, tau
 
 
 # ------------------------------------------------------------ chart maps
