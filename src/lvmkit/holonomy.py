@@ -54,6 +54,8 @@ def pair_from_flat(values):
     zs = [complex(re, im) for re, im in values]
     if len(zs) != 6:
         raise ValueError("expected six [re, im] pairs")
+    if not np.all(np.isfinite(zs)):
+        raise ValueError("eigen-data entries must be finite")
     return HolonomyPair(tuple(zs[:3]), tuple(zs[3:]))
 
 

@@ -8,7 +8,9 @@ variety_residual and their Zariski tangent space by tangent_dimension.
 A StructureSpec is a commuting triple (A, B, C) with C near the identity;
 psi_nonresonant / psi_resonant project it to the commuting pair carried by
 the quotient threefold, anchored at principal branches so the projection
-is continuous near the canonical triple (A, B, Id).
+is continuous near the canonical triple (A, B, Id).  The non-resonant
+projection is a closed form in logarithms; only the resonant scaling
+equation x * exp(c * Log x) = target is solved by Newton iteration.
 """
 
 import cmath
@@ -39,7 +41,9 @@ REJECTION_RADIUS = 1.0
 
 
 class NoConvergence(Exception):
-    """Newton solve failed; the input is outside the valid neighborhood."""
+    """A projection refused its input: the solution leaves the branch-
+    anchor neighborhood, a projected multiplier is not finite and nonzero,
+    or the resonant scaling Newton solve failed."""
 
 
 @dataclass(frozen=True)
@@ -171,67 +175,6 @@ def _principal_c(gamma):
     return np.log(complex(gamma)) / TWO_PI_I
 
 
-def _nonres_exps(uv, c):
-    """The six exponentials of the non-resonant projection equations."""
-    u, v = uv[:3], uv[3:]
-    return np.array([np.exp(TWO_PI_I * u[0] * (1 + c[0])),
-                     np.exp(TWO_PI_I * (u[1] + u[0] * c[1])),
-                     np.exp(TWO_PI_I * (u[2] + u[0] * c[2])),
-                     np.exp(TWO_PI_I * v[0] * (1 + c[0])),
-                     np.exp(TWO_PI_I * (v[1] + v[0] * c[1])),
-                     np.exp(TWO_PI_I * (v[2] + v[0] * c[2]))])
-
-
-def _nonres_jacobian(e, c):
-    """The Jacobian of `_nonres_exps` from its six exponentials e."""
-    jac = np.zeros((6, 6), dtype=complex)
-    jac[0, 0] = TWO_PI_I * (1 + c[0]) * e[0]
-    jac[1, 0] = TWO_PI_I * c[1] * e[1]
-    jac[1, 1] = TWO_PI_I * e[1]
-    jac[2, 0] = TWO_PI_I * c[2] * e[2]
-    jac[2, 2] = TWO_PI_I * e[2]
-    jac[3, 3] = TWO_PI_I * (1 + c[0]) * e[3]
-    jac[4, 3] = TWO_PI_I * c[1] * e[4]
-    jac[4, 4] = TWO_PI_I * e[4]
-    jac[5, 3] = TWO_PI_I * c[2] * e[5]
-    jac[5, 5] = TWO_PI_I * e[5]
-    return jac
-
-
-def _damped_newton(system, x0, anchor, scale=1.0):
-    """Damped Newton on system(x) = (residual, Jacobian as a thunk)."""
-    x = np.array(x0, dtype=complex)
-    noise_floor = 1e-13 * (scale + np.max(np.abs(x)))
-    if np.max(np.abs(x - anchor)) > REJECTION_RADIUS:
-        raise NoConvergence("initial guess outside the branch-anchor "
-                            "neighborhood")
-    at_x = system(x)
-    for _ in range(50):
-        r, jacobian = at_x
-        if np.max(np.abs(r)) <= noise_floor:
-            return x
-        try:
-            step = np.linalg.solve(jacobian(), r)
-        except np.linalg.LinAlgError:
-            raise NoConvergence("singular Jacobian in Newton solve")
-        t = 1.0
-        base_norm = np.linalg.norm(r)
-        while t > 1e-6:
-            trial = x - t * step
-            at_x = system(trial)
-            if np.linalg.norm(at_x[0]) < base_norm:
-                break
-            t /= 2
-        else:
-            raise NoConvergence("damping exhausted without descent")
-        x = trial
-        if np.max(np.abs(x - anchor)) > REJECTION_RADIUS:
-            raise NoConvergence("iterate left the branch-anchor neighborhood")
-        if t * np.max(np.abs(step)) < 1e-14:
-            return x
-    raise NoConvergence("Newton did not converge in 50 iterations")
-
-
 def psi_nonresonant(spec):
     """Project a non-resonant commuting triple to a commuting pair and the
     deformed configuration tail.
@@ -254,47 +197,68 @@ def psi_nonresonant(spec):
     alpha0 = np.asarray(base.alpha)
     beta0 = np.asarray(base.beta)
 
-    # closed form with branches anchored at the base configuration
-    du = np.log(alpha / alpha0) / TWO_PI_I
-    dv = np.log(beta / beta0) / TWO_PI_I
-    u = np.empty(3, dtype=complex)
-    v = np.empty(3, dtype=complex)
-    u[0] = (u0[0] + du[0]) / (1 + c[0])
-    v[0] = (v0[0] + dv[0]) / (1 + c[0])
-    u[1] = u0[1] + du[1] - u[0] * c[1]
-    u[2] = u0[2] + du[2] - u[0] * c[2]
-    v[1] = v0[1] + dv[1] - v[0] * c[1]
-    v[2] = v0[2] + dv[2] - v[0] * c[2]
-
-    anchor = np.concatenate([u0, v0])
-    target = np.concatenate([alpha, beta])
-
-    def system(x):
-        e = _nonres_exps(x, c)
-        return e - target, lambda: _nonres_jacobian(e, c)
-
-    uv = _damped_newton(system, np.concatenate([u, v]), anchor,
-                        scale=np.max(np.abs(target)))
-    u, v = uv[:3], uv[3:]
-
-    a_rho = GroupElement(spec.regime, tuple(np.exp(TWO_PI_I * u)))
-    b_rho = GroupElement(spec.regime, tuple(np.exp(TWO_PI_I * v)))
+    # closed form with branches anchored at the base configuration; a
+    # multiplier that leaves the float range is refused below, not warned of
+    with np.errstate(all="ignore"):
+        du = np.log(alpha / alpha0) / TWO_PI_I
+        dv = np.log(beta / beta0) / TWO_PI_I
+        u = np.empty(3, dtype=complex)
+        v = np.empty(3, dtype=complex)
+        u[0] = (u0[0] + du[0]) / (1 + c[0])
+        v[0] = (v0[0] + dv[0]) / (1 + c[0])
+        u[1] = u0[1] + du[1] - u[0] * c[1]
+        u[2] = u0[2] + du[2] - u[0] * c[2]
+        v[1] = v0[1] + dv[1] - v[0] * c[1]
+        v[2] = v0[2] + dv[2] - v[0] * c[2]
+        a_mult, b_mult = np.exp(TWO_PI_I * u), np.exp(TWO_PI_I * v)
+        if np.max(np.abs(np.concatenate([u - u0, v - v0]))) > REJECTION_RADIUS:
+            raise NoConvergence("initial guess outside the branch-anchor "
+                                "neighborhood")
+    values = np.concatenate([u, v, a_mult, b_mult])
+    if not (np.all(np.isfinite(values)) and np.all(values[6:] != 0)):
+        raise NoConvergence("projected multipliers are not finite and "
+                            "nonzero")
+    a_rho = GroupElement(spec.regime, tuple(a_mult))
+    b_rho = GroupElement(spec.regime, tuple(b_mult))
     lam1 = np.asarray(spec.base_config.vectors[0], dtype=complex)
     tail = tuple(tuple(lam1 + omega.T @ np.array([u[j], v[j]]))
                  for j in range(3))
     return (a_rho, b_rho), tail, (u[0], v[0])
 
 
-def _solve_scaling(target, c, anchor):
-    """Solve x * exp(c * Log x) = target by damped Newton from x = target."""
-    def system(x):
+def _solve_scaling(target, c):
+    """Solve x * exp(c * Log x) = target by damped Newton from x = target,
+    on 1-element arrays."""
+    def residual(x):
         e = np.exp(c * np.log(x[0]))
-        return np.array([x[0] * e - target]), lambda: np.array([[e * (1 + c)]])
+        return np.array([x[0] * e - target]), e
 
-    out = _damped_newton(system, np.array([target], dtype=complex),
-                         np.array([anchor], dtype=complex),
-                         scale=abs(target))
-    return out[0]
+    x = np.array([target], dtype=complex)
+    noise_floor = 1e-13 * (abs(target) + np.max(np.abs(x)))
+    r, e = residual(x)
+    for _ in range(50):
+        if np.max(np.abs(r)) <= noise_floor:
+            return x[0]
+        try:
+            step = np.linalg.solve(np.array([[e * (1 + c)]]), r)
+        except np.linalg.LinAlgError:
+            raise NoConvergence("singular Jacobian in Newton solve")
+        t = 1.0
+        base_norm = np.linalg.norm(r)
+        while t > 1e-6:
+            trial = x - t * step
+            r, e = residual(trial)
+            if np.linalg.norm(r) < base_norm:
+                break
+            t /= 2
+        else:
+            raise NoConvergence("damping exhausted without descent")
+        x = trial
+        if np.max(np.abs(x - target)) > REJECTION_RADIUS:
+            raise NoConvergence("iterate left the branch-anchor neighborhood")
+        if t * np.max(np.abs(step)) < 1e-14:
+            return x[0]
+    raise NoConvergence("Newton did not converge in 50 iterations")
 
 
 def psi_resonant(spec):
@@ -308,8 +272,8 @@ def psi_resonant(spec):
         raise ValueError("psi_resonant needs a resonant regime")
     a, b, cgen = spec.generators
     c = _principal_c(cgen.data[0])
-    delta = _solve_scaling(a.data[0], c, a.data[0])
-    eta = _solve_scaling(b.data[0], c, b.data[0])
+    delta = _solve_scaling(a.data[0], c)
+    eta = _solve_scaling(b.data[0], c)
     s1 = np.log(delta) / TWO_PI_I
     s2 = np.log(eta) / TWO_PI_I
     if regime.tag == "Double":

@@ -10,10 +10,12 @@ import lvmkit.action
 import lvmkit.cli
 import lvmkit.family_gluing
 import lvmkit.resonant_group
+import verify_oracle
 from lvmkit.cli import main
 from lvmkit.resonance import MAX_BOUND
 from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
+from test_rep_variety import NON_FINITE_INPUT
 
 E1_DOC = {"m": 2, "vectors": [
     [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[0, 0], [0, 1]],
@@ -35,12 +37,22 @@ def flat(values):
     return [[z.real, z.imag] for z in values]
 
 
+def _no_constant(name):
+    raise AssertionError("report is not strict JSON: it holds %s" % name)
+
+
+def report_of(result):
+    """The JSON report a command printed, refusing the NaN and Infinity
+    tokens that strict JSON does not have."""
+    return json.loads(result.output, parse_constant=_no_constant)
+
+
 class TestAnalyze:
     def test_reference_document(self, runner, tmp_path):
         path = write(tmp_path, "e1.json", E1_DOC)
         result = runner.invoke(main, ["analyze", path, "--json"])
         assert result.exit_code == 0
-        report = json.loads(result.output)
+        report = report_of(result)
         assert report["type"] == [2, 6, 4]
         assert report["indispensable"] == [1, 2, 3, 4]
         assert report["regime"]["tag"] == "NonResonant"
@@ -99,7 +111,7 @@ class TestResonances:
         path = write(tmp_path, "eig.json", doc)
         result = runner.invoke(main, ["resonances", path, "--json"])
         assert result.exit_code == 0
-        report = json.loads(result.output)
+        report = report_of(result)
         assert report["regime"] == {"tag": "Single", "p": 1, "q": 2}
         assert {"j": 3, "p": [1, 2, 0]} in report["resonances"]
         assert report["cohomology"] == [4, 8, 4, 0]
@@ -108,7 +120,19 @@ class TestResonances:
         path = write(tmp_path, "e1.json", E1_DOC)
         result = runner.invoke(main, ["resonances", path, "--json"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["regime"]["tag"] == "NonResonant"
+        assert report_of(result)["regime"]["tag"] == "NonResonant"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_eigen_data_refused(self, runner, tmp_path, token):
+        # Python's json reads these tokens; the eigen-data are refused by
+        # name, and the report stays strict JSON
+        path = tmp_path / "eig.json"
+        path.write_text('{"eigen_data": [[2, 0], [0.6, %s], [0.72, 0], '
+                        '[1, 1], [0, 0.5], [-0.25, -0.25]]}' % token)
+        result = runner.invoke(main, ["resonances", str(path), "--json"])
+        assert result.exit_code == 1
+        assert report_of(result)["failure"] == \
+            "eigen-data entries must be finite"
 
     def test_malformed_eigen_data(self, runner, tmp_path):
         path = write(tmp_path, "eig.json", {"eigen_data": [[1, 0]]})
@@ -182,7 +206,7 @@ class TestSearchBound:
         result = runner.invoke(main, ["resonances", path, "--bound",
                                       str(MAX_BOUND), "--json"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["bound"] == MAX_BOUND
+        assert report_of(result)["bound"] == MAX_BOUND
 
 
 def test_cli_import_leaves_scipy_out():
@@ -225,7 +249,7 @@ class TestVerify:
                                       "--seed", "7", "--samples", "25",
                                       "--json"])
         assert result.exit_code == 0
-        report = json.loads(result.output)
+        report = report_of(result)
         assert report["passed"]
         assert report["results"][0]["max_residual"] <= 1e-10
 
@@ -237,16 +261,23 @@ class TestVerify:
     def test_action(self, runner):
         result = runner.invoke(main, ["verify", "action", "--json"])
         assert result.exit_code == 0
-        report = json.loads(result.output)
+        report = report_of(result)
         assert report["results"][0]["counterexample_witnessed"]
         assert report["results"][0]["probe_clean"]
 
     @pytest.mark.parametrize("suite", ["group-laws", "gluing", "developing",
                                        "action", "all"])
-    def test_injected_fault_fails(self, runner, suite):
-        result = runner.invoke(main, ["verify", suite,
-                                      "--samples", "10", "--inject-fault"])
+    def test_injected_fault_fails(self, runner, monkeypatch, suite):
+        # one intermediate of each suite corrupted through the library
+        # calls it makes: every suite run reports the failure
+        verify_oracle.inject_fault(monkeypatch)
+        result = runner.invoke(main, ["verify", suite, "--samples", "10",
+                                      "--json"])
         assert result.exit_code == 1
+        results = report_of(result)["results"]
+        assert len(results) == (4 if suite == "all" else 1)
+        assert not any(r["passed"] for r in results)
+        assert all("failure" not in r for r in results)
 
     def test_refusing_suite_reports_failure(self, runner):
         # powers of the chart eigenvalues overflow at p = 2000, and the
@@ -255,7 +286,7 @@ class TestVerify:
                                       "--json"])
         assert result.exit_code == 1
         assert "Traceback" not in result.output
-        report = json.loads(result.output)
+        report = report_of(result)
         assert report["passed"] is False
         assert report["results"] == [{
             "name": "gluing", "passed": False,
@@ -278,7 +309,7 @@ class TestVerify:
         result = runner.invoke(main, ["verify", "group-laws",
                                       "--samples", "5", "--json"])
         assert result.exit_code == 0
-        assert sorted(json.loads(result.output)) == [
+        assert sorted(report_of(result)) == [
             "passed", "results", "samples", "seed", "suite", "tol"]
 
 
@@ -296,10 +327,25 @@ class TestDeform:
         path = write(tmp_path, "deform.json", self._nonres_doc())
         result = runner.invoke(main, ["deform", path, "--json"])
         assert result.exit_code == 0
-        report = json.loads(result.output)
+        report = report_of(result)
         assert report["passed"]
         assert report["max_residual"] <= 1e-9
         assert not report["complete"]
+
+    def test_non_finite_projection_refused(self, runner, tmp_path):
+        # a subnormal alpha_3 makes the closed form read nan: refused by
+        # name, and no nan reaches the report
+        doc = {"regime": {"tag": "NonResonant"},
+               "generators": [[list(z) for z in g]
+                              for g in NON_FINITE_INPUT["generators"]],
+               "config": {"m": 2, "vectors": [[list(z) for z in v] for v in
+                                              NON_FINITE_INPUT["vectors"]]}}
+        path = write(tmp_path, "deform.json", doc)
+        result = runner.invoke(main, ["deform", path, "--json"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert report_of(result)["failure"] == \
+            "projected multipliers are not finite and nonzero"
 
     def test_identity_deformation_complete(self, runner, tmp_path):
         doc = self._nonres_doc()
@@ -307,7 +353,7 @@ class TestDeform:
         path = write(tmp_path, "deform.json", doc)
         result = runner.invoke(main, ["deform", path, "--json"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["complete"]
+        assert report_of(result)["complete"]
 
     def test_non_commuting_generators_fail(self, runner, tmp_path):
         doc = {"regime": {"tag": "Single", "p": 1, "q": 2},
@@ -330,7 +376,7 @@ class TestDeform:
         result = runner.invoke(main, ["deform", path, "--json"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert json.loads(result.output)["failure"] == "complex exponentiation"
+        assert report_of(result)["failure"] == "complex exponentiation"
 
     @pytest.mark.parametrize("p", [1.5, "a"], ids=["fraction", "string"])
     def test_non_integer_regime_index_refused(self, runner, tmp_path, p):
@@ -344,7 +390,7 @@ class TestDeform:
         result = runner.invoke(main, ["deform", path, "--json"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert json.loads(result.output)["failure"] == \
+        assert report_of(result)["failure"] == \
             "regime index p must be an integer, got %r" % (p,)
 
     @pytest.mark.parametrize("regime,count,given", [

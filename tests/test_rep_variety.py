@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lvmkit.config_geometry import Configuration
-from lvmkit.holonomy import holonomy_pair
+from lvmkit.developing import check_structure
+from lvmkit.holonomy import (HolonomyPair, holonomy_pair, pairings,
+                             validate_holonomy)
 from lvmkit.resonance import ResonanceClass
 from lvmkit.resonant_group import (
     GroupElement,
@@ -12,6 +15,7 @@ from lvmkit.resonant_group import (
     inverse,
 )
 from lvmkit.rep_variety import (
+    REJECTION_RADIUS,
     NoConvergence,
     StructureSpec,
     psi_case,
@@ -208,6 +212,133 @@ class TestPsiNonResonant:
                              base_config=E1)
         with pytest.raises(NoConvergence):
             psi_nonresonant(spec)
+
+
+# Two inputs of a seeded sweep of NonResonant structures, as [re, im]
+# pairs: the base configuration and the three generators.  At the first,
+# the base pairings reach |u0_2| = 646, and the damped Newton run that
+# once followed the closed form found no descent; the closed form itself
+# satisfies the equations.  At the second, alpha_3 = 5.4e-323 - 1e-322j is
+# subnormal and the closed form reads nan from it.
+CLOSED_FORM_INPUT = {
+    "vectors": [[(0.40486541606845255, -0.17095032096761145),
+                 (-0.2537246387402875, 0.9943998317967306)],
+                [(0.0026112154951590458, 0.004673136698562082),
+                 (1.131137586743593e-06, -0.00124651307670686)],
+                [(-2.7662558233798884, 0.5178043913091943),
+                 (-3.499285929056802, -1.1455213635083696)],
+                [(0.014796287419316573, -0.0027080221728226395),
+                 (0.01910962589895401, 0.031120693484408577)],
+                [(-305.5384312848297, 393.47553296424843),
+                 (-111.02577688106784, -444.03471815355846)],
+                [(0.001919633947282485, 0.002617633984495433),
+                 (-0.0008137771700215822, 0.0021155164877842327)]],
+    "generators": [[(0.8655490190997774, -0.12145053075971741),
+                    (-3.3327679270748377e-13, 1.3657978868656851e-13),
+                    (1.0051283099838848, -0.0359199400012983)],
+                   [(1.0249103331626737, -0.028442650026159474),
+                    (-1.0095354194369394e+223, -3.209202105423455e+222),
+                    (0.8946523555735548, -0.0267830171164855)],
+                   [(-1.1993892316825105, 0.5665839060952611),
+                    (-1.1383739650145255, 2.294758409336087),
+                    (-1.3971426398594322, -1.074103655670225)]],
+}
+NON_FINITE_INPUT = {
+    "vectors": [[(0.032003175583947996, 0.005111305497305385),
+                 (-0.16707599277145518, 0.2412332085657941)],
+                [(0.05922770140399712, -0.18208877835273587),
+                 (-0.05839324953697291, 0.15546300833651708)],
+                [(22.189562872630404, 73.2529885097939),
+                 (48.87798688358722, -76.21049076478768)],
+                [(6.928323878421293, -4.201534251308593),
+                 (3.377878454280184, 3.7847421970462123)],
+                [(-1.0726944967153718, 1.8202916516984982),
+                 (0.6032522891048319, 2.2768701038284878)],
+                [(74.38499541842914, -189.93211355471234),
+                 (327.7573919227022, -251.57162412716502)]],
+    "generators": [[(-2.6778197668125734e-95, -1.6634822374891925e-95),
+                    (-1.9422701598947446e-09, 1.1086775138555244e-08),
+                    (5.4e-323, -1e-322)],
+                   [(1.025176381001669, -0.13751448176619666),
+                    (0.8978207341464718, -0.01744419354988455),
+                    (-0.026841839902130776, 0.018256935478364225)],
+                   [(-0.0587459821128816, -0.0620942254100728),
+                    (-0.17621235807595928, 0.32414232552104605),
+                    (-0.025645337192240273, 0.2354051149864422)]],
+}
+
+
+def nonresonant_spec(doc):
+    """The StructureSpec of a document of [re, im] pairs as above."""
+    config = Configuration(2, tuple(tuple(complex(*z) for z in v)
+                                    for v in doc["vectors"]))
+    return StructureSpec(tuple(GroupElement(NR, tuple(complex(*z) for z in g))
+                               for g in doc["generators"]),
+                         base_config=config)
+
+
+def _parts(bound):
+    """Complex numbers of real part within bound and imaginary part within
+    1.5: multipliers within e^(+-2 pi 1.8), whose products stay far inside
+    the commutation tolerance of `StructureSpec`."""
+    return st.builds(complex, st.floats(-bound, bound),
+                     st.floats(-min(bound, 1.5), min(bound, 1.5)))
+
+
+class TestPsiNonResonantClosedForm:
+    """The non-resonant projection is a closed form in logarithms; it
+    solves its six equations up to rounding and refuses what it cannot
+    read."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_parts(100.0), min_size=6, max_size=6),
+           st.lists(_parts(0.3), min_size=6, max_size=6),
+           st.lists(_parts(1.0), min_size=3, max_size=3))
+    def test_equations_hold_within_rounding(self, pairs, d, c_unit):
+        # base Omega = I, so the pairings are (u0, v0) exactly; the
+        # generators sit at most 0.43 from them and c is small enough that
+        # the solution stays within the anchor radius, so nothing refuses
+        u0, v0 = np.array(pairs[:3]), np.array(pairs[3:])
+        config = Configuration(2, ((0, 0), (1, 0), (0, 1))
+                               + tuple(zip(u0, v0)))
+        _, pu, pv = pairings(config)
+        assert np.array_equal(pu, u0) and np.array_equal(pv, v0)
+        assume(not validate_holonomy(HolonomyPair(
+            tuple(np.exp(2j * np.pi * u0)), tuple(np.exp(2j * np.pi * v0)))))
+        c = 0.07 * np.array(c_unit) / (1 + np.max(np.abs(pairs)))
+        d = np.array(d)
+        alpha = np.exp(2j * np.pi * (u0 + d[:3]))
+        beta = np.exp(2j * np.pi * (v0 + d[3:]))
+        spec = StructureSpec((GroupElement(NR, tuple(alpha)),
+                              GroupElement(NR, tuple(beta)),
+                              GroupElement(NR, tuple(np.exp(2j * np.pi * c)))),
+                             base_config=config)
+        pair, _, (s1, s2) = psi_nonresonant(spec)
+        cc = np.log(np.asarray(spec.generators[2].data)) / (2j * np.pi)
+        for base, dev, out, s, target in ((u0, d[:3], pair[0], s1, alpha),
+                                          (v0, d[3:], pair[1], s2, beta)):
+            x = np.asarray(out.data)
+            lhs = np.array([np.exp(2j * np.pi * s * (1 + cc[0])),
+                            x[1] * np.exp(2j * np.pi * s * cc[1]),
+                            x[2] * np.exp(2j * np.pi * s * cc[2])])
+            # each side sums terms of these sizes, a few roundings each
+            # (the base multipliers, the quotient and its log, the sums
+            # and products of the closed form, the exponentials), so the
+            # relative error is a few u per operation times 2 pi |term|
+            terms = np.abs(base) + np.abs(dev) + abs(s) * (1 + np.abs(cc)) + 1
+            bound = 16 * np.finfo(float).eps * 2 * np.pi * terms
+            assert np.all(np.abs(lhs - target) <= bound * np.abs(target))
+            assert abs(s - base[0]) <= REJECTION_RADIUS
+
+    def test_former_newton_failure_passes(self):
+        spec = nonresonant_spec(CLOSED_FORM_INPUT)
+        report = check_structure(spec)
+        assert report.passed and report.max_residual <= 1e-12
+
+    def test_non_finite_multipliers_refused(self):
+        with pytest.raises(NoConvergence, match="^projected multipliers "
+                           "are not finite and nonzero$"):
+            psi_nonresonant(nonresonant_spec(NON_FINITE_INPUT))
 
 
 class TestPsiResonantSingle:

@@ -15,6 +15,7 @@ independent of the library's closed forms.
 
 import numpy as np
 
+from lvmkit import cli
 from lvmkit.cli import _E1, _REGIMES
 from lvmkit.developing import StructureReport, build_structure
 from lvmkit.family_gluing import (DENOM_TOL, MEMBERSHIP_TOL, FamilyPoint,
@@ -492,6 +493,71 @@ def oracle_gluing(seed, samples, tol, p, q, fault):
         worst = max(worst, _pair_diff(back, (point, x)) / scale)
     return {"name": "gluing", "samples": samples, "p": p, "q": q,
             "max_residual": worst, "passed": worst <= tol}
+
+
+def _on_first_rows(fn, corrupt):
+    """fn, its output passed through corrupt on its first call and on each
+    later call whose array arguments start with the same rows: the first
+    sample, also where a suite evaluates a block again sample by sample."""
+    first = []
+
+    def wrapped(*args):
+        key = [np.asarray(a)[:1].tobytes() if np.ndim(a) else a for a in args]
+        if not first:
+            first.append(key)
+        out = fn(*args)
+        return corrupt(out) if key == first[0] else out
+    return wrapped
+
+
+def _scaled_first_row(out):
+    h, checks = out
+    h = h.copy()
+    h[0] = h[0] * (1 + 1e-3)
+    return h, checks
+
+
+def _scaled_first_shear(out):
+    sa, sb, sx = out
+    sa = sa.copy()
+    sa[0, 1, 1] *= 1 + 1e-3
+    return sa, sb, sx
+
+
+def inject_fault(mp):
+    """Make, through the library calls of `lvmkit.cli` patched on the
+    MonkeyPatch mp, the faults the oracles take with fault=True: f.g's
+    first row scaled by 1 + 1e-3 (group-laws, the first regime and
+    sample), sa[0, 1, 1] of the first psi_p image scaled alike (gluing),
+    the Single third generator's shear moved by 1e-9 (developing), and the
+    first action generator replaced by the identity (action)."""
+    mp.setattr(cli, "compose_many",
+               _on_first_rows(cli.compose_many, _scaled_first_row))
+    mp.setattr(cli, "glue_psi_p_many",
+               _on_first_rows(cli.glue_psi_p_many, _scaled_first_shear))
+    check_structure, certificate, probe = (
+        cli.check_structure, cli.fixed_point_certificate,
+        cli.properness_probe)
+    calls = []
+
+    def sheared(spec, **kwargs):
+        if spec.regime.tag == "Single":
+            a, b, c = spec.generators
+            c = GroupElement(c.regime, c.data[:3] + (c.data[3] + 1e-9,))
+            spec = StructureSpec((a, b, c))
+        return check_structure(spec, **kwargs)
+
+    def first_certificate(pair, **kwargs):
+        calls.append(pair)
+        if len(calls) == 1:
+            pair = (identity(pair[0].regime), pair[1])
+        return certificate(pair, **kwargs)
+
+    def first_probe(pair, **kwargs):
+        return probe((identity(pair[0].regime), pair[1]), **kwargs)
+    mp.setattr(cli, "check_structure", sheared)
+    mp.setattr(cli, "fixed_point_certificate", first_certificate)
+    mp.setattr(cli, "properness_probe", first_probe)
 
 
 def oracle_developing(seed, samples, fault):
