@@ -14,9 +14,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BOUND = 64
-# the largest search bound the CLI accepts: with all six multipliers on
-# the unit circle the screen builds (2b + 1)(b + 1)^2 exponents per
-# component, about 64 bytes each at the peak, 275 MB for b = 128
+# the largest search bound the CLI accepts: on the unit circle the screen
+# builds (2b + 1)(b + 1)^2 exponents per j, about 300 MB at b = 128; on roots
+# of unity most pass, and cost more: 18 s, 0.7 GB at b = 64, over 3 GB at 128
 MAX_BOUND = 128
 # near-resonances a warning lists, closest first
 NEAR_SHOWN = 5
@@ -101,41 +101,70 @@ def _is_resonance(h, j, p, tol):
     return max(ra, rb) <= tol, max(ra, rb)
 
 
-def _screened(logs, js, p2s, p3s, tol, bound):
-    """The (j, p) with |p1| <= bound, p2 in p2s and p3 in p3s that pass
-    `_log_screen` for every triple of logs.
+def _window(ra, rb, ea, eb, js, p2s, p3s):
+    """Per (j, p2), W indices into p3s holding each p3 at which some p1 is in
+    both slabs |p1 r0 + c| <= e (None if 2 W > len(p3s)): the slabs times the
+    other's r0, subtracted, are free of p1 (Fourier-Motzkin), |a p3 + b| <= r,
+    widened a step each side; e's room above thr covers rounding of terms."""
+    a = rb[0] * ra[2] - ra[0] * rb[2]
+    width = 2 * (abs(rb[0]) * ea + abs(ra[0]) * eb) / abs(a) + 3 if a else np.inf
+    if not 2 * width <= len(p3s):  # nor where a log is infinite: width inf or nan
+        return None
+    # W p3 from mid - r / |a| - 1 hold all up to mid + r / |a| + 1; mid = -b / a
+    # with b = p2 (rb0 ra1 - ra0 rb1) - (rb0 raj - ra0 rbj)
+    low = np.add.outer([(rb[0] * ra[j - 1] - ra[0] * rb[j - 1]) / a for j in js],
+                       p2s * ((ra[0] * rb[1] - rb[0] * ra[1]) / a)) - (width - 1) / 2
+    start = np.minimum(p3s.searchsorted(low), len(p3s) - int(width))
+    return start[..., None] + np.arange(int(width))
 
-    Only the exponents in every slab (see find_resonances) are built, and
-    each is screened from the same per-axis products, added in the same
-    order, as a scan of the whole box would screen it.
-    """
-    thr = _screen_bound(tol)
-    steps = np.arange(-bound, bound + 1) * 1.0
-    tables = [(steps * lg[0], p2s * lg[1], p3s * lg[2]) for lg in logs]
-    found = set()
-    for j in js:
-        lo = np.full((len(p2s), len(p3s)), -bound * 1.0)
+
+def _screened(logs, js, p2s, p3s, tol, bound):
+    """The (j, p), |p1| <= bound, p2 in p2s, p3 in p3s (sorted integers), that
+    pass `_log_screen` for every triple of logs: built in every slab (see
+    find_resonances), on `_window`'s cells for all j or the whole grid per j,
+    and screened as a whole-box scan would, from the same sums of products."""
+    thr, lg = _screen_bound(tol), np.array(logs)  # lg[k]: the k-th triple
+    t1 = np.arange(-bound, bound + 1.0) * lg[:, :1]
+    t2, t3 = p2s * lg[:, 1:2], p3s * lg[:, 2:]
+    # Re z is monotone in p1, so a slab is a p1 interval: found with room
+    # far above the rounding of z, then widened a step
+    rs = lg.real.tolist()
+    parts = [(bound * sum(map(abs, r)), max(map(abs, r))) for r in rs]
+    edges = [thr + 1e-12 * (thr + s + m) for s, m in parts]
+    band = _window(*rs, *edges, js, p2s, p3s) if len(rs) == 2 else None
+    slabs = [k for k, p in enumerate(parts) if sum(p) > thr]  # else |Re z| <= thr
+    found, j0, n2 = set(), [j - 1 for j in js], len(p2s)
+    # per (j, p2) a row of cells: its t2, log of component j (one, for one j), p3s
+    groups = ([(j0, np.concatenate([t2] * len(js), 1), lg[:, j0].repeat(n2, 1),
+                band.reshape(len(js) * n2, -1))] if band is not None else
+              [([j], t2, lg[:, j:j + 1], np.arange(len(p3s))) for j in j0])
+    for g, u2, lj, cols in groups:
+        lo = np.full((len(u2[0]), cols.shape[-1]), -bound * 1.0)
         hi = -lo
-        for lg, (t1, t2, t3) in zip(logs, tables):
-            # Re z is monotone in p1, so the slab is a p1 interval: found
-            # with room far above the rounding of z, then widened a step
-            r = lg.real
-            edge = thr + 1e-12 * (thr + bound * np.abs(r).sum() + np.abs(r).max())
-            c = t2.real[:, None] + t3.real[None, :] - r[j - 1]
-            with np.errstate(all="ignore"):  # r[0] may be 0, logs infinite
-                ends = ((-edge - c) / r[0], (edge - c) / r[0])
+        for k in slabs:
+            c = u2[k].real[:, None] + t3[k].real[cols] - lj[k].real[:, None]
+            with np.errstate(all="ignore"):  # r0 may be 0, logs infinite
+                ends = ((-edges[k] - c) / rs[k][0], (edges[k] - c) / rs[k][0])
             lo = np.maximum(lo, np.ceil(np.fmin(*ends)) - 1)
             hi = np.minimum(hi, np.floor(np.fmax(*ends)) + 1)
-        i2, i3 = np.nonzero(lo <= hi)
-        lo, n = lo[i2, i3].astype(int), (hi - lo)[i2, i3].astype(int) + 1
-        # row by row, p1 + bound runs over lo + bound, ..., hi + bound
+        keep = lo <= hi
+        row, i3 = np.nonzero(keep)
+        i3 = i3 if band is None else cols[row, i3]
+        lo, n = lo[keep].astype(int), (hi - lo)[keep].astype(int) + 1
+        # cell by cell, p1 + bound runs over lo + bound, ..., hi + bound
         i1 = np.repeat(lo + bound + n - np.cumsum(n), n) + np.arange(n.sum())
-        i2, i3 = np.repeat(i2, n), np.repeat(i3, n)
-        for lg, (t1, t2, t3) in zip(logs, tables):
-            keep = _log_screen((t1[i1] + t2[i2]) + t3[i3] - lg[j - 1], tol)
-            i1, i2, i3 = i1[keep], i2[keep], i3[keep]
-        found.update((j, (int(a) - bound, int(p2s[b]), int(p3s[c])))
-                     for a, b, c in zip(i1, i2, i3))
+        row, i3 = row.repeat(n), i3.repeat(n)
+        # where a triple has no slab, its screen would pass most exponents
+        for k in slabs if len(slabs) < len(rs) else []:  # so test |Re z| < thr first
+            keep = np.abs((t1[k].real[i1] + u2[k].real[row]) + t3[k].real[i3]
+                          - lj[k].real.take(row, mode="clip")) < thr
+            i1, row, i3 = i1[keep], row[keep], i3[keep]
+        for k in range(len(rs)):
+            keep = _log_screen((t1[k, i1] + u2[k, row]) + t3[k, i3]
+                               - lj[k].take(row, mode="clip"), tol)
+            i1, row, i3 = i1[keep], row[keep], i3[keep]
+        found.update((g[r // n2] + 1, (int(a) - bound, int(p2s[r % n2]), int(p3s[c])))
+                     for a, r, c in zip(i1, row, i3))
     return found
 
 
@@ -145,12 +174,12 @@ def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
     One pruned search of the box.  The log screen passes z only if the
     rounded sum |Re z| + |wrapped Im z| is below its threshold, so only if
     |Re z| is: for alpha and for beta, a slab around the log-modulus
-    constraint, a few p1 per (p2, p3) when the moduli are generic, the
-    whole box when all six multipliers lie on the unit circle.
-    `_screened` screens the exponents of both slabs as a scan of the whole
-    box would; the power residual decides them and the trivial ones, and
-    the undecided within 10 tol are warned about, by their count and the
-    NEAR_SHOWN closest.
+    constraint, a few p1 per (p2, p3) when the moduli are generic, and a
+    window of a few p3 per (j, p2) where p1 can lie in both; the whole
+    grid where alpha's and beta's log-moduli bound p3 alike (all 0 on the
+    unit circle).  The candidates are those of a whole-box scan; the power
+    residual decides them and the trivial ones, and the undecided within
+    10 tol are warned about, by their count and the NEAR_SHOWN closest.
     """
     logs = [np.log(np.asarray(v, dtype=complex)) for v in (h.alpha, h.beta)]
     box = np.arange(bound + 1)

@@ -435,3 +435,23 @@ class TestStructureSpec:
     def test_mixed_regimes_rejected(self):
         with pytest.raises(ValueError):
             StructureSpec((identity(NR), identity(S12), identity(S12)))
+
+    def test_large_nonresonant_generators_commute(self):
+        # diagonal generators commute, but numpy rounds a b and b a apart
+        # by about u |a| |b|, above COMMUTE_TOL * (1 + max |params|) at
+        # modulus 1e9: 194 of these 200 triples were refused
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            z = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))) * 1e9
+            StructureSpec(tuple(GroupElement(NR, tuple(row)) for row in z))
+
+    @pytest.mark.parametrize("f, g", [
+        (GroupElement(S12, (2, 0.6, 0.5, 0.3)),
+         GroupElement(S12, (1 + 1j, 0.5j, -0.3 + 0.2j, 0.7))),
+        (GroupElement(D1, (2, np.array([[1.3, 0.2], [0.1, 0.7]]))),
+         GroupElement(D1, (3, np.array([[0.4, 1], [0.5j, 2]])))),
+    ], ids=["single", "double"])
+    def test_noncommuting_resonant_pair_rejected(self, f, g):
+        assert commutation_residual(f, g) > 1e-3
+        with pytest.raises(ValueError, match="generators 1 and 2 do not commute"):
+            StructureSpec((f, g, identity(f.regime)))

@@ -170,18 +170,32 @@ class TestFindResonances:
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["generic", "unit_alpha", "unit", "near_one",
-                            "extreme"]),
-           st.integers(0, 17), st.floats(-12, np.log10(0.5)))
+                            "extreme", "alpha1_unit", "beta1_unit",
+                            "both1_unit", "proportional", "near_proportional"]),
+           st.integers(0, 17) | st.integers(18, 64), st.floats(-12, np.log10(0.5)))
     def test_screen_equals_whole_box(self, seed, moduli, bound, log_tol):
         # the pruned search screens exactly the exponents a scan of the
-        # whole box screens, so found and near-resonances agree with it
+        # whole box screens, so found and near-resonances agree with it.
+        # The classes reach each case of the (p2, p3) window: |alpha_1|,
+        # |beta_1| or both exactly 1 (r0 = 0), and beta's log-moduli a
+        # multiple of alpha's, or nearly, where it widens to every p3
         rng = np.random.default_rng(seed)
-        logs = {"generic": rng.uniform(-0.7, 0.7, size=6),
+        part = rng.uniform(-0.7, 0.7, size=6)
+        ratio = rng.choice([-3, -2, -1, 0.5, 2, 3])
+        logs = {"generic": part,
                 "unit_alpha": np.r_[0, 0, rng.uniform(-0.7, 0.7, size=4)],
                 "unit": np.zeros(6),
                 "near_one": rng.choice([-1, 1], size=6) * rng.uniform(0.5, 2, size=6) * 1e-7,
-                "extreme": rng.choice([-1, 1], size=6) * rng.uniform(4, 6, size=6)}[moduli]
+                "extreme": rng.choice([-1, 1], size=6) * rng.uniform(4, 6, size=6),
+                "alpha1_unit": part * [0, 1, 1, 1, 1, 1],
+                "beta1_unit": part * [1, 1, 1, 0, 1, 1],
+                "both1_unit": part * [0, 1, 1, 0, 1, 1],
+                "proportional": np.r_[part[:3], ratio * part[:3]],
+                "near_proportional": np.r_[part[:3], ratio * part[:3] * (
+                    1 + 10 ** rng.uniform(-8, -2, size=3))]}[moduli]
         vals = np.exp(logs + 2j * np.pi * rng.uniform(size=6))
+        if moduli.endswith("1_unit"):  # exactly on the unit circle
+            vals[logs == 0] = 1j ** rng.integers(0, 4, size=np.sum(logs == 0))
         if rng.uniform() < 0.5:
             # a relation near a word of the box, so some exponents pass
             p1, p2 = int(rng.integers(-3, 4)), int(rng.integers(0, 4))
@@ -215,6 +229,33 @@ class TestFindResonances:
                 break
         h = HolonomyPair((a1, a2, a3), (b1, b2, b1))
         bound = int(rng.integers(1, 5))
+        assert screened_box(h, tol, bound) == box_screen(h, tol, bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    @example(898)
+    @example(7978)
+    @example(13183)
+    def test_screen_equals_whole_box_at_window_edge(self, seed):
+        # |alpha_1| = 1 exactly, so the (p2, p3) window of j = 2, p2 = 0 is
+        # |r2 p3 - r1| <= its bound, r = log|alpha|; p3 = 1 lies on its
+        # lower edge when r1 - r2 = thr.  alpha_3 is the closest to that
+        # with p = (0, 0, 1) screened (alpha_2, alpha_3 real, so Im z = 0);
+        # beta_3 = beta_2 puts p inside beta's slab.  Seeds 898, 7978 and 13183
+        # need the window's room for rounding: with the screen threshold in
+        # place of the slab edges, whose room covers the rounding of its
+        # terms, and without its widening step, the window drops p there
+        rng = np.random.default_rng(seed)
+        tol = 10 ** rng.uniform(-12, -2)
+        thr = _screen_bound(tol)
+        a1 = 1j ** rng.integers(0, 4)
+        a2 = rng.choice([-1, 1]) * np.exp(rng.uniform(0.5, 0.7)) + 0j
+        b1, b2 = np.exp(rng.uniform(-0.7, 0.7, size=2) + 2j * np.pi * rng.uniform(size=2))
+        a3 = a2 * np.exp(-thr) * (1 + np.arange(-64, 65) * 2.0 ** -53)
+        margin = thr - (np.log(a2).real - np.log(a3).real)
+        a3 = a3[np.argmin(np.where(margin > 0, margin, np.inf))]
+        h = HolonomyPair((a1, a2, a3), (b1, b2, b2))
+        bound = int(rng.integers(5, 17))
         assert screened_box(h, tol, bound) == box_screen(h, tol, bound)
 
     @settings(max_examples=30, deadline=None)
