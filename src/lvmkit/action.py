@@ -24,9 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .resonant_group import (PointV, _compose_rows, _finite_check, _images,
-                             _overflow, accepted, apply, compose,
-                             element_from_params, passed, power_many, replay)
+from .resonant_group import (PointV, _check, _compose_rows, _factor_powers,
+                             _images, _overflow, apply, compose,
+                             element_from_params, power_many)
 
 DEFAULT_WINDOW = 25
 FP_TOL = 1e-10
@@ -57,8 +57,8 @@ def _powers(elements, bound):
     are not validated: a row may hold 0, inf or nan, and only a refused
     power of an element or its inverse raises, the first element's first."""
     rows = np.array([e.params() for e in elements])
-    return accepted(power_many(elements[0].regime, rows,
-                               np.arange(-bound, bound + 1)[:, None]))
+    return power_many(elements[0].regime, rows,
+                      np.arange(-bound, bound + 1)[:, None])
 
 
 def _grid(bound):
@@ -87,8 +87,7 @@ def _near_one(z, tol):
 def _fixed_point_witness(regime, h, tol):
     """An exact fixed point in V of the word with the parameter row h
     (`GroupElement.params`), or None.  A row whose scalar part is within
-    tol of 1 but which is not finite is refused as `compose_many` refuses
-    it.
+    tol of 1 but which is not finite is refused with OverflowError.
 
     Solved per regime: the first coordinate forces the scalar part to be
     1; the fiber equations are at most affine in xi3 and are solved in
@@ -97,7 +96,8 @@ def _fixed_point_witness(regime, h, tol):
     h1, *rest = (complex(z) for z in h)
     if not _near_one(h1, tol):
         return None
-    replay(_finite_check(h))
+    if not np.isfinite(h).all():
+        _overflow()
     if regime.tag == "NonResonant":
         h2, h3 = rest
         if _near_one(h2, tol):
@@ -156,9 +156,9 @@ def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
         near = unread | (np.abs(h1 - 1) <= 2 * tol + _SLACK * np.abs(h1))
         near[window, window] = False
         for i, j in np.argwhere(near).tolist():
-            h = _compose_rows(regime, fp[i, None], gp[j, None])[0][0]
+            h = _compose_rows(regime, fp[i, None], gp[j, None])[0]
             if unread[i, j]:
-                _overflow(h)
+                _overflow()
             w = _fixed_point_witness(regime, h, tol)
             if w is not None:
                 return ActionCertificate(window, False,
@@ -278,16 +278,18 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
     m1, m23 = np.abs(x[:, 0]), np.hypot(np.abs(x[:, 1]), np.abs(x[:, 2]))
     diagonal = 1 if regime.tag == "Double" else 3
     words, returns = [], []
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         fp, gp = _powers(pair, horizon).swapaxes(0, 1)
         unread = _unread(fp[:, None, :diagonal],
                          gp[None, :, :diagonal]).ravel()[band]
-        powers = _images(regime, fp[:0, None], x)[1]  # of the samples alone
-        suspect = np.flatnonzero(~passed(powers))
-        limit = suspect[0] if suspect.size else samples
+        # the samples whose powers xi1^-p, xi1^p the Double regime's tau
+        # takes are floats
+        fine = np.isfinite(_factor_powers(regime, x)).all(axis=0) \
+            if regime.tag == "Double" else np.ones(samples, bool)
+        limit = np.argmin(fine) if not fine.all() else samples
         for c in range(0, r.size, block):
             rc, sc = r[c:c + block], s[c:c + block]
-            h = _compose_rows(regime, fp[rc + horizon], gp[sc + horizon])[0]
+            h = _compose_rows(regime, fp[rc + horizon], gp[sc + horizon])
             # to a few ulp, images have |xi1| = |h_1| |x_1| and NonResonant
             # fibre moduli within min, max(|h_2|, |h_3|) times |x_23|
             a = np.abs(h[:, 0])
@@ -297,24 +299,24 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
                 dead |= _leaves(np.minimum(a2, a3), np.maximum(a2, a3), m23,
                                 compact_radius)
             live = np.flatnonzero(~dead)
-            back = _in_annulus(_images(regime, h[live, None], x[:1])[0],
+            back = _in_annulus(_images(regime, h[live, None], x[:1]),
                                compact_radius)[:, 0]
             first = np.full(rc.size, samples)
             first[live[back]] = 0
             later = live[~back]
             if later.size and samples > 1:
-                inside = _in_annulus(_images(regime, h[later, None], x[1:])[0],
+                inside = _in_annulus(_images(regime, h[later, None], x[1:]),
                                      compact_radius)
                 first[later] = np.where(inside.any(axis=1),
                                         1 + inside.argmax(axis=1), samples)
             # in loop order, a word that cannot be read raises, and so does
-            # a word that meets a suspect sample before its first return
+            # a word that meets a sample not `fine` before its first return
             refused = unread[c:c + block] | (first > limit)
             if refused.any():
                 k = np.argmax(refused)
                 if unread[c + k]:
-                    _overflow(h[k])
-                replay(*powers)
+                    _overflow()
+                _check("properness_probe", regime, fine, x, "xi%d")
             hit = first < samples
             words += zip(rc[hit].tolist(), sc[hit].tolist())
             returns += first[hit].tolist()

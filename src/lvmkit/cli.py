@@ -32,7 +32,7 @@ from .resonance import (DEFAULT_BOUND, DEFAULT_TOL, MAX_BOUND,
                         ResonanceClass, UnclassifiableResonancePattern,
                         classify_regime, cohomology_dims, find_resonances)
 from .resonant_group import (BranchDomain, GroupElement, IllConditioned,
-                             _power, accepted, apply_many, compose_many,
+                             _power, apply_many, compose_many,
                              element_from_params, group_dim, identity,
                              inverse_many)
 from .rep_variety import NoConvergence, StructureSpec
@@ -267,17 +267,14 @@ def _group_laws(regime, z):
                for i in range(3))
     x = _random_points(z[:, 3 * k:])
 
-    def compose_rows(a, b):
-        return accepted(compose_many(regime, a, b))
-
-    def apply_rows(a, y):
-        return accepted(apply_many(regime, a, y))
-    fg = compose_rows(f, g)
+    compose = functools.partial(compose_many, regime)
+    apply = functools.partial(apply_many, regime)
+    fg = compose(f, g)
     scale = 1 + np.max(np.abs([f, g, h]), axis=(0, 2))
-    assoc = np.abs(compose_rows(fg, h) - compose_rows(f, compose_rows(g, h)))
-    inv = np.abs(compose_rows(f, accepted(inverse_many(regime, f)))
+    assoc = np.abs(compose(fg, h) - compose(f, compose(g, h)))
+    inv = np.abs(compose(f, inverse_many(regime, f))
                  - identity(regime).params())
-    hom = np.abs(apply_rows(fg, x) - apply_rows(f, apply_rows(g, x)))
+    hom = np.abs(apply(fg, x) - apply(f, apply(g, x)))
     return max(np.max(np.max(assoc, axis=1) / scale),
                np.max(np.max(inv, axis=1) / scale),
                np.max(np.max(hom, axis=1) / (1 + np.max(np.abs(x), axis=1))))
@@ -303,9 +300,10 @@ def _random_charts(z, p=0, q=1):
     a = c[:, :3] + [1.5, 2.0, 0.5]
     b = c[:, 3:6] + [0.8, 1.3, 0.4]
 
-    def twisted(d):
-        return d[:, 2] - _power(d[:, 0], p) * _power(d[:, 1], q)
-    delta = c[:, 6] * twisted(b) / twisted(a)
+    def twisted(d, name):
+        return d[:, 2] - (_power(d[:, 0], p, "random chart", name + "1")
+                          * _power(d[:, 1], q, "random chart", name + "2"))
+    delta = c[:, 6] * twisted(b, "b") / twisted(a, "a")
     return _diagonal(*a.T, c[:, 6]), _diagonal(*b.T, delta), c[:, 7]
 
 
@@ -473,6 +471,8 @@ def deform(path, seed, samples, tol, as_json):
             for coeffs in doc["generators"])
         if len(gens) != 3:
             raise click.UsageError("expected exactly three generators")
+        if not all(np.isfinite(g.params()).all() for g in gens):
+            raise ValueError("generator entries must be finite")
         config = None
         if "config" in doc:
             config = Configuration(*_parse_config(doc["config"]))

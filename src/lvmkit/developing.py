@@ -25,9 +25,8 @@ import numpy as np
 from .holonomy import TWO_PI_I
 from .rep_variety import (StructureSpec, _principal_c, psi_case,
                           psi_nonresonant, psi_resonant)
-from .resonant_group import (_expm2, _images, _l_matrices, _points_ok,
-                             _power, _to_point, accepted, apply_many,
-                             group_log, identity, replay)
+from .resonant_group import (_expm2, _points_ok, _power, _to_point,
+                             apply_many, group_log, identity, replay)
 
 # cover points per array block, which bounds the memory a large sample
 # count takes
@@ -78,16 +77,19 @@ def dev_eval(d, w):
 def dev_eval_many(d, w):
     """The developing map at the cover points w (N, 3): points (N, 3) of V."""
     w1, xi2, xi3 = w.T
-    replay(((xi2 != 0) | (xi3 != 0), _vanishing, w))
+    if not ((xi2 != 0) | (xi3 != 0)).all():
+        raise ValueError("(xi2, xi3) must not both vanish")
     if d.case == "affine":
         x1, k = d.params[0].data
         regime = d.regime
         a1 = np.exp(w1 * x1)
         n = _expm2(w1[:, None, None] * np.asarray(k))
-        h = np.concatenate([a1[:, None], (_l_matrices(a1, regime.p) @ n)
-                            .reshape(-1, 4)], axis=1)
-        return accepted(apply_many(regime, h, np.stack(
-            [np.exp(TWO_PI_I * w1), xi2, xi3], axis=1)))
+        lp = np.zeros((len(a1), 2, 2), dtype=complex)  # diag(1, a1^p)
+        lp[:, 0, 0] = 1
+        lp[:, 1, 1] = _power(a1, regime.p, "developing map", "a1")
+        h = np.concatenate([a1[:, None], (lp @ n).reshape(-1, 4)], axis=1)
+        return apply_many(regime, h, np.stack(
+            [np.exp(TWO_PI_I * w1), xi2, xi3], axis=1))
     if d.case == "canonical-form":
         t = TWO_PI_I * w1
         y = np.stack([np.exp(t * (1 + d.params[0])),
@@ -97,7 +99,7 @@ def dev_eval_many(d, w):
         gamma, c1, c4, c3 = d.params
         p, q = d.regime.p, d.regime.q
         lg, lc1, lc4 = np.log(gamma), np.log(c1), np.log(c4)
-        xq = _power(xi2, q)
+        xq = _power(xi2, q, "developing map", "xi2")
         if d.case == "generic":
             kappa = c3 / (gamma ** p * c1 ** q - c4)
             third = (np.exp(w1 * lc4) * xi3 + kappa * np.exp(p * (TWO_PI_I + lg)
@@ -109,10 +111,6 @@ def dev_eval_many(d, w):
                       np.exp(w1 * lc1) * xi2, third], axis=1)
     replay((_points_ok(y), _to_point, y))
     return y
-
-
-def _vanishing(w):
-    raise ValueError("(xi2, xi3) must not both vanish")
 
 
 def deck_transform(structure, index, w):
@@ -134,11 +132,7 @@ def deck_transform_many(structure, indices, w):
         h = np.stack([structure.output_pair[indices[k] - 1].params()
                       for k in moving])[:, None]
         x = np.stack([np.exp(TWO_PI_I * w[:, 0]), w[:, 1], w[:, 2]], axis=1)
-        if regime.tag == "Single":  # its shear is refused where xi2^q is
-            _power(w[:, 1], regime.q)
-        out[moving, :, 1:] = (accepted(apply_many(regime, h, x))
-                              if regime.tag == "Double"
-                              else _images(regime, h, x)[0])[..., 1:]
+        out[moving, :, 1:] = apply_many(regime, h, x)[..., 1:]
     return out
 
 
@@ -157,7 +151,7 @@ def _residuals(structure, indices, w, base):
         structure, indices, w).reshape(-1, 3)).reshape(len(indices), -1, 3)
     gens = np.stack([structure.spec.generators[index - 1].params()
                      for index in indices])[:, None]
-    rhs = accepted(apply_many(structure.spec.regime, gens, base))
+    rhs = apply_many(structure.spec.regime, gens, base)
     return np.max(np.abs(lhs - rhs), axis=2) / (1 + np.max(np.abs(rhs), axis=2))
 
 

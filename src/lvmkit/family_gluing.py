@@ -33,9 +33,9 @@ import numpy as np
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
 from .resonance import (DEFAULT_BOUND, ResonanceClass, _log_screen,
                         _power_residual, _screened)
-from .resonant_group import (IllConditioned, PointV, _finite_check,
-                             _invertible, _null_vector, _points_ok, _power,
-                             _to_point, _twisted_roots, accepted, apply_many,
+from .resonant_group import (IllConditioned, PointV, _invertible,
+                             _null_vector, _overflow, _points_ok, _power,
+                             _to_point, _twisted_roots, apply_many,
                              compose_many, power_many, replay)
 from .rep_variety import _double_equations
 
@@ -136,7 +136,8 @@ def _paired_eigendata(amat, bmat, p):
     a1, b1 = amat[:, 0, 0], bmat[:, 0, 0]
     if not a1.all():
         raise ValueError("alpha must be nonzero")
-    ap, bp = _power(np.array([a1, b1]), p)
+    ap = _power(a1, p, "S_p chart", "alpha1")
+    bp = _power(b1, p, "S_p chart", "beta1")
     roots = _twisted_roots(ap, amat[:, 1:, 1:])
     # the assignment (r0, r1) unless only (r1, r0) is modulus-ordered
     r0, r1 = roots.T
@@ -273,6 +274,11 @@ def _generator_rows(space, mat):
                     axis=1)
 
 
+def _finite_check(y):
+    """The `replay` check refusing each non-finite row of y (N, k)."""
+    return np.isfinite(y).all(axis=1), _overflow
+
+
 def family_action_many(space, amat, bmat, word, x, p=None, q=None):
     """`family_action` for stacked points of one chart, matrices (N, 3, 3)
     with indices p, q, on the points x (N, 3): the images (N, 3)."""
@@ -281,9 +287,8 @@ def family_action_many(space, amat, bmat, word, x, p=None, q=None):
     if space != "T":
         regime = _chart_regime(space, p, q)
         rows = np.stack([_generator_rows(space, m) for m in (amat, bmat)])
-        hr, hs = accepted(power_many(regime, rows, np.array([[r], [s]])))
-        h = accepted(compose_many(regime, hr, hs))
-        return accepted(apply_many(regime, h, x))
+        hr, hs = power_many(regime, rows, np.array([[r], [s]]))
+        return apply_many(regime, compose_many(regime, hr, hs), x)
     with np.errstate(all="ignore"):
         a = np.linalg.matrix_power(amat if r >= 0 else np.linalg.inv(amat),
                                    abs(r))

@@ -115,7 +115,7 @@ def _double_equations(a1, amat, b1, bmat, p):
     except (OverflowError, ZeroDivisionError):
         powers = (0,)
     if not all(w != 0 and cmath.isfinite(w) for w in powers):
-        _overflow(powers)
+        _overflow()
     return (
         ("off-diagonal-balance", e1 * d2 * bp - d1 * e2 * ap),
         ("lower-shear", e1 * (b3 - bp * b2) - d1 * (a3 - ap * a2)),

@@ -18,12 +18,13 @@ the 2x2 exp and log are closed forms in the eigenvalues.
 
 `compose_many`, `inverse_many` and `apply_many` evaluate the group laws
 on stacked parameter rows in numpy's own arithmetic, and `compose`,
-`inverse` and `apply` are their one-row calls.  Each array law returns,
-with its rows, plain (mask, fn, *rows) checks that decide its refusals
-from those rows alone: a power that leaves the float range, an output
-that `GroupElement` or `PointV` refuses, a non-finite output.  A clean
-call costs its arithmetic and masks; only `replay`, on a refused row,
-broadcasts the checks and raises the error of the first refused row.
+`inverse` and `apply` are their one-row calls.  Each law computes its
+rows and one mask, and raises for the first refused row only, by one
+rule: an input that is no group element raises `GroupElement`'s
+ValueError; a finite base whose power is not finite raises
+OverflowError naming the law, the power and the row; an output that is
+no group element or point of V raises `GroupElement`'s or `PointV`'s
+ValueError; any other output that is not finite raises OverflowError.
 `power_many` takes f^r for rows and exponents broadcast together, as
 the chain f, f f, (f f) f, ... of the products `compose` takes.  All
 laws read a 2x2 matrix as invertible where m11 m22 != m12 m21
@@ -58,74 +59,40 @@ class BranchDomain(Exception):
     """Argument outside the principal-branch domain of exp/log."""
 
 
-def _power_check(z, n):
-    """z ** n for each z, by numpy's power, and the `replay` check that
-    refuses each finite z whose power is not a float, as Python refuses
-    complex(z) ** n: ZeroDivisionError where n < 0 and z is 0, or z ** -n
-    is 0 with |n| <= 100 (below its exp-log power), OverflowError
-    otherwise."""
-    z = np.asarray(z, dtype=complex)
+def _first(ok):
+    """The index of the first row where the mask ok fails."""
+    return np.unravel_index(np.argmin(ok), ok.shape)
+
+
+def _overflow():
+    raise OverflowError("result leaves the float range")
+
+
+def _power(z, n, law, name):
+    """z ** n for each z (...), by numpy's power, refusing the first finite
+    z whose power is not finite as name^n of law."""
     with np.errstate(all="ignore"):
         out = z ** n
-    return out, [(np.isfinite(out) | ~np.isfinite(z), _refuse_power, z, n)]
-
-
-def _refuse_power(z, n):
-    with np.errstate(all="ignore"):
-        if n < 0 and (z == 0 or abs(n) <= 100 and z ** -n == 0):
-            raise ZeroDivisionError("0.0 to a negative or complex power")
-    raise OverflowError("complex exponentiation")
-
-
-def _power(z, n):
-    """z ** n for each z, raising the refusal of the first z refused."""
-    return accepted(_power_check(z, n))
+        bad = np.isfinite(z) & ~np.isfinite(out)
+    if bad.any():
+        raise OverflowError("%s: %s^%d leaves the float range (row %s)" % (
+            law, name, n, ", ".join(map(str, _first(~bad)))))
+    return out
 
 
 def replay(*checks):
     """Raise the error of the first row that fails a check.  Each check is
-    (ok, fn, *rows): a mask over the rows, broadcast against the others,
-    and rows of its shape and a row's (a scalar, such as an exponent or a
-    regime, is each row's).  For the first row k that fails any check, the
-    checks it fails raise, in order, by fn(*(r[k] for r in rows))."""
-    ok = passed(checks)
+    (ok, fn, *rows): a mask (N,) and rows of N entries each.  For the
+    first row k that fails any check, the checks it fails raise, in order,
+    by fn(*(r[k] for r in rows))."""
+    ok = np.logical_and.reduce([check[0] for check in checks])
     if ok.all():
         return
-    k = np.unravel_index(np.argmin(ok), ok.shape)
+    k = np.argmin(ok)
     with np.errstate(all="ignore"):
         for c, fn, *rows in checks:
-            if not np.broadcast_to(c, ok.shape)[k]:
-                fn(*(np.broadcast_to(r, ok.shape + np.shape(r)[np.ndim(c):])[k]
-                     for r in rows))
-
-
-def passed(checks):
-    """The rows that pass every check of a list of `replay` checks (all
-    rows, for no check)."""
-    return functools.reduce(np.logical_and, [check[0] for check in checks],
-                            np.True_)
-
-
-def accepted(result):
-    """The output of an array form that returns (output, checks), once
-    `replay` has found no refused row."""
-    out, checks = result
-    replay(*checks)
-    return out
-
-
-def _finite_check(out):
-    """The check refusing each non-finite output row (..., k) with
-    OverflowError."""
-    return np.isfinite(out).all(axis=-1), _overflow, out
-
-
-def _overflow(out):
-    raise OverflowError("result leaves the float range")
-
-
-def _zero_division(den):
-    raise ZeroDivisionError("complex division by zero")
+            if not c[k]:
+                fn(*(r[k] for r in rows))
 
 
 @dataclass(frozen=True)
@@ -207,34 +174,25 @@ def _l_matrix(z, p):
     return np.array([[1, 0], [0, complex(z) ** p]], dtype=complex)
 
 
-def _l_matrices(z, p):
-    """`_l_matrix` for each z (N,)."""
-    out = np.zeros((len(z), 2, 2), dtype=complex)
-    out[:, 0, 0] = 1
-    out[:, 1, 1] = _power(z, p)
-    return out
-
-
 def compose(f, g):
     """f g, the one row of `compose_many`."""
     if f.regime != g.regime:
         raise ValueError("cannot compose elements of different regimes")
-    return element_from_params(f.regime, accepted(compose_many(
-        f.regime, f.params()[None], g.params()[None]))[0])
+    return element_from_params(f.regime, compose_many(
+        f.regime, f.params()[None], g.params()[None])[0])
 
 
 def inverse(f):
     """f^-1, the one row of `inverse_many`."""
-    return element_from_params(f.regime, accepted(inverse_many(
-        f.regime, f.params()[None]))[0])
+    return element_from_params(f.regime, inverse_many(
+        f.regime, f.params()[None])[0])
 
 
 def apply(f, x):
     """f x, the one row of `apply_many`."""
     if not isinstance(x, PointV):
         x = PointV(tuple(x))
-    return _to_point(accepted(apply_many(f.regime, f.params()[None],
-                                         x.array()[None]))[0])
+    return _to_point(apply_many(f.regime, f.params()[None], x.array()[None])[0])
 
 
 def _to_point(xi):
@@ -253,24 +211,25 @@ def _determinant2(m):
     [[-e11, -e12], [e12 - k, e11 - k]], with e_ij the exponent of the
     larger part of m_ij and k = max(e11 + e22, e12 + e21): it scales both
     products by 2^-k exactly, so that neither overflows, nor underflows
-    unless it is negligible beside the other."""
-    with np.errstate(all="ignore"):
-        d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-        if d.all() and np.isfinite(d).all():
-            return m, d, 0
-        m = np.asarray(m, dtype=complex)
-        parts = m[..., None].view(float)
-        e = np.where(parts != 0, np.frexp(parts)[1], -3000).max(-1)
-        k = np.maximum(e[..., 0, 0] + e[..., 1, 1], e[..., 0, 1] + e[..., 1, 0])
-        t = np.stack([-e[..., 0, :], e[..., 0, ::-1] - k[..., None]], -2)
-        redo = (d == 0) | ~np.isfinite(d)
-        s = _ldexp(m, t := np.where(redo[..., None, None], t, 0))
-        return s, s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0], t
+    unless it is negligible beside the other.  numpy's errors are the
+    caller's to ignore."""
+    d = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+    if d.all() and np.isfinite(d).all():
+        return m, d, 0
+    m = np.asarray(m, dtype=complex)
+    parts = m[..., None].view(float)
+    e = np.where(parts != 0, np.frexp(parts)[1], -3000).max(-1)
+    k = np.maximum(e[..., 0, 0] + e[..., 1, 1], e[..., 0, 1] + e[..., 1, 0])
+    t = np.stack([-e[..., 0, :], e[..., 0, ::-1] - k[..., None]], -2)
+    redo = (d == 0) | ~np.isfinite(d)
+    s = _ldexp(m, t := np.where(redo[..., None, None], t, 0))
+    return s, s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0], t
 
 
 def _invertible(m):
     """Where d of `_determinant2` is not 0 (a non-finite entry passes)."""
-    return _determinant2(m)[1] != 0
+    with np.errstate(all="ignore"):
+        return _determinant2(m)[1] != 0
 
 
 def _inverse2(m):
@@ -289,29 +248,59 @@ def _inverse2(m):
                         _ldexp(adj / d[..., None, None], t))
 
 
-def _element_check(regime, h):
-    """The check refusing the rows h (..., k) that `GroupElement` refuses."""
+def _elements_ok(regime, h):
+    """The rows h (..., k) that `GroupElement` accepts (`_invertible`);
+    numpy's errors are the caller's to ignore."""
     if regime.tag == "Double":
-        ok = (h[..., 0] != 0) & _invertible(
-            h[..., 1:].reshape(h.shape[:-1] + (2, 2)))
-    else:
-        ok = (h[..., :3] != 0).all(axis=-1)
-    return ok, element_from_params, regime, h
+        return (h[..., 0] != 0) & (_determinant2(_blocks(h))[1] != 0)
+    return h[..., :3].all(axis=-1)
+
+
+def _exponents(regime):
+    """(column, n) of each power b_column^n of the rows b that a product
+    with b on the right takes: b1^p and b2^q (Single), b1^-p and b1^p
+    (Double), none (NonResonant)."""
+    p, q = regime.p, regime.q
+    return {"Single": ((0, p), (1, q)), "Double": ((0, -p), (0, p))}.get(
+        regime.tag, ())
 
 
 def _factor_powers(regime, b):
-    """(x, y, checks): the powers of the rows b (..., k) that a product
-    with b on the right takes, b1^p and b2^q (Single) or b1^-p and b1^p
-    (Double), and their checks; (None, None, []) for NonResonant."""
-    if regime.tag == "NonResonant":
-        return None, None, []
-    if regime.tag == "Single":
-        x, cx = _power_check(b[..., 0], regime.p)
-        y, cy = _power_check(b[..., 1], regime.q)
-    else:
-        x, cx = _power_check(b[..., 0], -regime.p)
-        y, cy = _power_check(b[..., 0], regime.p)
-    return x, y, cx + cy
+    """The powers of `_exponents` of the rows b (..., k), by numpy's power;
+    numpy's errors are the caller's to ignore."""
+    return [np.asarray(b[..., c], dtype=complex) ** n
+            for c, n in _exponents(regime)]
+
+
+def _check(law, regime, ok, base=None, name="", inputs=None, out=None,
+           point=False, divisor=False, row=None):
+    """Raise the refusal of the first row k where the mask ok fails, from
+    law's arrays broadcast to ok, by the module's rule: a row of inputs
+    that is no group element; a finite entry of the rows base whose power
+    (`_exponents`) is not finite, name formatting its column, or (with
+    divisor) a Single divisor base3 x y of its powers x, y that is 0; a
+    row of out that is no group element (or point of V); any other row.
+    The message names the row k, or row."""
+    if ok.all():
+        return
+    k = _first(ok)
+    where = "%s: %%s (row %s)" % (law, ", ".join(map(str, row or k)))
+    if inputs is not None:
+        element_from_params(regime, np.broadcast_to(
+            inputs, ok.shape + inputs.shape[-1:])[k])
+    if base is not None:
+        base = np.broadcast_to(base, ok.shape + base.shape[-1:])
+        powers = _factor_powers(regime, base)
+        for (c, n), w in zip(_exponents(regime), powers):
+            if np.isfinite(base[k + (c,)]) and not np.isfinite(w[k]):
+                raise OverflowError(where % ("%s^%d leaves the float range"
+                                             % (name % (c + 1), n)))
+        if divisor and (base[..., 2] * powers[0] * powers[1])[k] == 0:
+            raise OverflowError(where % ("a3 a1^%d a2^%d rounds to 0"
+                                         % (regime.p, regime.q)))
+    if out is not None:
+        _to_point(out[k]) if point else element_from_params(regime, out[k])
+    raise OverflowError(where % "result leaves the float range")
 
 
 def _shear(a3, eps, b4, x, y):
@@ -340,7 +329,7 @@ def _blocks(h):
     return h[..., 1:].reshape(h.shape[:-1] + (2, 2))
 
 
-def _product(regime, a, b, x, y):
+def _product(regime, a, b, x=None, y=None):
     """The rows a b of `compose_many` unchecked, for rows a, b (..., k) and
     the powers x, y of b that `_factor_powers` takes; numpy's errors are
     the caller's to ignore."""
@@ -354,73 +343,83 @@ def _product(regime, a, b, x, y):
 
 
 def _compose_rows(regime, a, b):
-    """The rows of `compose_many` unchecked, and the checks of its powers."""
-    x, y, checks = _factor_powers(regime, b)
-    return _product(regime, a, b, x, y), checks
+    """The rows of `compose_many` unchecked."""
+    return _product(regime, a, b, *_factor_powers(regime, b))
 
 
 def compose_many(regime, a, b):
     """`compose` on parameter rows (`GroupElement.params`) a, b (N, k) in
-    numpy's arithmetic: the rows of `_compose_rows` and the `replay` checks
-    refusing a row where a power leaves the float range, where `GroupElement`
-    refuses it and where it is not finite, in this order."""
+    numpy's arithmetic: the rows of `_compose_rows`.  The first refused
+    row raises: where a power of b leaves the float range, where
+    `GroupElement` refuses the row and where it is not finite, in this
+    order."""
     with np.errstate(all="ignore"):
-        h, checks = _compose_rows(regime, a, b)
-        return h, checks + [_element_check(regime, h), _finite_check(h)]
+        h = _compose_rows(regime, a, b)
+        _check("compose", regime, _elements_ok(regime, h)
+               & np.isfinite(h).all(axis=-1), b, "b%d", out=h)
+    return h
 
 
 def _inverse_rows(regime, a):
-    """The rows of `inverse_many` on rows a (..., k) unchecked, and the
-    checks of its powers and of the Single regime's quotient."""
-    checks = []
-    with np.errstate(all="ignore"):
-        h = 1 / a
-        if regime.tag == "Single":
-            x, y, checks = _factor_powers(regime, a)
-            den = a[..., 2] * x * y
-            checks += [(den != 0, _zero_division, den)]
-            h[..., 3] = -a[..., 3] / den
-        elif regime.tag == "Double":
-            x, y, checks = _factor_powers(regime, h)
-            t = _tau(_inverse2(_blocks(a)), x, y)
-            h[..., 1:] = t.reshape(a.shape[:-1] + (4,))
-    return h, checks
+    """The rows of `inverse_many` on rows a (..., k) unchecked; numpy's
+    errors are the caller's to ignore."""
+    h = 1 / a
+    if regime.tag == "Single":
+        x, y = _factor_powers(regime, a)
+        h[..., 3] = -a[..., 3] / (a[..., 2] * x * y)
+    elif regime.tag == "Double":
+        t = _tau(_inverse2(_blocks(a)), *_factor_powers(regime, h))
+        h[..., 1:] = t.reshape(a.shape[:-1] + (4,))
+    return h
 
 
 def inverse_many(regime, a):
-    """`inverse` on parameter rows a (N, k), with checks as in
-    `compose_many`, after one refusing the rows of a that are no group
-    elements; the Single regime's quotient by a3 a1^p a2^q refuses a
-    denominator that is 0, as Python's complex division does."""
-    h, checks = _inverse_rows(regime, a)
+    """`inverse` on parameter rows a (N, k).  The first refused row
+    raises, as in `compose_many`, after a row of a that is no group
+    element; the Single regime's quotient by a3 a1^p a2^q refuses a
+    divisor that rounds to 0 before any other non-finite row."""
     with np.errstate(all="ignore"):
-        return h, [_element_check(regime, a)] + checks + [
-            _element_check(regime, h), _finite_check(h)]
+        h = _inverse_rows(regime, a)
+        ok = (_elements_ok(regime, a) & _elements_ok(regime, h)
+              & np.isfinite(h).all(axis=-1))
+        double = regime.tag == "Double"  # whose tau takes powers of 1 / a1
+        _check("inverse", regime, ok, h if double else a,
+               "(1/a%d)" if double else "a%d", a, h,
+               divisor=regime.tag == "Single")
+    return h
 
 
 def power_many(regime, rows, r):
     """f^r for the parameter rows (..., k) of elements f and integers r,
     broadcast against each other, as the chain f, f f, (f f) f, ... of
     `_product` from f, or from f^-1 where r < 0, that `compose` takes: the
-    rows, unchecked, and, whatever r, the `replay` checks of
-    `_inverse_rows` and of the powers of f and f^-1 that the products take
-    (`_factor_powers`), formed once.  The Double block of f^-1 is formed
-    only where some r < 0; the rows of r = 0 and 1 are the identity's and
-    f's."""
+    rows, unchecked.  Whatever r, the first element f whose f or f^-1
+    takes a power (`_factor_powers`) that leaves the float range, or whose
+    Single divisor (`inverse_many`) rounds to 0, raises.  The Double
+    block of f^-1 is formed only where some r < 0; the rows of r = 0 and
+    1 are the identity's and f's."""
     rows, r = np.asarray(rows, dtype=complex), np.asarray(r)
     n, k = rows[..., 0].size, rows.shape[-1]
     double = regime.tag == "Double"
     with np.errstate(all="ignore"):
         # f^-1, whose diagonal 1 / f's is all a product with it reads
-        inv = _inverse_rows(regime, rows)[0] if (r < 0).any() else 1 / rows
+        inv = _inverse_rows(regime, rows) if (r < 0).any() else 1 / rows
         # f and f^-1 of each f, first the one whose powers `_inverse_rows`
-        # takes, so that the checks come in the order of its refusals
+        # takes, so that the refusals come in its order
         both = np.stack([inv, rows] if double else [rows, inv],
                         -2).reshape(2 * n, k)
-        x, y, checks = _factor_powers(regime, both)
-        if regime.tag == "Single":
-            den = np.repeat(rows.reshape(n, k)[:, 2] * x[::2] * y[::2], 2)
-            checks.append((den != 0, _zero_division, den))
+        powers = _factor_powers(regime, both)
+        x, y = powers or (None, None)
+        if powers:
+            (i, _), (j, _) = _exponents(regime)
+            ok = ((np.isfinite(x) | ~np.isfinite(both[:, i]))
+                  & (np.isfinite(y) | ~np.isfinite(both[:, j])))
+            if regime.tag == "Single":  # the divisor of each f's inverse
+                ok &= np.repeat(both[::2, 2] * x[::2] * y[::2] != 0, 2)
+            e = np.argmin(ok)
+            _check("power", regime, ok, both, "(1/a%d)" if (
+                e % 2 == 0) == double else "a%d",
+                divisor=regime.tag == "Single", row=(e // 2,))
         out = np.empty((max(abs(r).max(initial=0), 1) + 1, 2 * n, k),
                        dtype=complex)
         out[0], out[1] = identity(regime).params(), both
@@ -436,36 +435,37 @@ def power_many(regime, rows, r):
             out[..., 1:] = blocks.reshape(out.shape[:-1] + (4,))
     # the row of f, or of f^-1 where r < 0, that each power takes
     pick = 2 * np.arange(n).reshape(rows.shape[:-1]) + ((r < 0) != double)
-    return out[abs(r), pick], checks
+    return out[abs(r), pick]
 
 
 def _images(regime, h, x):
-    """The images of `apply_many`, and the `replay` checks on the powers
-    of the points x alone that it refuses (xi1^-p and xi1^p of the Double
-    regime's tau)."""
-    checks = []
-    with np.errstate(all="ignore"):
-        y = h[..., :3] * x
-        if regime.tag == "Single":
-            y[..., 2] += (h[..., 3] * x[..., 0] ** regime.p
-                          * x[..., 1] ** regime.q)
-        elif regime.tag == "Double":
-            u, v, checks = _factor_powers(regime, x)
-            y[..., 1] = h[..., 1] * x[..., 1] + h[..., 2] * u * x[..., 2]
-            y[..., 2] = h[..., 3] * v * x[..., 1] + h[..., 4] * x[..., 2]
-    return y, checks
+    """The images of `apply_many` unchecked; numpy's errors are the
+    caller's to ignore."""
+    y = h[..., :3] * x
+    if regime.tag == "Single":
+        y[..., 2] += h[..., 3] * x[..., 0] ** regime.p * x[..., 1] ** regime.q
+    elif regime.tag == "Double":
+        u, v = _factor_powers(regime, x)
+        y[..., 1] = h[..., 1] * x[..., 1] + h[..., 2] * u * x[..., 2]
+        y[..., 2] = h[..., 3] * v * x[..., 1] + h[..., 4] * x[..., 2]
+    return y
 
 
 def apply_many(regime, h, x):
     """`apply` of the parameter rows h (..., k) to the points x (..., 3),
-    broadcast against each other, in numpy's arithmetic: the images and
-    the `replay` checks that refuse, in this order, a row h that is no
-    group element, a power of a point that leaves the float range, an
-    image off V and a non-finite image."""
-    y, powers = _images(regime, h, x)
+    broadcast against each other, in numpy's arithmetic: the images.  The
+    first refused image raises: where h is no group element, where a
+    power of x that the Double regime's tau takes leaves the float range,
+    where the image is off V and where it is not finite, in this order."""
     with np.errstate(all="ignore"):
-        return y, [_element_check(regime, h)] + powers + [
-            (_points_ok(y), _to_point, y), _finite_check(y)]
+        y = _images(regime, h, x)
+        ok = _elements_ok(regime, h)
+        if not (np.isfinite(y).all() and y.all()):  # else finite points of V
+            ok = ok & _points_ok(y) & np.isfinite(y).all(axis=-1)
+        # tau's powers of xi1 are refused, not the Single shear's
+        _check("apply", regime, ok, x if regime.tag == "Double" else None,
+               "xi%d", h, y, point=True)
+    return y
 
 
 def conjugate(h, f):
@@ -480,8 +480,8 @@ def _commutators(pairs):
     if any(e.regime != regime for pair in pairs for e in pair):
         raise ValueError("cannot compose elements of different regimes")
     a = np.array([[e.params() for e in pair] for pair in pairs])
-    h = accepted(compose_many(regime, a.reshape(-1, a.shape[-1]),
-                              a[:, ::-1].reshape(-1, a.shape[-1])))
+    h = compose_many(regime, a.reshape(-1, a.shape[-1]),
+                     a[:, ::-1].reshape(-1, a.shape[-1]))
     return h[::2] - h[1::2]
 
 
@@ -565,7 +565,8 @@ def p_eigenvalues(alpha, mat, p):
     """The two roots of det(X L_{alpha,p} - M) by `_twisted_roots`."""
     if alpha == 0:
         raise ValueError("alpha must be nonzero")
-    r = _twisted_roots(_power(complex(alpha), p), np.asarray(mat, dtype=complex))
+    ap = _power(np.array([alpha], dtype=complex), p, "p_eigenvalues", "alpha")
+    r = _twisted_roots(ap[0], np.asarray(mat, dtype=complex))
     return complex(r[0]), complex(r[1])
 
 

@@ -4,15 +4,17 @@ used as a test oracle.
 This is the direct reading of the definitions: every power f^r is the
 chain of `law_reference.chain_powers` in Python's complex arithmetic,
 not validated and independent of the searches' `power_many`; every word
-f^r g^s is composed alone, as one row of `compose_many`; every image is
-the `apply_many` of one word and one point.  Each word is decided as its
-row reads.  The only refusals are those of a word with a scalar
-coordinate that cannot be read (a power beyond the float range times
-one below 1 in modulus), of `_fixed_point_witness` and of a sample's
-power.  It is slow and has none of the screens and blocks of
-`lvmkit.action`, which the tests compare against it; where the two
-arithmetics of the powers differ, the tests compare within a margin
-derived from the products they take.
+f^r g^s is composed alone, as one row of `compose_many` unchecked
+(`_compose_rows`); every image is that of `apply_many` of one word and
+one point unchecked (`_images`).  Each word is decided as its row reads.
+The only refusals are those of a word with a scalar coordinate that
+cannot be read (a power beyond the float range times one below 1 in
+modulus), of `_fixed_point_witness` and of a sample's power xi1^-p or
+xi1^p of the Double regime's tau, as Python's power refuses it.  It is
+slow and has none of the screens and blocks of `lvmkit.action`, which
+the tests compare against it; where the two arithmetics of the powers
+differ, the tests compare within a margin derived from the products
+they take.
 """
 
 import cmath
@@ -22,7 +24,7 @@ import numpy as np
 import law_reference as ref
 from lvmkit.action import (ActionCertificate, PropernessReport,
                            _fixed_point_witness)
-from lvmkit.resonant_group import PointV, apply_many, compose_many, replay
+from lvmkit.resonant_group import PointV, _compose_rows, _images
 
 
 def oracle_powers(f, bound):
@@ -44,6 +46,15 @@ def _overflow():
     raise OverflowError("result leaves the float range")
 
 
+def _tau_powers(regime, x):
+    """Refuse a point x whose powers xi1^-p and xi1^p, which the Double
+    regime's tau takes, Python's power refuses or returns not finite."""
+    if regime.tag == "Double":
+        for n in (-regime.p, regime.p):
+            if not cmath.isfinite(x.xi[0] ** n):
+                _overflow()
+
+
 def _words(pair, bound):
     """The words (r, s), |r|, |s| <= bound, in loop order, each with its
     factor rows and its row composed alone."""
@@ -53,7 +64,7 @@ def _words(pair, bound):
     fp, gp = oracle_powers(f, bound), oracle_powers(g, bound)
     for r in range(-bound, bound + 1):
         for s in range(-bound, bound + 1):
-            h = compose_many(f.regime, fp[r][None], gp[s][None])[0]
+            h = _compose_rows(f.regime, fp[r][None], gp[s][None])
             yield (r, s), fp[r], gp[s], h[0]
 
 
@@ -96,7 +107,7 @@ def oracle_probe(pair, compact_radius, horizon, samples, seed):
     to seeded sample points of the annulus, and report for each word the
     first sample whose image lands in the annulus again.  A word is
     refused where one of its diagonal multipliers cannot be read, an image
-    where `apply_many` refuses a power of its point."""
+    where a power of its point that tau takes is no float (`_tau_powers`)."""
     pts = oracle_samples(compact_radius, samples, seed)
     lo = (horizon + 1) // 2
     diagonal = 1 if pair[0].regime.tag == "Double" else 3
@@ -108,8 +119,8 @@ def oracle_probe(pair, compact_radius, horizon, samples, seed):
             if _unread(a, b, diagonal):
                 _overflow()
             for x in pts:
-                y, checks = apply_many(pair[0].regime, h, x.array())
-                replay(*checks[1:-2])  # the powers of the point alone
+                _tau_powers(pair[0].regime, x)
+                y = _images(pair[0].regime, h, x.array())
                 if np.isfinite(y).all() and _in_annulus(y, compact_radius):
                     violations.append((word, x))
                     break

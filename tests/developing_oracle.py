@@ -7,7 +7,8 @@ transform, the developing map at the images and the generator's action
 on the base images, each its own array call.  Both compute in numpy's
 array arithmetic, so the reports must agree to the bit, and a structure
 that one of them refuses must raise the same error in both: the first
-refusal in this loop's order.
+refusal in this loop's order, up to the row a law's message names (the
+library applies a generator to a (1, N) stack, this loop to N rows).
 """
 
 import numpy as np
@@ -18,8 +19,7 @@ from lvmkit.developing import (StructureReport, dev_eval_many,
 from lvmkit.holonomy import TWO_PI_I
 from lvmkit.rep_variety import StructureSpec
 from lvmkit.resonance import ResonanceClass
-from lvmkit.resonant_group import (GroupElement, _power, accepted, apply_many,
-                                   identity)
+from lvmkit.resonant_group import GroupElement, apply_many, identity
 
 
 def deck_transform_many(structure, index, w):
@@ -32,17 +32,8 @@ def deck_transform_many(structure, index, w):
         raise ValueError("generator index must be 1, 2 or 3")
     gen = structure.output_pair[index - 1]
     s = structure.shifts[index - 1]
-    regime = structure.spec.regime
-    xi1 = np.exp(TWO_PI_I * w1)
-    if regime.tag == "NonResonant":
-        _, a2, a3 = gen.data
-        return np.stack([w1 + s, a2 * xi2, a3 * xi3], axis=1)
-    if regime.tag == "Single":
-        _, a2, a3, eps = gen.data
-        shear = eps * xi1 ** regime.p * _power(xi2, regime.q)
-        return np.stack([w1 + s, a2 * xi2, a3 * xi3 + shear], axis=1)
-    y = accepted(apply_many(regime, gen.params()[None],
-                            np.stack([xi1, xi2, xi3], axis=1)))
+    y = apply_many(gen.regime, gen.params()[None],
+                   np.stack([np.exp(TWO_PI_I * w1), xi2, xi3], axis=1))
     return np.stack([w1 + s, y[:, 1], y[:, 2]], axis=1)
 
 
@@ -51,7 +42,7 @@ def residuals(structure, index, w, base):
     points w (N, 3), whose images under the developing map are base."""
     lhs = dev_eval_many(structure.dev, deck_transform_many(structure, index, w))
     gen = structure.spec.generators[index - 1]
-    rhs = accepted(apply_many(gen.regime, gen.params()[None], base))
+    rhs = apply_many(gen.regime, gen.params()[None], base)
     return np.max(np.abs(lhs - rhs), axis=1) / (1 + np.max(np.abs(rhs), axis=1))
 
 

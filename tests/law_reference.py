@@ -21,6 +21,21 @@ from lvmkit.resonant_group import (PointV, _inverse2, element_from_params,
                                    identity)
 
 
+def same_outcome(got, want):
+    """Whether the library's outcome got agrees with the reference's want,
+    each a string, a report or an error as "Type: message": they are
+    equal, except that where the reference raises an ArithmeticError (as
+    Python's power and division do) the library raises OverflowError,
+    whose message names the law, the quantity and the row."""
+    if want.split(":")[0] in _ARITHMETIC:
+        return got.startswith("OverflowError: ")
+    return got == want
+
+
+_ARITHMETIC = ("ArithmeticError", "FloatingPointError", "OverflowError",
+               "ZeroDivisionError")
+
+
 def tau(z, p, mat):
     """Twisted conjugation: scales the off-diagonal entries by z^{-+p}."""
     z = complex(z)

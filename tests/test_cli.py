@@ -292,6 +292,17 @@ class TestVerify:
             "name": "gluing", "passed": False,
             "failure": "ValueError: matrix entries must be finite"}]
 
+    def test_power_refusal_named(self, runner):
+        # b2^q of the T_pq charts leaves the float range at q = 10^6: the
+        # refusal names the power and the row
+        result = runner.invoke(main, ["verify", "gluing", "--q", "1000000",
+                                      "--json"])
+        assert result.exit_code == 1
+        assert report_of(result)["results"] == [{
+            "name": "gluing", "passed": False,
+            "failure": "OverflowError: random chart: b2^1000000 leaves the "
+                       "float range (row 0)"}]
+
     def test_unknown_suite(self, runner):
         result = runner.invoke(main, ["verify", "nonsense"])
         assert result.exit_code == 2
@@ -364,19 +375,48 @@ class TestDeform:
         result = runner.invoke(main, ["deform", path])
         assert result.exit_code == 1
 
-    def test_library_refusal_reported(self, runner, tmp_path):
-        # commuting Single generators whose a2^q overflows for q = 2000:
-        # the developing check refuses them with an OverflowError, which
-        # the report carries as a failure
-        doc = {"regime": {"tag": "Single", "p": 1, "q": 2000},
-               "generators": [flat((2, 0.6, 0.5, 0)),
-                              flat((1 + 1j, 0.5j, -0.3 + 0.2j, 0)),
-                              flat((1.01, 1.02, 0.97, 0))]}
+    def _refusal(self, runner, tmp_path, regime, generators):
+        doc = {"regime": regime, "generators": [flat(g) for g in generators]}
         path = write(tmp_path, "overflow.json", doc)
         result = runner.invoke(main, ["deform", path, "--json"])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert report_of(result)["failure"] == "complex exponentiation"
+        return report_of(result)["failure"]
+
+    def test_library_refusal_reported(self, runner, tmp_path):
+        # commuting Single generators, and cover points whose xi2^q
+        # leaves the float range for q = 2000: the developing map refuses
+        # them with an OverflowError naming the power and the row, which
+        # the report carries as a failure
+        assert self._refusal(runner, tmp_path, {"tag": "Single", "p": 1,
+                                                "q": 2000},
+                             [(2, 0.6, 0.5, 0), (1 + 1j, 0.5j, -0.3 + 0.2j, 0),
+                              (1.01, 1.02, 0.97, 0)]) == \
+            "developing map: xi2^2000 leaves the float range (row 6)"
+
+    def test_double_refusal_reported(self, runner, tmp_path):
+        # at p = 2000 the commutation check's product g f takes b1^p of
+        # the first generator, which leaves the float range
+        assert self._refusal(runner, tmp_path, {"tag": "Double", "p": 2000},
+                             [(2 + 0.5j, 1.3, 0, 0, 0.7 - 0.2j),
+                              (0.8, 0.5j, 0, 0, 1.1),
+                              (1.02, 0.99, 0, 0, 1.03)]) == \
+            "compose: b1^2000 leaves the float range (row 1)"
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")],
+                             ids=["NaN", "Infinity"])
+    def test_non_finite_generator_refused(self, runner, tmp_path, value):
+        # a NaN or Infinity coefficient is refused by name, as analyze and
+        # resonances refuse non-finite configurations and eigen-data
+        doc = self._nonres_doc()
+        doc["generators"][2][1] = [value, 0]
+        path = write(tmp_path, "non_finite.json", doc)
+        result = runner.invoke(main, ["deform", path, "--json"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert report_of(result) == {"input": path,
+                                     "failure": "generator entries must be "
+                                                "finite"}
 
     @pytest.mark.parametrize("p", [1.5, "a"], ids=["fraction", "string"])
     def test_non_integer_regime_index_refused(self, runner, tmp_path, p):

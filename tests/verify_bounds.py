@@ -28,7 +28,8 @@ same value differ by at most twice that.
 import numpy as np
 
 from lvmkit.family_gluing import _chart_regime, _generator_rows
-from lvmkit.resonant_group import (DISC_ROUNDING, _null_vector,
+from lvmkit.resonant_group import (DISC_ROUNDING, _compose_rows, _images,
+                                   _inverse_rows, _null_vector,
                                    _twisted_roots, apply_many, compose_many,
                                    identity, inverse_many)
 
@@ -79,15 +80,20 @@ def inverse_size(a, b, d):
         return (np.abs(a) + np.abs(b)) / np.abs(d) ** 2
 
 
+# the unchecked rows of each group law
+UNCHECKED = {compose_many: _compose_rows, inverse_many: _inverse_rows,
+             apply_many: _images}
+
+
 def law_sizes(regime, law, *rows):
     """The sizes of the terms of each entry of compose, apply or inverse
-    on parameter rows (and points): the law on their moduli.  An inverse
-    is a chain of quotients and products without sums, so its entries'
-    sizes are their moduli."""
+    on parameter rows (and points): the law's rows on their moduli.  An
+    inverse is a chain of quotients and products without sums, so its
+    entries' sizes are their moduli."""
     with np.errstate(all="ignore"):
         if law is inverse_many:
-            return np.abs(inverse_many(regime, rows[0])[0])
-        return np.abs(law(regime, *map(moduli, rows))[0])
+            return np.abs(_inverse_rows(regime, rows[0]))
+        return np.abs(UNCHECKED[law](regime, *map(moduli, rows)))
 
 
 def law_exponents(regime, law, *rows):
@@ -101,10 +107,10 @@ def law_exponents(regime, law, *rows):
     with np.errstate(all="ignore"):
         e = np.log2(law_sizes(regime, law, *rows))
         if law is inverse_many:
-            low = np.abs(inverse_many(regime, rows[0])[0] * 2.0 ** -64)
+            low = np.abs(_inverse_rows(regime, rows[0]) * 2.0 ** -64)
         else:
-            low = np.abs(law(regime, moduli(rows[0]) * 2.0 ** -64,
-                             *map(moduli, rows[1:]))[0])
+            low = np.abs(UNCHECKED[law](regime, moduli(rows[0]) * 2.0 ** -64,
+                                        *map(moduli, rows[1:])))
         return np.where(e == np.inf, np.log2(low) + 64, e)
 
 
@@ -440,8 +446,7 @@ def residual_errors(structure, index, w):
     lhs, bound2 = _dev_sizes(dev, w1 + s, fiber[:, 0], fiber[:, 1])
     amp = 1 + abs(regime.p) + abs(regime.q)
     k = 2 * amp * (3 * law_ops(regime) + 10 + np.maximum(bound, bound2))
-    got = np.abs(apply_many(regime, gen.params()[None],
-                            dev_eval_many(dev, w))[0])
+    got = np.abs(_images(regime, gen.params()[None], dev_eval_many(dev, w)))
     return k * GAMMA * (lhs.max(axis=1) + rhs.max(axis=1)) \
         / (1 + got.max(axis=1))
 
@@ -457,7 +462,7 @@ def group_laws_errors(regime, z, fault):
                for i in range(3))
     x = _random_points(z[:, 3 * k:])
     with np.errstate(all="ignore"):
-        fg = compose_many(regime, f, g)[0]
+        fg = _compose_rows(regime, f, g)
         if fault:
             fg[0] = fg[0] * (1 + 1e-3)
         scale = 1 + np.max(np.abs([f, g, h]), axis=(0, 2))
