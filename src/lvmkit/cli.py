@@ -92,7 +92,7 @@ def _parse_pairs(pairs, what):
 
 def _parse_config(doc):
     try:
-        m = int(doc["m"])
+        m = doc["m"]
         vectors = tuple(tuple(_parse_pairs(vec, "configuration"))
                         for vec in doc["vectors"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -20,18 +20,26 @@ capture, so
 * weak hyperbolicity holds iff no minimal capture has 2m or fewer vectors,
 * index j is indispensable iff j lies in every minimal capture.
 
-The enumeration is exact and carries no tolerance: every finite float is
-a dyadic rational, so the points are scaled by one common power of two to
-integers.  A table of integer leading minors, each expanded from those one
-size smaller, decides almost every subset by the signs of minors and
+The enumeration is exact and carries no tolerance.  A floating-point
+filter decides it from the signs of the 2m x 2m determinants of all
+2m-subsets, where each clears an error bound derived from its expansion
+(Fortune and Van Wyk 1996, Shewchuk 1997).  Otherwise, as every finite
+float is a dyadic rational, the points are scaled by one power of two to
+integers.  A table of integer leading minors, each expanded from those
+one size smaller, decides almost every subset by the signs of minors and
 cofactors; only a subset whose leading minor vanishes is solved by
 fraction-free integer elimination (Bareiss 1968).
 """
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+
+_BLOCK = 1024  # (2m+1)-subsets per array block of `_filtered_captures`
 
 
 class NotLVMError(Exception):
@@ -48,6 +56,10 @@ class Configuration:
     vectors: tuple
 
     def __post_init__(self):
+        if type(self.m) is bool or not isinstance(self.m, (int, np.integer)):
+            raise ValueError("ambient dimension m must be an integer, got %r"
+                             % (self.m,))
+        object.__setattr__(self, "m", int(self.m))
         if self.m < 1:
             raise ValueError("ambient dimension m must be >= 1")
         vecs = tuple(tuple(complex(c) for c in v) for v in self.vectors)
@@ -76,12 +88,7 @@ class ConfigReport:
 
 def real_points(config):
     """Return the configuration as an (n, 2m) array of reals."""
-    out = np.empty((config.n, 2 * config.m))
-    for i, v in enumerate(config.vectors):
-        for j, c in enumerate(v):
-            out[i, 2 * j] = c.real
-            out[i, 2 * j + 1] = c.imag
-    return out
+    return np.array(config.vectors, dtype=complex).view(float)
 
 
 def _integer_columns(points, target):
@@ -136,6 +143,76 @@ def _captures_origin(columns, dim):
     return all(row[k] * prev > 0 for row in pivots)
 
 
+@functools.lru_cache(maxsize=None)
+def _expansion(dim):
+    """Index arrays (2, k+1, subsets), k = 1 .. dim-1, expanding the
+    (k+1)-minors of a (dim+1) x dim matrix along column k: row i of each
+    (k+1)-subset of rows and the rank of its face without that row; then
+    signs (-1)^i, and ones that expand the permanent alike."""
+    levels = []
+    for k in range(1, dim):
+        faces = list(itertools.combinations(range(dim + 1), k))
+        rows = list(itertools.combinations(range(dim + 1), k + 1))
+        levels.append(np.array([list(zip(*rows)), [[faces.index(
+            t[:i] + t[i + 1:]) for t in rows] for i in range(k + 1)]]))
+    return levels, np.array([[(-1.0) ** i for i in range(dim + 1)],
+                             [1.0] * (dim + 1)])
+
+
+def _filtered_captures(points, target):
+    """The minimal captures as a list, or None where a sign is undecided,
+    n <= dim or dim > 8 (whose 2^dim minors per subset cost more than the
+    integer path).  If every dim-subset has a determinant D != 0, no capture
+    has dim points or fewer: it is linearly dependent, and so is every
+    dim-subset holding it.  A (dim+1)-subset is then a capture iff its
+    cofactors, the signed D of its faces, share one strict sign.  D is
+    expanded from leading minors, as `_minimal_captures` expands them."""
+    n, dim = len(points), len(target)
+    if not 0 < dim < min(n, 9):
+        return None
+    x = [[p - t for p, t in zip(point, target)] for point in points]
+    top = [max(map(abs, point)) for point in x]
+    if not math.isfinite(max(top)):
+        return None  # the subtraction overflowed
+    # Scaling a point by a power of two changes no sign that decides a
+    # capture; each is put in [1/2, 1), rounding only what underflows.
+    x = np.array([[math.ldexp(v, -math.frexp(t)[1]) for v in point]
+                  for point, t in zip(x, top)]).T
+    both = np.array([x, np.abs(x)])  # (2, dim, n)
+    # Error bound on D (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, sec. 3.1; gamma_c = c u / (1 - c u), u = 2^-53).  A
+    # minor of size k is a sum of k products of an entry, rounded once in
+    # the subtraction, and a minor of size k-1, so by induction over k the
+    # computed D is within gamma_c P of the true one, P the permanent of
+    # the absolute entries and c = 1 + sum_{k=2..dim} (k + 1), 13 for
+    # m = 2.  The permanent, expanded alike, is computed at least
+    # (1 - gamma_c) P, and 2 c u covers gamma_c / (1 - gamma_c) and the
+    # rounding of the bound.  Underflow adds at most 2^-1075 to an entry
+    # and to a product; as entries are below 1, what reaches a minor of
+    # size k, or its permanent, is at most 2 k k! 2^-1074 by induction;
+    # `tiny` is four times the two together.
+    rel = (dim * (dim + 1) + 2 * dim - 2) * 2.0 ** -53
+    tiny = math.ldexp(dim * math.factorial(dim), -1070)
+    levels, signs = _expansion(dim)
+    subsets = itertools.combinations(range(n), dim + 1)
+    captures = []
+    for _ in range(0, math.comb(n, dim + 1), _BLOCK):
+        block = np.fromiter(itertools.chain.from_iterable(
+            itertools.islice(subsets, _BLOCK)), np.intp).reshape(-1, dim + 1)
+        entries = both.take(block.T, 2)  # (2, dim, dim + 1, block)
+        minors = entries[:, 0]  # (2, subsets of rows, block)
+        for k, (rows, faces) in enumerate(levels, 1):
+            minors = (entries[:, k].take(rows, 1) * minors.take(faces, 1)
+                      * signs[:, k::-1, None, None]).sum(1)
+        det, perm = minors  # of the faces without row dim, ..., 0
+        if not (np.abs(det) > rel * perm + tiny).all():
+            return None
+        cofactors = det * signs[0, :, None]
+        hit = (cofactors > 0).all(0) | (cofactors < 0).all(0)
+        captures += map(tuple, block[hit].tolist())
+    return captures
+
+
 def _minimal_captures(points, target):
     """Yield, smallest first, every minimal capture of ``target``: an
     affinely independent subset (tuple of indices) of at most dim+1 points
@@ -143,13 +220,18 @@ def _minimal_captures(points, target):
     positive.  By Caratheodory, ``target`` lies in the convex hull of a set
     of points iff some subset of them is a minimal capture.
 
-    A subset S of k <= dim points with a nonzero leading minor (over the
-    first k coordinates) is independent, so it misses the origin.  S of
-    dim+1 points is a capture iff its cofactors (-1)^i minor(S - s_i), whose
-    sum D is the barycentric determinant and cofactor / D the weights, are
-    all nonzero with one sign.  Minors are expanded along their last row
-    from those one size smaller; ``_captures_origin`` decides the rest.
+    `_filtered_captures` decides them where it can.  Elsewhere, a subset S
+    of k <= dim points with a nonzero leading minor (over the first k
+    coordinates) is independent, so it misses the origin.  S of dim+1
+    points is a capture iff its cofactors (-1)^i minor(S - s_i), whose sum
+    D is the barycentric determinant and cofactor / D the weights, are all
+    nonzero with one sign.  Minors are expanded along their last row from
+    those one size smaller; ``_captures_origin`` decides the rest.
     """
+    captures = _filtered_captures(points, target)
+    if captures is not None:
+        yield from captures
+        return
     columns = _integer_columns(points, target)
     dim = len(target)
     minors = {(): 1}
@@ -174,14 +256,10 @@ def _minimal_captures(points, target):
         minors = level
 
 
-def _config_captures(config):
-    return _minimal_captures(real_points(config).tolist(),
-                             [0.0] * (2 * config.m))
-
-
 def _certify(config):
     """(Siegel, weakly hyperbolic, indispensable) from one enumeration."""
-    captures = [set(s) for s in _config_captures(config)]
+    captures = [set(s) for s in _minimal_captures(
+        real_points(config).tolist(), [0.0] * (2 * config.m))]
     hyperbolic = all(len(s) > 2 * config.m for s in captures)
     if not captures:
         return False, hyperbolic, frozenset()
@@ -193,8 +271,9 @@ def _certify(config):
 def in_convex_hull(points, target):
     """Decide whether target is a convex combination of the given points.
 
-    The decision is made in integer arithmetic over the binary values of
-    the inputs and is tolerance-free.
+    The decision is tolerance-free: floating point decides it where a
+    derived error bound allows, integer arithmetic over the binary values
+    of the inputs everywhere else.
     """
     points = [tuple(float(x) for x in p) for p in points]
     target = tuple(float(x) for x in target)
@@ -211,7 +290,7 @@ def in_convex_hull(points, target):
 
 def check_siegel(config):
     """True iff the origin lies in the hull of all configuration vectors."""
-    return next(_config_captures(config), None) is not None
+    return _certify(config)[0]
 
 
 def check_weak_hyperbolicity(config):
@@ -249,19 +328,11 @@ def normalize_affine(config):
     """Apply the unique affine map sending the first m+1 vectors to
     e_1, ..., e_m, 0 and return the transformed configuration."""
     m = config.m
-    base = np.array([config.vectors[i] for i in range(m + 1)], dtype=complex)
-    targets = np.zeros((m + 1, m), dtype=complex)
-    for i in range(m):
-        targets[i, i] = 1.0
-    # solve for M (m x m) and b: M @ v_i + b = target_i
-    lhs = np.hstack([base, np.ones((m + 1, 1))])  # rows (v_i, 1)
-    if abs(np.linalg.det(lhs @ lhs.conj().T)) == 0:
-        raise ValueError("first m+1 vectors are affinely degenerate")
-    coeffs = np.linalg.solve(lhs, targets)  # (m+1, m): stacked [M^T; b^T]
-    mat_t = coeffs[:m, :]
-    b = coeffs[m, :]
-    new_vecs = []
-    for v in config.vectors:
-        w = np.asarray(v, dtype=complex) @ mat_t + b
-        new_vecs.append(tuple(w))
-    return Configuration(m, tuple(new_vecs))
+    vecs = np.array(config.vectors, dtype=complex)
+    # solve for M (m x m) and b: M @ v_i + b = e_i, and = 0 for i = m
+    lhs = np.hstack([vecs[:m + 1], np.ones((m + 1, 1))])  # rows (v_i, 1)
+    try:
+        coeffs = np.linalg.solve(lhs, np.eye(m + 1, m))  # [M^T; b^T]
+    except np.linalg.LinAlgError:  # a zero pivot
+        raise ValueError("first m+1 vectors are affinely degenerate") from None
+    return Configuration(m, tuple(map(tuple, vecs @ coeffs[:m] + coeffs[m])))

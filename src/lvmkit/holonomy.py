@@ -12,6 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+from .resonant_group import _invertible
+
 TWO_PI_I = 2j * np.pi
 
 
@@ -39,7 +41,7 @@ class HolonomyPair:
             om = np.asarray(self.omega, dtype=complex)
             if om.shape != (2, 2):
                 raise ValueError("omega must be 2x2")
-            if om[0, 0] * om[1, 1] - om[0, 1] * om[1, 0] == 0:
+            if not _invertible(om[None])[0]:
                 raise ValueError("omega must be invertible")
             om.setflags(write=False)
             object.__setattr__(self, "omega", om)
@@ -70,7 +72,7 @@ def omega_matrix(config):
     if len(v) != 6 or config.m != 2:
         raise ValueError("expected six vectors in C^2")
     omega = np.array([v[1] - v[0], v[2] - v[0]])
-    if abs(np.linalg.det(omega)) == 0:
+    if not _invertible(omega[None])[0]:
         # cannot happen for certified input; a zero here means the
         # certification and the difference matrix disagree
         raise RuntimeError("internal inconsistency: singular difference matrix")

@@ -97,6 +97,37 @@ class TestAnalyze:
         assert ("malformed configuration document: int too large to convert"
                 " to float") in result.output
 
+    @pytest.mark.parametrize("command", ["analyze", "resonances"])
+    @pytest.mark.parametrize("m", [2.7, True, "2"],
+                             ids=["fraction", "bool", "string"])
+    def test_non_integer_m_refused(self, runner, tmp_path, command, m):
+        # refused by name (exit 1), not truncated to an integer and run
+        path = write(tmp_path, "m.json", dict(E1_DOC, m=m))
+        result = runner.invoke(main, [command, path, "--json"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert report_of(result)["failure"] == \
+            "ambient dimension m must be an integer, got %r" % (m,)
+
+    def test_report_scale_free(self, runner, tmp_path):
+        # a common power of two leaves certification, the difference
+        # matrix and the eigen-data as they are, even where 2x2 products
+        # under- or overflow
+        e1 = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                       [0, 0, 0, 1], [-1, -1, -1, -1], [-1.1] * 4])
+        points = e1 + np.random.default_rng(3).uniform(-0.02, 0.02, (6, 4))
+        reports = []
+        for k in (0, -1000, -600, -300, 300, 600, 1000):
+            doc = {"m": 2, "vectors": [[list(p[:2]), list(p[2:])]
+                                       for p in (points * 2.0 ** k).tolist()]}
+            path = write(tmp_path, "e1-%d.json" % k, doc)
+            result = runner.invoke(main, ["analyze", path, "--json"])
+            assert (result.exit_code, result.stderr) == (0, "")
+            reports.append(report_of(result))
+            del reports[-1]["input"]
+        assert reports[0]["type"] == [2, 6, 4]
+        assert all(report == reports[0] for report in reports)
+
     def test_deterministic_output(self, runner, tmp_path):
         path = write(tmp_path, "e1.json", E1_DOC)
         a = runner.invoke(main, ["analyze", path, "--json"]).output

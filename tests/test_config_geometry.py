@@ -188,6 +188,13 @@ def _counting_fallback(monkeypatch):
     return calls
 
 
+def _halfspace_sextuple(rng):
+    u = rng.normal(size=4)
+    u /= np.linalg.norm(u)
+    v = rng.normal(size=(6, 4))
+    return v - 2 * np.minimum(v @ u, 0)[:, None] * u + 0.1 * u
+
+
 def _generic_configurations():
     """Configurations shaped like the benchmark's analyze inputs: perturbed
     E1, sextuples in a closed half-space, and E1 continued to n = 8, 10
@@ -196,19 +203,30 @@ def _generic_configurations():
     e1 = real_points(E1)
     for _ in range(10):
         yield e1 + rng.uniform(-0.02, 0.02, size=e1.shape)
-        u = rng.normal(size=4)
-        u /= np.linalg.norm(u)
-        v = rng.normal(size=(6, 4))
-        yield v - 2 * np.minimum(v @ u, 0)[:, None] * u + 0.1 * u
+        yield _halfspace_sextuple(rng)
     for n in (8, 10) * 3:
         basis = np.eye(4) + rng.uniform(-0.05, 0.05, size=(4, 4))
         negative = rng.uniform(-1.3, -0.8, size=(n - 4, 4))
         yield np.vstack([basis.T, negative @ basis.T])
 
 
+def _counting_exact_path(monkeypatch):
+    calls = []
+    columns = config_geometry._integer_columns
+
+    def counted(points, target):
+        calls.append(len(points))
+        return columns(points, target)
+
+    monkeypatch.setattr(config_geometry, "_integer_columns", counted)
+    return calls
+
+
 class TestFallbackStaysDegenerate:
-    """Elimination runs only where a leading minor vanishes: never on
-    generic data, and on the exact E1, whose report is pinned above."""
+    """The integer enumeration runs only where the floating-point filter
+    leaves a sign undecided, and elimination only where a leading minor
+    vanishes: neither on generic data, both on the exact E1, whose report
+    is pinned above."""
 
     def test_generic_configurations_never_eliminate(self, monkeypatch):
         calls = _counting_fallback(monkeypatch)
@@ -216,10 +234,28 @@ class TestFallbackStaysDegenerate:
             config_report(_config(points))
         assert calls == []
 
+    def test_generic_configurations_never_enumerate(self, monkeypatch):
+        calls = _counting_exact_path(monkeypatch)
+        for points in _generic_configurations():
+            config_report(_config(points))
+        assert calls == []
+
     def test_exact_e1_eliminates(self, monkeypatch):
         calls = _counting_fallback(monkeypatch)
-        assert config_report(E1).type_triple == (2, 6, 4)
-        assert len(calls) >= 1
+        exact = _counting_exact_path(monkeypatch)
+        report = config_report(E1)
+        assert report.type_triple == (2, 6, 4)
+        assert report.indispensable == frozenset({1, 2, 3, 4})
+        assert len(exact) == 1
+        # subsets of 1, 2, 3 and 4 points solved by elimination
+        assert [calls.count(k) for k in (1, 2, 3, 4)] == [3, 10, 13, 6]
+
+    def test_filter_agrees_with_exact_path(self, monkeypatch):
+        configs = [_config(points) for points in _generic_configurations()]
+        filtered = [config_report(config) for config in configs]
+        monkeypatch.setattr(config_geometry, "_filtered_captures",
+                            lambda points, target: None)
+        assert filtered == [config_report(config) for config in configs]
 
 
 class TestReferenceConfiguration:
@@ -377,6 +413,84 @@ class TestOracleAgreement:
         assert report == oracle_report(config)
 
 
+@st.composite
+def float_point_sets(draw):
+    """n points of R^dim, dim in (2, 4, 6), from normal draws: generic, or
+    scaled by one power of two up to 2^+-1000 so that their determinants
+    leave the float range, or with the origin planted on the facet of dim
+    points and the last of them moved by 0-3 ulp."""
+    dim = draw(st.sampled_from((2, 4, 6)))
+    n = draw(st.integers(dim + 1, dim + (3 if dim < 6 else 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = rng.normal(size=(n, dim))
+    kind = draw(st.sampled_from(("generic", "scaled", "facet")))
+    if kind == "scaled":
+        points *= 2.0 ** draw(st.integers(-1000, 1000))
+    elif kind == "facet":
+        weights = rng.uniform(0.5, 2, size=dim - 1)
+        points[dim - 1] = -weights @ points[:dim - 1]
+        for _ in range(draw(st.integers(0, 3))):
+            points[dim - 1, 0] = np.nextafter(points[dim - 1, 0], np.inf)
+    return points.tolist(), [0.0] * dim
+
+
+class TestFloatingPointFilter:
+    """On float data the filter decides most inputs; where it does, its
+    captures are the Fraction oracle's, and where it cannot, the exact
+    path answers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(float_point_sets())
+    def test_matches_oracle(self, case):
+        points, target = case
+        assert list(config_geometry._minimal_captures(points, target)) == \
+            list(oracle_minimal_captures(points, target))
+
+    def test_decides_generic_draws(self):
+        rng = np.random.default_rng(5)
+        for dim in (2, 4, 6):
+            points = rng.normal(size=(dim + 3, dim)).tolist()
+            captures = config_geometry._filtered_captures(points, [0.0] * dim)
+            assert captures == list(oracle_minimal_captures(points,
+                                                            [0.0] * dim))
+
+    def test_blocks_join_in_order(self, monkeypatch):
+        points = np.random.default_rng(6).normal(size=(9, 4)).tolist()
+        whole = config_geometry._filtered_captures(points, [0.0] * 4)
+        monkeypatch.setattr(config_geometry, "_BLOCK", 4)
+        assert config_geometry._filtered_captures(points, [0.0] * 4) == whole
+        assert len(whole) > 4
+
+    def test_defers_what_it_cannot_decide(self):
+        # dim > 8, the origin exactly on a segment, at most dim points, an
+        # overflow in the subtraction
+        assert config_geometry._filtered_captures(
+            np.eye(11, 10).tolist(), [-0.05] * 10) is None
+        assert config_geometry._filtered_captures(
+            [[1, 2], [-1, -2], [2, -1]], [0, 0]) is None
+        assert config_geometry._filtered_captures(
+            [[1, 0], [0, 1]], [0, 0]) is None
+        assert config_geometry._filtered_captures(
+            [[1e308, 0], [0, 1], [-1, -1]], [-1e308, 0]) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(-1000, 1000), st.data())
+    def test_report_invariant_under_scaling_and_permutation(self, seed, k,
+                                                            data):
+        rng = np.random.default_rng(seed)
+        points = real_points(E1) + rng.uniform(-0.02, 0.02, size=(6, 4))
+        if data.draw(st.booleans()):
+            points = _halfspace_sextuple(rng)
+        config = _config(points)
+        report = config_report(config)
+        assert config_report(_config(points * 2.0 ** k)) == report
+        perm = data.draw(st.permutations(range(config.n)))
+        indispensable = frozenset(i + 1 for i, j in enumerate(perm)
+                                  if j + 1 in report.indispensable)
+        assert config_report(_config(points[list(perm)])) == \
+            dataclasses.replace(report, indispensable=indispensable)
+
+
 class TestPermutationInvariance:
     """Certification does not depend on the order of the points, and the
     indispensable set follows them (indices are 1-based)."""
@@ -439,6 +553,13 @@ class TestNormalizeAffine:
         for v, w in zip(a_norm.vectors, b_norm.vectors):
             assert np.allclose(v, w, atol=1e-9)
 
+    @pytest.mark.parametrize("k", [-300, 600])
+    def test_scale_free(self, k):
+        # anchors whose Gram determinant under- or overflows
+        scaled = Configuration(2, tuple(tuple(c * 2.0 ** k for c in v)
+                                        for v in E1.vectors))
+        assert normalize_affine(scaled) == normalize_affine(E1)
+
     def test_degenerate_anchors_rejected(self):
         degenerate = Configuration(2, (
             (0, 0), (1, 1), (2, 2), (0, 1j), (-1, -1), (3, 0)))
@@ -454,6 +575,16 @@ class TestConfigurationValidation:
     def test_wrong_width(self):
         with pytest.raises(ValueError):
             Configuration(2, ((1,), (0, 1), (1, 1), (2, 2), (3, 3)))
+
+    @pytest.mark.parametrize("m", [2.7, True, "2", 2.0])
+    def test_non_integer_m_refused(self, m):
+        with pytest.raises(ValueError, match="m must be an integer, got %r"
+                           % (m,)):
+            Configuration(m, E1.vectors)
+
+    def test_numpy_integer_m_accepted(self):
+        config = Configuration(np.int64(2), E1.vectors)
+        assert config == E1 and type(config.m) is int
 
     def test_nonfinite(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,16 @@ class TestOmegaMatrix:
         with pytest.raises(RuntimeError):
             omega_matrix(bad)
 
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_invertible_at_any_scale(self, k):
+        # det(Omega) under- or overflows at 2^k, but Omega stays invertible
+        scaled = Configuration(2, tuple(tuple(c * 2.0 ** k for c in v)
+                                        for v in E1.vectors))
+        assert np.array_equal(omega_matrix(scaled),
+                              omega_matrix(E1) * 2.0 ** k)
+        pair, reference = holonomy_pair(scaled), holonomy_pair(E1)
+        assert (pair.alpha, pair.beta) == (reference.alpha, reference.beta)
+
 
 class TestHolonomyPair:
     def test_matches_independent_path(self):
@@ -133,3 +143,11 @@ class TestValidateHolonomy:
     def test_singular_omega_rejected(self):
         with pytest.raises(ValueError):
             HolonomyPair((2, 3, 4), (5, 6, 7), omega=np.ones((2, 2)))
+
+    def test_omega_products_out_of_range_accepted(self):
+        omega = np.array([[1, 2j], [3, 4]]) * 2.0 ** -600
+        assert HolonomyPair((2, 3, 4), (5, 6, 7), omega=omega).omega[0, 1] \
+            == omega[0, 1]
+        with pytest.raises(ValueError, match="omega must be invertible"):
+            HolonomyPair((2, 3, 4), (5, 6, 7),
+                         omega=2.0 ** 600 * np.ones((2, 2)))
