@@ -21,14 +21,13 @@ capture, so
 * index j is indispensable iff j lies in every minimal capture.
 
 The enumeration is exact and carries no tolerance.  A floating-point
-filter decides it from the signs of the 2m x 2m determinants of all
-2m-subsets, where each clears an error bound derived from its expansion
-(Fortune and Van Wyk 1996, Shewchuk 1997).  Otherwise, as every finite
-float is a dyadic rational, the points are scaled by one power of two to
-integers.  A table of integer leading minors, each expanded from those
-one size smaller, decides almost every subset by the signs of minors and
-cofactors; only a subset whose leading minor vanishes is solved by
-fraction-free integer elimination (Bareiss 1968).
+filter decides it where every 2m x 2m determinant clears an error bound
+derived from its expansion (Fortune and Van Wyk 1996, Shewchuk 1997).
+Elsewhere, as every finite float is a dyadic rational, the points are
+scaled by one power of two to integers.  A table of integer leading
+minors, each expanded from those one size smaller, decides almost every
+subset by the signs of minors and cofactors; only a subset whose leading
+minor vanishes is solved by fraction-free integer elimination (Bareiss 1968).
 """
 
 import functools
@@ -38,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .resonance import _integer
 
 _BLOCK = 1024  # (2m+1)-subsets per array block of `_filtered_captures`
 
@@ -56,10 +56,7 @@ class Configuration:
     vectors: tuple
 
     def __post_init__(self):
-        if type(self.m) is bool or not isinstance(self.m, (int, np.integer)):
-            raise ValueError("ambient dimension m must be an integer, got %r"
-                             % (self.m,))
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _integer("ambient dimension m", self.m))
         if self.m < 1:
             raise ValueError("ambient dimension m must be >= 1")
         vecs = tuple(tuple(complex(c) for c in v) for v in self.vectors)
@@ -145,71 +142,63 @@ def _captures_origin(columns, dim):
 
 @functools.lru_cache(maxsize=None)
 def _expansion(dim):
-    """Index arrays (2, k+1, subsets), k = 1 .. dim-1, expanding the
-    (k+1)-minors of a (dim+1) x dim matrix along column k: row i of each
-    (k+1)-subset of rows and the rank of its face without that row; then
-    signs (-1)^i, and ones that expand the permanent alike."""
-    levels = []
+    """Index arrays (2, C, k+1), k = 1 .. dim-1, expanding each (k+1)-minor
+    of a (dim+1) x dim matrix along column k: its rows, last first, and the
+    ranks of its faces without them."""
+    levels, rows = [], [(i,) for i in range(dim + 1)]
     for k in range(1, dim):
-        faces = list(itertools.combinations(range(dim + 1), k))
+        rank = dict(zip(rows, itertools.count()))
         rows = list(itertools.combinations(range(dim + 1), k + 1))
-        levels.append(np.array([list(zip(*rows)), [[faces.index(
-            t[:i] + t[i + 1:]) for t in rows] for i in range(k + 1)]]))
-    return levels, np.array([[(-1.0) ** i for i in range(dim + 1)],
-                             [1.0] * (dim + 1)])
+        faces = map(itertools.combinations, rows, itertools.repeat(k))
+        levels.append(np.fromiter(itertools.chain(
+            itertools.chain.from_iterable(map(reversed, rows)),
+            map(rank.get, itertools.chain.from_iterable(faces))),
+            np.intp).reshape(2, -1, k + 1))
+    return levels
 
 
 def _filtered_captures(points, target):
-    """The minimal captures as a list, or None where a sign is undecided,
-    n <= dim or dim > 8 (whose 2^dim minors per subset cost more than the
-    integer path).  If every dim-subset has a determinant D != 0, no capture
-    has dim points or fewer: it is linearly dependent, and so is every
-    dim-subset holding it.  A (dim+1)-subset is then a capture iff its
-    cofactors, the signed D of its faces, share one strict sign.  D is
-    expanded from leading minors, as `_minimal_captures` expands them."""
+    """The minimal captures, or None if n <= dim, dim > 8 (where a block
+    peaks above 20 MB and the bound starts to defer generic points) or the
+    sign of a dim-subset's determinant D is in doubt.  No capture has dim
+    points or fewer if every D != 0, and a (dim+1)-subset is a capture iff
+    the signed D of its faces share one strict sign."""
     n, dim = len(points), len(target)
     if not 0 < dim < min(n, 9):
         return None
-    x = [[p - t for p, t in zip(point, target)] for point in points]
-    top = [max(map(abs, point)) for point in x]
-    if not math.isfinite(max(top)):
-        return None  # the subtraction overflowed
     # Scaling a point by a power of two changes no sign that decides a
     # capture; each is put in [1/2, 1), rounding only what underflows.
-    x = np.array([[math.ldexp(v, -math.frexp(t)[1]) for v in point]
-                  for point, t in zip(x, top)]).T
-    both = np.array([x, np.abs(x)])  # (2, dim, n)
-    # Error bound on D (Higham, Accuracy and Stability of Numerical
-    # Algorithms, 2002, sec. 3.1; gamma_c = c u / (1 - c u), u = 2^-53).  A
-    # minor of size k is a sum of k products of an entry, rounded once in
-    # the subtraction, and a minor of size k-1, so by induction over k the
-    # computed D is within gamma_c P of the true one, P the permanent of
-    # the absolute entries and c = 1 + sum_{k=2..dim} (k + 1), 13 for
-    # m = 2.  The permanent, expanded alike, is computed at least
-    # (1 - gamma_c) P, and 2 c u covers gamma_c / (1 - gamma_c) and the
-    # rounding of the bound.  Underflow adds at most 2^-1075 to an entry
-    # and to a product; as entries are below 1, what reaches a minor of
-    # size k, or its permanent, is at most 2 k k! 2^-1074 by induction;
-    # `tiny` is four times the two together.
-    rel = (dim * (dim + 1) + 2 * dim - 2) * 2.0 ** -53
-    tiny = math.ldexp(dim * math.factorial(dim), -1070)
-    levels, signs = _expansion(dim)
+    x = []
+    for point in points:
+        point = [p - t for p, t in zip(point, target)]
+        top = max(map(abs, point))
+        if not math.isfinite(top):
+            return None  # the subtraction overflowed
+        x.append([math.ldexp(v, -math.frexp(top)[1]) for v in point])
+    x = np.array(x).T
+    # D is expanded as the exact path expands it: a minor of size k sums, in
+    # any order, k products of an entry, rounded once in the subtraction,
+    # and a minor of size k-1.  So D is off by at most gamma_c P = c u P /
+    # (1 - c u), u = 2^-53, c = 1 + sum_{k=2..dim} (k + 1), 13 for m = 2
+    # (Higham, Accuracy and Stability, sec. 3.1), P the permanent of the
+    # absolute entries.  They are below 1, so P < dim^dim, and 2 c u dim^dim
+    # covers gamma_c P and the at most dim dim! 2^-1073 that underflow adds.
+    bound = (dim * (dim + 1) + 2 * dim - 2) * dim ** dim * 2.0 ** -53
+    signs = np.array([1.0, -1.0] * dim)
     subsets = itertools.combinations(range(n), dim + 1)
     captures = []
-    for _ in range(0, math.comb(n, dim + 1), _BLOCK):
-        block = np.fromiter(itertools.chain.from_iterable(
-            itertools.islice(subsets, _BLOCK)), np.intp).reshape(-1, dim + 1)
-        entries = both.take(block.T, 2)  # (2, dim, dim + 1, block)
-        minors = entries[:, 0]  # (2, subsets of rows, block)
-        for k, (rows, faces) in enumerate(levels, 1):
-            minors = (entries[:, k].take(rows, 1) * minors.take(faces, 1)
-                      * signs[:, k::-1, None, None]).sum(1)
-        det, perm = minors  # of the faces without row dim, ..., 0
-        if not (np.abs(det) > rel * perm + tiny).all():
+    for chunk in iter(lambda: list(itertools.islice(subsets, _BLOCK)), []):
+        entries = x.take(np.fromiter(itertools.chain.from_iterable(chunk),
+                                     np.intp).reshape(-1, dim + 1).T, 1)
+        minors = entries[0]  # (dim + 1 subsets of rows, block)
+        for k, (rows, faces) in enumerate(_expansion(dim), 1):
+            minors = signs[:k + 1] @ (entries[k].take(rows, 0)
+                                      * minors.take(faces, 0))
+        if np.count_nonzero(abs(minors) > bound) < minors.size:
             return None
-        cofactors = det * signs[0, :, None]
-        hit = (cofactors > 0).all(0) | (cofactors < 0).all(0)
-        captures += map(tuple, block[hit].tolist())
+        # D of the faces without row dim, ..., 0 alternate in sign
+        captures += itertools.compress(chunk, map(all, zip(
+            *(minors[1:] * minors[:-1] < 0).tolist())))
     return captures
 
 
@@ -218,15 +207,15 @@ def _minimal_captures(points, target):
     affinely independent subset (tuple of indices) of at most dim+1 points
     that has ``target`` strictly inside, with all barycentric coordinates
     positive.  By Caratheodory, ``target`` lies in the convex hull of a set
-    of points iff some subset of them is a minimal capture.
+    of points iff some subset of them is a minimal capture.  They are taken
+    from `_filtered_captures` where it decides, else found exactly:
 
-    `_filtered_captures` decides them where it can.  Elsewhere, a subset S
-    of k <= dim points with a nonzero leading minor (over the first k
-    coordinates) is independent, so it misses the origin.  S of dim+1
-    points is a capture iff its cofactors (-1)^i minor(S - s_i), whose sum
-    D is the barycentric determinant and cofactor / D the weights, are all
-    nonzero with one sign.  Minors are expanded along their last row from
-    those one size smaller; ``_captures_origin`` decides the rest.
+    A subset S of k <= dim points with a nonzero leading minor (over the
+    first k coordinates) is independent, so it misses the origin.  S of
+    dim+1 points is a capture iff its cofactors (-1)^i minor(S - s_i), whose
+    sum D is the barycentric determinant and cofactor / D the weights, are
+    all nonzero with one sign.  Minors are expanded along their last row
+    from those one size smaller; ``_captures_origin`` decides the rest.
     """
     captures = _filtered_captures(points, target)
     if captures is not None:
@@ -258,8 +247,8 @@ def _minimal_captures(points, target):
 
 def _certify(config):
     """(Siegel, weakly hyperbolic, indispensable) from one enumeration."""
-    captures = [set(s) for s in _minimal_captures(
-        real_points(config).tolist(), [0.0] * (2 * config.m))]
+    real = [[x for c in v for x in (c.real, c.imag)] for v in config.vectors]
+    captures = [set(s) for s in _minimal_captures(real, [0.0] * 2 * config.m)]
     hyperbolic = all(len(s) > 2 * config.m for s in captures)
     if not captures:
         return False, hyperbolic, frozenset()
@@ -290,7 +279,7 @@ def in_convex_hull(points, target):
 
 def check_siegel(config):
     """True iff the origin lies in the hull of all configuration vectors."""
-    return _certify(config)[0]
+    return in_convex_hull(real_points(config), [0.0] * 2 * config.m)
 
 
 def check_weak_hyperbolicity(config):

@@ -47,6 +47,13 @@ class Resonance:
         return self.p == EJ[self.j]
 
 
+def _integer(what, value):
+    """``value`` as an int; numpy integers pass, bools and the rest fail."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError("%s must be an integer, got %r" % (what, value))
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ResonanceClass:
     tag: str  # "NonResonant" | "Single" | "Double"
@@ -57,9 +64,8 @@ class ResonanceClass:
         if self.tag not in ("NonResonant", "Single", "Double"):
             raise ValueError("unknown regime tag")
         for name in ("p", "q"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ValueError("regime index %s must be an integer, got %r"
-                                 % (name, getattr(self, name)))
+            object.__setattr__(self, name, _integer(
+                "regime index " + name, getattr(self, name)))
         if self.tag == "Single" and self.q < 2:
             raise ValueError("Single regime requires q >= 2")
 

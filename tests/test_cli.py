@@ -449,7 +449,8 @@ class TestDeform:
                                      "failure": "generator entries must be "
                                                 "finite"}
 
-    @pytest.mark.parametrize("p", [1.5, "a"], ids=["fraction", "string"])
+    @pytest.mark.parametrize("p", [1.5, "a", True],
+                             ids=["fraction", "string", "bool"])
     def test_non_integer_regime_index_refused(self, runner, tmp_path, p):
         # no Double regime has a fractional p: the document is refused by
         # name (exit 1), neither answered nor ended in a TypeError

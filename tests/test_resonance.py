@@ -380,7 +380,7 @@ class TestClassifyRegime:
             classify_regime([Resonance(1, (1, 0, 0))])
 
     @pytest.mark.parametrize("index,value", [
-        ("p", 1.5), ("p", "a"), ("q", 2.0), ("p", None)])
+        ("p", 1.5), ("p", "a"), ("q", 2.0), ("p", None), ("q", True)])
     def test_non_integer_index_refused(self, index, value):
         # a regime index names a power, which exists for integers only
         message = r"^regime index %s must be an integer, got %s$" % (
@@ -391,6 +391,7 @@ class TestClassifyRegime:
     def test_numpy_integer_index_accepted(self):
         regime = ResonanceClass("Single", p=np.int64(-2), q=np.int32(3))
         assert regime == ResonanceClass("Single", p=-2, q=3)
+        assert type(regime.p) is int and type(regime.q) is int
 
 
 class TestCohomologyDims:
