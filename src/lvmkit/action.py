@@ -24,9 +24,10 @@ from typing import Optional
 
 import numpy as np
 
+from .resonance import _is_integer
 from .resonant_group import (PointV, _check, _compose_rows, _factor_powers,
-                             _images, _overflow, apply, compose,
-                             element_from_params, power_many)
+                             _images, _overflow, _regime, _to_point, apply,
+                             compose, element_from_params, power_many)
 
 DEFAULT_WINDOW = 25
 FP_TOL = 1e-10
@@ -125,16 +126,8 @@ def _fixed_point_witness(regime, h, tol):
 
 
 def _at_least(n, least):
-    """Whether n is an integer (numpy's included) of at least least."""
-    return isinstance(n, (int, np.integer)) and n >= least
-
-
-def _regime(pair):
-    """The regime of a pair, whose generators must share it."""
-    f, g = pair
-    if f.regime != g.regime:
-        raise ValueError("cannot compose elements of different regimes")
-    return f.regime
+    """Whether n is an integer by `_is_integer` of at least least."""
+    return _is_integer(n) and n >= least
 
 
 def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
@@ -147,8 +140,7 @@ def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
     """
     if not _at_least(window, 1):
         raise ValueError("need window >= 1, an integer, got %r" % (window,))
-    regime = _regime(pair)
-    f, g = pair
+    regime = _regime(*pair)
     with np.errstate(all="ignore"):
         fp, gp = _powers(pair, window).swapaxes(0, 1)
         h1 = np.multiply.outer(fp[:, 0], gp[:, 0])
@@ -170,13 +162,11 @@ def orbit(pair, word, x):
     """Successive images of x under the words f^r g^s, (r, s) integers,
     named by the word; the returned list starts with x itself."""
     f, g = pair
-    if not isinstance(x, PointV):
-        x = PointV(tuple(x))
+    x = _to_point(x)
     word = list(word)
     for entry in word:
         try:
-            ok_entry = len(entry) == 2 and all(
-                isinstance(k, (int, np.integer)) for k in entry)
+            ok_entry = len(entry) == 2 and all(map(_is_integer, entry))
         except TypeError:  # no sequence
             ok_entry = False
         if not ok_entry:
@@ -268,8 +258,7 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
         raise ValueError("need a finite compact_radius > 1, integers horizon "
                          ">= 1, samples >= 1 and seed >= 0, got %r, %r, %r and"
                          " %r" % (compact_radius, horizon, samples, seed))
-    regime = _regime(pair)
-    f, g = pair
+    regime = _regime(*pair)
     x = _samples(compact_radius, samples, seed)
     r, s = _grid(horizon)
     band = np.maximum(abs(r), abs(s)) >= (horizon + 1) // 2

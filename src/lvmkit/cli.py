@@ -100,26 +100,16 @@ def _parse_config(doc):
     return m, vectors
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (complex, np.complexfloating)):
-        return [float(value.real), float(value.imag)]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
+def _encode(value):
+    """What json cannot encode of a report: a numpy scalar, as the Python
+    one, and a complex value, as [re, im]."""
+    return [value.real, value.imag] if isinstance(value, complex) else value.item()
 
 
 def _emit(report, as_json):
-    report = _jsonable(report)
+    """Print the report as JSON, or as dotted-path lines of its JSON."""
     if as_json:
-        click.echo(json.dumps(report, sort_keys=True, indent=2))
+        click.echo(json.dumps(report, sort_keys=True, indent=2, default=_encode))
         return
 
     def lines(prefix, value):
@@ -132,8 +122,15 @@ def _emit(report, as_json):
         else:
             yield "%s= %s" % (prefix or ". ", json.dumps(value))
 
-    for line in lines("", report):
+    for line in lines("", json.loads(json.dumps(report, default=_encode))):
         click.echo(line)
+
+
+def _fail(report, message, as_json):
+    """Emit the report with its failure and exit 1."""
+    report["failure"] = message
+    _emit(report, as_json)
+    sys.exit(1)
 
 
 def _resonance_report(report, pair, tol, bound):
@@ -173,17 +170,14 @@ def analyze(path, tol, bound, as_json):
         report["indispensable"] = sorted(summary.indispensable)
         report["type"] = summary.type_triple
         if summary.type_triple != (2, 6, 4):
-            report["failure"] = "type is %s, expected (2, 6, 4)" % (
-                (summary.type_triple,) if summary.type_triple else "undefined")
-            _emit(report, as_json)
-            sys.exit(1)
+            _fail(report, "type is %s, expected (2, 6, 4)" % (
+                (summary.type_triple,) if summary.type_triple else
+                "undefined"), as_json)
         regime = _resonance_report(report, holonomy_pair(config), tol, bound)
         report["group_dim"] = group_dim(regime)
     except (NotLVMError, ValueError,
             UnclassifiableResonancePattern) as exc:
-        report["failure"] = str(exc) or exc.__class__.__name__
-        _emit(report, as_json)
-        sys.exit(1)
+        _fail(report, str(exc) or exc.__class__.__name__, as_json)
     _emit(report, as_json)
 
 
@@ -208,9 +202,7 @@ def resonances(path, tol, bound, as_json):
             pair = holonomy_pair(config)
         _resonance_report(report, pair, tol, bound)
     except (ValueError, NotLVMError, UnclassifiableResonancePattern) as exc:
-        report["failure"] = str(exc) or exc.__class__.__name__
-        _emit(report, as_json)
-        sys.exit(1)
+        _fail(report, str(exc) or exc.__class__.__name__, as_json)
     _emit(report, as_json)
 
 
@@ -404,18 +396,14 @@ def _suite_action(seed):
 @click.argument("suite", type=click.Choice(
     ["group-laws", "gluing", "developing", "action", "all"]))
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
-@click.option("--samples", default=100, show_default=True, type=int)
+@click.option("--samples", default=100, show_default=True, type=click.IntRange(1))
 @click.option("--tol", default=VERIFY_TOL, show_default=True, type=float)
 @click.option("--p", default=1, show_default=True, type=int)
-@click.option("--q", default=2, show_default=True, type=int)
+@click.option("--q", default=2, show_default=True, type=click.IntRange(2))
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def verify(suite, seed, samples, tol, p, q, as_json):
     """Run a seeded property suite and report the worst residual."""
-    if samples < 1:
-        raise click.UsageError("--samples must be >= 1")
     _check_options(tol)
-    if q < 2:
-        raise click.UsageError("--q must be >= 2")
     wanted = ("group-laws", "gluing", "developing", "action") \
         if suite == "all" else (suite,)
     results = []
@@ -443,7 +431,7 @@ def verify(suite, seed, samples, tol, p, q, as_json):
 @main.command()
 @click.argument("path", type=click.Path())
 @click.option("--seed", default=0, show_default=True, type=click.IntRange(0))
-@click.option("--samples", default=100, show_default=True, type=int)
+@click.option("--samples", default=100, show_default=True, type=click.IntRange(1))
 @click.option("--tol", default=1e-9, show_default=True, type=float)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
 def deform(path, seed, samples, tol, as_json):
@@ -453,8 +441,6 @@ def deform(path, seed, samples, tol, as_json):
     coefficient lists of [re, im] pairs (3, 4 or 1+4 coefficients per
     the regime), and, for the non-resonant regime, a base configuration
     under the key config."""
-    if samples < 1:
-        raise click.UsageError("--samples must be >= 1")
     _check_options(tol)
     doc = _load_document(path)
     try:
@@ -481,16 +467,13 @@ def deform(path, seed, samples, tol, as_json):
     except (KeyError, TypeError) as exc:
         raise click.UsageError("malformed structure document: %s" % exc)
     except ValueError as exc:
-        _emit({"input": path, "failure": str(exc)}, as_json)
-        sys.exit(1)
+        _fail({"input": path}, str(exc), as_json)
     report = {"input": path, "seed": seed, "samples": samples, "tol": tol}
     try:
         spec = StructureSpec(gens, base_config=config)
         result = check_structure(spec, samples=samples, tol=tol, seed=seed)
     except _REFUSALS + (NotLVMError,) as exc:
-        report["failure"] = str(exc) or exc.__class__.__name__
-        _emit(report, as_json)
-        sys.exit(1)
+        _fail(report, str(exc) or exc.__class__.__name__, as_json)
     report["regime"] = {"tag": regime.tag, "p": regime.p, "q": regime.q}
     report["max_residual"] = result.max_residual
     report["mean_residual"] = result.mean_residual

@@ -31,13 +31,13 @@ from typing import Optional
 import numpy as np
 
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
-from .resonance import (DEFAULT_BOUND, ResonanceClass, _log_screen,
-                        _power_residual, _screened)
-from .resonant_group import (IllConditioned, PointV, _invertible,
-                             _null_vector, _overflow, _points_ok, _power,
-                             _to_point, _twisted_roots, apply_many,
-                             compose_many, power_many, replay)
-from .rep_variety import _double_equations
+from .resonance import (DEFAULT_BOUND, ResonanceClass, _is_integer,
+                        _log_screen, _power_residual, _screened)
+from .resonant_group import (IllConditioned, _invertible, _null_vector,
+                             _overflow, _points_ok, _power, _to_point,
+                             _twisted_roots, apply_many, compose_many,
+                             power_many, replay)
+from .rep_variety import _double_equations, _single_equation
 
 DENOM_TOL = 1e-12
 MEMBERSHIP_TOL = 1e-9
@@ -77,20 +77,9 @@ class FamilyPoint:
             raise ValueError("space must be one of 'T', 'T_pq', 'S_p'")
         amat = _frozen(self.amat)
         bmat = _frozen(self.bmat)
-        for mat in (amat, bmat):
-            if mat.shape != (3, 3):
-                raise ValueError("matrices must be 3x3")
-            if not np.all(np.isfinite(mat)):
-                raise ValueError("matrix entries must be finite")
-        zeros = _BLOCK_ZEROS if self.space == "S_p" else _TRIANGULAR_ZEROS
-        for mat in (amat, bmat):
-            for i, j in zeros:
-                if mat[i, j] != 0:
-                    raise ValueError(
-                        "entry (%d, %d) must vanish in the %s shape"
-                        % (i, j, self.space))
-            if mat[0, 0] == 0 or not _invertible(mat[None, 1:, 1:])[0]:
-                raise ValueError("matrices must be invertible")
+        if amat.shape != (3, 3) or bmat.shape != (3, 3):
+            raise ValueError("matrices must be 3x3")
+        replay(*_shape_checks(self.space, amat[None], bmat[None]))
         object.__setattr__(self, "amat", amat)
         object.__setattr__(self, "bmat", bmat)
         if self.space == "S_p":
@@ -98,17 +87,14 @@ class FamilyPoint:
                 raise ValueError("S_p points carry no lambda")
             if self.q is not None:
                 raise ValueError("S_p points carry no index q")
-            if not isinstance(self.p, (int, np.integer)):
-                raise ValueError("S_p points need an integer index p")
         else:
             if self.lam is None:
                 raise ValueError("%s points need a lambda" % self.space)
             object.__setattr__(self, "lam", complex(self.lam))
-        if self.space == "T_pq":
-            if not isinstance(self.p, (int, np.integer)):
-                raise ValueError("T_pq points need an integer index p")
-            if not isinstance(self.q, (int, np.integer)) or self.q < 2:
-                raise ValueError("T_pq points need an integer index q >= 2")
+        if self.space != "T" and not _is_integer(self.p):
+            raise ValueError("%s points need an integer index p" % self.space)
+        if self.space == "T_pq" and not (_is_integer(self.q) and self.q >= 2):
+            raise ValueError("T_pq points need an integer index q >= 2")
         if self.space == "T" and (self.p is not None or self.q is not None):
             raise ValueError("T points carry no indices")
 
@@ -120,6 +106,37 @@ class FamilyPoint:
     def blocks(self):
         """The lower-right 2x2 blocks of both matrices."""
         return self.amat[1:, 1:], self.bmat[1:, 1:]
+
+
+def _shape_checks(space, amat, bmat):
+    """The `replay` checks of the shape clauses of `FamilyPoint` on stacked
+    matrices (N, 3, 3), in its order: finite entries of A, then of B; then
+    the zero pattern of the space, a nonzero (1, 1) entry and an invertible
+    lower-right block, of A, then of B."""
+    zeros = _BLOCK_ZEROS if space == "S_p" else _TRIANGULAR_ZEROS
+
+    def vanish(nonzero):
+        raise ValueError("entry (%d, %d) must vanish in the %s shape"
+                         % (*zeros[np.argmax(nonzero)], space))
+    checks = [(np.isfinite(m).all(axis=(1, 2)), _not_finite) for m in (amat, bmat)]
+    for m in (amat, bmat):
+        nonzero = m[:, [i for i, _ in zeros], [j for _, j in zeros]] != 0
+        checks += [(~nonzero.any(axis=1), vanish, nonzero),
+                   ((m[:, 0, 0] != 0) & _invertible(m[:, 1:, 1:]), _singular)]
+    return checks
+
+
+def _not_finite():
+    raise ValueError("matrix entries must be finite")
+
+
+def _singular():
+    raise ValueError("matrices must be invertible")
+
+
+def _charts_ok(space, amat, bmat):
+    """Rows that pass the shape checks of `FamilyPoint`."""
+    return np.logical_and.reduce([c[0] for c in _shape_checks(space, amat, bmat)])
 
 
 def _paired_eigendata(amat, bmat, p):
@@ -232,14 +249,10 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
                      for d in _paired_eigendata(a[None], b[None], point.p))
     else:
         data = a1, a2, a3, b1, b2, b3 = point.diagonals()
-        eps, delta = point.amat[2, 1], point.bmat[2, 1]
-        if point.space == "T":
-            condition, word = "C", None
-            r = eps * (b3 - b2) - delta * (a3 - a2)
-        else:
-            condition, word = "K_pq", (point.p, point.q)
-            r = (eps * (b3 - b1 ** point.p * b2 ** point.q)
-                 - delta * (a3 - a1 ** point.p * a2 ** point.q))
+        condition, word = (("C", None) if point.space == "T" else
+                           ("K_pq", (point.p, point.q)))
+        r = _single_equation(a1, a2, a3, point.amat[2, 1], b1, b2, b3,
+                             point.bmat[2, 1], *(word or (0, 1)))
         scale = 1 + max(abs(v) for v in data)
         clauses = [("modulus-ordering", abs(a2) > abs(a3)),
                    ("shear-compatibility", abs(r) <= tol * scale)]
@@ -301,23 +314,9 @@ def family_action_many(space, amat, bmat, word, x, p=None, q=None):
 
 def family_action(point, word, x):
     """Image of x under the (r, s) word of the point's Z^2 action."""
-    if not isinstance(x, PointV):
-        x = PointV(tuple(x))
     y = family_action_many(point.space, point.amat[None], point.bmat[None],
-                           word, x.array()[None], point.p, point.q)
+                           word, _to_point(x).array()[None], point.p, point.q)
     return _to_point(y[0])
-
-
-def _charts_ok(space, amat, bmat):
-    """Rows that pass the shape checks of `FamilyPoint`."""
-    zeros = _BLOCK_ZEROS if space == "S_p" else _TRIANGULAR_ZEROS
-    ok = np.ones(len(amat), dtype=bool)
-    for mat in (amat, bmat):
-        ok &= (np.isfinite(mat).all(axis=(1, 2)) & (mat[:, 0, 0] != 0)
-               & _invertible(mat[:, 1:, 1:]))
-        for i, j in zeros:
-            ok &= mat[:, i, j] == 0
-    return ok
 
 
 def _shear(lam):
@@ -361,9 +360,7 @@ def glue_psi_p_many(amat, bmat, lam, x, p):
         y = np.stack([xi1, xi2 + lam * xi1 ** -p * eta3, eta3], axis=1)
         replay((_points_ok(x), _to_point, x), denominators,
                (_points_ok(y), _to_point, y),
-               (_charts_ok("S_p", aout, bout),
-                lambda a, b: FamilyPoint("S_p", a, b, p=int(p)), aout, bout),
-               _finite_check(y))
+               *_shape_checks("S_p", aout, bout), _finite_check(y))
     return aout, bout, y
 
 
@@ -377,10 +374,9 @@ def glue_psi_p(point, x, p):
     """
     if point.space != "T":
         raise ValueError("glue_psi_p expects a T point")
-    if not isinstance(x, PointV):
-        x = PointV(tuple(x))
     aout, bout, y = glue_psi_p_many(point.amat[None], point.bmat[None],
-                                    np.array([point.lam]), x.array()[None], p)
+                                    np.array([point.lam]),
+                                    _to_point(x).array()[None], p)
     return FamilyPoint("S_p", aout[0], bout[0], p=int(p)), _to_point(y[0])
 
 
@@ -414,9 +410,7 @@ def invert_psi_p_many(amat, bmat, x, p):
         replay((_points_ok(x), _to_point, x),
                (~(unordered | resonant | forced), _not_in_image, unordered,
                 resonant),
-               (_charts_ok("T", amat_t, bmat_t),
-                lambda a, b, c: FamilyPoint("T", a, b, lam=c), amat_t,
-                bmat_t, lam),
+               *_shape_checks("T", amat_t, bmat_t),
                (_points_ok(y), _to_point, y),
                _finite_check(np.column_stack([lam, y])))
     return amat_t, bmat_t, lam, y
@@ -445,10 +439,8 @@ def invert_psi_p(point, x, p):
     """
     if point.space != "S_p" or point.p != p:
         raise ValueError("invert_psi_p expects an S_p point with matching p")
-    if not isinstance(x, PointV):
-        x = PointV(tuple(x))
     amat, bmat, lam, y = invert_psi_p_many(point.amat[None], point.bmat[None],
-                                           x.array()[None], p)
+                                           _to_point(x).array()[None], p)
     return FamilyPoint("T", amat[0], bmat[0], lam=lam[0]), _to_point(y[0])
 
 
@@ -470,11 +462,8 @@ def glue_phi_pq_many(amat, bmat, x, p, q, invert=False):
         twist = eps / d_twist * xi1 ** p * xi2 ** q
         y = x.copy()
         y[:, 2] = xi3 + plain - twist if invert else xi3 - plain + twist
-        space = "T_pq" if invert else "T"
         replay((_points_ok(x), _to_point, x), denominators,
-               (_charts_ok(space, amat, bout), lambda a, b: FamilyPoint(
-                   space, a, b, lam=0, p=p if invert else None,
-                   q=q if invert else None), amat, bout),
+               *_shape_checks("T_pq" if invert else "T", amat, bout),
                (_points_ok(y), _to_point, y),
                _finite_check(y))
     return amat.copy(), bout, y
@@ -490,10 +479,8 @@ def glue_phi_pq(point, x, p, q):
     if point.space != "T_pq" or point.p != p or point.q != q:
         raise ValueError("glue_phi_pq expects a T_pq point with matching "
                          "indices")
-    if not isinstance(x, PointV):
-        x = PointV(tuple(x))
     amat, bmat, y = glue_phi_pq_many(point.amat[None], point.bmat[None],
-                                     x.array()[None], p, q)
+                                     _to_point(x).array()[None], p, q)
     return FamilyPoint("T", amat[0], bmat[0], lam=point.lam), _to_point(y[0])
 
 
@@ -502,9 +489,8 @@ def invert_phi_pq(point, x, p, q):
     the twisted action and negate the polynomial point shear."""
     if point.space != "T":
         raise ValueError("invert_phi_pq expects a T point")
-    if not isinstance(x, PointV):
-        x = PointV(tuple(x))
     amat, bmat, y = glue_phi_pq_many(point.amat[None], point.bmat[None],
-                                     x.array()[None], p, q, invert=True)
+                                     _to_point(x).array()[None], p, q,
+                                     invert=True)
     return (FamilyPoint("T_pq", amat[0], bmat[0], lam=point.lam,
                         p=int(p), q=int(q)), _to_point(y[0]))

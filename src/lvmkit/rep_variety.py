@@ -96,12 +96,16 @@ def variety_residual(pair, cls):
     if cls.tag == "NonResonant":
         return VarietyResidual(())
     if cls.tag == "Single":
-        a1, a2, a3, eps = f.data
-        b1, b2, b3, delta = g.data
-        p, q = cls.p, cls.q
-        r = eps * (b3 - b1 ** p * b2 ** q) - delta * (a3 - a1 ** p * a2 ** q)
-        return VarietyResidual((("shear-commutation", r),))
+        return VarietyResidual((("shear-commutation", _single_equation(
+            *f.data, *g.data, cls.p, cls.q)),))
     return VarietyResidual(_double_equations(*f.data, *g.data, cls.p))
+
+
+def _single_equation(a1, a2, a3, eps, b1, b2, b3, delta, p, q):
+    """The residual of the shear equation of `variety_residual` for the
+    Single data (a1, a2, a3, eps) against (b1, b2, b3, delta); the T
+    chart's shear clause is its case p, q = 0, 1."""
+    return eps * (b3 - b1 ** p * b2 ** q) - delta * (a3 - a1 ** p * a2 ** q)
 
 
 def _double_equations(a1, amat, b1, bmat, p):

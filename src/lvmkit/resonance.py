@@ -47,9 +47,14 @@ class Resonance:
         return self.p == EJ[self.j]
 
 
+def _is_integer(value):
+    """Whether value is an integer: numpy integers pass, bools fail."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _integer(what, value):
-    """``value`` as an int; numpy integers pass, bools and the rest fail."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    """``value`` as an int, if `_is_integer`; else a ValueError naming it."""
+    if not _is_integer(value):
         raise ValueError("%s must be an integer, got %r" % (what, value))
     return int(value)
 
@@ -275,9 +280,9 @@ class ResonantVectorField:
         return out
 
 
-def check_resonant(field, h, tol=DEFAULT_TOL):
+def check_resonant(field, h):
     """True iff every monomial key of the field is a resonance of h."""
-    return all(_is_resonance(h, j, p, tol)[0] for (j, p), _ in field.terms)
+    return all(_is_resonance(h, j, p, DEFAULT_TOL)[0] for (j, p), _ in field.terms)
 
 
 def bracket(x, y):
@@ -300,6 +305,6 @@ def bracket(x, y):
     return ResonantVectorField.from_dict(acc)
 
 
-def first_obstruction_vanishes(x, y, tol=DEFAULT_TOL):
+def first_obstruction_vanishes(x, y):
     scale = 1 + max(x.max_coeff(), y.max_coeff())
-    return bracket(x, y).max_coeff() <= tol * scale
+    return bracket(x, y).max_coeff() <= DEFAULT_TOL * scale

@@ -174,12 +174,18 @@ def _l_matrix(z, p):
     return np.array([[1, 0], [0, complex(z) ** p]], dtype=complex)
 
 
+def _regime(*elements):
+    """The regime of the elements, which must share it."""
+    if any(e.regime != elements[0].regime for e in elements):
+        raise ValueError("cannot compose elements of different regimes")
+    return elements[0].regime
+
+
 def compose(f, g):
     """f g, the one row of `compose_many`."""
-    if f.regime != g.regime:
-        raise ValueError("cannot compose elements of different regimes")
-    return element_from_params(f.regime, compose_many(
-        f.regime, f.params()[None], g.params()[None])[0])
+    regime = _regime(f, g)
+    return element_from_params(regime, compose_many(
+        regime, f.params()[None], g.params()[None])[0])
 
 
 def inverse(f):
@@ -190,13 +196,13 @@ def inverse(f):
 
 def apply(f, x):
     """f x, the one row of `apply_many`."""
-    if not isinstance(x, PointV):
-        x = PointV(tuple(x))
-    return _to_point(apply_many(f.regime, f.params()[None], x.array()[None])[0])
+    return _to_point(apply_many(f.regime, f.params()[None],
+                                _to_point(x).array()[None])[0])
 
 
 def _to_point(xi):
-    return PointV(tuple(xi))
+    """xi as a `PointV`, built from its coordinates unless it is one."""
+    return xi if isinstance(xi, PointV) else PointV(tuple(xi))
 
 
 def _ldexp(z, n):
@@ -476,9 +482,7 @@ def conjugate(h, f):
 def _commutators(pairs):
     """f g - g f in parameters (len(pairs), k) for the pairs (f, g) of one
     regime, the rows f g, g f, ... of one `compose_many` call."""
-    regime = pairs[0][0].regime
-    if any(e.regime != regime for pair in pairs for e in pair):
-        raise ValueError("cannot compose elements of different regimes")
+    regime = _regime(*(e for pair in pairs for e in pair))
     a = np.array([[e.params() for e in pair] for pair in pairs])
     h = compose_many(regime, a.reshape(-1, a.shape[-1]),
                      a[:, ::-1].reshape(-1, a.shape[-1]))

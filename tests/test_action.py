@@ -137,9 +137,11 @@ class TestFixedPointCertificate:
 
     def test_vacuous_window_rejected(self):
         assert not fixed_point_certificate(UNIT_PAIR, window=6).fixed_point_free
-        for window in (0, -3, 2.5):
+        for window in (0, -3, 2.5, True, False):
             with pytest.raises(ValueError, match="need window >= 1"):
                 fixed_point_certificate(UNIT_PAIR, window=window)
+        assert fixed_point_certificate(UNIT_PAIR, window=np.int64(6)) == \
+            fixed_point_certificate(UNIT_PAIR, window=6)
 
     def test_certificate_invariant(self):
         with pytest.raises(ValueError):
@@ -204,7 +206,8 @@ class TestOrbit:
             warnings.simplefilter("ignore")
             assert out == [x, apply(_word_element((f, g), 8, 0), x)]
 
-    @pytest.mark.parametrize("entry", [(1.0, 0), (0, np.float64(2)), (1, "1")])
+    @pytest.mark.parametrize("entry", [(1.0, 0), (0, np.float64(2)), (1, "1"),
+                                       (True, 0), (0, False)])
     def test_non_integer_word_rejected(self, entry):
         with pytest.raises(ValueError, match=r"word entry %s is not an "
                            "integer pair" % re.escape(repr(entry))):
@@ -223,10 +226,10 @@ class TestOrbit:
                            "different regimes"):
             orbit(pair, [(1, 1)], PointV((1, 2, 3)))
 
-    def test_bool_and_numpy_word_accepted(self):
+    def test_numpy_word_accepted(self):
         x = PointV((1, 2, 3))
-        assert orbit(DIAG_PAIR, [(True, False), (np.int64(-1), 0)], x) == \
-            orbit(DIAG_PAIR, [(1, 0), (-1, 0)], x)
+        assert orbit(DIAG_PAIR, [(np.int64(1), 0), (np.int64(-1), 0)], x) \
+            == orbit(DIAG_PAIR, [(1, 0), (-1, 0)], x)
 
 
 class TestPropernessProbe:
@@ -261,10 +264,15 @@ class TestPropernessProbe:
             properness_probe(DIAG_PAIR, horizon=0)
         # refused by name, not inside numpy
         for kwargs in ({"horizon": 2.5}, {"samples": 2.5}, {"seed": -1},
-                       {"seed": 0.5}):
+                       {"seed": 0.5}, *({name: flag} for flag in (True, False)
+                                         for name in ("horizon", "samples",
+                                                      "seed"))):
             with pytest.raises(ValueError, match="integers horizon >= 1, "
                                "samples >= 1 and seed >= 0"):
                 properness_probe(DIAG_PAIR, **kwargs)
+        assert properness_probe(DIAG_PAIR, horizon=np.int64(4),
+                                samples=np.int64(3), seed=np.int64(2)) == \
+            properness_probe(DIAG_PAIR, horizon=4, samples=3, seed=2)
 
     @pytest.mark.parametrize("kwargs", [
         {"samples": 0}, {"samples": -2},

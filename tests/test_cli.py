@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -533,3 +535,78 @@ class TestRunOptions:
         assert result.exit_code == 2
         assert "Invalid value for '--seed': -1 is not in the range x>=0" \
             in result.output
+
+    @pytest.mark.parametrize("command,option", [
+        ("verify", ["--samples", "0"]), ("deform", ["--samples", "0"]),
+        ("verify", ["--q", "1"])], ids=["verify-samples", "deform-samples",
+                                        "verify-q"])
+    def test_option_below_range(self, runner, tmp_path, command, option):
+        result = runner.invoke(main, self._args(tmp_path, command) + option
+                               + ["--json"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert option[0] in result.stderr
+
+    def test_two_generators_is_usage_error(self, runner, tmp_path):
+        doc = TestDeform()._nonres_doc()
+        del doc["generators"][2]
+        result = runner.invoke(main, ["deform", write(tmp_path, "two.json",
+                                                      doc), "--json"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "expected exactly three generators" in result.stderr
+
+
+# a report holding every kind of value the commands put in one
+ENCODED_REPORT = {
+    "flag": np.bool_(True), "plain": False, "count": np.int64(-3),
+    "value": np.float64(0.1), "z": complex(1.5, -2),
+    "w": np.complex128(-0.25j), "type": (2, 6, 4),
+    "eigen_data": [2 + 0j, np.complex128(0.5 - 1j)],
+    "nested": [[np.int64(1), 2.5], [np.bool_(False)]],
+    "rows": ({"j": np.int64(2), "p": (np.int64(1), 0, 1)}, {"j": 3, "p": []}),
+    "none": None, "name": "x"}
+
+
+def test_report_encoding(capsys):
+    # numpy scalars print as Python ones, complex values as [re, im], and
+    # tuples as lists; the text lines descend into lists of lists, of
+    # dicts and of complex values
+    lvmkit.cli._emit(ENCODED_REPORT, True)
+    assert capsys.readouterr().out == json.dumps({
+        "count": -3, "eigen_data": [[2.0, 0.0], [0.5, -1.0]], "flag": True,
+        "name": "x", "nested": [[1, 2.5], [False]], "none": None,
+        "plain": False, "rows": [{"j": 2, "p": [1, 0, 1]}, {"j": 3, "p": []}],
+        "type": [2, 6, 4], "value": 0.1, "w": [-0.0, -0.25],
+        "z": [1.5, -2.0]}, sort_keys=True, indent=2) + "\n"
+    lvmkit.cli._emit(ENCODED_REPORT, False)
+    assert capsys.readouterr().out.splitlines() == [
+        "count.= -3",
+        "eigen_data.0.= [2.0, 0.0]",
+        "eigen_data.1.= [0.5, -1.0]",
+        "flag.= true",
+        'name.= "x"',
+        "nested.0.= [1, 2.5]",
+        "nested.1.= [false]",
+        "none.= null",
+        "plain.= false",
+        "rows.0.j.= 2",
+        "rows.0.p.= [1, 0, 1]",
+        "rows.1.j.= 3",
+        "rows.1.p.= []",
+        "type.= [2, 6, 4]",
+        "value.= 0.1",
+        "w.= [-0.0, -0.25]",
+        "z.= [1.5, -2.0]"]
+
+
+def test_module_entry_point():
+    # `python -m lvmkit.cli` runs the command group
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "lvmkit.cli", "verify",
+                           "group-laws", "--samples", "3", "--json"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["passed"] is True

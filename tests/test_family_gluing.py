@@ -208,6 +208,59 @@ class TestFamilyPoint:
             FamilyPoint("T", np.diag([1.0, 2.0, 0.0]),
                         np.diag([1.0, 2.0, 3.0]), lam=0.0)
 
+    @pytest.mark.parametrize("space,which,entry,value,message", [
+        ("T", 0, (2, 2), np.nan, "matrix entries must be finite"),
+        ("S_p", 1, (0, 0), np.inf, "matrix entries must be finite"),
+        ("T", 0, (0, 1), 0.5, r"entry \(0, 1\) must vanish in the T shape"),
+        ("T_pq", 1, (1, 2), 0.5,
+         r"entry \(1, 2\) must vanish in the T_pq shape"),
+        ("S_p", 0, (2, 0), 0.5,
+         r"entry \(2, 0\) must vanish in the S_p shape"),
+        ("T", 1, (0, 0), 0.0, "matrices must be invertible"),
+        ("S_p", 0, (2, 2), 0.0, "matrices must be invertible")])
+    def test_shape_clause_messages(self, space, which, entry, value,
+                                   message):
+        # each clause of the shape, alone broken, in a chart point and in
+        # the rows that the array maps check
+        mats = [np.diag([1.0, 2.0, 3.0]).astype(complex) for _ in range(2)]
+        mats[which][entry] = value
+        kwargs = {"S_p": {"p": 1}, "T": {"lam": 0},
+                  "T_pq": {"lam": 0, "p": 1, "q": 2}}[space]
+        with pytest.raises(ValueError, match="^%s$" % message):
+            FamilyPoint(space, *mats, **kwargs)
+        stacks = [np.stack([np.eye(3), m]) for m in mats]
+        assert family_gluing._charts_ok(space, *stacks).tolist() == \
+            [True, False]
+
+    def test_shape_checked_first(self):
+        with pytest.raises(ValueError, match="^matrices must be 3x3$"):
+            FamilyPoint("T", np.eye(3), np.eye(2), lam=0)
+        # the refusal of the first failing clause, finite entries first
+        bad = np.diag([1.0, 2.0, 0.0]).astype(complex)
+        bad[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            FamilyPoint("T", np.eye(3), bad, lam=0)
+
+    @pytest.mark.parametrize("index", [True, False])
+    def test_bool_index_refused(self, index):
+        mat = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        with pytest.raises(ValueError,
+                           match="^S_p points need an integer index p$"):
+            FamilyPoint("S_p", mat, mat, p=index)
+        with pytest.raises(ValueError,
+                           match="^T_pq points need an integer index p$"):
+            FamilyPoint("T_pq", mat, mat, lam=0, p=index, q=2)
+        with pytest.raises(ValueError,
+                           match="^T_pq points need an integer index q >= 2$"):
+            FamilyPoint("T_pq", mat, mat, lam=0, p=1, q=index)
+
+    def test_numpy_index_accepted(self):
+        mat = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        assert FamilyPoint("S_p", mat, mat, p=np.int64(-2)).p == -2
+        point = FamilyPoint("T_pq", mat, mat, lam=0, p=np.int64(1),
+                            q=np.int64(3))
+        assert (point.p, point.q) == (1, 3)
+
 
 class TestCheckCondition:
     def test_diagonal_reference_pair_satisfies_C(self):

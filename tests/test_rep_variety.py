@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,6 +20,7 @@ from lvmkit.rep_variety import (
     REJECTION_RADIUS,
     NoConvergence,
     StructureSpec,
+    _solve_scaling,
     psi_case,
     psi_nonresonant,
     psi_resonant,
@@ -340,6 +343,32 @@ class TestPsiNonResonantClosedForm:
                            "are not finite and nonzero$"):
             psi_nonresonant(nonresonant_spec(NON_FINITE_INPUT))
 
+
+
+# (message, target, c): a resonant scaling solve x exp(c Log x) = target
+# that each refusal of the damped Newton iteration ends
+SCALING_REFUSALS = [
+    ("damping exhausted without descent",
+     -3.859195221590849e-223 + 4.16903893935387e-223j,
+     0.7468856162565439 - 1.8473247989741095j),
+    ("iterate left the branch-anchor neighborhood",
+     12.061400676042277 - 0.7424645440205423j,
+     -0.21700504852910837 - 0.6023907983013789j),
+    ("singular Jacobian in Newton solve", 2, -1),
+    ("Newton did not converge in 50 iterations",
+     0.007839342045064111 - 0.011135383574354523j,
+     -13.637220513608005 - 1.3106100794985103j),
+]
+
+
+@pytest.mark.parametrize("message,target,c", SCALING_REFUSALS,
+                         ids=["damping", "neighborhood", "singular",
+                              "iterations"])
+def test_scaling_solve_refusals(message, target, c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NoConvergence, match="^%s$" % message):
+            _solve_scaling(target, c)
 
 class TestPsiResonantSingle:
     def make_spec(self, cdiag, kappa=0.4):
