@@ -157,6 +157,20 @@ def _expansion(dim):
     return levels
 
 
+def _subset_blocks(n, dim):
+    """Blocks of at most _BLOCK (dim+1)-subsets of range(n), in order, each
+    a list and its (dim+1, block) indices.  `_one_block` keeps a lone block
+    (252 subsets at n = 10, m = 2); more are streamed, so memory stays low."""
+    subsets = itertools.combinations(range(n), dim + 1)
+    for chunk in iter(lambda: list(itertools.islice(subsets, _BLOCK)), []):
+        yield chunk, np.fromiter(itertools.chain.from_iterable(chunk),
+                                 np.intp).reshape(-1, dim + 1).T
+
+
+_one_block = functools.lru_cache(maxsize=None)(
+    lambda n, dim: tuple(_subset_blocks(n, dim)))
+
+
 def _filtered_captures(points, target):
     """The minimal captures, or None if n <= dim, dim > 8 (where a block
     peaks above 20 MB and the bound starts to defer generic points) or the
@@ -185,11 +199,10 @@ def _filtered_captures(points, target):
     # covers gamma_c P and the at most dim dim! 2^-1073 that underflow adds.
     bound = (dim * (dim + 1) + 2 * dim - 2) * dim ** dim * 2.0 ** -53
     signs = np.array([1.0, -1.0] * dim)
-    subsets = itertools.combinations(range(n), dim + 1)
+    blocks = _one_block if math.comb(n, dim + 1) <= _BLOCK else _subset_blocks
     captures = []
-    for chunk in iter(lambda: list(itertools.islice(subsets, _BLOCK)), []):
-        entries = x.take(np.fromiter(itertools.chain.from_iterable(chunk),
-                                     np.intp).reshape(-1, dim + 1).T, 1)
+    for chunk, subsets in blocks(n, dim):
+        entries = x.take(subsets, 1)
         minors = entries[0]  # (dim + 1 subsets of rows, block)
         for k, (rows, faces) in enumerate(_expansion(dim), 1):
             minors = signs[:k + 1] @ (entries[k].take(rows, 0)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
 from .resonance import (DEFAULT_BOUND, ResonanceClass, _is_integer,
-                        _log_screen, _power_residual, _screened)
+                        _power_residual, _screened)
 from .resonant_group import (IllConditioned, _invertible, _null_vector,
                              _overflow, _points_ok, _power, _to_point,
                              _twisted_roots, apply_many, compose_many,
@@ -176,14 +176,14 @@ def _no_clash_window(a1, a2, a3, bound, tol, excluded=None):
     """True iff a3 != a1^r a2^s for every (r, s) in the window, s >= 1.
 
     The window is screened as the resonance search screens its box, with
-    j = 3 and p3 = 0; each screened word is then decided by the scalar
-    residual.
+    j = 3 and p3 = 0; the screened words are then decided by one array
+    residual call.
     """
     logs = [np.log(np.array([a1, a2, a3], dtype=complex))]
-    words = {p[:2] for _, p in _screened(logs, (3,), np.arange(1, bound + 1),
-                                          np.zeros(1, int), tol, bound)}
-    return not any(_power_residual((a1, a2), a3, word) <= tol
-                   for word in words - {excluded})
+    words = [w for w in _screened(logs, (3,), np.arange(1, bound + 1),
+                                  np.zeros(1, int), tol, bound)[:, 1:3].tolist()
+             if tuple(w) != excluded]
+    return not (words and (_power_residual((a1, a2), a3, words) <= tol).any())
 
 
 @dataclass(frozen=True)
@@ -263,10 +263,8 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
         if word is None:
             raise ValueError("the plain condition C has no sharp variant")
         condition += "^S"
-        clauses.append(("resonant-alpha",
-                        _power_residual(data[:2], data[2], word) <= tol))
-        clauses.append(("resonant-beta",
-                        _power_residual(data[3:5], data[5], word) <= tol))
+        alpha, beta = _power_residual([data[:2], data[3:5]], data[2::3], word) <= tol
+        clauses += [("resonant-alpha", alpha), ("resonant-beta", beta)]
     return MembershipReport(condition, tuple(clauses), bound, tol)
 
 
@@ -389,11 +387,7 @@ def invert_psi_p_many(amat, bmat, x, p):
         a1, a2, a3, b1, b2, b3 = _paired_eigendata(amat, bmat, p)
         scale = 1 + np.maximum(np.abs(a2), np.abs(a3))
         unordered = np.abs(a2) <= np.abs(a3)
-        # the screen is necessary for tol < 1; the residual decides the rest
-        resonant = _log_screen(p * np.log(a1) + np.log(a2) - np.log(a3), tol)
-        resonant[resonant] = [
-            _power_residual((u, v), w, (p, 1)) <= tol
-            for u, v, w in zip(a1[resonant], a2[resonant], a3[resonant])]
+        resonant = _power_residual(np.stack([a1, a2], axis=1), a3, (p, 1)) <= tol
         shear = np.abs(eps1) > tol * scale
         forced = ~shear & (np.abs(a2e - a2) > tol * scale)
         # unique lam making (lam, 1) a twisted eigenvector for a3; the raw

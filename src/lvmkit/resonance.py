@@ -14,9 +14,9 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 DEFAULT_BOUND = 64
-# the largest search bound the CLI accepts: on the unit circle the screen
-# builds (2b + 1)(b + 1)^2 exponents per j, about 300 MB at b = 128; on roots
-# of unity most pass, and cost more: 18 s, 0.7 GB at b = 64, over 3 GB at 128
+# the largest search bound the CLI accepts: the screen builds few exponents
+# per cell (j, p2, p3), 5 ms at b = 128 on the unit circle, but on roots of
+# unity most pass and are listed: 4.7 s, 0.6 GB at b = 64, over 3 GB at 128
 MAX_BOUND = 128
 # near-resonances a warning lists, closest first
 NEAR_SHOWN = 5
@@ -76,14 +76,17 @@ class ResonanceClass:
 
 
 def _power_residual(values, target, p):
-    """|target * values^{-p} - 1| computed through logs to avoid overflow."""
-    z = -np.log(complex(target))
-    for v, e in zip(values, p):
-        z += e * np.log(complex(v))
-    # the residual of target = values^p is |exp(-z) - 1|
-    if z.real < -60:  # exp would overflow; certainly not a resonance
-        return np.inf
-    return abs(np.expm1(-z) + 0j) if abs(z) < 1e-3 else abs(np.exp(-z) - 1)
+    """|target * values^{-p} - 1| through logs, for values (..., k), targets
+    (...) and exponents (..., k) broadcast together, in the scalar order."""
+    lv, w = np.log(np.asarray(values, complex)), np.log(np.asarray(target, complex))
+    terms = np.asarray(p) * lv
+    for k in range(lv.shape[-1]):
+        w = w - terms[..., k]  # w = -z, z = -log(target) + sum p_k log(values_k)
+    # the residual of target = values^p is |exp(-z) - 1|, moduli by hypot as a
+    # complex scalar's abs; where z.real < -60 (exp overflows) it is no resonance
+    with np.errstate(all="ignore"):
+        d = np.where(np.hypot(w.real, w.imag) < 1e-3, np.expm1(w), np.exp(w) - 1)
+        return np.where(w.real > 60, np.inf, np.hypot(d.real, d.imag))
 
 
 def _screen_bound(tol):
@@ -106,10 +109,12 @@ def _log_screen(z, tol):
     return np.abs(z.real) + np.abs(wrapped) < _screen_bound(tol)
 
 
-def _is_resonance(h, j, p, tol):
-    ra = _power_residual(h.alpha, h.alpha[j - 1], p)
-    rb = _power_residual(h.beta, h.beta[j - 1], p)
-    return max(ra, rb) <= tol, max(ra, rb)
+def _is_resonance(h, rows, tol):
+    """Whether each row (j, p1, p2, p3) is a resonance of h; its residual."""
+    v = np.array([h.alpha, h.beta])
+    ra, rb = _power_residual(v[:, None], v[:, rows[:, 0] - 1], rows[:, 1:])
+    residual = np.where(rb > ra, rb, ra)  # Python's max(ra, rb), nan included
+    return residual <= tol, residual
 
 
 def _window(ra, rb, ea, eb, js, p2s, p3s):
@@ -129,54 +134,75 @@ def _window(ra, rb, ea, eb, js, p2s, p3s):
     return start[..., None] + np.arange(int(width))
 
 
+def _on_circle(points, centres, half, period):
+    """(owner, index) of each point within half of a centre modulo period, per
+    centre, each point once: from the sorted points, three times around."""
+    points = np.remainder(points, period)
+    order = np.argsort(points, kind="stable")
+    ring = np.concatenate([points[order] + s for s in (-period, 0, period)])
+    centres = np.remainder(centres, period)
+    start = ring.searchsorted(centres - half)
+    count = np.minimum(ring.searchsorted(centres + half, "right") - start, len(points))
+    offset = np.repeat(start + count - np.cumsum(count), count) + np.arange(count.sum())
+    return np.repeat(np.arange(len(start)), count), np.concatenate([order] * 3)[offset]
+
+
 def _screened(logs, js, p2s, p3s, tol, bound):
-    """The (j, p), |p1| <= bound, p2 in p2s, p3 in p3s (sorted integers), that
-    pass `_log_screen` for every triple of logs: built in every slab (see
-    find_resonances), on `_window`'s cells for all j or the whole grid per j,
-    and screened as a whole-box scan would, from the same sums of products."""
+    """The rows (j, p1, p2, p3), |p1| <= bound, p2 in p2s, p3 in p3s (sorted,
+    in [0, bound]) that pass `_log_screen` for every triple of logs, as a
+    whole-box scan would, from the same sums.  Cells (j, p2, p3): `_window`'s,
+    else those a thin slab holds a p1 of (by the fractional part of
+    p3 r2 / r0), else all; p1: the exact slab intervals, else the phases
+    p1 theta1 near the cell's, modulo 2 pi (all moduli 1, say)."""
     thr, lg = _screen_bound(tol), np.array(logs)  # lg[k]: the k-th triple
     t1 = np.arange(-bound, bound + 1.0) * lg[:, :1]
     t2, t3 = p2s * lg[:, 1:2], p3s * lg[:, 2:]
-    # Re z is monotone in p1, so a slab is a p1 interval: found with room
-    # far above the rounding of z, then widened a step
     rs = lg.real.tolist()
     parts = [(bound * sum(map(abs, r)), max(map(abs, r))) for r in rs]
+    # |Re z| < thr is a p1 interval, a slab, found with room far above the
+    # rounding of z; a triple whose |Re z| <= thr on the whole box has none
     edges = [thr + 1e-12 * (thr + s + m) for s, m in parts]
+    slabs = [k for k, p in enumerate(parts) if sum(p) > thr]
+    half, k = min(((edges[k] / abs(rs[k][0]), k) for k in slabs if rs[k][0]),
+                  default=(np.inf, 0))
+    # rows (j, p2), j-major: their t2 and log of component j
+    u2 = np.concatenate([t2] * len(js), axis=1)
+    lj, n3 = lg[:, [j - 1 for j in js]].repeat(len(p2s), axis=1), len(p3s)
     band = _window(*rs, *edges, js, p2s, p3s) if len(rs) == 2 else None
-    slabs = [k for k, p in enumerate(parts) if sum(p) > thr]  # else |Re z| <= thr
-    found, j0, n2 = set(), [j - 1 for j in js], len(p2s)
-    # per (j, p2) a row of cells: its t2, log of component j (one, for one j), p3s
-    groups = ([(j0, np.concatenate([t2] * len(js), 1), lg[:, j0].repeat(n2, 1),
-                band.reshape(len(js) * n2, -1))] if band is not None else
-              [([j], t2, lg[:, j:j + 1], np.arange(len(p3s))) for j in j0])
-    for g, u2, lj, cols in groups:
-        lo = np.full((len(u2[0]), cols.shape[-1]), -bound * 1.0)
-        hi = -lo
-        for k in slabs:
-            c = u2[k].real[:, None] + t3[k].real[cols] - lj[k].real[:, None]
-            with np.errstate(all="ignore"):  # r0 may be 0, logs infinite
+    # room for the rounding of the fractions and of their window's ends,
+    # below 5 ulp of (s + m) / |r0| and 7 ulp of 1
+    half += 2.0 ** -50 * (1 + sum(parts[k]) / abs(rs[k][0])) if half < np.inf else 0
+    with np.errstate(all="ignore"):  # r0 may be 0, logs infinite
+        if band is not None:
+            cells = np.arange(len(lj[0])).repeat(band.shape[-1]), band.ravel()
+        elif 2 * (2 * half * n3 + 3) <= n3:  # three gaps: at most W per row
+            cells = _on_circle(t3[k].real / rs[k][0],
+                               (lj[k].real - u2[k].real) / rs[k][0], half, 1)
+        else:
+            cells = np.divmod(np.arange(len(lj[0]) * n3), n3)
+        row, i3 = cells
+        if 2 * half < 1:  # a slab interval holds one p1 at most
+            lo = np.full(len(row), -bound, dtype=float)
+            hi = -lo
+            for k in slabs:
+                c = u2[k].real[row] + t3[k].real[i3] - lj[k].real[row]
                 ends = ((-edges[k] - c) / rs[k][0], (edges[k] - c) / rs[k][0])
-            lo = np.maximum(lo, np.ceil(np.fmin(*ends)) - 1)
-            hi = np.minimum(hi, np.floor(np.fmax(*ends)) + 1)
-        keep = lo <= hi
-        row, i3 = np.nonzero(keep)
-        i3 = i3 if band is None else cols[row, i3]
-        lo, n = lo[keep].astype(int), (hi - lo)[keep].astype(int) + 1
-        # cell by cell, p1 + bound runs over lo + bound, ..., hi + bound
-        i1 = np.repeat(lo + bound + n - np.cumsum(n), n) + np.arange(n.sum())
-        row, i3 = row.repeat(n), i3.repeat(n)
-        # where a triple has no slab, its screen would pass most exponents
-        for k in slabs if len(slabs) < len(rs) else []:  # so test |Re z| < thr first
-            keep = np.abs((t1[k].real[i1] + u2[k].real[row]) + t3[k].real[i3]
-                          - lj[k].real.take(row, mode="clip")) < thr
-            i1, row, i3 = i1[keep], row[keep], i3[keep]
-        for k in range(len(rs)):
-            keep = _log_screen((t1[k, i1] + u2[k, row]) + t3[k, i3]
-                               - lj[k].take(row, mode="clip"), tol)
-            i1, row, i3 = i1[keep], row[keep], i3[keep]
-        found.update((g[r // n2] + 1, (int(a) - bound, int(p2s[r % n2]), int(p3s[c])))
-                     for a, r, c in zip(i1, row, i3))
-    return found
+                lo = np.maximum(lo, np.ceil(np.fmin(*ends)))
+                hi = np.minimum(hi, np.floor(np.fmax(*ends)))
+            cell = np.flatnonzero(lo <= hi)
+            i1 = lo[cell].astype(int) + bound
+        else:  # room for the rounding of z's terms, of the phases and of their
+            # window's ends, below 10 ulp of b sum|theta| + max|theta| + 2 pi
+            theta = np.abs(lg[0].imag).tolist()
+            reach = thr + 2.0 ** -48 * (bound * sum(theta) + max(theta) + 2 * np.pi)
+            cell, i1 = _on_circle(t1[0].imag, lj[0].imag[row] - (
+                u2[0].imag[row] + t3[0].imag[i3]), reach, 2 * np.pi)
+    row, i3 = row[cell], i3[cell]
+    for k in range(len(rs)):
+        keep = _log_screen((t1[k, i1] + u2[k, row]) + t3[k, i3] - lj[k, row], tol)
+        i1, row, i3 = i1[keep], row[keep], i3[keep]
+    j, i2 = np.divmod(row, len(p2s))
+    return np.stack([np.asarray(js)[j], i1 - bound, p2s[i2], p3s[i3]], axis=1)
 
 
 def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
@@ -186,31 +212,29 @@ def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
     rounded sum |Re z| + |wrapped Im z| is below its threshold, so only if
     |Re z| is: for alpha and for beta, a slab around the log-modulus
     constraint, a few p1 per (p2, p3) when the moduli are generic, and a
-    window of a few p3 per (j, p2) where p1 can lie in both; the whole
-    grid where alpha's and beta's log-moduli bound p3 alike (all 0 on the
-    unit circle).  The candidates are those of a whole-box scan; the power
-    residual decides them and the trivial ones, and the undecided within
-    10 tol are warned about, by their count and the NEAR_SHOWN closest.
+    few p3 per (j, p2) where p1 can lie in both, or in one side's thin
+    slab; and only if |wrapped Im z| is, a few p1 per cell by phase where
+    no slab pins p1 (all six moduli 1).  The candidates are those of a
+    whole-box scan; one array call of the power residual decides them and
+    the trivial ones, and the undecided within 10 tol are warned about, by
+    their count and the NEAR_SHOWN closest.
     """
     logs = [np.log(np.asarray(v, dtype=complex)) for v in (h.alpha, h.beta)]
     box = np.arange(bound + 1)
-    candidates = ({(j, EJ[j]) for j in (1, 2, 3)}
-                  | _screened(logs, (1, 2, 3), box, box, tol, bound))
-    found = []
-    near = []
-    for j, p in sorted(candidates):
-        ok, residual = _is_resonance(h, j, p, tol)
-        if ok:
-            found.append(Resonance(j, p))
-        elif residual <= 10 * tol:
-            near.append((j, p, residual))
-    if near:
-        near.sort(key=lambda t: (t[2], t[0], t[1]))
+    rows = np.concatenate([[(j, *p) for j, p in EJ.items()],
+                           _screened(logs, (1, 2, 3), box, box, tol, bound)])
+    ok, residual = _is_resonance(h, rows, tol)
+    near = ~ok & (residual <= 10 * tol)
+    if near.any():
+        shown = np.lexsort((*rows[near].T[::-1], residual[near]))[:NEAR_SHOWN]
         warnings.warn("near-resonances within 10x tolerance: %d exponents, "
-                      "closest %s"
-                      % (len(near), ", ".join("(%d, %s) residual %.2e" % t
-                                               for t in near[:NEAR_SHOWN])))
-    return sorted(found, key=lambda r: (r.j, r.p))
+                      "closest %s" % (near.sum(), ", ".join(
+                          "(%d, %s) residual %.2e" % (j, tuple(p), r) for (j, *p), r
+                          in zip(rows[near][shown].tolist(), residual[near][shown]))))
+    found = rows[ok]
+    # a trivial row, also screened, is the only one that can come twice
+    return [Resonance(j, p) for j, *p in dict.fromkeys(
+        map(tuple, found[np.lexsort(found.T[::-1])].tolist()))]
 
 
 def classify_regime(resonances):
@@ -282,7 +306,8 @@ class ResonantVectorField:
 
 def check_resonant(field, h):
     """True iff every monomial key of the field is a resonance of h."""
-    return all(_is_resonance(h, j, p, DEFAULT_TOL)[0] for (j, p), _ in field.terms)
+    rows = np.array([(j, *p) for (j, p), _ in field.terms], dtype=int)
+    return bool(_is_resonance(h, rows.reshape(-1, 4), DEFAULT_TOL)[0].all())
 
 
 def bracket(x, y):

@@ -12,16 +12,16 @@ import numpy as np
 from lvmkit.family_gluing import (MEMBERSHIP_TOL, MembershipReport,
                                   _eigen_admissible, _paired_eigendata)
 from lvmkit.rep_variety import variety_residual
-from lvmkit.resonance import DEFAULT_BOUND, ResonanceClass, _power_residual
+from lvmkit.resonance import DEFAULT_BOUND, ResonanceClass
 from lvmkit.resonant_group import GroupElement
-from resonance_oracle import window_screen
+from resonance_oracle import power_residual, window_screen
 
 
 def no_clash_screened(a1, a2, a3, bound, tol, excluded=None):
     """True iff no word of the window passes `window_screen` and then the
     scalar residual, the excluded word aside."""
     for word in sorted(window_screen(a1, a2, a3, bound, tol)):
-        if word != excluded and _power_residual((a1, a2), a3, word) <= tol:
+        if word != excluded and power_residual((a1, a2), a3, word) <= tol:
             return False
     return True
 
@@ -56,9 +56,9 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
                 raise ValueError("the plain condition C has no sharp variant")
             condition = "K_pq^S"
             clauses.append(("resonant-alpha",
-                            _power_residual((a1, a2), a3, (p, q)) <= tol))
+                            power_residual((a1, a2), a3, (p, q)) <= tol))
             clauses.append(("resonant-beta",
-                            _power_residual((b1, b2), b3, (p, q)) <= tol))
+                            power_residual((b1, b2), b3, (p, q)) <= tol))
         return MembershipReport(condition, tuple(clauses), bound, tol)
     # S_p candidate
     condition = "C_p"
@@ -79,7 +79,7 @@ def check_condition(point, config=None, sharp=False, tol=MEMBERSHIP_TOL,
     if sharp:
         condition = "C_p^S"
         clauses.append(("resonant-alpha",
-                        _power_residual(data[:2], data[2], (p, 1)) <= tol))
+                        power_residual(data[:2], data[2], (p, 1)) <= tol))
         clauses.append(("resonant-beta",
-                        _power_residual(data[3:5], data[5], (p, 1)) <= tol))
+                        power_residual(data[3:5], data[5], (p, 1)) <= tol))
     return MembershipReport(condition, tuple(clauses), bound, tol)

@@ -1,8 +1,11 @@
 """Reference searches for multiplicative relations, used as test oracles.
 
-`exhaustive_resonances` and `no_clash_window` try every exponent of the
-window, one at a time, with the scalar residual `_power_residual`.  They
-are slow and independent of the screens in
+`power_residual` is the scalar power residual, one exponent at a time in
+Python complex arithmetic, and `is_resonance` decides one exponent with
+it; `lvmkit.resonance._power_residual`, over stacked exponents, must equal
+it bit for bit.  `exhaustive_resonances` and `no_clash_window` try every
+exponent of the window, one at a time, with it.  They are slow and
+independent of the screens in
 `lvmkit.resonance.find_resonances` and
 `lvmkit.family_gluing._no_clash_window`, which the tests compare against
 them.  `box_screen` and `window_screen` apply the log screen to the whole
@@ -12,8 +15,25 @@ must pass exactly the exponents they pass.
 
 import numpy as np
 
-from lvmkit.resonance import (DEFAULT_BOUND, DEFAULT_TOL, Resonance,
-                              _is_resonance, _log_screen, _power_residual)
+from lvmkit.resonance import DEFAULT_BOUND, DEFAULT_TOL, Resonance, _log_screen
+
+
+def power_residual(values, target, p):
+    """|target * values^{-p} - 1| computed through logs to avoid overflow."""
+    z = -np.log(complex(target))
+    for v, e in zip(values, p):
+        z += e * np.log(complex(v))
+    # the residual of target = values^p is |exp(-z) - 1|
+    if z.real < -60:  # exp would overflow; certainly not a resonance
+        return np.inf
+    return abs(np.expm1(-z) + 0j) if abs(z) < 1e-3 else abs(np.exp(-z) - 1)
+
+
+def is_resonance(h, j, p, tol):
+    """Whether (j, p) is a resonance of h, and the larger residual."""
+    ra = power_residual(h.alpha, h.alpha[j - 1], p)
+    rb = power_residual(h.beta, h.beta[j - 1], p)
+    return max(ra, rb) <= tol, max(ra, rb)
 
 
 def exhaustive_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
@@ -23,7 +43,7 @@ def exhaustive_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
         for p1 in range(-bound, bound + 1):
             for p2 in range(0, bound + 1):
                 for p3 in range(0, bound + 1):
-                    ok, _ = _is_resonance(h, j, (p1, p2, p3), tol)
+                    ok, _ = is_resonance(h, j, (p1, p2, p3), tol)
                     if ok:
                         found.append(Resonance(j, (p1, p2, p3)))
     return sorted(found, key=lambda r: (r.j, r.p))
@@ -35,7 +55,7 @@ def no_clash_window(a1, a2, a3, bound, tol, excluded=None):
         for s in range(1, bound + 1):
             if excluded is not None and (r, s) == excluded:
                 continue
-            if _power_residual((a1, a2), a3, (r, s)) <= tol:
+            if power_residual((a1, a2), a3, (r, s)) <= tol:
                 return False
     return True
 

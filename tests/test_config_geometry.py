@@ -461,6 +461,18 @@ class TestFloatingPointFilter:
         assert config_geometry._filtered_captures(points, [0.0] * 4) == whole
         assert len(whole) > 4
 
+    def test_small_block_built_once(self):
+        # the one block of n = 10, m = 2 (252 subsets) is kept between calls
+        # and is the streamed block, so the captures do not change
+        points = np.random.default_rng(7).normal(size=(10, 4)).tolist()
+        first = config_geometry._filtered_captures(points, [0.0] * 4)
+        kept = config_geometry._one_block(10, 4)
+        assert config_geometry._one_block(10, 4) is kept
+        (chunk, subsets), = kept
+        (streamed, indices), = config_geometry._subset_blocks(10, 4)
+        assert chunk == streamed and np.array_equal(subsets, indices)
+        assert config_geometry._filtered_captures(points, [0.0] * 4) == first
+
     def test_defers_what_it_cannot_decide(self):
         # dim > 8, the origin exactly on a segment, at most dim points, an
         # overflow in the subtraction

@@ -409,8 +409,9 @@ class TestNoClashWindow:
             return seen[-1]
         with mock.patch.object(family_gluing, "_screened", spy):
             verdict = _no_clash_window(a1, a2, a3, bound, tol, excluded)
-        assert all(j == 3 and p[2] == 0 for j, p in seen[0])
-        return verdict, {p[:2] for _, p in seen[0]}
+        rows = seen[0].tolist()
+        assert all(j == 3 and p3 == 0 for j, _, _, p3 in rows)
+        return verdict, {(p1, p2) for _, p1, p2, _ in rows}
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), bound=st.integers(-1, 17),

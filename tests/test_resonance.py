@@ -13,6 +13,7 @@ from lvmkit.resonance import (
     ResonantVectorField,
     UnclassifiableResonancePattern,
     _is_resonance,
+    _power_residual,
     _screen_bound,
     _screened,
     bracket,
@@ -22,7 +23,8 @@ from lvmkit.resonance import (
     find_resonances,
     first_obstruction_vanishes,
 )
-from resonance_oracle import box_screen, exhaustive_resonances
+from resonance_oracle import (box_screen, exhaustive_resonances, is_resonance,
+                              power_residual)
 
 FLOW_TOLERANCE = 1e-6
 SMALL_BOUND = 8
@@ -39,10 +41,11 @@ def as_set(resonances):
 
 
 def screened_box(h, tol, bound):
-    """`_screened` on the box find_resonances searches."""
+    """`_screened` on the box find_resonances searches, as a set."""
     logs = [np.log(np.asarray(v, dtype=complex)) for v in (h.alpha, h.beta)]
     box = np.arange(bound + 1)
-    return _screened(logs, (1, 2, 3), box, box, tol, bound)
+    return {(j, tuple(p)) for j, *p in
+            _screened(logs, (1, 2, 3), box, box, tol, bound).tolist()}
 
 
 class TestFindResonances:
@@ -171,14 +174,17 @@ class TestFindResonances:
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["generic", "unit_alpha", "unit", "near_one",
                             "extreme", "alpha1_unit", "beta1_unit",
-                            "both1_unit", "proportional", "near_proportional"]),
+                            "both1_unit", "proportional", "near_proportional",
+                            "roots_of_unity"]),
            st.integers(0, 17) | st.integers(18, 64), st.floats(-12, np.log10(0.5)))
     def test_screen_equals_whole_box(self, seed, moduli, bound, log_tol):
         # the pruned search screens exactly the exponents a scan of the
         # whole box screens, so found and near-resonances agree with it.
         # The classes reach each case of the (p2, p3) window: |alpha_1|,
         # |beta_1| or both exactly 1 (r0 = 0), and beta's log-moduli a
-        # multiple of alpha's, or nearly, where it widens to every p3
+        # multiple of alpha's, or nearly, where it widens to every p3; all
+        # six on the unit circle, at random angles or at roots of unity
+        # exp(2 pi i k / n), n <= 12, where many p1 share one phase
         rng = np.random.default_rng(seed)
         part = rng.uniform(-0.7, 0.7, size=6)
         ratio = rng.choice([-3, -2, -1, 0.5, 2, 3])
@@ -192,8 +198,12 @@ class TestFindResonances:
                 "both1_unit": part * [0, 1, 1, 0, 1, 1],
                 "proportional": np.r_[part[:3], ratio * part[:3]],
                 "near_proportional": np.r_[part[:3], ratio * part[:3] * (
-                    1 + 10 ** rng.uniform(-8, -2, size=3))]}[moduli]
+                    1 + 10 ** rng.uniform(-8, -2, size=3))],
+                "roots_of_unity": np.zeros(6)}[moduli]
         vals = np.exp(logs + 2j * np.pi * rng.uniform(size=6))
+        if moduli == "roots_of_unity":
+            n = rng.integers(1, 13, size=6)
+            vals = np.exp(2j * np.pi * (rng.integers(0, 12, size=6) % n) / n)
         if moduli.endswith("1_unit"):  # exactly on the unit circle
             vals[logs == 0] = 1j ** rng.integers(0, 4, size=np.sum(logs == 0))
         if rng.uniform() < 0.5:
@@ -258,6 +268,78 @@ class TestFindResonances:
         bound = int(rng.integers(5, 17))
         assert screened_box(h, tol, bound) == box_screen(h, tol, bound)
 
+    @staticmethod
+    def closest_inside(thr, candidates, screened):
+        """The candidate whose screened value lies closest below thr."""
+        margin = thr - np.array([screened(c) for c in candidates])
+        return candidates[np.argmin(np.where(margin > 0, margin, np.inf))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    @example(6545)
+    def test_screen_equals_whole_box_at_fraction_window_edge(self, seed):
+        # alpha at powers of i, so no (p2, p3) window: beta's slab picks
+        # each (j, p2)'s p3 by the fractional part of p3 r2 / r0.  For
+        # p = (0, p2, p3), j = 1, beta's Re z as the screen computes it lies
+        # the closest below the threshold that beta_1 allows (beta real and
+        # positive, so Im z = 0): p is screened, a rounding step inside the
+        # window, whose half-width is the slab's e / |r0| and its margin.
+        # Seed 6545 needs that room: at thr / |r0|, the window drops p there
+        rng = np.random.default_rng(seed)
+        tol = 10 ** rng.uniform(-12, np.log10(0.5))
+        thr = _screen_bound(tol)
+        bound = int(rng.integers(8, 25))
+        p2, p3 = int(rng.integers(0, 4)), int(rng.integers(1, bound + 1))
+        k2, k3 = rng.integers(0, 4, size=2)
+        alpha = (1j ** int(k2 * p2 + k3 * p3), 1j ** int(k2), 1j ** int(k3))
+        b2, b3 = np.exp(rng.uniform(-0.7, 0.7, size=2) / (1 + p3)) + 0j
+        lb = np.log([b2, b3])
+        b1 = self.closest_inside(
+            thr, b2 ** p2 * b3 ** p3 * np.exp(-thr) * (1 + np.arange(-64, 65) * 2.0 ** -53),
+            lambda b1: abs(((0 * np.log(b1) + p2 * lb[0]) + p3 * lb[1] - np.log(b1)).real))
+        h = HolonomyPair(alpha, (b1, b2, b3))
+        assert (1, (0, p2, p3)) in box_screen(h, tol, bound)
+        assert screened_box(h, tol, bound) == box_screen(h, tol, bound)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    @example(2661)
+    @example(9372)
+    def test_screen_equals_whole_box_at_phase_window_edge(self, seed):
+        # all six multipliers on the unit circle, so no slab: each cell's p1
+        # come from a window of the sorted phases p1 theta1.  For
+        # p = (p1, p2, 0), j = 3, alpha's |Re z| + |wrapped Im z| as the
+        # screen computes it lies the closest below the threshold that
+        # alpha_3 allows: p is screened, within a rounding step of the edge
+        # of the window, whose half-width is the threshold and its margin.
+        # Seeds 2661 and 9372 need the margin: with none, or with 2^-56 in
+        # place of its 2^-48, the window drops p there
+        rng = np.random.default_rng(seed)
+        tol = 10 ** rng.uniform(-12, np.log10(0.5))
+        thr = _screen_bound(tol)
+        bound = int(rng.integers(4, 25))
+        p1, p2 = int(rng.integers(-bound, bound + 1)), int(rng.integers(0, 4))
+        a1, a2, b1, b2 = np.exp(2j * np.pi * rng.uniform(size=4))
+        la = np.log([a1, a2])
+        sign = rng.choice([-1, 1])
+
+        def screened(a3):
+            z = (p1 * la[0] + p2 * la[1]) + 0 * np.log(a3) - np.log(a3)
+            return abs(z.real) + abs(np.remainder(z.imag + np.pi, 2 * np.pi) - np.pi)
+        a3 = self.closest_inside(thr, a1 ** p1 * a2 ** p2 * np.exp(
+            -1j * sign * thr * (1 + np.arange(-64, 65) * 2.0 ** -53)), screened)
+        h = HolonomyPair((a1, a2, a3), (b1, b2, b1 ** p1 * b2 ** p2))
+        assert screened_box(h, tol, bound) == box_screen(h, tol, bound)
+
+    def test_screen_equals_whole_box_with_wide_phase_window(self):
+        # near tol = 1 the phase window is wider than the circle; it then
+        # holds each p1 of a cell once
+        rng = np.random.default_rng(0)
+        for tol in (0.8, 0.999, 1 - 1e-7):
+            u = np.exp(2j * np.pi * rng.uniform(size=6))
+            h = HolonomyPair(tuple(u[:3]), tuple(u[3:]))
+            assert screened_box(h, tol, 6) == box_screen(h, tol, 6)
+
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_j1_only_trivial_and_oracle_agreement(self, seed):
@@ -287,15 +369,18 @@ class TestFindResonances:
 
 @st.composite
 def planted_eigen_data(draw):
-    """Eigen-data of every regime: generic moduli, a planted Single or
-    Double relation, or all six multipliers on the unit circle."""
-    kind = draw(st.sampled_from(["generic", "single", "double", "unit"]))
+    """Eigen-data of every regime: generic moduli, alpha on the unit circle
+    or all six multipliers there, each with no relation or a planted Single
+    or Double one."""
+    moduli = draw(st.sampled_from(["generic", "unit_alpha", "unit"]))
+    kind = draw(st.sampled_from(["generic", "single", "double"]))
 
-    def z():
-        log_modulus = 0.0 if kind == "unit" else draw(st.floats(-0.7, 0.7))
+    def z(unit):
+        log_modulus = 0.0 if unit else draw(st.floats(-0.7, 0.7))
         return np.exp(log_modulus + 2j * np.pi * draw(st.floats(0, 1)))
 
-    alpha, beta = [z(), z(), z()], [z(), z(), z()]
+    alpha = [z(moduli != "generic") for _ in range(3)]
+    beta = [z(moduli == "unit") for _ in range(3)]
     p, q = draw(st.integers(-2, 2)), draw(st.integers(2, 3))
     for v in (alpha, beta):
         if kind == "single":
@@ -348,7 +433,7 @@ class TestMetamorphic:
                            tuple(1 / np.asarray(h.beta)))
         got = _outcome(find_resonances, inv, tol, bound)
         want = _outcome(find_resonances, h, tol, bound)
-        assume(not any(tol / 10 <= _is_resonance(pair, r.j, r.p, tol)[1]
+        assume(not any(tol / 10 <= is_resonance(pair, r.j, r.p, tol)[1]
                        <= 10 * tol
                        for r in set(got) | set(want) for pair in (h, inv)))
         assert got == want
@@ -360,6 +445,40 @@ class TestMetamorphic:
             return _outcome(lambda: classify_regime(
                 find_resonances(pair, bound=bound)))
         assert regime(HolonomyPair(h.beta, h.alpha)) == regime(h)
+
+
+class TestPowerResidual:
+    """The array residual is the scalar one, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0.5, 30, 300]),
+           st.integers(0, 128))
+    def test_array_equals_scalar(self, seed, decades, bound):
+        # moduli up to 10^+-decades, half of them at that extreme, a third of
+        # the exponents 0, targets of every j, near them (both branches of
+        # the residual) or far off
+        rng = np.random.default_rng(seed)
+        e = rng.uniform(-1, 1, size=(2, 3))
+        alpha, beta = 10 ** (np.where(abs(e) > 0.5, np.sign(e), e) * decades) \
+            * np.exp(2j * np.pi * rng.uniform(size=(2, 3)))
+        h = HolonomyPair(tuple(alpha), tuple(beta))
+        p = rng.integers(-bound, bound + 1, size=(40, 3))
+        p[rng.uniform(size=(40, 3)) < 1 / 3] = 0
+        rows = np.column_stack([rng.integers(1, 4, size=40), p])
+        rows[:, 2:] = abs(rows[:, 2:])
+        near = 1 + 10 ** rng.uniform(-16, 1, size=40) * np.exp(
+            2j * np.pi * rng.uniform(size=40))
+        target = alpha[rows[:, 0] - 1] * near
+        got = _power_residual(alpha, target, rows[:, 1:])
+        want = [power_residual(alpha, t, r) for t, r in zip(target, rows[:, 1:])]
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+        # per-row values, as the chart clauses stack them
+        got = _power_residual(np.stack([alpha] * 40), target, rows[:, 1:])
+        assert got.tobytes() == np.array(want, dtype=float).tobytes()
+        ok, residual = _is_resonance(h, rows, 1e-9)
+        want = [is_resonance(h, j, tuple(r), 1e-9) for j, *r in rows.tolist()]
+        assert ok.tolist() == [w[0] for w in want]
+        assert residual.tobytes() == np.array([w[1] for w in want]).tobytes()
 
 
 class TestClassifyRegime:

@@ -22,11 +22,12 @@ from lvmkit.family_gluing import (DENOM_TOL, MEMBERSHIP_TOL, FamilyPoint,
                                   NotInImage)
 from lvmkit.holonomy import TWO_PI_I, holonomy_pair
 from lvmkit.rep_variety import StructureSpec
-from lvmkit.resonance import ResonanceClass, _power_residual
+from lvmkit.resonance import ResonanceClass
 from lvmkit.resonant_group import (GroupElement, IllConditioned, PointV,
                                    _l_matrix, element_from_params, group_exp,
                                    identity)
 from law_reference import apply, compose, inverse, tau
+from resonance_oracle import power_residual
 
 
 # ------------------------------------------------------------ chart maps
@@ -203,7 +204,7 @@ def invert_psi_p(point, x, p, eigendata=None):
     scale = 1 + max(abs(a2), abs(a3))
     if abs(a2) <= abs(a3):
         raise NotInImage("twisted eigenvalues are not modulus-ordered")
-    if _power_residual((a1, a2), a3, (p, 1)) <= tol:
+    if power_residual((a1, a2), a3, (p, 1)) <= tol:
         raise NotInImage("twisted eigenvalues satisfy a3' = a1^p a2'")
     if abs(eps1) <= tol * scale and abs(a2e - a2) > tol * scale:
         raise NotInImage("vanishing lower shear forces alpha2 = alpha2'")
