@@ -20,14 +20,14 @@ capture, so
 * weak hyperbolicity holds iff no minimal capture has 2m or fewer vectors,
 * index j is indispensable iff j lies in every minimal capture.
 
-The enumeration is exact and carries no tolerance.  A floating-point
-filter decides it where every 2m x 2m determinant clears an error bound
-derived from its expansion (Fortune and Van Wyk 1996, Shewchuk 1997).
-Elsewhere, as every finite float is a dyadic rational, the points are
-scaled by one power of two to integers.  A table of integer leading
-minors, each expanded from those one size smaller, decides almost every
-subset by the signs of minors and cofactors; only a subset whose leading
-minor vanishes is solved by fraction-free integer elimination (Bareiss 1968).
+The enumeration is exact and carries no tolerance.  It reads the signs of
+one table of leading minors, each expanded from those one size smaller.  A
+floating-point filter computes the table and decides where every 2m x 2m
+determinant clears an error bound derived from that expansion (Fortune and
+Van Wyk 1996, Shewchuk 1997).  Elsewhere, as every finite float is a dyadic
+rational, the points are scaled by one power of two to integers and the
+table is computed again exactly; only a subset whose leading minor vanishes
+is solved by fraction-free integer elimination (Bareiss 1968).
 """
 
 import functools
@@ -39,7 +39,7 @@ import numpy as np
 
 from .resonance import _integer
 
-_BLOCK = 1024  # (2m+1)-subsets per array block of `_filtered_captures`
+_BLOCK = 1024  # (2m+1)-subsets per array block of `_simplex_captures`
 
 
 class NotLVMError(Exception):
@@ -66,9 +66,8 @@ class Configuration:
         for v in vecs:
             if len(v) != self.m:
                 raise ValueError("every vector must have m coordinates")
-            for c in v:
-                if not np.isfinite(c.real) or not np.isfinite(c.imag):
-                    raise ValueError("vector coordinates must be finite")
+            if not np.isfinite(v).all():
+                raise ValueError("vector coordinates must be finite")
 
     @property
     def n(self):
@@ -140,56 +139,75 @@ def _captures_origin(columns, dim):
     return all(row[k] * prev > 0 for row in pivots)
 
 
-@functools.lru_cache(maxsize=None)
-def _expansion(dim):
-    """Index arrays (2, C, k+1), k = 1 .. dim-1, expanding each (k+1)-minor
-    of a (dim+1) x dim matrix along column k: its rows, last first, and the
-    ranks of its faces without them."""
-    levels, rows = [], [(i,) for i in range(dim + 1)]
-    for k in range(1, dim):
-        rank = dict(zip(rows, itertools.count()))
-        rows = list(itertools.combinations(range(dim + 1), k + 1))
-        faces = map(itertools.combinations, rows, itertools.repeat(k))
-        levels.append(np.fromiter(itertools.chain(
-            itertools.chain.from_iterable(map(reversed, rows)),
-            map(rank.get, itertools.chain.from_iterable(faces))),
-            np.intp).reshape(2, -1, k + 1))
-    return levels
+def _indexed(subsets, rank):
+    """The k-subsets listed, in order; index arrays (k, count) of their
+    points, last first, and of the ``rank`` of their faces without them;
+    and the signs +1, -1, ... that the expansion gives those terms."""
+    k = len(subsets[0])
+    faces = map(itertools.combinations, subsets, itertools.repeat(k - 1))
+    points, faces = np.fromiter(itertools.chain(
+        itertools.chain.from_iterable(map(reversed, subsets)),
+        map(rank.get, itertools.chain.from_iterable(faces))),
+        np.intp).reshape(2, -1, k).transpose(0, 2, 1).copy()
+    return subsets, points, faces, np.resize([1, -1], k)
 
 
-def _subset_blocks(n, dim):
-    """Blocks of at most _BLOCK (dim+1)-subsets of range(n), in order, each
-    a list and its (dim+1, block) indices.  `_one_block` keeps a lone block
-    (252 subsets at n = 10, m = 2); more are streamed, so memory stays low."""
-    subsets = itertools.combinations(range(n), dim + 1)
-    for chunk in iter(lambda: list(itertools.islice(subsets, _BLOCK)), []):
-        yield chunk, np.fromiter(itertools.chain.from_iterable(chunk),
-                                 np.intp).reshape(-1, dim + 1).T
+def _ranks(n, k):
+    """The rank of each k-subset of range(n) in order."""
+    return dict(zip(itertools.combinations(range(n), k), itertools.count()))
 
 
-_one_block = functools.lru_cache(maxsize=None)(
-    lambda n, dim: tuple(_subset_blocks(n, dim)))
+_level = functools.lru_cache(maxsize=None)(lambda n, k: _indexed(
+    list(itertools.combinations(range(n), k)), _ranks(n, k - 1)))
+
+
+def _leading_minors(x):
+    """Yield the table of leading minors of the columns of x (dim, n), in
+    floats or exact integers: for k = 1 .. min(n, dim), the k-subsets in
+    order and their minors over the first k rows, each expanded along its
+    last row from the level below."""
+    dim, n = x.shape
+    for k in range(1, min(n, dim) + 1):
+        subsets, points, faces, signs = _level(n, k)
+        minors = (signs @ (x[k - 1].take(points) * minors.take(faces))
+                  if k > 1 else x[0])
+        yield subsets, minors
+
+
+def _simplex_captures(minors, n, dim):
+    """Yield the (dim+1)-subsets of range(n), in order, whose cofactors
+    along the row of ones, from the dim-``minors`` of their faces, share one
+    strict sign.  They stream in blocks of _BLOCK; one block is `_level`'s."""
+    if math.comb(n, dim + 1) <= _BLOCK:
+        blocks = [_level(n, dim + 1)]
+    else:
+        rank = _ranks(n, dim)
+        stream = itertools.combinations(range(n), dim + 1)
+        blocks = (_indexed(chunk, rank) for chunk in iter(
+            lambda: list(itertools.islice(stream, _BLOCK)), []))
+    for subsets, _, faces, _ in blocks:
+        faced = minors.take(faces)  # the faces without s_dim, ..., s_0
+        yield from itertools.compress(subsets, np.logical_and.reduce(
+            faced[1:] * faced[:-1] < 0).tolist())
 
 
 def _filtered_captures(points, target):
-    """The minimal captures, or None if n <= dim, dim > 8 (where a block
-    peaks above 20 MB and the bound starts to defer generic points) or the
-    sign of a dim-subset's determinant D is in doubt.  No capture has dim
-    points or fewer if every D != 0, and a (dim+1)-subset is a capture iff
-    the signed D of its faces share one strict sign."""
+    """The minimal captures, or None if n <= dim, dim > 8 (where the bound
+    starts to defer generic points) or the sign of a dim-subset's
+    determinant D is in doubt.  No capture has dim points or fewer if every
+    D != 0, and a (dim+1)-subset is a capture iff the signed D of its faces
+    share one strict sign."""
     n, dim = len(points), len(target)
     if not 0 < dim < min(n, 9):
         return None
     # Scaling a point by a power of two changes no sign that decides a
     # capture; each is put in [1/2, 1), rounding only what underflows.
-    x = []
-    for point in points:
-        point = [p - t for p, t in zip(point, target)]
-        top = max(map(abs, point))
-        if not math.isfinite(top):
-            return None  # the subtraction overflowed
-        x.append([math.ldexp(v, -math.frexp(top)[1]) for v in point])
-    x = np.array(x).T
+    with np.errstate(over="ignore"):
+        x = np.subtract(points, target, dtype=float)
+    top = abs(x).max(1)
+    if not np.isfinite(top).all():
+        return None  # the subtraction overflowed
+    x = np.ldexp(x, -np.frexp(top)[1][:, None]).T
     # D is expanded as the exact path expands it: a minor of size k sums, in
     # any order, k products of an entry, rounded once in the subtraction,
     # and a minor of size k-1.  So D is off by at most gamma_c P = c u P /
@@ -198,21 +216,10 @@ def _filtered_captures(points, target):
     # absolute entries.  They are below 1, so P < dim^dim, and 2 c u dim^dim
     # covers gamma_c P and the at most dim dim! 2^-1073 that underflow adds.
     bound = (dim * (dim + 1) + 2 * dim - 2) * dim ** dim * 2.0 ** -53
-    signs = np.array([1.0, -1.0] * dim)
-    blocks = _one_block if math.comb(n, dim + 1) <= _BLOCK else _subset_blocks
-    captures = []
-    for chunk, subsets in blocks(n, dim):
-        entries = x.take(subsets, 1)
-        minors = entries[0]  # (dim + 1 subsets of rows, block)
-        for k, (rows, faces) in enumerate(_expansion(dim), 1):
-            minors = signs[:k + 1] @ (entries[k].take(rows, 0)
-                                      * minors.take(faces, 0))
-        if np.count_nonzero(abs(minors) > bound) < minors.size:
-            return None
-        # D of the faces without row dim, ..., 0 alternate in sign
-        captures += itertools.compress(chunk, map(all, zip(
-            *(minors[1:] * minors[:-1] < 0).tolist())))
-    return captures
+    *_, (_, minors) = _leading_minors(x)
+    if not (abs(minors) > bound).all():
+        return None
+    return list(_simplex_captures(minors, n, dim))
 
 
 def _minimal_captures(points, target):
@@ -221,53 +228,39 @@ def _minimal_captures(points, target):
     that has ``target`` strictly inside, with all barycentric coordinates
     positive.  By Caratheodory, ``target`` lies in the convex hull of a set
     of points iff some subset of them is a minimal capture.  They are taken
-    from `_filtered_captures` where it decides, else found exactly:
+    from `_filtered_captures` where it decides, else read exactly off the
+    same table of leading minors, in integers:
 
     A subset S of k <= dim points with a nonzero leading minor (over the
-    first k coordinates) is independent, so it misses the origin.  S of
-    dim+1 points is a capture iff its cofactors (-1)^i minor(S - s_i), whose
-    sum D is the barycentric determinant and cofactor / D the weights, are
-    all nonzero with one sign.  Minors are expanded along their last row
-    from those one size smaller; ``_captures_origin`` decides the rest.
+    first k coordinates) is independent, so it misses the origin; only
+    where that minor is 0 does ``_captures_origin`` decide.  S of dim+1
+    points is a capture iff its cofactors (-1)^i minor(S - s_i), whose sum
+    D is the barycentric determinant and cofactor / D the weights, are all
+    nonzero with one sign.
     """
     captures = _filtered_captures(points, target)
     if captures is not None:
         yield from captures
         return
     columns = _integer_columns(points, target)
-    dim = len(target)
-    minors = {(): 1}
-    for size in range(1, min(len(columns), dim + 1) + 1):
-        last_row = [c[size - 1] for c in columns] if size <= dim else None
-        level = {}
-        for subset in itertools.combinations(range(len(columns)), size):
-            # last-row cofactors (ones row at size dim+1), s_{size-1}..s_0
-            cofactors = [minors[face]
-                         for face in itertools.combinations(subset, size - 1)]
-            cofactors[1::2] = [-c for c in cofactors[1::2]]
-            if size > dim:
-                if min(cofactors) > 0 or max(cofactors) < 0:
-                    yield subset
-                continue
-            minor = sum(last_row[s] * c
-                        for s, c in zip(reversed(subset), cofactors))
-            level[subset] = minor
-            if not minor and _captures_origin(
-                    [columns[i] for i in subset], dim):
-                yield subset
-        minors = level
+    n, dim = len(columns), len(target)
+    minors = np.ones(1, object)  # the empty minor, for dim = 0
+    for subsets, minors in _leading_minors(np.array(columns, object).T):
+        for i in np.flatnonzero(minors == 0):
+            if _captures_origin([columns[j] for j in subsets[i]], dim):
+                yield subsets[i]
+    if n > dim:
+        yield from _simplex_captures(minors, n, dim)
 
 
 def _certify(config):
     """(Siegel, weakly hyperbolic, indispensable) from one enumeration."""
-    real = [[x for c in v for x in (c.real, c.imag)] for v in config.vectors]
-    captures = [set(s) for s in _minimal_captures(real, [0.0] * 2 * config.m)]
+    captures = [set(s) for s in _minimal_captures(real_points(config),
+                                                  [0.0] * 2 * config.m)]
     hyperbolic = all(len(s) > 2 * config.m for s in captures)
-    if not captures:
-        return False, hyperbolic, frozenset()
-    common = set.intersection(*captures)
+    common = set.intersection(*captures) if captures else ()
     # 1-based, matching the Lambda numbering
-    return True, hyperbolic, frozenset(j + 1 for j in common)
+    return bool(captures), hyperbolic, frozenset(j + 1 for j in common)
 
 
 def in_convex_hull(points, target):
@@ -281,10 +274,8 @@ def in_convex_hull(points, target):
     target = tuple(float(x) for x in target)
     if not points:
         raise ValueError("point list must be non-empty")
-    dim = len(target)
-    for p in points:
-        if len(p) != dim:
-            raise ValueError("dimension mismatch between points and target")
+    if any(len(p) != len(target) for p in points):
+        raise ValueError("dimension mismatch between points and target")
     if not np.isfinite(points + [target]).all():
         raise ValueError("point and target coordinates must be finite")
     return next(_minimal_captures(points, target), None) is not None

@@ -134,11 +134,6 @@ def _singular():
     raise ValueError("matrices must be invertible")
 
 
-def _charts_ok(space, amat, bmat):
-    """Rows that pass the shape checks of `FamilyPoint`."""
-    return np.logical_and.reduce([c[0] for c in _shape_checks(space, amat, bmat)])
-
-
 def _paired_eigendata(amat, bmat, p):
     """Eigen-data (alpha_1..3, beta_1..3) of stacked S_p candidates,
     matrices (N, 3, 3), as six arrays (N,).

@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .resonant_group import _invertible
+from .resonant_group import _inverse2, _invertible
 
 TWO_PI_I = 2j * np.pi
 
@@ -73,9 +73,9 @@ def omega_matrix(config):
         raise ValueError("expected six vectors in C^2")
     omega = np.array([v[1] - v[0], v[2] - v[0]])
     if not _invertible(omega[None])[0]:
-        # cannot happen for certified input; a zero here means the
-        # certification and the difference matrix disagree
-        raise RuntimeError("internal inconsistency: singular difference matrix")
+        # certification is exact, but the differences are rounded: vectors
+        # of widely different scales can make them parallel
+        raise ValueError("difference matrix Omega rounds to singular")
     return omega
 
 
@@ -85,7 +85,7 @@ def pairings(config):
     d_j = Lambda_{j+3} - Lambda_1, j = 1, 2, 3."""
     omega = omega_matrix(config)
     v = [np.asarray(w, dtype=complex) for w in config.vectors]
-    inv = np.linalg.inv(omega)
+    inv = _inverse2(omega[None])[0]
     d = [v[j + 3] - v[0] for j in range(3)]
     return (omega, np.array([x @ inv[:, 0] for x in d]),
             np.array([x @ inv[:, 1] for x in d]))
@@ -97,8 +97,11 @@ def holonomy_pair(config):
 
 def _pair_from_pairings(omega, u, w):
     """The validated `HolonomyPair` of the pairings (Omega, u, w)."""
-    pair = HolonomyPair(tuple(np.exp(TWO_PI_I * x) for x in u),
-                        tuple(np.exp(TWO_PI_I * x) for x in w), omega)
+    with np.errstate(all="ignore"):
+        alpha, beta = ([np.exp(TWO_PI_I * x) for x in z] for z in (u, w))
+    if not all(np.isfinite(alpha + beta)) or 0 in alpha + beta:
+        raise ValueError("holonomy multipliers leave the float range")
+    pair = HolonomyPair(tuple(alpha), tuple(beta), omega)
     violations = validate_holonomy(pair)
     if violations:
         raise ValueError("eigen-data violates structural constraints: %s"

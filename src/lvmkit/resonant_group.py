@@ -401,15 +401,13 @@ def power_many(regime, rows, r):
     `_product` from f, or from f^-1 where r < 0, that `compose` takes: the
     rows, unchecked.  Whatever r, the first element f whose f or f^-1
     takes a power (`_factor_powers`) that leaves the float range, or whose
-    Single divisor (`inverse_many`) rounds to 0, raises.  The Double
-    block of f^-1 is formed only where some r < 0; the rows of r = 0 and
-    1 are the identity's and f's."""
+    Single divisor (`inverse_many`) rounds to 0, raises.  The rows of r = 0
+    and 1 are the identity's and f's."""
     rows, r = np.asarray(rows, dtype=complex), np.asarray(r)
     n, k = rows[..., 0].size, rows.shape[-1]
     double = regime.tag == "Double"
     with np.errstate(all="ignore"):
-        # f^-1, whose diagonal 1 / f's is all a product with it reads
-        inv = _inverse_rows(regime, rows) if (r < 0).any() else 1 / rows
+        inv = _inverse_rows(regime, rows)
         # f and f^-1 of each f, first the one whose powers `_inverse_rows`
         # takes, so that the refusals come in its order
         both = np.stack([inv, rows] if double else [rows, inv],
@@ -430,15 +428,13 @@ def power_many(regime, rows, r):
                        dtype=complex)
         out[0], out[1] = identity(regime).params(), both
         a3, eps = out[..., 2], out[..., -1]
-        blocks = _blocks(out) if double else None  # a copy, written back
+        blocks = _blocks(out) if double else None
         for j in range(2, len(out)):  # `_product`, scalars and blocks apart
             np.multiply(out[j - 1], both, out=out[j])
             if regime.tag == "Single":
                 eps[j] = _shear(a3[j - 1], eps[j - 1], eps[1], x, y)
             elif double:
                 blocks[j] = _twisted(blocks[j - 1], blocks[1], x, y)
-        if double:
-            out[..., 1:] = blocks.reshape(out.shape[:-1] + (4,))
     # the row of f, or of f^-1 where r < 0, that each power takes
     pick = 2 * np.arange(n).reshape(rows.shape[:-1]) + ((r < 0) != double)
     return out[abs(r), pick]

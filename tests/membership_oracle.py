@@ -10,11 +10,18 @@ must return the same report, or raise the same exception, on every point.
 import numpy as np
 
 from lvmkit.family_gluing import (MEMBERSHIP_TOL, MembershipReport,
-                                  _eigen_admissible, _paired_eigendata)
+                                  _eigen_admissible, _paired_eigendata,
+                                  _shape_checks)
 from lvmkit.rep_variety import variety_residual
 from lvmkit.resonance import DEFAULT_BOUND, ResonanceClass
 from lvmkit.resonant_group import GroupElement
 from resonance_oracle import power_residual, window_screen
+
+
+def charts_ok(space, amat, bmat):
+    """Rows that pass the shape checks of `FamilyPoint`."""
+    return np.logical_and.reduce(
+        [c[0] for c in _shape_checks(space, amat, bmat)])
 
 
 def no_clash_screened(a1, a2, a3, bound, tol, excluded=None):

@@ -130,6 +130,28 @@ class TestAnalyze:
         assert reports[0]["type"] == [2, 6, 4]
         assert all(report == reports[0] for report in reports)
 
+    @pytest.mark.parametrize("draw, failure", [
+        (12, "difference matrix Omega rounds to singular"),
+        (45, "holonomy multipliers leave the float range"),
+        (2057, "holonomy multipliers leave the float range")])
+    def test_holonomy_beyond_float_range_refused(self, runner, tmp_path, draw,
+                                                 failure):
+        # certified configurations whose vectors differ in scale by up to
+        # 2^600: Lambda_2 - Lambda_1 and Lambda_3 - Lambda_1 round to one
+        # row (draw 12), LU meets a zero pivot of an invertible difference
+        # matrix (draw 45), alpha_1 overflows (draw 2057)
+        rng = np.random.default_rng(7)
+        for _ in range(draw + 1):
+            points = rng.normal(size=(6, 4)) * 2.0 ** rng.integers(
+                -300, 300, size=(6, 1))
+        doc = {"m": 2, "vectors": [[p[:2], p[2:]] for p in points.tolist()]}
+        path = write(tmp_path, "wide-%d.json" % draw, doc)
+        result = runner.invoke(main, ["analyze", path, "--json"])
+        assert (result.exit_code, result.stderr) == (1, "")
+        report = report_of(result)
+        assert report["type"] == [2, 6, 4]
+        assert report["failure"] == failure
+
     def test_deterministic_output(self, runner, tmp_path):
         path = write(tmp_path, "e1.json", E1_DOC)
         a = runner.invoke(main, ["analyze", path, "--json"]).output

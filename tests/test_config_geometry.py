@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +175,25 @@ class TestMinimalCaptures:
                  [0, 0, 0, 1]]
         assert _captures(facet, [0, 0, 0, 0]) == [(0, 1, 2, 3)]
         assert _captures([[0, 1], [1, 0], [2, 2]], [0, 0]) == []
+
+    @pytest.mark.parametrize("dim, extra, seed", [
+        (3, 1, 0), (3, 1, 1), (3, 2, 0), (3, 2, 1), (5, 1, 0), (5, 1, 1),
+        (5, 2, 0), (5, 2, 1), (9, 1, 0), (9, 2, 0), (10, 1, 0), (10, 2, 0)])
+    def test_exact_path_matches_oracle(self, monkeypatch, dim, extra, seed):
+        # entries in -1..1, so that leading minors often vanish, and the
+        # last point minus the sum of a few others, so that a capture exists
+        n = dim + extra
+        rng = np.random.default_rng([dim, n, seed])
+        points = rng.integers(-1, 2, size=(n, dim))
+        planted = rng.choice(n - 1, size=rng.integers(1, min(n - 1, dim + 1)),
+                             replace=False)
+        points[-1] = -points[planted].sum(0)
+        monkeypatch.setattr(config_geometry, "_filtered_captures",
+                            lambda points, target: None)
+        calls = _counting_fallback(monkeypatch)
+        expected = list(oracle_minimal_captures(points.tolist(), [0] * dim))
+        assert expected and _captures(points, [0] * dim) == expected
+        assert calls
 
 
 def _counting_fallback(monkeypatch):
@@ -446,6 +466,24 @@ class TestFloatingPointFilter:
         assert list(config_geometry._minimal_captures(points, target)) == \
             list(oracle_minimal_captures(points, target))
 
+    @settings(max_examples=60, deadline=None)
+    @given(float_point_sets())
+    def test_minors_within_bound(self, case):
+        # the filter's table of minors, in floats, against the same table
+        # in Fractions of the same entries, each point scaled into [1/2, 1)
+        points, target = case
+        dim = len(target)
+        shifts = [-math.frexp(max(map(abs, p)))[1] for p in points]
+        floats = np.ldexp(points, np.array(shifts)[:, None]).T
+        exact = np.array([[Fraction(v) * Fraction(2) ** k for v in p]
+                          for p, k in zip(points, shifts)], object).T
+        *_, (_, approx) = config_geometry._leading_minors(floats)
+        *_, (_, minors) = config_geometry._leading_minors(exact)
+        # the bound of `_filtered_captures`
+        bound = (dim * (dim + 1) + 2 * dim - 2) * dim ** dim * 2.0 ** -53
+        assert all(abs(Fraction(a) - m) <= bound
+                   for a, m in zip(approx.tolist(), minors))
+
     def test_decides_generic_draws(self):
         rng = np.random.default_rng(5)
         for dim in (2, 4, 6):
@@ -462,15 +500,17 @@ class TestFloatingPointFilter:
         assert len(whole) > 4
 
     def test_small_block_built_once(self):
-        # the one block of n = 10, m = 2 (252 subsets) is kept between calls
-        # and is the streamed block, so the captures do not change
+        # the one block of n = 10, m = 2 (252 subsets) is the cached level
+        # of 5-subsets, kept between calls, and is the block that would be
+        # streamed, so the captures do not change
         points = np.random.default_rng(7).normal(size=(10, 4)).tolist()
         first = config_geometry._filtered_captures(points, [0.0] * 4)
-        kept = config_geometry._one_block(10, 4)
-        assert config_geometry._one_block(10, 4) is kept
-        (chunk, subsets), = kept
-        (streamed, indices), = config_geometry._subset_blocks(10, 4)
-        assert chunk == streamed and np.array_equal(subsets, indices)
+        kept = config_geometry._level(10, 5)
+        assert config_geometry._level(10, 5) is kept
+        streamed = config_geometry._indexed(
+            list(itertools.combinations(range(10), 5)),
+            config_geometry._ranks(10, 4))
+        assert all(map(np.array_equal, kept, streamed))
         assert config_geometry._filtered_captures(points, [0.0] * 4) == first
 
     def test_defers_what_it_cannot_decide(self):

@@ -22,7 +22,7 @@ from lvmkit.family_gluing import (
     invert_psi_p,
 )
 import membership_oracle
-from membership_oracle import no_clash_screened
+from membership_oracle import charts_ok, no_clash_screened
 from resonance_oracle import no_clash_window, window_screen
 
 E1 = Configuration(2, (
@@ -229,7 +229,7 @@ class TestFamilyPoint:
         with pytest.raises(ValueError, match="^%s$" % message):
             FamilyPoint(space, *mats, **kwargs)
         stacks = [np.stack([np.eye(3), m]) for m in mats]
-        assert family_gluing._charts_ok(space, *stacks).tolist() == \
+        assert charts_ok(space, *stacks).tolist() == \
             [True, False]
 
     def test_shape_checked_first(self):

@@ -50,7 +50,8 @@ class TestOmegaMatrix:
     def test_singular_difference_matrix(self):
         bad = Configuration(2, (E1.vectors[0], (2, 3), (2, 3))
                             + E1.vectors[3:])
-        with pytest.raises(RuntimeError):
+        with pytest.raises(ValueError,
+                           match="^difference matrix Omega rounds to singular$"):
             omega_matrix(bad)
 
     @pytest.mark.parametrize("k", [-600, 600])

@@ -26,6 +26,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import law_reference as ref
 import verify_oracle as oracle
 from developing_oracle import verify_specs as _developing_specs
+from membership_oracle import charts_ok
 from verify_bounds import (GAMMA, HUGE, TINY, U, UNCHECKED, action_sizes,
                            chart_ops, eigen_errors, group_laws_errors, gluing_errors,
                            invert_psi_errors, law_exponents, law_ops,
@@ -34,8 +35,7 @@ from click.testing import CliRunner
 from lvmkit import cli, developing, family_gluing, resonant_group
 from lvmkit.developing import (build_structure, check_structure,
                                sample_cover_points)
-from lvmkit.family_gluing import (DENOM_TOL, FamilyPoint, _charts_ok,
-                                  _paired_eigendata,
+from lvmkit.family_gluing import (DENOM_TOL, FamilyPoint, _paired_eigendata,
                                   family_action_many, glue_phi_pq_many,
                                   glue_psi_p_many, invert_psi_p,
                                   invert_psi_p_many)
@@ -345,7 +345,7 @@ NEAR_SINGULAR = {
 
 
 class TestDeterminantAgreement:
-    """The scalar `GroupElement`, `_elements_ok`, `_charts_ok` and
+    """The scalar `GroupElement`, `_elements_ok`, `charts_ok` and
     `FamilyPoint` read a 2x2 determinant by one formula, m11 m22 - m12 m21
     in numpy's array arithmetic on entries rescaled by powers of two where
     a product could leave the float range, and refuse the same blocks;
@@ -368,7 +368,7 @@ class TestDeterminantAgreement:
         assert refused == [isinstance(out, str) for out in points]
         with np.errstate(all="ignore"):
             assert refused == (~_elements_ok(REGIMES[3], rows)).tolist()
-        assert refused == (~_charts_ok("S_p", charts, eye)).tolist()
+        assert refused == (~charts_ok("S_p", charts, eye)).tolist()
         one = identity(REGIMES[3]).params()[None]
         assert refused == [isinstance(_outcome(
             compose_many, REGIMES[3], row[None], one), str) for row in rows]
