@@ -4,14 +4,14 @@ fixed-point certificates, orbits, and a properness falsification probe.
 The probe never claims properness: its positive outcome is only "no
 violation found" over the sampled window.
 
-Both searches build the powers of the generators once as parameter rows
-by one `power_many` call, not validated, and compose the words f^r g^s
-from them by `_compose_rows`, the unchecked arithmetic of
-`compose_many`.  Each word is decided as its row reads, so a word
-whose entries round to 0 or leave the float range has no fixed point
-and no return; a word is refused only where a diagonal multiplier of it
-may be any number (`_unread`, formed only where a power is not finite).
-The arrays screen, and each candidate is decided alone: the certificate
+Both searches screen on the diagonal columns of the chain of
+`power_many` (`_power_stages`), not validated, and take the Single
+shears or Double blocks only for the words they keep, composing f^r g^s
+by `_compose_rows`, the unchecked arithmetic of `compose_many`.  Each
+word is decided as its row reads, so a word whose entries round to 0 or
+leave the float range has no fixed point and no return; a word is
+refused only where a diagonal multiplier of it may be any number
+(`_unread`, formed only where a power is not finite).  The certificate
 composes and solves each word whose scalar part is near 1 as one row.
 The probe skips words that send every sample out of the annulus in |xi1|
 or in a NonResonant fibre, and applies the rest to its first sample and
@@ -26,8 +26,9 @@ import numpy as np
 
 from .resonance import _is_integer
 from .resonant_group import (PointV, _check, _compose_rows, _factor_powers,
-                             _images, _overflow, _regime, _to_point, apply,
-                             compose, element_from_params, power_many)
+                             _images, _overflow, _power_stages, _regime,
+                             _to_point, apply, compose, element_from_params,
+                             power_many)
 
 DEFAULT_WINDOW = 25
 FP_TOL = 1e-10
@@ -142,12 +143,16 @@ def fixed_point_certificate(pair, window=DEFAULT_WINDOW, tol=FP_TOL):
         raise ValueError("need window >= 1, an integer, got %r" % (window,))
     regime = _regime(*pair)
     with np.errstate(all="ignore"):
-        fp, gp = _powers(pair, window).swapaxes(0, 1)
+        (fp, gp), full = _power_stages(regime, [[e.params()] for e in pair],
+                                       np.arange(-window, window + 1))
         h1 = np.multiply.outer(fp[:, 0], gp[:, 0])
         unread = _unread(fp[:, None, :1], gp[None, :, :1])
         near = unread | (np.abs(h1 - 1) <= 2 * tol + _SLACK * np.abs(h1))
         near[window, window] = False
-        for i, j in np.argwhere(near).tolist():
+        words = np.argwhere(near).tolist()
+        if words:  # only now the Single shears and Double blocks
+            fp, gp = full()
+        for i, j in words:
             h = _compose_rows(regime, fp[i, None], gp[j, None])[0]
             if unread[i, j]:
                 _overflow()
@@ -266,6 +271,7 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
     block = max(1, _BLOCK // samples)
     m1, m23 = np.abs(x[:, 0]), np.hypot(np.abs(x[:, 1]), np.abs(x[:, 2]))
     diagonal = 1 if regime.tag == "Double" else 3
+    screened = 3 if regime.tag == "NonResonant" else 1  # h_1 (, h_2, h_3)
     words, returns = [], []
     with np.errstate(all="ignore"):
         fp, gp = _powers(pair, horizon).swapaxes(0, 1)
@@ -278,9 +284,9 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
         limit = np.argmin(fine) if not fine.all() else samples
         for c in range(0, r.size, block):
             rc, sc = r[c:c + block], s[c:c + block]
-            h = _compose_rows(regime, fp[rc + horizon], gp[sc + horizon])
             # to a few ulp, images have |xi1| = |h_1| |x_1| and NonResonant
             # fibre moduli within min, max(|h_2|, |h_3|) times |x_23|
+            h = fp[rc + horizon, :screened] * gp[sc + horizon, :screened]
             a = np.abs(h[:, 0])
             dead = _leaves(a, a, m1, compact_radius)
             if regime.tag == "NonResonant":
@@ -288,13 +294,15 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
                 dead |= _leaves(np.minimum(a2, a3), np.maximum(a2, a3), m23,
                                 compact_radius)
             live = np.flatnonzero(~dead)
-            back = _in_annulus(_images(regime, h[live, None], x[:1]),
+            h = h[live] if screened == fp.shape[-1] else _compose_rows(
+                regime, fp[rc[live] + horizon], gp[sc[live] + horizon])
+            back = _in_annulus(_images(regime, h[:, None], x[:1]),
                                compact_radius)[:, 0]
             first = np.full(rc.size, samples)
             first[live[back]] = 0
             later = live[~back]
             if later.size and samples > 1:
-                inside = _in_annulus(_images(regime, h[later, None], x[1:]),
+                inside = _in_annulus(_images(regime, h[~back, None], x[1:]),
                                      compact_radius)
                 first[later] = np.where(inside.any(axis=1),
                                         1 + inside.argmax(axis=1), samples)

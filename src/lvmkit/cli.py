@@ -145,6 +145,18 @@ def _resonance_report(report, pair, tol, bound):
     return regime
 
 
+def _certified_pair(config, certified):
+    """Certify config into certified; of type (2, 6, 4), its holonomy pair."""
+    summary = config_report(config)
+    certified.update(siegel=summary.is_siegel, type=summary.type_triple,
+                     weakly_hyperbolic=summary.is_weakly_hyperbolic,
+                     indispensable=sorted(summary.indispensable))
+    if summary.type_triple != (2, 6, 4):
+        raise ValueError("type is %s, expected (2, 6, 4)" % (
+            (summary.type_triple,) if summary.type_triple else "undefined"))
+    return holonomy_pair(config)
+
+
 @click.group()
 def main():
     """Toolkit for admissible configurations of type (2, 6, 4), their
@@ -163,17 +175,8 @@ def analyze(path, tol, bound, as_json):
     m, vectors = _parse_config(_load_document(path))
     report = {"input": path, "tol": tol, "bound": bound}
     try:
-        config = Configuration(m, vectors)
-        summary = config_report(config)
-        report["siegel"] = summary.is_siegel
-        report["weakly_hyperbolic"] = summary.is_weakly_hyperbolic
-        report["indispensable"] = sorted(summary.indispensable)
-        report["type"] = summary.type_triple
-        if summary.type_triple != (2, 6, 4):
-            _fail(report, "type is %s, expected (2, 6, 4)" % (
-                (summary.type_triple,) if summary.type_triple else
-                "undefined"), as_json)
-        regime = _resonance_report(report, holonomy_pair(config), tol, bound)
+        pair = _certified_pair(Configuration(m, vectors), report)
+        regime = _resonance_report(report, pair, tol, bound)
         report["group_dim"] = group_dim(regime)
     except (NotLVMError, ValueError,
             UnclassifiableResonancePattern) as exc:
@@ -198,8 +201,7 @@ def resonances(path, tol, bound, as_json):
             _parse_pairs(doc["eigen_data"], "eigen-data")
             pair = pair_from_flat(doc["eigen_data"])
         else:
-            config = Configuration(*_parse_config(doc))
-            pair = holonomy_pair(config)
+            pair = _certified_pair(Configuration(*_parse_config(doc)), {})
         _resonance_report(report, pair, tol, bound)
     except (ValueError, NotLVMError, UnclassifiableResonancePattern) as exc:
         _fail(report, str(exc) or exc.__class__.__name__, as_json)

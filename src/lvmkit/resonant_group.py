@@ -395,6 +395,54 @@ def inverse_many(regime, a):
     return h
 
 
+def _power_stages(regime, rows, r):
+    """The refusals of `power_many`, then (scalars, full): the d diagonal
+    columns of its rows, a running product, and full(), its rows; numpy's
+    errors are the caller's to ignore."""
+    rows, r = np.asarray(rows, dtype=complex), np.asarray(r)
+    n, k = rows[..., 0].size, rows.shape[-1]
+    double, d = regime.tag == "Double", 1 if regime.tag == "Double" else 3
+    inv = _inverse_rows(regime, rows)
+    # f and f^-1 of each f, first the one whose powers `_inverse_rows`
+    # takes, so that the refusals come in its order
+    both = np.stack([inv, rows] if double else [rows, inv],
+                    -2).reshape(2 * n, k)
+    powers = _factor_powers(regime, both)
+    x, y = powers or (None, None)
+    if powers:
+        (i, _), (j, _) = _exponents(regime)
+        ok = ((np.isfinite(x) | ~np.isfinite(both[:, i]))
+              & (np.isfinite(y) | ~np.isfinite(both[:, j])))
+        if regime.tag == "Single":  # the divisor of each f's inverse
+            ok &= np.repeat(both[::2, 2] * x[::2] * y[::2] != 0, 2)
+        e = np.argmin(ok)
+        _check("power", regime, ok, both, "(1/a%d)" if (
+            e % 2 == 0) == double else "a%d",
+            divisor=regime.tag == "Single", row=(e // 2,))
+    # the d columns that compose entrywise, contiguous to multiply fast
+    table = np.empty((max(abs(r).max(initial=0), 1) + 1, 2 * n, d),
+                     dtype=complex)
+    table[0], table[1] = 1, both[:, :d]  # the identity's are all 1
+    step = table[1]
+    for j in range(2, len(table)):  # the scalars of `_product`
+        np.multiply(table[j - 1], step, out=table[j])
+    # the row of f, or of f^-1 where r < 0, that each power takes
+    at = abs(r), 2 * np.arange(n).reshape(rows.shape[:-1]) + ((r < 0) ^ double)
+
+    def full():
+        out = np.empty(table.shape[:2] + (k,), dtype=complex)
+        out[..., :d], out[0], out[1] = table, identity(regime).params(), both
+        a3, eps = out[..., 2], out[..., -1]
+        blocks = _blocks(out) if double else None
+        for j in range(2, len(out)):  # the rest of `_product`
+            if double:
+                blocks[j] = _twisted(blocks[j - 1], blocks[1], x, y)
+            else:
+                eps[j] = _shear(a3[j - 1], eps[j - 1], eps[1], x, y)
+        return out[at]
+    return (scalars := table[at]), (lambda: scalars) if d == k else full
+
+
 def power_many(regime, rows, r):
     """f^r for the parameter rows (..., k) of elements f and integers r,
     broadcast against each other, as the chain f, f f, (f f) f, ... of
@@ -403,41 +451,8 @@ def power_many(regime, rows, r):
     takes a power (`_factor_powers`) that leaves the float range, or whose
     Single divisor (`inverse_many`) rounds to 0, raises.  The rows of r = 0
     and 1 are the identity's and f's."""
-    rows, r = np.asarray(rows, dtype=complex), np.asarray(r)
-    n, k = rows[..., 0].size, rows.shape[-1]
-    double = regime.tag == "Double"
     with np.errstate(all="ignore"):
-        inv = _inverse_rows(regime, rows)
-        # f and f^-1 of each f, first the one whose powers `_inverse_rows`
-        # takes, so that the refusals come in its order
-        both = np.stack([inv, rows] if double else [rows, inv],
-                        -2).reshape(2 * n, k)
-        powers = _factor_powers(regime, both)
-        x, y = powers or (None, None)
-        if powers:
-            (i, _), (j, _) = _exponents(regime)
-            ok = ((np.isfinite(x) | ~np.isfinite(both[:, i]))
-                  & (np.isfinite(y) | ~np.isfinite(both[:, j])))
-            if regime.tag == "Single":  # the divisor of each f's inverse
-                ok &= np.repeat(both[::2, 2] * x[::2] * y[::2] != 0, 2)
-            e = np.argmin(ok)
-            _check("power", regime, ok, both, "(1/a%d)" if (
-                e % 2 == 0) == double else "a%d",
-                divisor=regime.tag == "Single", row=(e // 2,))
-        out = np.empty((max(abs(r).max(initial=0), 1) + 1, 2 * n, k),
-                       dtype=complex)
-        out[0], out[1] = identity(regime).params(), both
-        a3, eps = out[..., 2], out[..., -1]
-        blocks = _blocks(out) if double else None
-        for j in range(2, len(out)):  # `_product`, scalars and blocks apart
-            np.multiply(out[j - 1], both, out=out[j])
-            if regime.tag == "Single":
-                eps[j] = _shear(a3[j - 1], eps[j - 1], eps[1], x, y)
-            elif double:
-                blocks[j] = _twisted(blocks[j - 1], blocks[1], x, y)
-    # the row of f, or of f^-1 where r < 0, that each power takes
-    pick = 2 * np.arange(n).reshape(rows.shape[:-1]) + ((r < 0) != double)
-    return out[abs(r), pick]
+        return _power_stages(regime, rows, r)[1]()
 
 
 def _images(regime, h, x):

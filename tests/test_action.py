@@ -11,9 +11,9 @@ from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
 from lvmkit.resonance import ResonanceClass
 from lvmkit.resonant_group import (GroupElement, PointV, _compose_rows,
-                                   _images, _inverse_rows, apply, compose,
-                                   element_from_params, identity,
-                                   power_many)
+                                   _images, _inverse_rows, _power_stages,
+                                   apply, compose, element_from_params,
+                                   identity, power_many)
 from lvmkit.action import (
     FP_TOL,
     ActionCertificate,
@@ -336,6 +336,54 @@ class TestPropernessProbe:
             properness_probe(pair, horizon=20, samples=20)
             assert sum(images) == count
 
+    def test_compositions_only_where_kept(self, monkeypatch):
+        # the probe composes the full rows of exactly the words whose
+        # |h_1| brings some sample's |xi1| into the annulus (no word of
+        # these pairs lies within e^-0.001 of a bound), and NonResonant
+        # rows, their diagonal products, it does not compose at all; a
+        # certificate composes only the words near 1, and builds the
+        # Single shears once for them, and with no such word (the Double
+        # pair) it runs no Single shear or Double block step at all
+        composed, steps = [], []
+        compose_rows = lvmkit.action._compose_rows
+
+        def counting_compose(regime, a, b):
+            composed.append(len(a))
+            return compose_rows(regime, a, b)
+
+        def counting(step):
+            def counted(*args):
+                steps.append(step.__name__)
+                return step(*args)
+            return counted
+
+        monkeypatch.setattr(lvmkit.action, "_compose_rows", counting_compose)
+        for name in ("_shear", "_twisted"):
+            monkeypatch.setattr(lvmkit.resonant_group, name, counting(
+                getattr(lvmkit.resonant_group, name)))
+        r, s = _grid(20)
+        band = np.maximum(abs(r), abs(s)) >= 10
+        m1 = np.abs(_samples(1e2, 20, 0)[:, 0])
+        for pair, kept in ((SINGLE_PAIR, 677), (DOUBLE_PAIR, 1046),
+                           (UNIT_PAIR, 0), (DIAG_PAIR, 0)):
+            fp, gp = _powers(pair, 20).swapaxes(0, 1)
+            h1 = np.abs(fp[r + 20, 0] * gp[s + 20, 0])[band]
+            lo, hi = np.log(h1 * m1.max() * 1e2), np.log(h1 * m1.min() / 1e2)
+            assert np.minimum(abs(lo), abs(hi)).min() > 1e-3
+            composed.clear()
+            properness_probe(pair, horizon=20, samples=20)
+            assert sum(composed) == kept
+            if pair[0].regime.tag != "NonResonant":
+                assert kept == ((lo >= 0) & (hi <= 0)).sum()
+        composed.clear(), steps.clear()
+        assert fixed_point_certificate(SINGLE_PAIR).fixed_point_free
+        # (-4, 8) and its multiples have h_1 = 1; the chain to 25 takes
+        # 24 shear steps, and each word's composition one more
+        assert composed == [1] * 6 and steps == ["_shear"] * (24 + 6)
+        composed.clear(), steps.clear()
+        assert fixed_point_certificate(DOUBLE_PAIR).fixed_point_free
+        assert composed == steps == []
+
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from([1.01, 1e2, 1e154, 1e300, 1.79e308]),
            st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
@@ -488,6 +536,37 @@ class TestPowers:
                     assert _within(got[r + bound], want[r + bound],
                                    _rounding(f.regime, 4 * abs(r)),
                                    size[r + bound])
+
+    @settings(max_examples=200, deadline=None)
+    @given(action_pairs(), st.integers(0, 30))
+    def test_scalars_are_the_diagonal_columns(self, pair, bound):
+        # the certificate screens on the chain's running product of the
+        # diagonal columns, taken before any Single shear or Double block:
+        # it is the diagonal columns of the rows of `_powers` to the bit,
+        # nan for nan, and it is refused where they are, by name; it is
+        # numpy's entrywise product f^(r-1) f taken step by step, which
+        # np.multiply.accumulate rounds otherwise
+        regime = pair[0].regime
+        d = 1 if regime.tag == "Double" else 3
+        rows = np.array([e.params() for e in pair])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = _result(lambda: _power_stages(
+                regime, rows, np.arange(-bound, bound + 1)[:, None])[0])
+            want = _result(_powers, pair, bound)
+            chain = {0: np.ones((len(pair), d), complex)}
+            for sign, step in ((1, rows[:, :d]),
+                               (-1, _inverse_rows(regime, rows)[:, :d])):
+                chain[sign] = step
+                for i in range(2, bound + 1):
+                    chain[sign * i] = chain[sign * (i - 1)] * step
+        if isinstance(want, str) or isinstance(got, str):
+            assert got == want
+            return
+        want = np.ascontiguousarray(want[..., :d])
+        chain = np.array([chain[i] for i in range(-bound, bound + 1)])
+        assert got.shape == want.shape == chain.shape
+        assert got.tobytes() == want.tobytes() == chain.tobytes()
 
     @pytest.mark.parametrize("f,bound,error", [
         (GroupElement(NR, (1e-170, 2, 3)), 3, None),

@@ -177,6 +177,32 @@ class TestResonances:
         assert result.exit_code == 0
         assert report_of(result)["regime"]["tag"] == "NonResonant"
 
+    def test_configuration_certified_as_analyze_does(self, runner, tmp_path):
+        # six points of R^4 = C^2 in an open half-space fail the Siegel
+        # condition: resonances refuses them with analyze's failure, and
+        # reports a certified configuration without the certification
+        rng = np.random.default_rng([5, 0])
+        u = rng.normal(size=4)
+        u /= np.linalg.norm(u)
+        v = rng.normal(size=(6, 4))
+        v += (0.1 - 2 * np.minimum(v @ u, 0))[:, None] * u
+        path = write(tmp_path, "halfspace.json", {
+            "m": 2, "vectors": [[p[:2], p[2:]] for p in v.tolist()]})
+        reports = {}
+        for command in ("analyze", "resonances"):
+            result = runner.invoke(main, [command, path, "--json"])
+            assert (result.exit_code, result.stderr) == (1, "")
+            reports[command] = report_of(result)
+            assert reports[command]["failure"] == \
+                "type is undefined, expected (2, 6, 4)"
+        assert reports["analyze"]["siegel"] is False
+        assert "eigen_data" not in reports["resonances"]
+        result = runner.invoke(main, ["resonances", write(
+            tmp_path, "e1.json", E1_DOC), "--json"])
+        assert sorted(report_of(result)) == [
+            "bound", "cohomology", "eigen_data", "input", "regime",
+            "resonances", "tol"]
+
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_eigen_data_refused(self, runner, tmp_path, token):
         # Python's json reads these tokens; the eigen-data are refused by
