@@ -12,7 +12,10 @@ Four commands:
 * ``deform``     -- project a deformed holonomy triple and verify the
                     induced structure.
 
-Exit codes: 0 on success, 1 on a mathematical failure (a condition or a
+Each command builds a report; one wrapper, ``_command``, checks its
+options, turns a library refusal into the report's ``failure``, prints
+the report and sets the exit code: 0 on success, 1 when the report holds
+a ``failure`` or ``"passed": false`` (a refused input, a condition or a
 residual out of tolerance), 2 on usage or parse errors.  All randomized
 checks are seeded (default 0) and reports embed seed, tolerances and
 bounds, so identical invocations produce byte-identical output.
@@ -43,9 +46,10 @@ from .family_gluing import (NotInImage, _diagonal, family_action_many,
                             invert_psi_p_many)
 
 VERIFY_TOL = 1e-10
-# the library's refusals of an input, which fail a verify suite
+# the library's refusals of an input, which fail a report or a verify suite
 _REFUSALS = (ValueError, ArithmeticError, NotInImage, IllConditioned,
-             BranchDomain, NoConvergence, np.linalg.LinAlgError)
+             BranchDomain, NoConvergence, np.linalg.LinAlgError, NotLVMError,
+             UnclassifiableResonancePattern)
 
 _REGIMES = (ResonanceClass("NonResonant"),
             ResonanceClass("Single", p=1, q=2),
@@ -126,11 +130,22 @@ def _emit(report, as_json):
         click.echo(line)
 
 
-def _fail(report, message, as_json):
-    """Emit the report with its failure and exit 1."""
-    report["failure"] = message
-    _emit(report, as_json)
-    sys.exit(1)
+def _command(build):
+    """The click callback of a report builder build(report, **options):
+    check the options, record a refusal as the report's failure, print the
+    report and exit 1 when it holds a failure or "passed": false."""
+    @functools.wraps(build)
+    def run(as_json, **options):
+        _check_options(options["tol"], options.get("bound"))
+        report = {}
+        try:
+            build(report, **options)
+        except _REFUSALS as exc:
+            report["failure"] = str(exc) or exc.__class__.__name__
+        _emit(report, as_json)
+        if "failure" in report or not report.get("passed", True):
+            sys.exit(1)
+    return run
 
 
 def _resonance_report(report, pair, tol, bound):
@@ -168,20 +183,14 @@ def main():
 @click.option("--tol", default=DEFAULT_TOL, show_default=True, type=float)
 @click.option("--bound", default=DEFAULT_BOUND, show_default=True, type=int)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
-def analyze(path, tol, bound, as_json):
+@_command
+def analyze(report, path, tol, bound):
     """Full pipeline on a configuration document: certification,
     holonomy eigen-data, resonances, cohomology dimensions."""
-    _check_options(tol, bound)
     m, vectors = _parse_config(_load_document(path))
-    report = {"input": path, "tol": tol, "bound": bound}
-    try:
-        pair = _certified_pair(Configuration(m, vectors), report)
-        regime = _resonance_report(report, pair, tol, bound)
-        report["group_dim"] = group_dim(regime)
-    except (NotLVMError, ValueError,
-            UnclassifiableResonancePattern) as exc:
-        _fail(report, str(exc) or exc.__class__.__name__, as_json)
-    _emit(report, as_json)
+    report.update(input=path, tol=tol, bound=bound)
+    pair = _certified_pair(Configuration(m, vectors), report)
+    report["group_dim"] = group_dim(_resonance_report(report, pair, tol, bound))
 
 
 @main.command()
@@ -189,23 +198,19 @@ def analyze(path, tol, bound, as_json):
 @click.option("--tol", default=DEFAULT_TOL, show_default=True, type=float)
 @click.option("--bound", default=DEFAULT_BOUND, show_default=True, type=int)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
-def resonances(path, tol, bound, as_json):
+@_command
+def resonances(report, path, tol, bound):
     """Resonance detection.  The document either holds a configuration
     (fields m, vectors) or raw eigen-data (field eigen_data: six
     [re, im] pairs in the order a1, a2, a3, b1, b2, b3)."""
-    _check_options(tol, bound)
     doc = _load_document(path)
-    report = {"input": path, "tol": tol, "bound": bound}
-    try:
-        if isinstance(doc, dict) and "eigen_data" in doc:
-            _parse_pairs(doc["eigen_data"], "eigen-data")
-            pair = pair_from_flat(doc["eigen_data"])
-        else:
-            pair = _certified_pair(Configuration(*_parse_config(doc)), {})
-        _resonance_report(report, pair, tol, bound)
-    except (ValueError, NotLVMError, UnclassifiableResonancePattern) as exc:
-        _fail(report, str(exc) or exc.__class__.__name__, as_json)
-    _emit(report, as_json)
+    report.update(input=path, tol=tol, bound=bound)
+    if isinstance(doc, dict) and "eigen_data" in doc:
+        _parse_pairs(doc["eigen_data"], "eigen-data")
+        pair = pair_from_flat(doc["eigen_data"])
+    else:
+        pair = _certified_pair(Configuration(*_parse_config(doc)), {})
+    _resonance_report(report, pair, tol, bound)
 
 
 # samples per array block of a suite, which bounds the memory a large
@@ -344,9 +349,7 @@ def _suite_gluing(seed, samples, tol, p, q):
 
 def _suite_developing(seed, samples):
     pair = holonomy_pair(_E1)
-    nr = ResonanceClass("NonResonant")
-    s12 = ResonanceClass("Single", p=1, q=2)
-    d1 = ResonanceClass("Double", p=1)
+    nr, s12, d1 = _REGIMES
     third = (1 + 1e-3, 1 - 2e-3, 1 + 1e-3j)
 
     def single(x1, x2, x3):
@@ -377,7 +380,7 @@ def _suite_developing(seed, samples):
 
 def _suite_action(seed):
     pair = holonomy_pair(_E1)
-    nr = ResonanceClass("NonResonant")
+    nr = _REGIMES[0]
     gen_pair = (GroupElement(nr, pair.alpha), GroupElement(nr, pair.beta))
     cert = fixed_point_certificate(gen_pair, window=10)
     # all multipliers on the unit circle with rational angles: f^3 fixes
@@ -403,9 +406,9 @@ def _suite_action(seed):
 @click.option("--p", default=1, show_default=True, type=int)
 @click.option("--q", default=2, show_default=True, type=click.IntRange(2))
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
-def verify(suite, seed, samples, tol, p, q, as_json):
+@_command
+def verify(report, suite, seed, samples, tol, p, q):
     """Run a seeded property suite and report the worst residual."""
-    _check_options(tol)
     wanted = ("group-laws", "gluing", "developing", "action") \
         if suite == "all" else (suite,)
     results = []
@@ -423,11 +426,8 @@ def verify(suite, seed, samples, tol, p, q, as_json):
             result = {"name": name, "passed": False,
                       "failure": "%s: %s" % (type(exc).__name__, exc)}
         results.append(result)
-    report = {"suite": suite, "seed": seed, "samples": samples, "tol": tol,
-              "results": results, "passed": all(r["passed"] for r in results)}
-    _emit(report, as_json)
-    if not report["passed"]:
-        sys.exit(1)
+    report.update(suite=suite, seed=seed, samples=samples, tol=tol,
+                  results=results, passed=all(r["passed"] for r in results))
 
 
 @main.command()
@@ -436,15 +436,16 @@ def verify(suite, seed, samples, tol, p, q, as_json):
 @click.option("--samples", default=100, show_default=True, type=click.IntRange(1))
 @click.option("--tol", default=1e-9, show_default=True, type=float)
 @click.option("--json", "as_json", is_flag=True, help="emit JSON")
-def deform(path, seed, samples, tol, as_json):
+@_command
+def deform(report, path, seed, samples, tol):
     """Project a deformed holonomy triple and verify the structure.
 
     The document holds a regime ({tag, p, q}), three generators as flat
     coefficient lists of [re, im] pairs (3, 4 or 1+4 coefficients per
     the regime), and, for the non-resonant regime, a base configuration
     under the key config."""
-    _check_options(tol)
     doc = _load_document(path)
+    report["input"] = path
     try:
         rdoc = doc["regime"]
         regime = ResonanceClass(rdoc["tag"], p=rdoc.get("p", 0),
@@ -464,29 +465,17 @@ def deform(path, seed, samples, tol, as_json):
         config = None
         if "config" in doc:
             config = Configuration(*_parse_config(doc["config"]))
-    except click.UsageError:
-        raise
     except (KeyError, TypeError) as exc:
         raise click.UsageError("malformed structure document: %s" % exc)
-    except ValueError as exc:
-        _fail({"input": path}, str(exc), as_json)
-    report = {"input": path, "seed": seed, "samples": samples, "tol": tol}
-    try:
-        spec = StructureSpec(gens, base_config=config)
-        result = check_structure(spec, samples=samples, tol=tol, seed=seed)
-    except _REFUSALS + (NotLVMError,) as exc:
-        _fail(report, str(exc) or exc.__class__.__name__, as_json)
-    report["regime"] = {"tag": regime.tag, "p": regime.p, "q": regime.q}
-    report["max_residual"] = result.max_residual
-    report["mean_residual"] = result.mean_residual
-    report["per_generator"] = [
-        {"generator": idx, "max": mx, "mean": mean}
-        for idx, mx, mean in result.per_generator]
-    report["complete"] = result.complete
-    report["passed"] = result.passed
-    _emit(report, as_json)
-    if not result.passed:
-        sys.exit(1)
+    report.update(seed=seed, samples=samples, tol=tol)
+    result = check_structure(StructureSpec(gens, base_config=config),
+                             samples=samples, tol=tol, seed=seed)
+    report.update(regime={"tag": regime.tag, "p": regime.p, "q": regime.q},
+                  max_residual=result.max_residual,
+                  mean_residual=result.mean_residual,
+                  per_generator=[{"generator": idx, "max": mx, "mean": mean}
+                                 for idx, mx, mean in result.per_generator],
+                  complete=result.complete, passed=result.passed)
 
 
 if __name__ == "__main__":

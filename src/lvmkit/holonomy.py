@@ -8,7 +8,6 @@ followed by exp(2*i*pi * .).
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -19,14 +18,10 @@ TWO_PI_I = 2j * np.pi
 
 @dataclass(frozen=True)
 class HolonomyPair:
-    """Eigen-data (alpha_1..3, beta_1..3) with the optional source matrix.
-
-    Synthetic instances (omega=None) are allowed so that downstream group
-    and resonance code can be exercised on hand-picked eigen-data.
-    """
+    """Eigen-data (alpha_1..3, beta_1..3), of a configuration or
+    hand-picked."""
     alpha: tuple
     beta: tuple
-    omega: Optional[np.ndarray] = None
 
     def __post_init__(self):
         a = tuple(complex(x) for x in self.alpha)
@@ -37,14 +32,6 @@ class HolonomyPair:
             raise ValueError("eigen-data entries must be nonzero")
         object.__setattr__(self, "alpha", a)
         object.__setattr__(self, "beta", b)
-        if self.omega is not None:
-            om = np.asarray(self.omega, dtype=complex)
-            if om.shape != (2, 2):
-                raise ValueError("omega must be 2x2")
-            if not _invertible(om[None])[0]:
-                raise ValueError("omega must be invertible")
-            om.setflags(write=False)
-            object.__setattr__(self, "omega", om)
 
     def flat(self):
         """Interchange order: alpha1..3 then beta1..3 as [re, im] pairs."""
@@ -92,16 +79,16 @@ def pairings(config):
 
 
 def holonomy_pair(config):
-    return _pair_from_pairings(*pairings(config))
+    return _pair_from_pairings(*pairings(config)[1:])
 
 
-def _pair_from_pairings(omega, u, w):
-    """The validated `HolonomyPair` of the pairings (Omega, u, w)."""
+def _pair_from_pairings(u, w):
+    """The validated `HolonomyPair` of the pairings (u, w)."""
     with np.errstate(all="ignore"):
         alpha, beta = ([np.exp(TWO_PI_I * x) for x in z] for z in (u, w))
     if not all(np.isfinite(alpha + beta)) or 0 in alpha + beta:
         raise ValueError("holonomy multipliers leave the float range")
-    pair = HolonomyPair(tuple(alpha), tuple(beta), omega)
+    pair = HolonomyPair(tuple(alpha), tuple(beta))
     violations = validate_holonomy(pair)
     if violations:
         raise ValueError("eigen-data violates structural constraints: %s"

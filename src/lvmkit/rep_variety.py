@@ -198,7 +198,7 @@ def psi_nonresonant(spec):
     c = np.array([_principal_c(g) for g in cgen.data])
 
     omega, u0, v0 = pairings(spec.base_config)
-    base = _pair_from_pairings(omega, u0, v0)
+    base = _pair_from_pairings(u0, v0)
     alpha0 = np.asarray(base.alpha)
     beta0 = np.asarray(base.beta)
 

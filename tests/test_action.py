@@ -119,6 +119,16 @@ class TestFixedPointCertificate:
         h = _word_element((f, g), r, s)
         assert np.max(np.abs(apply(h, w).array() - w.array())) < 1e-9
 
+    def test_single_witness_off_the_shear(self):
+        # f has scalar and third multiplier 1 but not the second: xi2 = 0
+        # removes the shear term, so (1, 0, 1) is fixed
+        f = GroupElement(S12, (1, 2, 1, 0.3))
+        g = GroupElement(S12, (2, 1.5, 3, 0.1))
+        cert = fixed_point_certificate((f, g), window=1)
+        assert cert.witness == ((-1, 0), PointV((1, 0, 1)))
+        h = _word_element((f, g), -1, 0)
+        assert apply(h, PointV((1, 0, 1))) == PointV((1, 0, 1))
+
     def test_double_regime_witness(self):
         f = GroupElement(D1, (1, np.array([[1.0, 0.0], [0.4, 0.7]])))
         g = GroupElement(D1, (2, np.diag([3.0, 5.0])))

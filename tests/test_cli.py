@@ -605,6 +605,78 @@ class TestRunOptions:
         assert "expected exactly three generators" in result.stderr
 
 
+# edge documents of every command's contract, as the text of the file;
+# the names in CONTRACT_CASES that are not documents are verify suites
+CONTRACT_DOCS = {name: json.dumps(doc) for name, doc in {
+    "empty": {},
+    "m-2.5": dict(E1_DOC, m=2.5),
+    "eigen-data-5": {"eigen_data": 5},
+    "unit-modulus": {"eigen_data": flat(np.exp(
+        2j * np.pi * np.random.default_rng(0).random(6)))},
+    "huge-eigen-data": {"eigen_data": [[1e308, 1e308]] * 6},
+    # six points with positive first coordinate: not Siegel
+    "half-space": {"m": 2, "vectors": [
+        [[1, 0], [0, 0]], [[1, 1], [0, 0]], [[1, 0], [1, 0]],
+        [[1, 0], [0, 1]], [[2, -1], [-1, -1]], [[1, 0.5], [-1, 1]]]},
+    "e1": E1_DOC,
+    "single-q2000": {"regime": {"tag": "Single", "p": 1, "q": 2000},
+                     "generators": [flat(g) for g in (
+                         (2, 0.6, 0.5, 0), (1 + 1j, 0.5j, -0.3 + 0.2j, 0),
+                         (1.01, 1.02, 0.97, 0))]},
+    "nonresonant-1e999": dict(TestDeform()._nonres_doc(), generators=[
+        [[float("inf"), 0], [1, 0], [1, 0]]] * 3),
+}.items()}
+CONTRACT_DOCS["nonresonant-1e999"] = \
+    CONTRACT_DOCS["nonresonant-1e999"].replace("Infinity", "1e999")
+CONTRACT_CASES = (
+    [(command, name, ["--bound", "24"] if command != "deform" else [])
+     for name in CONTRACT_DOCS
+     for command in ("analyze", "resonances", "deform")]
+    + [("analyze", "e1", ["--tol", "nan"]),
+       ("resonances", "e1", ["--bound", "-1"]),
+       ("deform", "single-q2000", ["--tol", "nan"]),
+       ("verify", "all", ["--tol", "nan"]),
+       ("verify", "gluing", ["--p", "2000"])])
+
+
+class TestContract:
+    """Every command answers an edge input with exit 0, 1 or 2 and no
+    traceback; on exit 0 or 1 it prints strict JSON, and it exits 1
+    exactly when the report holds a failure or "passed": false."""
+
+    def _run(self, runner, tmp_path, command, name, extra):
+        if name in CONTRACT_DOCS:
+            path = tmp_path / "doc.json"
+            path.write_text(CONTRACT_DOCS[name])
+            name = str(path)
+        result = runner.invoke(main, [command, name, "--json"] + extra)
+        assert result.exit_code in (0, 1, 2)
+        assert result.exception is None \
+            or isinstance(result.exception, SystemExit)
+        if result.exit_code != 2:
+            report = report_of(result)
+            assert (result.exit_code == 1) == (
+                "failure" in report or report.get("passed") is False)
+        return result
+
+    @pytest.mark.parametrize("command,name,extra", CONTRACT_CASES,
+                             ids=["-".join([c, n] + e)
+                                  for c, n, e in CONTRACT_CASES])
+    def test_exit_code_follows_report(self, runner, tmp_path, command, name,
+                                      extra):
+        self._run(runner, tmp_path, command, name, extra)
+
+    def test_unexpected_refusal_reported(self, runner, tmp_path,
+                                         monkeypatch):
+        # a library refusal no command names still leaves as a failure
+        def overflow(*args, **kwargs):
+            raise OverflowError("x")
+        monkeypatch.setattr(lvmkit.cli, "find_resonances", overflow)
+        result = self._run(runner, tmp_path, "analyze", "e1", [])
+        assert result.exit_code == 1
+        assert report_of(result)["failure"] == "x"
+
+
 # a report holding every kind of value the commands put in one
 ENCODED_REPORT = {
     "flag": np.bool_(True), "plain": False, "count": np.int64(-3),

@@ -327,6 +327,20 @@ class TestCheckCondition:
         rng = np.random.default_rng(7)
         assert check_condition(rand_T(rng), bound=9).bound == 9
 
+    def test_eigen_admissibility_refused(self):
+        # |alpha1| = |beta1| = 1 breaks a structural constraint of the
+        # eigen-data, and an S_p block whose beta2 reads 0 gives no
+        # eigen-data at all; the other clauses hold
+        t = FamilyPoint("T", np.diag([1j, 2, 0.5]), np.diag([-1, 1.3, 0.4]),
+                        lam=0)
+        s = FamilyPoint("S_p", np.diag([1.5, 2, 0.5]),
+                        np.array([[0.8, 0, 0], [0, 0, 1], [0, 1, 0]]), p=1)
+        for point, head in ((t, "modulus-ordering"),
+                            (s, "off-diagonal-balance")):
+            report = check_condition(point)
+            assert report.clause(head)
+            assert not report.clause("eigen-admissibility")
+
     @pytest.mark.parametrize("alpha1,beta1", [
         (1e-200, 0.5), (0.5, 1e-200), (1e200, 0.5), (0.5, 1e200)],
         ids=["alpha1-small", "beta1-small", "alpha1-large", "beta1-large"])

@@ -114,6 +114,16 @@ class TestHolonomyPair:
         assert again.alpha == pair.alpha and again.beta == pair.beta
 
 
+    def test_structural_violation_refused(self):
+        # Omega = I, so u_1, w_1 are the real entries of Lambda_4 and
+        # alpha_1, beta_1 both lie on the unit circle
+        config = Configuration(2, ((0, 0), (1, 0), (0, 1), (0.5, 0.25),
+                                   (0.3 + 0.2j, 0.1j), (1j, 0.7 + 0.5j)))
+        with pytest.raises(ValueError, match="^eigen-data violates structural "
+                           "constraints: component 1 has both multipliers on "
+                           "the unit circle$"):
+            holonomy_pair(config)
+
 class TestValidateHolonomy:
     def test_admissible(self):
         h = HolonomyPair((2, 0.5, 0.3), (3, 0.4j, 0.2))
@@ -140,15 +150,3 @@ class TestValidateHolonomy:
     def test_zero_entry_rejected(self):
         with pytest.raises(ValueError):
             HolonomyPair((0, 1, 1), (1, 1, 1))
-
-    def test_singular_omega_rejected(self):
-        with pytest.raises(ValueError):
-            HolonomyPair((2, 3, 4), (5, 6, 7), omega=np.ones((2, 2)))
-
-    def test_omega_products_out_of_range_accepted(self):
-        omega = np.array([[1, 2j], [3, 4]]) * 2.0 ** -600
-        assert HolonomyPair((2, 3, 4), (5, 6, 7), omega=omega).omega[0, 1] \
-            == omega[0, 1]
-        with pytest.raises(ValueError, match="omega must be invertible"):
-            HolonomyPair((2, 3, 4), (5, 6, 7),
-                         omega=2.0 ** 600 * np.ones((2, 2)))

@@ -143,6 +143,28 @@ class TestTangentDimension:
         assert tangent_gap((f, g), S12) >= 1e3
 
 
+    def test_generic_double_pair_finite_gap(self):
+        # the dropped singular value is rounding, not 0: a finite gap far
+        # above MIN_GAP, and no warning
+        f = GroupElement(D1, (2 + 0.5j, np.array([[1.3, 0.2], [0.1, 0.7 - 0.2j]])))
+        g = GroupElement(D1, (0.8, np.array([[0.5j, 0.3], [0.2, 1.1]])))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert tangent_dimension((f, g), D1) == 6
+        gap = tangent_gap((f, g), D1)
+        assert np.isfinite(gap) and gap >= 1e3
+
+    def test_ambiguous_rank_warned(self):
+        # g is 1e-8 from commuting with f: two singular values sit on
+        # either side of the 1e-8 cut, so the rank is ambiguous
+        f = GroupElement(D1, (2, np.array([[1.3, 0.5], [0, 2.6]])))
+        g = GroupElement(D1, (0.5, np.array([[0.9, 0], [1e-8, 0.45]])))
+        with pytest.warns(UserWarning, match="^RankAmbiguous: singular-value "
+                          "gap 2.27 below 10$"):
+            assert tangent_dimension((f, g), D1) == 7
+        assert 2 < tangent_gap((f, g), D1) < 3
+
+
 class TestPsiNonResonant:
     def setup_method(self):
         self.base = holonomy_pair(E1)
@@ -369,6 +391,13 @@ def test_scaling_solve_refusals(message, target, c):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NoConvergence, match="^%s$" % message):
             _solve_scaling(target, c)
+
+def test_scaling_solve_stops_on_a_negligible_step():
+    # Newton's last step from x = 0.01 is below 1e-14 and the solve stops
+    # on it, at the root 0.01^(1/1.1) of x^1.1 = 0.01
+    assert _solve_scaling(0.01, 0.1) == pytest.approx(0.01 ** (1 / 1.1),
+                                                      rel=1e-15)
+
 
 class TestPsiResonantSingle:
     def make_spec(self, cdiag, kappa=0.4):

@@ -494,6 +494,16 @@ class TestClassifyRegime:
         with pytest.raises(UnclassifiableResonancePattern):
             classify_regime(bad)
 
+    def test_two_resonances_of_unexpected_shape(self):
+        # neither has the shape of the Double pair (2, (-p, 0, 1)),
+        # (3, (p, 1, 0))
+        bad = [Resonance(j, p) for j, p in TRIVIAL] + [
+            Resonance(2, (1, 0, 1)), Resonance(3, (1, 2, 0))]
+        with pytest.raises(UnclassifiableResonancePattern,
+                           match="^two non-trivial resonances of unexpected "
+                                 "shape$"):
+            classify_regime(bad)
+
     def test_missing_trivial(self):
         with pytest.raises(UnclassifiableResonancePattern):
             classify_regime([Resonance(1, (1, 0, 0))])

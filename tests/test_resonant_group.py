@@ -511,6 +511,14 @@ class TestExpLog:
         assert x.data[3] == 0
 
 
+    def test_round_trip_refusal(self):
+        # eigenvalues -1 +- 1e-5 i straddle the cut, 1e3 times farther
+        # apart than the ill-conditioning refusal looks, but the shear 100
+        # makes the log lose 1e-3 of exp(log N) = N
+        n = np.array([[-0.99, 100], [-1.000001e-6, -1.01]])
+        with pytest.raises(BranchDomain, match="^matrix log round-trip failed$"):
+            group_log(twist(D1, 1.0, n))
+
 def _closed_form_error(fn, k):
     """A bound on the error the complex products of `_expm2` or `_logm2`
     (each within GAMMA = sqrt(5) u of exact) put on each matrix of the
