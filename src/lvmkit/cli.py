@@ -347,8 +347,7 @@ def _suite_gluing(seed, samples, tol, p, q):
             "max_residual": worst, "passed": worst <= tol}
 
 
-def _suite_developing(seed, samples):
-    pair = holonomy_pair(_E1)
+def _suite_developing(pair, seed, samples):
     nr, s12, d1 = _REGIMES
     third = (1 + 1e-3, 1 - 2e-3, 1 + 1e-3j)
 
@@ -378,8 +377,7 @@ def _suite_developing(seed, samples):
             "max_residual": worst, "passed": worst <= 1e-9}
 
 
-def _suite_action(seed):
-    pair = holonomy_pair(_E1)
+def _suite_action(pair, seed):
     nr = _REGIMES[0]
     gen_pair = (GroupElement(nr, pair.alpha), GroupElement(nr, pair.beta))
     cert = fixed_point_certificate(gen_pair, window=10)
@@ -411,6 +409,7 @@ def verify(report, suite, seed, samples, tol, p, q):
     """Run a seeded property suite and report the worst residual."""
     wanted = ("group-laws", "gluing", "developing", "action") \
         if suite == "all" else (suite,)
+    pair = holonomy_pair(_E1) if {"developing", "action"} & set(wanted) else None
     results = []
     for name in wanted:
         try:
@@ -419,9 +418,9 @@ def verify(report, suite, seed, samples, tol, p, q):
             elif name == "gluing":
                 result = _suite_gluing(seed, samples, tol, p, q)
             elif name == "developing":
-                result = _suite_developing(seed, min(samples, 100))
+                result = _suite_developing(pair, seed, min(samples, 100))
             else:
-                result = _suite_action(seed)
+                result = _suite_action(pair, seed)
         except _REFUSALS as exc:
             result = {"name": name, "passed": False,
                       "failure": "%s: %s" % (type(exc).__name__, exc)}

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .holonomy import TWO_PI_I
-from .rep_variety import (StructureSpec, _principal_c, psi_case,
-                          psi_nonresonant, psi_resonant)
+from .rep_variety import (StructureSpec, _principal_c, _psi_resonant,
+                          psi_case, psi_nonresonant)
 from .resonant_group import (_expm2, _points_ok, _power, _to_point,
-                             apply_many, group_log, identity, replay)
+                             apply_many, identity, replay)
 
 # cover points per array block, which bounds the memory a large sample
 # count takes
@@ -58,15 +58,10 @@ def build_structure(spec):
         c = tuple(_principal_c(g) for g in spec.generators[2].data)
         dev = DevMap(regime, "canonical-form", c)
         return DevStructure(spec, pair, shifts, dev, tail)
-    pair, shifts = psi_resonant(spec)
-    case = psi_case(spec)
-    if case == "affine":
-        x = group_log(spec.generators[2])
-        dev = DevMap(regime, "affine", (x,))
-    else:
-        gamma, c1, c4, c3 = spec.generators[2].data
-        dev = DevMap(regime, case, (gamma, c1, c4, c3))
-    return DevStructure(spec, pair, shifts, dev, None)
+    pair, shifts, x = _psi_resonant(spec)
+    case = psi_case(spec)  # an affine map takes the log of C, the others C
+    params = (x,) if case == "affine" else spec.generators[2].data
+    return DevStructure(spec, pair, shifts, DevMap(regime, case, params), None)
 
 
 def dev_eval(d, w):

@@ -32,7 +32,7 @@ import numpy as np
 
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
 from .resonance import (DEFAULT_BOUND, ResonanceClass, _is_integer,
-                        _power_residual, _screened)
+                        _log_residual, _power_residual, _screened)
 from .resonant_group import (IllConditioned, _invertible, _null_vector,
                              _overflow, _points_ok, _power, _to_point,
                              _twisted_roots, apply_many, compose_many,
@@ -171,14 +171,14 @@ def _no_clash_window(a1, a2, a3, bound, tol, excluded=None):
     """True iff a3 != a1^r a2^s for every (r, s) in the window, s >= 1.
 
     The window is screened as the resonance search screens its box, with
-    j = 3 and p3 = 0; the screened words are then decided by one array
-    residual call.
+    j = 3 and p3 = 0; the screened words, if any, are decided by one array
+    residual call on the same logs.
     """
-    logs = [np.log(np.array([a1, a2, a3], dtype=complex))]
-    words = [w for w in _screened(logs, (3,), np.arange(1, bound + 1),
-                                  np.zeros(1, int), tol, bound)[:, 1:3].tolist()
-             if tuple(w) != excluded]
-    return not (words and (_power_residual((a1, a2), a3, words) <= tol).any())
+    lg = np.log(np.array([[a1, a2, a3]], dtype=complex))
+    words = _screened(lg, (3,), np.arange(1, bound + 1), np.zeros(1, int), tol,
+                      bound)[:, 1:3]
+    words = words if excluded is None else words[(words != excluded).any(1)]
+    return not (len(words) and (_log_residual(lg[0, :2], lg[0, 2], words) <= tol).any())
 
 
 @dataclass(frozen=True)

@@ -261,7 +261,7 @@ def _solve_scaling(target, c):
         x = trial
         if np.max(np.abs(x - target)) > REJECTION_RADIUS:
             raise NoConvergence("iterate left the branch-anchor neighborhood")
-        if t * np.max(np.abs(step)) < 1e-14:
+        if t * np.max(np.abs(step)) < 1e-14 * np.max(np.abs(x)):
             return x[0]
     raise NoConvergence("Newton did not converge in 50 iterations")
 
@@ -272,6 +272,11 @@ def psi_resonant(spec):
     Returns ((A_rho, B_rho), (s1, s2)) with the deck translation lengths
     s1 = Log(delta)/2i pi, s2 = Log(eta)/2i pi.
     """
+    return _psi_resonant(spec)[:2]
+
+
+def _psi_resonant(spec):
+    """`psi_resonant`, and the group log of C (Double) or None (Single)."""
     regime = spec.regime
     if regime.tag not in ("Single", "Double"):
         raise ValueError("psi_resonant needs a resonant regime")
@@ -285,7 +290,7 @@ def psi_resonant(spec):
         x = group_log(cgen)
         a_rho = compose(inverse(group_exp(x.scaled(s1))), a)
         b_rho = compose(inverse(group_exp(x.scaled(s2))), b)
-        return (a_rho, b_rho), (s1, s2)
+        return (a_rho, b_rho), (s1, s2), x
 
     p, q = regime.p, regime.q
     _, a1, a4, a3 = a.data
@@ -296,18 +301,15 @@ def psi_resonant(spec):
     e1 = b1 * np.exp(-s2 * np.log(c1))
     e4 = b4 * np.exp(-s2 * np.log(c4))
 
+    d3 = e3 = 0
     if psi_case(spec) == "degenerate":
         if c4 != gamma ** p * c1 ** q:
             warnings.warn("case boundary: treating c4 = gamma^p c1^q "
                           "as the degenerate branch")
         d3 = a3 * (d4 / a4) - (c3 / c4) * s1 * delta ** p * d1 ** q
         e3 = b3 * (e4 / b4) - (c3 / c4) * s2 * eta ** p * e1 ** q
-        a_rho = GroupElement(regime, (delta, d1, d4, d3))
-        b_rho = GroupElement(regime, (eta, e1, e4, e3))
-    else:
-        a_rho = GroupElement(regime, (delta, d1, d4, 0))
-        b_rho = GroupElement(regime, (eta, e1, e4, 0))
-    return (a_rho, b_rho), (s1, s2)
+    return (GroupElement(regime, (delta, d1, d4, d3)),
+            GroupElement(regime, (eta, e1, e4, e3))), (s1, s2), None
 
 
 def psi_case(spec):

@@ -23,6 +23,7 @@ NEAR_SHOWN = 5
 COEFF_DROP = 1e-15
 
 EJ = {1: (1, 0, 0), 2: (0, 1, 0), 3: (0, 0, 1)}
+TRIVIAL = np.array([(j, *p) for j, p in EJ.items()])  # as rows (j, p1, p2, p3)
 
 
 class UnclassifiableResonancePattern(Exception):
@@ -37,7 +38,7 @@ class Resonance:
     def __post_init__(self):
         if self.j not in (1, 2, 3):
             raise ValueError("component index must be 1, 2 or 3")
-        p = tuple(int(x) for x in self.p)
+        p = tuple(map(int, self.p))
         if len(p) != 3 or p[1] < 0 or p[2] < 0:
             raise ValueError("exponent must lie in Z x N x N")
         object.__setattr__(self, "p", p)
@@ -75,11 +76,11 @@ class ResonanceClass:
             raise ValueError("Single regime requires q >= 2")
 
 
-def _power_residual(values, target, p):
-    """|target * values^{-p} - 1| through logs, for values (..., k), targets
-    (...) and exponents (..., k) broadcast together, in the scalar order."""
-    lv, w = np.log(np.asarray(values, complex)), np.log(np.asarray(target, complex))
-    terms = np.asarray(p) * lv
+def _log_residual(lv, w, p):
+    """|exp(w - p . lv) - 1| for logs lv (..., k) of the values, logs w (...)
+    of the targets and exponents p (..., k) broadcast together: the residual
+    of target = values^p, in the scalar order."""
+    terms = p * lv
     for k in range(lv.shape[-1]):
         w = w - terms[..., k]  # w = -z, z = -log(target) + sum p_k log(values_k)
     # the residual of target = values^p is |exp(-z) - 1|, moduli by hypot as a
@@ -89,32 +90,43 @@ def _power_residual(values, target, p):
         return np.where(w.real > 60, np.inf, np.hypot(d.real, d.imag))
 
 
+def _power_residual(values, target, p):
+    """|target * values^{-p} - 1|, by `_log_residual` of their logs."""
+    return _log_residual(np.log(np.asarray(values, complex)),
+                         np.log(np.asarray(target, complex)), np.asarray(p))
+
+
 def _screen_bound(tol):
     if tol >= 1:
         raise ValueError("tol must be below 1, got %r" % (tol,))
     return max(1e-3, -2 * np.log1p(-tol))
 
 
-def _log_screen(z, tol):
+def _log_screen(z, thr):
     """Mask of the log-residuals z that may meet |exp(-z) - 1| <= tol.
 
-    A necessary condition, never a verdict.  A residual t <= tol < 1
-    bounds the principal log w of exp(-z) by |w| <= -log(1 - t), and
-    |Re w| + |Im w| <= sqrt(2) |w| stays below twice that bound with room
-    for rounding.  The 1e-3 floor keeps near-resonances (up to 10 tol,
-    warned about) among the candidates at small tol.  From tol = 1 on,
-    the residual admits ratios near 0, whose logs no screen bounds.
+    A necessary condition, never a verdict, at thr = _screen_bound(tol): a
+    residual t <= tol < 1 bounds the principal log w of exp(-z) by
+    |w| <= -log(1 - t), and |Re w| + |Im w| <= sqrt(2) |w| stays below
+    twice that bound with room for rounding.  The 1e-3 floor keeps
+    near-resonances (up to 10 tol, warned about) among the candidates at
+    small tol.  From tol = 1 on, the residual admits ratios near 0, whose
+    logs no screen bounds.
     """
     wrapped = np.remainder(z.imag + np.pi, 2 * np.pi) - np.pi
-    return np.abs(z.real) + np.abs(wrapped) < _screen_bound(tol)
+    return abs(z.real) + abs(wrapped) < thr
+
+
+def _resonant(lg, rows, tol):
+    """Whether rows (j, p1, p2, p3) resonate for logs lg of (alpha, beta); residuals."""
+    ra, rb = _log_residual(lg[:, None], lg.take(rows[:, 0] - 1, 1), rows[:, 1:])
+    residual = np.where(rb > ra, rb, ra)  # Python's max(ra, rb), nan included
+    return residual <= tol, residual
 
 
 def _is_resonance(h, rows, tol):
-    """Whether each row (j, p1, p2, p3) is a resonance of h; its residual."""
-    v = np.array([h.alpha, h.beta])
-    ra, rb = _power_residual(v[:, None], v[:, rows[:, 0] - 1], rows[:, 1:])
-    residual = np.where(rb > ra, rb, ra)  # Python's max(ra, rb), nan included
-    return residual <= tol, residual
+    """`_resonant` for the eigen-data of h."""
+    return _resonant(np.log(np.array([h.alpha, h.beta])), rows, tol)
 
 
 def _window(ra, rb, ea, eb, js, p2s, p3s):
@@ -128,8 +140,8 @@ def _window(ra, rb, ea, eb, js, p2s, p3s):
         return None
     # W p3 from mid - r / |a| - 1 hold all up to mid + r / |a| + 1; mid = -b / a
     # with b = p2 (rb0 ra1 - ra0 rb1) - (rb0 raj - ra0 rbj)
-    low = np.add.outer([(rb[0] * ra[j - 1] - ra[0] * rb[j - 1]) / a for j in js],
-                       p2s * ((ra[0] * rb[1] - rb[0] * ra[1]) / a)) - (width - 1) / 2
+    low = np.add.outer([(rb[0] * ra[j - 1] - ra[0] * rb[j - 1]) / a - (width - 1) / 2
+                        for j in js], p2s * ((ra[0] * rb[1] - rb[0] * ra[1]) / a))
     start = np.minimum(p3s.searchsorted(low), len(p3s) - int(width))
     return start[..., None] + np.arange(int(width))
 
@@ -139,12 +151,12 @@ def _on_circle(points, centres, half, period):
     centre, each point once: from the sorted points, three times around."""
     points = np.remainder(points, period)
     order = np.argsort(points, kind="stable")
-    ring = np.concatenate([points[order] + s for s in (-period, 0, period)])
+    ring = (points[order] + np.array([[-period], [0], [period]])).ravel()
     centres = np.remainder(centres, period)
     start = ring.searchsorted(centres - half)
     count = np.minimum(ring.searchsorted(centres + half, "right") - start, len(points))
-    offset = np.repeat(start + count - np.cumsum(count), count) + np.arange(count.sum())
-    return np.repeat(np.arange(len(start)), count), np.concatenate([order] * 3)[offset]
+    owner, step = np.nonzero(np.arange(count.max(initial=0)) < count[:, None])
+    return owner, order[(start[owner] + step) % len(points)]
 
 
 def _screened(logs, js, p2s, p3s, tol, bound):
@@ -152,78 +164,71 @@ def _screened(logs, js, p2s, p3s, tol, bound):
     in [0, bound]) that pass `_log_screen` for every triple of logs, as a
     whole-box scan would, from the same sums.  Cells (j, p2, p3): `_window`'s,
     else those a thin slab holds a p1 of (by the fractional part of
-    p3 r2 / r0), else all; p1: the exact slab intervals, else the phases
-    p1 theta1 near the cell's, modulo 2 pi (all moduli 1, say)."""
+    p3 r2 / r0), else all; p1: the slab intervals, else the phases p1 theta1
+    near the cell's, modulo 2 pi (all moduli 1, say).  Each step is a few
+    array operations on all triples' cells, then on the rows they leave."""
     thr, lg = _screen_bound(tol), np.array(logs)  # lg[k]: the k-th triple
-    t1 = np.arange(-bound, bound + 1.0) * lg[:, :1]
-    t2, t3 = p2s * lg[:, 1:2], p3s * lg[:, 2:]
     rs = lg.real.tolist()
     parts = [(bound * sum(map(abs, r)), max(map(abs, r))) for r in rs]
     # |Re z| < thr is a p1 interval, a slab, found with room far above the
-    # rounding of z; a triple whose |Re z| <= thr on the whole box has none
+    # rounding of z; a triple whose |Re z| <= thr on the whole box has none,
+    # nor one with r0 = 0, which bounds no p1
     edges = [thr + 1e-12 * (thr + s + m) for s, m in parts]
-    slabs = [k for k, p in enumerate(parts) if sum(p) > thr]
-    half, k = min(((edges[k] / abs(rs[k][0]), k) for k in slabs if rs[k][0]),
-                  default=(np.inf, 0))
-    # rows (j, p2), j-major: their t2 and log of component j
-    u2 = np.concatenate([t2] * len(js), axis=1)
-    lj, n3 = lg[:, [j - 1 for j in js]].repeat(len(p2s), axis=1), len(p3s)
+    slabs = [k for k, p in enumerate(parts) if sum(p) > thr and rs[k][0]]
+    widths = [edges[k] / abs(rs[k][0]) for k in slabs]
+    half, k = min(zip(widths, slabs), default=(np.inf, 0))
     band = _window(*rs, *edges, js, p2s, p3s) if len(rs) == 2 else None
     # room for the rounding of the fractions and of their window's ends,
     # below 5 ulp of (s + m) / |r0| and 7 ulp of 1
     half += 2.0 ** -50 * (1 + sum(parts[k]) / abs(rs[k][0])) if half < np.inf else 0
+    r, jx, n2, n3 = lg.real, [j - 1 for j in js], len(p2s), len(p3s)
     with np.errstate(all="ignore"):  # r0 may be 0, logs infinite
+        # q = lead - t3: lead = (r_j - p2 r1) / r0 per row (j, p2), j-major
+        lead = ((r.take(jx, 1)[:, :, None] - p2s * r[:, 1:2, None])
+                / r[:, :1, None]).reshape(len(r), len(js) * n2)
+        t3 = p3s * r[:, 2:] / r[:, :1]
         if band is not None:
-            cells = np.arange(len(lj[0])).repeat(band.shape[-1]), band.ravel()
+            row, i3 = np.arange(len(js) * n2).repeat(band.shape[-1]), band.ravel()
         elif 2 * (2 * half * n3 + 3) <= n3:  # three gaps: at most W per row
-            cells = _on_circle(t3[k].real / rs[k][0],
-                               (lj[k].real - u2[k].real) / rs[k][0], half, 1)
+            row, i3 = _on_circle(t3[k], lead[k], half, 1)
         else:
-            cells = np.divmod(np.arange(len(lj[0]) * n3), n3)
-        row, i3 = cells
-        if 2 * half < 1:  # a slab interval holds one p1 at most
-            lo = np.full(len(row), -bound, dtype=float)
-            hi = -lo
-            for k in slabs:
-                c = u2[k].real[row] + t3[k].real[i3] - lj[k].real[row]
-                ends = ((-edges[k] - c) / rs[k][0], (edges[k] - c) / rs[k][0])
-                lo = np.maximum(lo, np.ceil(np.fmin(*ends)))
-                hi = np.minimum(hi, np.floor(np.fmax(*ends)))
-            cell = np.flatnonzero(lo <= hi)
-            i1 = lo[cell].astype(int) + bound
-        else:  # room for the rounding of z's terms, of the phases and of their
-            # window's ends, below 10 ulp of b sum|theta| + max|theta| + 2 pi
-            theta = np.abs(lg[0].imag).tolist()
+            row, i3 = np.divmod(np.arange(len(js) * n2 * n3), n3)
+        h = np.array(widths)[:, None]  # the cells whose slab intervals hold a p1
+        q = lead[slabs].take(row, 1) - t3[slabs].take(i3, 1)
+        hi = np.floor((q + h).min(0, initial=bound))
+        cell = (hi >= (q - h).max(0, initial=-bound)).nonzero()[0]
+        row, i3, p1 = row[cell], i3[cell], hi[cell].astype(int)
+        if 2 * half >= 1:  # p1 by phase; room for the rounding of z's terms, the
+            # phases and the window's ends, below 10 ulp of b sum|t| + max|t| + 2 pi
+            t, theta = lg[0].imag, np.abs(lg[0].imag).tolist()
             reach = thr + 2.0 ** -48 * (bound * sum(theta) + max(theta) + 2 * np.pi)
-            cell, i1 = _on_circle(t1[0].imag, lj[0].imag[row] - (
-                u2[0].imag[row] + t3[0].imag[i3]), reach, 2 * np.pi)
-    row, i3 = row[cell], i3[cell]
-    for k in range(len(rs)):
-        keep = _log_screen((t1[k, i1] + u2[k, row]) + t3[k, i3] - lj[k, row], tol)
-        i1, row, i3 = i1[keep], row[keep], i3[keep]
-    j, i2 = np.divmod(row, len(p2s))
-    return np.stack([np.asarray(js)[j], i1 - bound, p2s[i2], p3s[i3]], axis=1)
+            lj, u2 = t[jx].repeat(n2), np.tile(p2s * t[1], len(js))  # per row (j, p2)
+            cell, i1 = _on_circle(np.arange(-bound, bound + 1) * t[0], lj[row] - (
+                u2[row] + (p3s * t[2])[i3]), reach, 2 * np.pi)
+            row, i3, p1 = row[cell], i3[cell], i1 - bound
+        if not len(row):
+            return np.zeros((0, 4), int)
+        j, i2 = np.divmod(row, n2)
+        rows = np.array([np.asarray(js)[j], p1, p2s[i2], p3s[i3]]).T
+        z = rows.T[1:, :, None] * lg.T[:, None]  # z[k]: p_k log_k, per row and triple
+        z = ((z[0] + z[1]) + z[2]) - lg.T[rows[:, 0] - 1]
+        return rows[_log_screen(z, thr).all(1)]
 
 
 def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
     """All resonances of h with |p1| <= bound, 0 <= p2, p3 <= bound.
 
-    One pruned search of the box.  The log screen passes z only if the
-    rounded sum |Re z| + |wrapped Im z| is below its threshold, so only if
-    |Re z| is: for alpha and for beta, a slab around the log-modulus
-    constraint, a few p1 per (p2, p3) when the moduli are generic, and a
-    few p3 per (j, p2) where p1 can lie in both, or in one side's thin
-    slab; and only if |wrapped Im z| is, a few p1 per cell by phase where
-    no slab pins p1 (all six moduli 1).  The candidates are those of a
-    whole-box scan; one array call of the power residual decides them and
-    the trivial ones, and the undecided within 10 tol are warned about, by
-    their count and the NEAR_SHOWN closest.
+    `_screened` gives the candidates of a whole-box scan, from thin slabs
+    around the log-modulus constraints or by phase (all six moduli 1).  One
+    array call of the power residual decides them and the trivial rows on
+    the logs of h taken once; the undecided within 10 tol are warned about,
+    by their count and the NEAR_SHOWN closest.  A call is a fixed count of
+    array operations whose size is that of the cells and candidates.
     """
-    logs = [np.log(np.asarray(v, dtype=complex)) for v in (h.alpha, h.beta)]
+    lg = np.log(np.array([h.alpha, h.beta]))
     box = np.arange(bound + 1)
-    rows = np.concatenate([[(j, *p) for j, p in EJ.items()],
-                           _screened(logs, (1, 2, 3), box, box, tol, bound)])
-    ok, residual = _is_resonance(h, rows, tol)
+    rows = np.concatenate([TRIVIAL, _screened(lg, (1, 2, 3), box, box, tol, bound)])
+    ok, residual = _resonant(lg, rows, tol)
     near = ~ok & (residual <= 10 * tol)
     if near.any():
         shown = np.lexsort((*rows[near].T[::-1], residual[near]))[:NEAR_SHOWN]
@@ -231,10 +236,8 @@ def find_resonances(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
                       "closest %s" % (near.sum(), ", ".join(
                           "(%d, %s) residual %.2e" % (j, tuple(p), r) for (j, *p), r
                           in zip(rows[near][shown].tolist(), residual[near][shown]))))
-    found = rows[ok]
-    # a trivial row, also screened, is the only one that can come twice
-    return [Resonance(j, p) for j, *p in dict.fromkeys(
-        map(tuple, found[np.lexsort(found.T[::-1])].tolist()))]
+    # sorted as (j, p1, p2, p3); a trivial row, also screened, can come twice
+    return [Resonance(j, p) for j, *p in sorted(set(map(tuple, rows[ok].tolist())))]
 
 
 def classify_regime(resonances):

@@ -15,7 +15,8 @@ must pass exactly the exponents they pass.
 
 import numpy as np
 
-from lvmkit.resonance import DEFAULT_BOUND, DEFAULT_TOL, Resonance, _log_screen
+from lvmkit.resonance import (DEFAULT_BOUND, DEFAULT_TOL, Resonance, _log_screen,
+                              _screen_bound)
 
 
 def power_residual(values, target, p):
@@ -73,11 +74,11 @@ def box_screen(h, tol=DEFAULT_TOL, bound=DEFAULT_BOUND):
             p3s[None, None, :] * 1.0)
     za = grid[0] * log_alpha[0] + grid[1] * log_alpha[1] + grid[2] * log_alpha[2]
     zb = grid[0] * log_beta[0] + grid[1] * log_beta[1] + grid[2] * log_beta[2]
-    candidates = set()
+    candidates, thr = set(), _screen_bound(tol)
     for j in (1, 2, 3):
         da = za - log_alpha[j - 1]
         db = zb - log_beta[j - 1]
-        hits = np.argwhere(_log_screen(da, tol) & _log_screen(db, tol))
+        hits = np.argwhere(_log_screen(da, thr) & _log_screen(db, thr))
         for i1, i2, i3 in hits:
             candidates.add((j, (int(p1s[i1]), int(p2s[i2]), int(p3s[i3]))))
     return candidates
@@ -91,4 +92,4 @@ def window_screen(a1, a2, a3, bound, tol):
     s = np.arange(1, bound + 1)[None, :]
     z = r * np.log(complex(a1)) + s * np.log(complex(a2)) - np.log(complex(a3))
     return {(int(r[i, 0]), int(s[0, k]))
-            for i, k in np.argwhere(_log_screen(z, tol))}
+            for i, k in np.argwhere(_log_screen(z, _screen_bound(tol)))}

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from lvmkit import family_gluing
 from lvmkit.config_geometry import Configuration
 from lvmkit.holonomy import holonomy_pair
-from lvmkit.resonance import ResonanceClass, _screen_bound, _screened
+from lvmkit.resonance import DEFAULT_BOUND, ResonanceClass, _screen_bound, _screened
 from lvmkit.resonant_group import (GroupElement, IllConditioned, PointV,
                                    p_eigenvalues, triangularize)
 from lvmkit.family_gluing import (
@@ -457,6 +457,26 @@ class TestNoClashWindow:
         verdict, words = self.screened_words(a1, a2, a3, bound, tol, excluded)
         assert words == window_screen(a1, a2, a3, bound, tol)
         assert verdict == no_clash_screened(a1, a2, a3, bound, tol, excluded)
+
+    @pytest.mark.parametrize("moduli", ["generic", "unit_a1", "unit_a2"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_screens_the_whole_window_at_chart_bound(self, seed, moduli):
+        # at the bound the chart conditions are checked with by default,
+        # 64, with moduli as the benchmark's chart points have them
+        # (|a2| > |a3|): a1 off the unit circle (the slab intervals) or on
+        # it (the phases); seeds 1 and 3 plant a relation a3 = a1^r a2^s
+        rng = np.random.default_rng([64, seed])
+        logs = rng.uniform(-0.6, 0.6, size=3)
+        logs[1:] = logs[1] + 0.2, logs[2] - 0.2
+        logs[{"generic": [], "unit_a1": [0], "unit_a2": [1]}[moduli]] = 0
+        a1, a2, a3 = np.exp(logs + 2j * np.pi * rng.uniform(size=3))
+        word = (int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+        if seed % 2:
+            a3 = a1 ** word[0] * a2 ** word[1]
+        tol = 10 ** rng.uniform(-12, -6)
+        verdict, words = self.screened_words(a1, a2, a3, DEFAULT_BOUND, tol, None)
+        assert words == window_screen(a1, a2, a3, DEFAULT_BOUND, tol)
+        assert verdict == no_clash_screened(a1, a2, a3, DEFAULT_BOUND, tol)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))

@@ -393,10 +393,19 @@ def test_scaling_solve_refusals(message, target, c):
             _solve_scaling(target, c)
 
 def test_scaling_solve_stops_on_a_negligible_step():
-    # Newton's last step from x = 0.01 is below 1e-14 and the solve stops
-    # on it, at the root 0.01^(1/1.1) of x^1.1 = 0.01
+    # Newton's last step from x = 0.01 is below 1e-14 of the iterate and
+    # the solve stops on it, at the root 0.01^(1/1.1) of x^1.1 = 0.01
     assert _solve_scaling(0.01, 0.1) == pytest.approx(0.01 ** (1 / 1.1),
                                                       rel=1e-15)
+
+
+@pytest.mark.parametrize("target,c", [(1e-20, 0.01), (1e-16, 0.1)])
+def test_scaling_solve_reaches_a_tiny_root(target, c):
+    # every step from x = target is below 1e-14 in absolute terms; an
+    # exit on that stopped after one or two steps, 9e-4 and 27% off the
+    # root target^(1/(1+c)), where the exit relative to x runs on to it
+    root = target ** (1 / (1 + c))
+    assert abs(_solve_scaling(target, c) - root) <= 1e-12 * root
 
 
 class TestPsiResonantSingle:

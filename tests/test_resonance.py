@@ -7,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from lvmkit.holonomy import HolonomyPair
 from lvmkit.resonance import (
+    DEFAULT_BOUND,
     NEAR_SHOWN,
     Resonance,
     ResonanceClass,
@@ -339,6 +340,28 @@ class TestFindResonances:
             u = np.exp(2j * np.pi * rng.uniform(size=6))
             h = HolonomyPair(tuple(u[:3]), tuple(u[3:]))
             assert screened_box(h, tol, 6) == box_screen(h, tol, 6)
+
+    @pytest.mark.parametrize("moduli", ["generic", "unit_modulus", "all_unit"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_screen_equals_whole_box_at_default_bound(self, seed, moduli):
+        # at the bound the CLI searches by default, 64, drawn as the
+        # benchmark draws its eigen-data: generic moduli (the (p2, p3)
+        # window), alpha_1 and alpha_2 scaled onto the unit circle (the
+        # window, or the fractional-part window where a relation is
+        # planted) and all six on it (the phases); seeds 1 and 3 plant a
+        # Double and a Single relation
+        rng = np.random.default_rng([64, seed])
+        vals = rng.uniform(0.5, 2, size=6) * np.exp(2j * np.pi * rng.uniform(size=6))
+        if moduli == "unit_modulus":
+            vals[:2] /= abs(vals[:2])
+        elif moduli == "all_unit":
+            vals /= abs(vals)
+        if seed % 2:
+            p, q = int(rng.integers(-3, 4)), 1 + seed // 2
+            vals[2], vals[5] = vals[0] ** p * vals[1] ** q, vals[3] ** p * vals[4] ** q
+        h = HolonomyPair(tuple(vals[:3]), tuple(vals[3:]))
+        tol = 10 ** rng.uniform(-12, -6)
+        assert screened_box(h, tol, DEFAULT_BOUND) == box_screen(h, tol, DEFAULT_BOUND)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))

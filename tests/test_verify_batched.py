@@ -913,7 +913,7 @@ class TestSuites:
         with pytest.MonkeyPatch.context() as mp:
             if fault:
                 oracle.inject_fault(mp)
-            got = cli._suite_developing(seed, samples)
+            got = cli._suite_developing(cli.holonomy_pair(cli._E1), seed, samples)
         want = oracle.oracle_developing(seed, samples, fault)
         err = max(_structure_errors(spec, samples, seed).max()
                   for spec in _developing_specs(fault))
