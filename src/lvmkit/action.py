@@ -317,6 +317,6 @@ def properness_probe(pair, compact_radius=ANNULUS_RADIUS, horizon=20,
             hit = first < samples
             words += zip(rc[hit].tolist(), sc[hit].tolist())
             returns += first[hit].tolist()
-    pts = [PointV(xi) for xi in x.tolist()] if words else []
+    pts = {k: PointV(x[k].tolist()) for k in set(returns)}
     return PropernessReport(horizon, compact_radius, samples, seed, tuple(
         zip(words, map(pts.__getitem__, returns))))

@@ -12,6 +12,12 @@ Four commands:
 * ``deform``     -- project a deformed holonomy triple and verify the
                     induced structure.
 
+Importing this module loads the layers ``analyze`` and ``resonances``
+run: config_geometry, holonomy, resonance and resonant_group.  The rest
+load when a command that needs them runs: the gluing suite loads
+family_gluing and rep_variety, the developing suite and ``deform`` load
+developing and rep_variety, and the action suite loads action.
+
 Each command builds a report; one wrapper, ``_command``, checks its
 options, turns a library refusal into the report's ``failure``, prints
 the report and sets the exit code: 0 on success, 1 when the report holds
@@ -35,15 +41,9 @@ from .resonance import (DEFAULT_BOUND, DEFAULT_TOL, MAX_BOUND,
                         ResonanceClass, UnclassifiableResonancePattern,
                         classify_regime, cohomology_dims, find_resonances)
 from .resonant_group import (BranchDomain, GroupElement, IllConditioned,
-                             _power, apply_many, compose_many,
-                             element_from_params, group_dim, identity,
-                             inverse_many)
-from .rep_variety import NoConvergence, StructureSpec
-from .developing import check_structure
-from .action import fixed_point_certificate, properness_probe
-from .family_gluing import (NotInImage, _diagonal, family_action_many,
-                            glue_phi_pq_many, glue_psi_p_many,
-                            invert_psi_p_many)
+                             NoConvergence, NotInImage, _power, apply_many,
+                             compose_many, element_from_params, group_dim,
+                             identity, inverse_many)
 
 VERIFY_TOL = 1e-10
 # the library's refusals of an input, which fail a report or a verify suite
@@ -78,9 +78,9 @@ def _check_options(tol, bound=None):
 
 def _load_document(path):
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise click.UsageError("cannot read %s: %s" % (path, exc))
     except json.JSONDecodeError as exc:
         raise click.UsageError("parse error in %s at line %d column %d: %s"
@@ -295,6 +295,7 @@ def _random_charts(z, p=0, q=1):
     draws per row: matrices (N, 3, 3) and lambdas (N,).  The second shear
     entry solves the shear-compatibility clause (T is the case p = 0,
     q = 1)."""
+    from .family_gluing import _diagonal
     c = z * [0.2, 0.2, 0.1, 0.2, 0.2, 0.1, 0.3, 0.5]
     a = c[:, :3] + [1.5, 2.0, 0.5]
     b = c[:, 3:6] + [0.8, 1.3, 0.4]
@@ -309,6 +310,8 @@ def _random_charts(z, p=0, q=1):
 def _gluing(p, q, z):
     """The worst residual of the equivariance and the round trip of psi_p
     and phi_pq over the samples drawn as z."""
+    from .family_gluing import (family_action_many, glue_phi_pq_many,
+                                glue_psi_p_many, invert_psi_p_many)
     def diff(*pairs):
         return np.max([np.max(np.abs(u - v), axis=tuple(range(1, u.ndim)))
                        for u, v in pairs], axis=0)
@@ -348,6 +351,7 @@ def _suite_gluing(seed, samples, tol, p, q):
 
 
 def _suite_developing(pair, seed, samples):
+    from .developing import StructureSpec, check_structure
     nr, s12, d1 = _REGIMES
     third = (1 + 1e-3, 1 - 2e-3, 1 + 1e-3j)
 
@@ -378,6 +382,7 @@ def _suite_developing(pair, seed, samples):
 
 
 def _suite_action(pair, seed):
+    from .action import fixed_point_certificate, properness_probe
     nr = _REGIMES[0]
     gen_pair = (GroupElement(nr, pair.alpha), GroupElement(nr, pair.beta))
     cert = fixed_point_certificate(gen_pair, window=10)
@@ -443,6 +448,7 @@ def deform(report, path, seed, samples, tol):
     coefficient lists of [re, im] pairs (3, 4 or 1+4 coefficients per
     the regime), and, for the non-resonant regime, a base configuration
     under the key config."""
+    from .developing import StructureSpec, check_structure
     doc = _load_document(path)
     report["input"] = path
     try:

@@ -33,10 +33,10 @@ import numpy as np
 from .holonomy import HolonomyPair, validate_holonomy, holonomy_pair
 from .resonance import (DEFAULT_BOUND, ResonanceClass, _is_integer,
                         _log_residual, _power_residual, _screened)
-from .resonant_group import (IllConditioned, _invertible, _null_vector,
-                             _overflow, _points_ok, _power, _to_point,
-                             _twisted_roots, apply_many, compose_many,
-                             power_many, replay)
+from .resonant_group import (IllConditioned, NotInImage, _invertible,
+                             _null_vector, _overflow, _points_ok, _power,
+                             _to_point, _twisted_roots, apply_many,
+                             compose_many, power_many, replay)
 from .rep_variety import _double_equations, _single_equation
 
 DENOM_TOL = 1e-12
@@ -44,10 +44,6 @@ MEMBERSHIP_TOL = 1e-9
 
 _TRIANGULAR_ZEROS = ((0, 1), (0, 2), (1, 0), (1, 2), (2, 0))
 _BLOCK_ZEROS = ((0, 1), (0, 2), (1, 0), (2, 0))
-
-
-class NotInImage(Exception):
-    """The point violates the clauses cutting out the image of the glue map."""
 
 
 def _frozen(mat):

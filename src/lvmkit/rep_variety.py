@@ -23,6 +23,7 @@ from .holonomy import TWO_PI_I, _pair_from_pairings, pairings
 from .resonant_group import (
     COMMUTE_TOL,
     GroupElement,
+    NoConvergence,
     _commutators,
     _overflow,
     compose,
@@ -38,12 +39,6 @@ FD_STEP = 1e-6
 MIN_GAP = 10.0
 TOL_CASE = 1e-12
 REJECTION_RADIUS = 1.0
-
-
-class NoConvergence(Exception):
-    """A projection refused its input: the solution leaves the branch-
-    anchor neighborhood, a projected multiplier is not finite and nonzero,
-    or the resonant scaling Newton solve failed."""
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,18 @@ class BranchDomain(Exception):
     """Argument outside the principal-branch domain of exp/log."""
 
 
+# the refusals of rep_variety and family_gluing, defined here so that the
+# CLI catches them without importing those layers
+class NoConvergence(Exception):
+    """A projection Psi of rep_variety refused its input: the solution
+    leaves the branch-anchor neighborhood, a projected multiplier is not
+    finite and nonzero, or the resonant scaling Newton solve failed."""
+
+
+class NotInImage(Exception):
+    """The point violates the clauses cutting out the image of the glue map."""
+
+
 def _first(ok):
     """The index of the first row where the mask ok fails."""
     return np.unravel_index(np.argmin(ok), ok.shape)

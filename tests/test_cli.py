@@ -298,6 +298,36 @@ def test_cli_import_leaves_scipy_out():
     assert out.strip() == "[]"
 
 
+LAZY_LAYERS = ("action", "developing", "family_gluing", "rep_variety")
+
+
+@pytest.mark.parametrize("commands,loaded", [
+    ((), ()),
+    ((["analyze", "e1.json"], ["resonances", "e1.json"]), ()),
+    ((["deform", "deform.json"],), ("developing", "rep_variety")),
+    ((["verify", "group-laws"],), ()),
+    ((["verify", "all"],), LAZY_LAYERS),
+], ids=["import", "analyze-resonances", "deform", "verify-group-laws",
+        "verify-all"])
+def test_cli_imports_layers_when_commands_run(tmp_path, commands, loaded):
+    # a fresh interpreter imports lvmkit.cli and runs each command in it,
+    # all passing; of the layers analyze and resonances do not run, it
+    # then holds only those the commands run
+    paths = {"e1.json": write(tmp_path, "e1.json", E1_DOC),
+             "deform.json": write(tmp_path, "deform.json",
+                                  TestDeform()._nonres_doc())}
+    commands = [[paths.get(a, a) for a in c] for c in commands]
+    code = ("import sys\n"
+            "from lvmkit.cli import main\n"
+            "for args in %r:\n"
+            "    main(args + ['--json'], standalone_mode=False)\n"
+            "print(sorted(m for m in %r if 'lvmkit.' + m in sys.modules))"
+            % (commands, LAZY_LAYERS))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == str(sorted(loaded))
+
+
 class TestVerify:
     def test_batched_suites_build_no_scalar_objects(self, runner, monkeypatch):
         # the group-laws, gluing and developing suites run on arrays: no
@@ -675,6 +705,19 @@ class TestContract:
         result = self._run(runner, tmp_path, "analyze", "e1", [])
         assert result.exit_code == 1
         assert report_of(result)["failure"] == "x"
+
+    @pytest.mark.parametrize("command", ["analyze", "resonances", "deform"])
+    def test_undecodable_document_is_usage_error(self, runner, tmp_path,
+                                                 command):
+        # a document is read as UTF-8 whatever the locale (RFC 8259); one
+        # that is not valid UTF-8 is refused like an unparseable one
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'\xff\xfe{"m": 2}')
+        result = runner.invoke(main, [command, str(path), "--json"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "cannot read %s: 'utf-8' codec can't decode" % path \
+            in result.stderr
 
 
 # a report holding every kind of value the commands put in one

@@ -15,7 +15,7 @@ independent of the library's closed forms.
 
 import numpy as np
 
-from lvmkit import cli
+from lvmkit import action, cli, developing, family_gluing
 from lvmkit.cli import _E1, _REGIMES
 from lvmkit.developing import StructureReport, build_structure
 from lvmkit.family_gluing import (DENOM_TOL, MEMBERSHIP_TOL, FamilyPoint,
@@ -526,18 +526,20 @@ def _scaled_first_shear(out):
 
 def inject_fault(mp):
     """Make, through the library calls of `lvmkit.cli` patched on the
-    MonkeyPatch mp, the faults the oracles take with fault=True: f.g's
-    first row scaled by 1 + 1e-3 (group-laws, the first regime and
-    sample), sa[0, 1, 1] of the first psi_p image scaled alike (gluing),
-    the Single third generator's shear moved by 1e-9 (developing), and the
-    first action generator replaced by the identity (action)."""
+    MonkeyPatch mp where cli reads them (its own names, and the functions
+    of the layer modules its suites look up when they run), the faults
+    the oracles take with fault=True: f.g's first row scaled by 1 + 1e-3
+    (group-laws, the first regime and sample), sa[0, 1, 1] of the first
+    psi_p image scaled alike (gluing), the Single third generator's shear
+    moved by 1e-9 (developing), and the first action generator replaced
+    by the identity (action)."""
     mp.setattr(cli, "compose_many",
                _on_first_rows(cli.compose_many, _scaled_first_row))
-    mp.setattr(cli, "glue_psi_p_many",
-               _on_first_rows(cli.glue_psi_p_many, _scaled_first_shear))
+    mp.setattr(family_gluing, "glue_psi_p_many", _on_first_rows(
+        family_gluing.glue_psi_p_many, _scaled_first_shear))
     check_structure, certificate, probe = (
-        cli.check_structure, cli.fixed_point_certificate,
-        cli.properness_probe)
+        developing.check_structure, action.fixed_point_certificate,
+        action.properness_probe)
     calls = []
 
     def sheared(spec, **kwargs):
@@ -555,9 +557,9 @@ def inject_fault(mp):
 
     def first_probe(pair, **kwargs):
         return probe((identity(pair[0].regime), pair[1]), **kwargs)
-    mp.setattr(cli, "check_structure", sheared)
-    mp.setattr(cli, "fixed_point_certificate", first_certificate)
-    mp.setattr(cli, "properness_probe", first_probe)
+    mp.setattr(developing, "check_structure", sheared)
+    mp.setattr(action, "fixed_point_certificate", first_certificate)
+    mp.setattr(action, "properness_probe", first_probe)
 
 
 def oracle_developing(seed, samples, fault):
